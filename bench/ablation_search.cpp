@@ -59,7 +59,7 @@ void runAblation() {
       auto R = Orch.runSearch();
       if (R.ok()) {
         std::printf(" %14.0f", R->BestCycles);
-        Dups = R->Search.DuplicatesSkipped;
+        Dups = R->Search.DuplicateHits;
       } else {
         std::printf(" %14s", "err");
       }
@@ -84,12 +84,11 @@ void BM_BanditStep(benchmark::State &State) {
     S.Params.push_back(P);
   }
   for (auto _ : State) {
-    search::LambdaObjective Obj([](const search::Point &P, bool &Valid) {
-      Valid = true;
+    search::LambdaObjective Obj([](const search::Point &P) {
       double Sum = 0;
       for (const auto &[Id, V] : P.Values)
         Sum += static_cast<double>(std::get<int64_t>(V));
-      return Sum;
+      return search::EvalOutcome::success(Sum);
     });
     search::SearchOptions Opts;
     Opts.MaxEvaluations = 50;

@@ -22,6 +22,7 @@
 #include "src/baseline/Pluto.h"
 #include "src/driver/Orchestrator.h"
 #include "src/locus/LocusParser.h"
+#include "src/search/PointCodec.h"
 #include "src/workloads/Workloads.h"
 
 #include <benchmark/benchmark.h>
@@ -78,7 +79,7 @@ void runFig6Dgemm() {
     double LocusCycles =
         R.ok() ? R->BestCycles : std::numeric_limits<double>::infinity();
     if (R.ok() && Cores == 10)
-      BestShape = driver::serializePoint(R->Search.Best);
+      BestShape = search::serializePoint(R->Search.Best);
 
     // Pluto heuristic (same machine).
     baseline::PlutoOptions POpts;

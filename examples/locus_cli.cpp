@@ -2,110 +2,13 @@
 //
 // The tool a downstream user runs, wrapping the full pipeline:
 //
-//   locus_cli PROGRAM.locus SOURCE.c [options]
+//   locus_cli PROGRAM.locus SOURCE.c [options]     search or direct workflow
+//   locus_cli --discover SOURCE.c [options]        pragma-free discovery
 //
-//   --direct              run the direct workflow (program has no search
-//                         constructs, or every construct is pinned by --point)
-//   --point FILE          pin the search constructs from a serialized point
-//   --search NAME         search module: bandit (default), tpe, random,
-//                         hillclimb, de, exhaustive
-//   --budget N            variant assessments (default 100)
-//   --seed N              search seed (default 42)
-//   --jobs N              concurrent evaluation workers (default 1); results
-//                         commit in proposal order, so the trajectory and
-//                         best point match the serial run exactly
-//   --no-eval-cache       disable the content-addressed evaluation cache
-//                         (distinct points materializing to the same variant
-//                         are then re-simulated each time)
-//   --cache-dir DIR       persist the evaluation cache in DIR/evalcache.rlog
-//                         (CRC-framed record log, safe to share between
-//                         concurrent orchestrator processes); a later run
-//                         with the same directory starts warm
-//   --cache-readonly      consume a shared --cache-dir without appending to
-//                         it (for farms where one writer owns the store)
-//   --machine xeon|tiny   simulated machine (default xeon)
-//   --cores N             override the core count
-//   --emit-c FILE         write the best variant as compilable C
-//   --export-direct FILE  write the pinned direct Locus program (Section II)
-//   --export-point FILE   write the best point in serialized form
-//   --native              additionally time the best variant with the system
-//                         C compiler (the paper's buildcmd/runcmd path); the
-//                         compile and run happen in the subprocess sandbox
-//                         (argv exec, watchdog, rlimits, hermetic workdir)
-//                         and the native checksum is validated against the
-//                         simulator within --checksum-rtol
-//   --native-metric       measure every searched variant natively instead of
-//                         on the simulator (falls back to the simulator with
-//                         a warning when no compiler is available)
-//   --native-timeout SECS ceiling on each sandboxed native run (default 10);
-//                         the per-variant deadline derived from the baseline
-//                         native time never exceeds it
-//   --keep-workdirs       keep each native evaluation's mkdtemp directory
-//                         (sources, binary) instead of removing it
-//   --checksum-rtol X     relative tolerance for checksum validation, both
-//                         variant-vs-baseline and native-vs-simulator
-//                         (default 1e-6)
-//   --journal FILE        append every assessed variant to FILE (crash-safe
-//                         CRC-framed record log, fsynced per record; a torn
-//                         tail from a crash is recovered, other corruption
-//                         is a located error)
-//   --journal-sync MODE   durability per appended record: full (fsync, the
-//                         default), flush (kernel only), none (buffered)
-//   --resume              reload an existing --journal file and continue the
-//                         interrupted search where it left off
-//   --race-check          parallel-safety report: for every region loop,
-//                         print the race verdict for parallelizing it, the
-//                         private/firstprivate/shared/reduction variable
-//                         classification, and a located witness for every
-//                         proven race; advisory, always exits 0
-//   --trust-parallel      attach `omp parallel for` even to provably-racy
-//                         loops and model their speedup anyway (checksum
-//                         validation still guards the results)
-//   --lint                static diagnostics only: run the CIR verifier on
-//                         the source and warn about regions where dependence
-//                         analysis is unavailable but the optimization
-//                         program wants dependence-based transformations,
-//                         about provably-racy parallelizations, and about
-//                         subscripts range analysis cannot prove in bounds;
-//                         prints nothing and exits 0 when everything is clean
-//   --lint-strict         like --lint, but exit 1 when any warning or error
-//                         is reported (lint gates the build); also hardens
-//                         --bounds-check the same way
-//   --verify-each         run the CIR verifier after every applied
-//                         transformation (variants failing verification are
-//                         rejected as illegal)
-//   --no-static-prune     disable the static legality oracle (every point
-//                         reaches the evaluator)
-//
-// Source-only static bounds proofs (no Locus program needed):
-//
-//   locus_cli --bounds-check SOURCE.c [--lint-strict]
-//
-//   --bounds-check        run symbolic range analysis over every array
-//                         subscript and print the bounds report: proven
-//                         subscripts are counted, everything else gets a
-//                         located witness naming the access, its interval,
-//                         and the loop that drives it. Exit 0 unless
-//                         --lint-strict is also given, in which case any
-//                         violation or unproven subscript exits 1.
-//
-// Pragma-free sources run through region discovery instead:
-//
-//   locus_cli --discover SOURCE.c [options]
-//
-//   --discover            scan an unannotated source for candidate loop
-//                         nests and print the ranked report: per-candidate
-//                         verdict (selected / demoted / rejected), nest
-//                         depth, trip-count product, footprint, hotness,
-//                         and a located reason for every demotion and
-//                         rejection
-//   --discover-top N      with --tune, annotate and tune only the N
-//                         hottest annotatable candidates (default: all)
-//   --tune                end-to-end: inject `#pragma @Locus` regions for
-//                         the discovered candidates and tune each under
-//                         the generated Fig. 13 generic program; accepts
-//                         all search options above (--search, --budget,
-//                         --seed, --jobs, --journal, ...)
+// plus the tuning service (serve/worker), static analyses (lint,
+// race-check, bounds-check) and record-log dumps. The flags, the modes they
+// apply to and their help live in one table (src/driver/CliOptions); run
+// `locus_cli --help` for the full list.
 //
 //===----------------------------------------------------------------------===//
 
@@ -118,17 +21,17 @@
 #include "src/cir/AstUtils.h"
 #include "src/cir/Parser.h"
 #include "src/cir/Printer.h"
-#include "src/driver/Orchestrator.h"
+#include "src/driver/CliOptions.h"
 #include "src/eval/NativeEvaluator.h"
 #include "src/locus/LocusParser.h"
 #include "src/locus/LocusPrinter.h"
+#include "src/search/PointCodec.h"
 #include "src/support/RecordLog.h"
 #include "src/support/Signals.h"
 
 #include <algorithm>
 #include <cmath>
 #include <cstdio>
-#include <cstring>
 #include <fstream>
 #include <limits>
 #include <set>
@@ -154,32 +57,6 @@ bool writeFile(const std::string &Path, const std::string &Text) {
     return false;
   Out << Text;
   return static_cast<bool>(Out);
-}
-
-int usage(const char *Argv0) {
-  std::fprintf(stderr,
-               "usage: %s PROGRAM.locus SOURCE.c [--direct] [--point FILE]\n"
-               "       [--search NAME] [--budget N] [--seed N] [--jobs N]\n"
-               "       [--machine xeon|tiny] [--cores N]\n"
-               "       [--emit-c FILE] [--export-direct FILE]\n"
-               "       [--export-point FILE] [--native] [--native-metric]\n"
-               "       [--native-timeout SECS] [--keep-workdirs]\n"
-               "       [--checksum-rtol X]\n"
-               "       [--journal FILE] [--journal-sync none|flush|full]\n"
-               "       [--resume] [--no-eval-cache]\n"
-               "       [--cache-dir DIR] [--cache-readonly]\n"
-               "       [--lint] [--lint-strict] [--race-check]\n"
-               "       [--trust-parallel]\n"
-               "       [--verify-each] [--no-static-prune]\n"
-               "       [--serve --queue-dir DIR [--workers N]\n"
-               "        [--lease-timeout SECS]]\n"
-               "       [--worker --queue-dir DIR [--worker-id ID]]\n"
-               "   or: %s --bounds-check SOURCE.c [--lint-strict]\n"
-               "   or: %s --discover SOURCE.c [--discover-top N] [--tune]\n"
-               "       [search options]\n"
-               "   or: %s --journal-dump FILE | --queue-dump DIR-or-FILE\n",
-               Argv0, Argv0, Argv0, Argv0);
-  return 2;
 }
 
 /// --journal-dump / --queue-dump: human-readable inspection of a CRC-framed
@@ -544,248 +421,9 @@ int runDiscover(const cir::Program &Baseline, driver::OrchestratorOptions Opts,
   return Failures ? 1 : 0;
 }
 
-} // namespace
-
-int main(int argc, char **argv) {
-  if (argc >= 2 && (std::strcmp(argv[1], "--journal-dump") == 0 ||
-                    std::strcmp(argv[1], "--queue-dump") == 0)) {
-    if (argc != 3)
-      return usage(argv[0]);
-    return dumpRecordLog(argv[2], std::strcmp(argv[1], "--queue-dump") == 0);
-  }
-  if (argc < 3)
-    return usage(argv[0]);
-  bool Discover = std::strcmp(argv[1], "--discover") == 0;
-  bool BoundsCheck = std::strcmp(argv[1], "--bounds-check") == 0;
-  std::string ProgramPath = Discover || BoundsCheck ? "" : argv[1];
-  std::string SourcePath = argv[2];
-
-  bool Direct = false, Native = false, Lint = false, RaceCheck = false;
-  bool LintStrict = false;
-  bool Tune = false;
-  bool Serve = false, Worker = false;
-  int ServeWorkers = 1;
-  std::string QueueDir, WorkerId;
-  // Flags a spawned worker must replay to build the *identical* objective
-  // (machine model, tolerances, cache config); collected during parsing.
-  std::vector<std::string> ForwardArgs;
-  int DiscoverTop = 0;
-  std::string PointPath, EmitC, ExportDirect, ExportPoint;
-  driver::OrchestratorOptions Opts;
-  Opts.MaxEvaluations = 100;
-  // The CLI is an interactive tool: snippet arguments may name files on
-  // disk (the paper's scatter_DZG.txt workflow). Search-internal replay
-  // still runs with the flag's effect confined to module invocations the
-  // user asked for.
-  Opts.AllowSnippetFiles = true;
-  for (int I = 3; I < argc; ++I) {
-    std::string Arg = argv[I];
-    const int ArgFirst = I;
-    auto Next = [&]() -> const char * {
-      return I + 1 < argc ? argv[++I] : nullptr;
-    };
-    if (Arg == "--direct") {
-      Direct = true;
-    } else if (Arg == "--tune") {
-      if (!Discover) {
-        std::fprintf(stderr, "--tune is only valid with --discover\n");
-        return usage(argv[0]);
-      }
-      Tune = true;
-    } else if (Arg == "--discover-top") {
-      if (!Discover) {
-        std::fprintf(stderr, "--discover-top is only valid with --discover\n");
-        return usage(argv[0]);
-      }
-      if (const char *V = Next()) {
-        DiscoverTop = std::atoi(V);
-        if (DiscoverTop < 1) {
-          std::fprintf(stderr, "--discover-top wants a positive count\n");
-          return usage(argv[0]);
-        }
-      }
-    } else if (Arg == "--native") {
-      Native = true;
-    } else if (Arg == "--native-metric") {
-      Opts.NativeMetric = true;
-    } else if (Arg == "--native-timeout") {
-      if (const char *V = Next()) {
-        Opts.Native.RunTimeoutSeconds = std::atof(V);
-        if (Opts.Native.RunTimeoutSeconds <= 0) {
-          std::fprintf(stderr, "--native-timeout wants a positive number of "
-                               "seconds\n");
-          return usage(argv[0]);
-        }
-      }
-    } else if (Arg == "--keep-workdirs") {
-      Opts.Native.KeepWorkDir = true;
-    } else if (Arg == "--checksum-rtol") {
-      if (const char *V = Next()) {
-        Opts.ChecksumRtol = std::atof(V);
-        if (Opts.ChecksumRtol <= 0) {
-          std::fprintf(stderr, "--checksum-rtol wants a positive tolerance\n");
-          return usage(argv[0]);
-        }
-      }
-    } else if (Arg == "--lint") {
-      Lint = true;
-    } else if (Arg == "--lint-strict") {
-      LintStrict = true;
-      Lint = true;
-    } else if (Arg == "--race-check") {
-      RaceCheck = true;
-    } else if (Arg == "--trust-parallel") {
-      Opts.TrustParallel = true;
-    } else if (Arg == "--verify-each") {
-      Opts.VerifyEach = true;
-    } else if (Arg == "--no-static-prune") {
-      Opts.StaticPrune = false;
-    } else if (Arg == "--point") {
-      if (const char *V = Next())
-        PointPath = V;
-    } else if (Arg == "--search") {
-      if (const char *V = Next())
-        Opts.SearcherName = V;
-    } else if (Arg == "--budget") {
-      if (const char *V = Next())
-        Opts.MaxEvaluations = std::atoi(V);
-    } else if (Arg == "--seed") {
-      if (const char *V = Next())
-        Opts.Seed = static_cast<uint64_t>(std::atoll(V));
-    } else if (Arg == "--jobs") {
-      if (const char *V = Next()) {
-        Opts.Jobs = std::atoi(V);
-        if (Opts.Jobs < 1) {
-          std::fprintf(stderr, "--jobs wants a positive worker count\n");
-          return usage(argv[0]);
-        }
-      }
-    } else if (Arg == "--no-eval-cache") {
-      Opts.UseEvalCache = false;
-    } else if (Arg == "--eval-cache") {
-      Opts.UseEvalCache = true;
-    } else if (Arg == "--cache-dir") {
-      if (const char *V = Next())
-        Opts.CacheDir = V;
-    } else if (Arg == "--cache-readonly") {
-      Opts.CacheReadOnly = true;
-    } else if (Arg == "--machine") {
-      const char *V = Next();
-      if (V && std::strcmp(V, "tiny") == 0)
-        Opts.Eval.Machine = machine::MachineConfig::tiny();
-      else
-        Opts.Eval.Machine = machine::MachineConfig::xeonE5v3();
-    } else if (Arg == "--cores") {
-      if (const char *V = Next())
-        Opts.Eval.Machine.Cores = std::atoi(V);
-    } else if (Arg == "--journal") {
-      if (const char *V = Next())
-        Opts.JournalPath = V;
-    } else if (Arg == "--journal-sync") {
-      if (const char *V = Next()) {
-        bool SyncOk = false;
-        Opts.JournalSyncMode = search::parseJournalSync(V, SyncOk);
-        if (!SyncOk) {
-          std::fprintf(stderr, "unknown --journal-sync mode: %s\n", V);
-          return usage(argv[0]);
-        }
-      }
-    } else if (Arg == "--resume") {
-      Opts.ResumeFromJournal = true;
-    } else if (Arg == "--emit-c") {
-      if (const char *V = Next())
-        EmitC = V;
-    } else if (Arg == "--export-direct") {
-      if (const char *V = Next())
-        ExportDirect = V;
-    } else if (Arg == "--export-point") {
-      if (const char *V = Next())
-        ExportPoint = V;
-    } else if (Arg == "--serve") {
-      Serve = true;
-    } else if (Arg == "--worker") {
-      Worker = true;
-    } else if (Arg == "--workers") {
-      if (const char *V = Next()) {
-        ServeWorkers = std::atoi(V);
-        if (ServeWorkers < 0) {
-          std::fprintf(stderr, "--workers wants a non-negative count\n");
-          return usage(argv[0]);
-        }
-      }
-    } else if (Arg == "--queue-dir") {
-      if (const char *V = Next())
-        QueueDir = V;
-    } else if (Arg == "--worker-id") {
-      if (const char *V = Next())
-        WorkerId = V;
-    } else if (Arg == "--lease-timeout") {
-      if (const char *V = Next()) {
-        Opts.Serve.LeaseTimeoutSeconds = std::atof(V);
-        if (Opts.Serve.LeaseTimeoutSeconds <= 0) {
-          std::fprintf(stderr,
-                       "--lease-timeout wants a positive number of seconds\n");
-          return usage(argv[0]);
-        }
-      }
-    } else {
-      std::fprintf(stderr, "unknown option: %s\n", Arg.c_str());
-      return usage(argv[0]);
-    }
-    static const std::set<std::string> ForwardFlags = {
-        "--native-metric", "--native-timeout", "--keep-workdirs",
-        "--checksum-rtol", "--trust-parallel", "--verify-each",
-        "--no-eval-cache", "--eval-cache",     "--cache-dir",
-        "--cache-readonly", "--machine",       "--cores"};
-    if (ForwardFlags.count(Arg))
-      for (int J = ArgFirst; J <= I; ++J)
-        ForwardArgs.push_back(argv[J]);
-  }
-  if ((Serve || Worker) && QueueDir.empty()) {
-    std::fprintf(stderr, "%s requires --queue-dir\n",
-                 Serve ? "--serve" : "--worker");
-    return usage(argv[0]);
-  }
-  if (Serve && Worker) {
-    std::fprintf(stderr, "--serve and --worker are mutually exclusive\n");
-    return usage(argv[0]);
-  }
-
-  bool Ok = false;
-  std::string CText = readFile(SourcePath, Ok);
-  if (!Ok) {
-    std::fprintf(stderr, "cannot read %s\n", SourcePath.c_str());
-    return 1;
-  }
-  auto Baseline = cir::parseProgram(CText);
-  if (!Baseline.ok()) {
-    std::fprintf(stderr, "%s: %s\n", SourcePath.c_str(),
-                 Baseline.message().c_str());
-    return 1;
-  }
-
-  if (BoundsCheck)
-    return runBoundsCheck(**Baseline, LintStrict);
-  if (Discover)
-    return runDiscover(**Baseline, Opts, DiscoverTop, Tune);
-
-  std::string LocusText = readFile(ProgramPath, Ok);
-  if (!Ok) {
-    std::fprintf(stderr, "cannot read %s\n", ProgramPath.c_str());
-    return 1;
-  }
-  auto Prog = lang::parseLocusProgram(LocusText);
-  if (!Prog.ok()) {
-    std::fprintf(stderr, "%s: %s\n", ProgramPath.c_str(),
-                 Prog.message().c_str());
-    return 1;
-  }
-
-  if (RaceCheck)
-    return runRaceCheck(**Baseline);
-  if (Lint)
-    return runLint(**Prog, **Baseline, LintStrict);
-
+/// Shared set-up of every tuning run (search, serve, worker, discover
+/// --tune).
+void setupTuning(driver::OrchestratorOptions &Opts) {
   // Degrade gracefully on compiler-less hosts: native measurement is an
   // upgrade, not a requirement, so fall back to the simulator with a clear
   // diagnostic instead of failing the whole run.
@@ -797,73 +435,255 @@ int main(int argc, char **argv) {
                  Opts.Native.Compiler.c_str());
     Opts.NativeMetric = false;
   }
-
   // Graceful SIGTERM/SIGINT: the flag is checked between evaluations, the
   // journal's last record is already synced, and partial results are
   // reported with a clean exit code.
   support::installShutdownFlag();
   Opts.StopFlag = support::shutdownFlag();
+}
 
-  if (Serve) {
-    Opts.Serve.QueueDir = QueueDir;
-    Opts.Serve.Workers = ServeWorkers;
-    // Workers re-exec this binary with the same program/source and the
-    // eval-relevant flags, in worker mode against the same queue dir.
-    char ExeBuf[4096];
-    ssize_t N = ::readlink("/proc/self/exe", ExeBuf, sizeof(ExeBuf) - 1);
-    std::string Exe = N > 0 ? std::string(ExeBuf, static_cast<size_t>(N))
-                            : std::string(argv[0]);
-    std::vector<std::string> BaseArgv = {Exe, ProgramPath, SourcePath,
-                                         "--worker", "--queue-dir", QueueDir};
-    BaseArgv.insert(BaseArgv.end(), ForwardArgs.begin(), ForwardArgs.end());
-    Opts.Serve.WorkerArgv = [BaseArgv](int, int) { return BaseArgv; };
+/// The coordinator's argv for its workers: this binary, re-executed in
+/// worker mode with the flags that shape the objective.
+std::vector<std::string> selfWorkerArgv(const driver::CliOptions &Cli,
+                                        const char *Argv0) {
+  char ExeBuf[4096];
+  ssize_t N = ::readlink("/proc/self/exe", ExeBuf, sizeof(ExeBuf) - 1);
+  std::string Exe = N > 0 ? std::string(ExeBuf, static_cast<size_t>(N))
+                          : std::string(Argv0);
+  return driver::workerArgv(Cli, Exe);
+}
+
+int runWorker(driver::Orchestrator &Orch, const driver::CliOptions &Cli) {
+  service::WorkerOptions WOpts;
+  WOpts.QueueDir = Cli.Opts.Serve.QueueDir;
+  WOpts.WorkerId = Cli.WorkerId.empty() ? "pid" + std::to_string(::getpid())
+                                        : Cli.WorkerId;
+  WOpts.StopFlag = Cli.Opts.StopFlag;
+  auto WR = Orch.runWorker(WOpts);
+  if (!WR.ok()) {
+    std::fprintf(stderr, "worker failed: %s\n", WR.message().c_str());
+    return 1;
   }
+  std::printf("worker %s: %llu task(s) evaluated, %llu claim(s) lost, "
+              "%llu heartbeat(s)\n",
+              WOpts.WorkerId.c_str(), (unsigned long long)WR->TasksEvaluated,
+              (unsigned long long)WR->ClaimsLost,
+              (unsigned long long)WR->Heartbeats);
+  return 0;
+}
 
-  driver::Orchestrator Orch(**Prog, **Baseline, Opts);
+/// Applies a serialized point. The interpreter refuses a point that leaves
+/// a search construct unpinned with a located error, so no space has to be
+/// extracted to validate it against.
+Expected<driver::DirectResult> runPointFile(driver::Orchestrator &Orch,
+                                            const std::string &Path) {
+  bool Ok = false;
+  std::string Text = readFile(Path, Ok);
+  if (!Ok)
+    return Expected<driver::DirectResult>::error("cannot read " + Path);
+  auto P = search::deserializePoint(Text, search::Space{});
+  if (!P.ok())
+    return Expected<driver::DirectResult>::error(P.message());
+  return Orch.runPoint(*P);
+}
 
-  if (Worker) {
-    service::WorkerOptions WOpts;
-    WOpts.QueueDir = QueueDir;
-    WOpts.WorkerId =
-        WorkerId.empty() ? "pid" + std::to_string(::getpid()) : WorkerId;
-    WOpts.StopFlag = Opts.StopFlag;
-    auto WR = Orch.runWorker(WOpts);
-    if (!WR.ok()) {
-      std::fprintf(stderr, "worker failed: %s\n", WR.message().c_str());
-      return 1;
+void printSearchSummary(const driver::SearchWorkflowResult &R,
+                        const driver::OrchestratorOptions &Opts) {
+  const search::SearchResult &S = R.Search;
+  std::printf("space: %llu points (%zu parameters)\n",
+              (unsigned long long)R.Space.fullSize(), R.Space.Params.size());
+  std::printf("%s", R.Space.describe().c_str());
+  std::printf("assessed %d variants (%d invalid, %d duplicates",
+              S.Evaluations, S.InvalidPoints, S.DuplicateHits);
+  if (S.ReplayedEvaluations > 0)
+    std::printf(", %d replayed from journal", S.ReplayedEvaluations);
+  if (S.PrunedStatic > 0) {
+    std::printf(", %d pruned statically", S.PrunedStatic);
+    if (S.PrunedStaticByRange > 0)
+      std::printf(" (%d by range)", S.PrunedStaticByRange);
+  }
+  std::printf(")\n");
+  for (int K = 1; K < search::NumFailureKinds; ++K)
+    if (int N = S.FailureCounts[static_cast<size_t>(K)])
+      std::printf("  %-17s %d\n",
+                  search::failureKindName(static_cast<search::FailureKind>(K)),
+                  N);
+  if (S.PoolJobs > 1)
+    std::printf("pool: %d workers, %d batches (widest %d), %d of %d "
+                "assessments dispatched in parallel\n",
+                S.PoolJobs, S.Batches, S.MaxBatch, S.PooledEvaluations,
+                S.Evaluations);
+  if (S.CacheHits || S.CacheMisses)
+    std::printf("eval cache: %llu hits / %llu misses, %llu cross-point "
+                "dedup saves\n",
+                (unsigned long long)S.CacheHits,
+                (unsigned long long)S.CacheMisses,
+                (unsigned long long)S.CacheDedupSaves);
+  if (!Opts.CacheDir.empty()) {
+    std::printf("persistent cache: %llu loaded, %llu appended",
+                (unsigned long long)S.CacheLoadedPersistent,
+                (unsigned long long)S.CachePersistedAppends);
+    if (S.CacheWarnings)
+      std::printf(", %llu warnings", (unsigned long long)S.CacheWarnings);
+    if (S.CacheDegraded)
+      std::printf(" (degraded to in-memory)");
+    std::printf("\n");
+  }
+  if (R.Guard.UnstableRetries || R.Guard.QuarantinedPoints)
+    std::printf("guards: %d unstable retries (%d recovered), %d points "
+                "quarantined (%d rejects)\n",
+                R.Guard.UnstableRetries, R.Guard.UnstableRecovered,
+                R.Guard.QuarantinedPoints, R.Guard.QuarantineRejects);
+  if (R.Served) {
+    const service::ServiceStats &SS = R.Service;
+    std::printf("service: %llu task(s) (%llu from workers, %llu recovered, "
+                "%llu local), %d worker(s) spawned (%llu death(s), %llu "
+                "respawn(s)), %llu lease expiries, %llu stale result(s) "
+                "discarded, %llu quarantined%s\n",
+                (unsigned long long)SS.TasksSubmitted,
+                (unsigned long long)SS.WorkerResults,
+                (unsigned long long)SS.RecoveredResults,
+                (unsigned long long)SS.LocalFallbackEvals, SS.WorkersSpawned,
+                (unsigned long long)SS.WorkerDeaths,
+                (unsigned long long)SS.WorkerRespawns,
+                (unsigned long long)SS.LeaseExpiries,
+                (unsigned long long)SS.StaleResultsDiscarded,
+                (unsigned long long)SS.QuarantinedTasks,
+                SS.Degraded ? " (degraded to in-process)" : "");
+  }
+  if (S.Stopped)
+    std::printf("interrupted: partial results after %d evaluation(s)\n",
+                S.Evaluations);
+  if (Opts.NativeMetric)
+    std::printf("baseline %.6f s -> best %.6f s, speedup %.2fx%s\n",
+                R.BaselineCycles, R.BestCycles, R.Speedup,
+                R.BaselineChosen ? " (baseline kept)" : "");
+  else
+    std::printf("baseline %.0f cycles -> best %.0f cycles, speedup %.2fx%s\n",
+                R.BaselineCycles, R.BestCycles, R.Speedup,
+                R.BaselineChosen ? " (baseline kept)" : "");
+}
+
+/// Writes the best point and its pinned direct program where asked.
+void exportBest(const lang::LocusProgram &Prog, const search::Point &Best,
+                const driver::CliOptions &Cli) {
+  if (!Cli.ExportPoint.empty() &&
+      !writeFile(Cli.ExportPoint, search::serializePoint(Best)))
+    std::fprintf(stderr, "cannot write %s\n", Cli.ExportPoint.c_str());
+  if (Cli.ExportDirect.empty())
+    return;
+  auto DirectProg = lang::exportDirectProgram(Prog, Best);
+  if (!DirectProg.ok())
+    std::fprintf(stderr, "direct export failed: %s\n",
+                 DirectProg.message().c_str());
+  else if (!writeFile(Cli.ExportDirect, lang::printLocusProgram(**DirectProg)))
+    std::fprintf(stderr, "cannot write %s\n", Cli.ExportDirect.c_str());
+  else
+    std::printf("direct program written to %s\n", Cli.ExportDirect.c_str());
+}
+
+/// --native: times the best variant with the system compiler in the
+/// sandbox. The emitted harness initializes arrays exactly like the
+/// simulator, so the checksums must agree within --checksum-rtol; a
+/// mismatch (exit 1) means the unparsed variant does not compute what the
+/// simulated one did.
+int runNative(const cir::Program &Best, double SimChecksum,
+              const driver::OrchestratorOptions &Opts) {
+  eval::NativeResult NR = eval::evaluateNative(Best, Opts.Native);
+  if (!NR.Ok) {
+    std::fprintf(stderr, "native run failed (%s): %s\n",
+                 search::failureKindName(NR.Failure), NR.Error.c_str());
+  } else {
+    std::printf("native run: %.6f s (checksum %.6f)\n", NR.Seconds,
+                NR.Checksum);
+    if (!std::isnan(SimChecksum)) {
+      double Tol = Opts.ChecksumRtol * std::max(1.0, std::abs(SimChecksum));
+      if (std::abs(NR.Checksum - SimChecksum) > Tol) {
+        std::fprintf(stderr,
+                     "native checksum %.9f disagrees with the simulator's "
+                     "%.9f (rtol %g)\n",
+                     NR.Checksum, SimChecksum, Opts.ChecksumRtol);
+        return 1;
+      }
+      std::printf("native checksum matches the simulator (rtol %g)\n",
+                  Opts.ChecksumRtol);
     }
-    std::printf("worker %s: %llu task(s) evaluated, %llu claim(s) lost, "
-                "%llu heartbeat(s)\n",
-                WOpts.WorkerId.c_str(),
-                (unsigned long long)WR->TasksEvaluated,
-                (unsigned long long)WR->ClaimsLost,
-                (unsigned long long)WR->Heartbeats);
+  }
+  if (!NR.WorkDir.empty())
+    std::printf("native workdir kept: %s\n", NR.WorkDir.c_str());
+  return 0;
+}
+
+} // namespace
+
+int main(int argc, char **argv) {
+  using driver::CliMode;
+  auto CliOr = driver::parseCli(argc, argv);
+  if (!CliOr.ok()) {
+    std::fprintf(stderr, "%s: %s\n%s", argv[0], CliOr.message().c_str(),
+                 driver::cliUsage(argv[0]).c_str());
+    return 2;
+  }
+  driver::CliOptions &Cli = *CliOr;
+  driver::OrchestratorOptions &Opts = Cli.Opts;
+  if (Cli.Help) {
+    std::printf("%s", driver::cliHelp(argv[0]).c_str());
     return 0;
   }
+  if (Cli.Mode == CliMode::Dump)
+    return dumpRecordLog(Cli.DumpPath, Cli.DumpQueue);
+
+  bool Ok = false;
+  std::string CText = readFile(Cli.SourcePath, Ok);
+  if (!Ok) {
+    std::fprintf(stderr, "cannot read %s\n", Cli.SourcePath.c_str());
+    return 1;
+  }
+  auto Baseline = cir::parseProgram(CText);
+  if (!Baseline.ok()) {
+    std::fprintf(stderr, "%s: %s\n", Cli.SourcePath.c_str(),
+                 Baseline.message().c_str());
+    return 1;
+  }
+  if (Cli.Mode == CliMode::BoundsCheck)
+    return runBoundsCheck(**Baseline, Cli.LintStrict);
+
+  if (Cli.Mode == CliMode::Discover) {
+    if (Cli.Tune)
+      setupTuning(Opts);
+    return runDiscover(**Baseline, Opts, Cli.DiscoverTop, Cli.Tune);
+  }
+
+  std::string LocusText = readFile(Cli.ProgramPath, Ok);
+  if (!Ok) {
+    std::fprintf(stderr, "cannot read %s\n", Cli.ProgramPath.c_str());
+    return 1;
+  }
+  auto Prog = lang::parseLocusProgram(LocusText);
+  if (!Prog.ok()) {
+    std::fprintf(stderr, "%s: %s\n", Cli.ProgramPath.c_str(),
+                 Prog.message().c_str());
+    return 1;
+  }
+  if (Cli.Mode == CliMode::RaceCheck)
+    return runRaceCheck(**Baseline);
+  if (Cli.Mode == CliMode::Lint)
+    return runLint(**Prog, **Baseline, Cli.LintStrict);
+
+  setupTuning(Opts);
+  if (Cli.Mode == CliMode::Serve)
+    Opts.Serve.WorkerArgv = [Argv = selfWorkerArgv(Cli, argv[0])](int, int) {
+      return Argv;
+    };
+  driver::Orchestrator Orch(**Prog, **Baseline, Opts);
+  if (Cli.Mode == CliMode::Worker)
+    return runWorker(Orch, Cli);
 
   std::unique_ptr<cir::Program> Best;
-  search::Point BestPoint;
-  double BestCycles = 0;
   double BestChecksum = std::numeric_limits<double>::quiet_NaN();
-
-  if (Direct || !PointPath.empty()) {
-    Expected<driver::DirectResult> R = [&] {
-      if (PointPath.empty())
-        return Orch.runDirect();
-      std::string PointText = readFile(PointPath, Ok);
-      if (!Ok)
-        return Expected<driver::DirectResult>::error("cannot read " +
-                                                     PointPath);
-      // A point file needs the space to validate against.
-      auto Search = Orch.runSearch(); // extraction only matters; budget spent
-      (void)Search;
-      search::Space Dummy;
-      auto P = driver::deserializePoint(PointText, Dummy);
-      if (!P.ok())
-        return Expected<driver::DirectResult>::error(P.message());
-      BestPoint = *P;
-      return Orch.runPoint(*P);
-    }();
+  if (Cli.Direct || !Cli.PointPath.empty()) {
+    auto R = Cli.PointPath.empty() ? Orch.runDirect()
+                                   : runPointFile(Orch, Cli.PointPath);
     if (!R.ok()) {
       std::fprintf(stderr, "direct run failed: %s\n", R.message().c_str());
       return 1;
@@ -874,7 +694,6 @@ int main(int argc, char **argv) {
     for (const std::string &Line : R->Exec.Log)
       std::printf("  %s\n", Line.c_str());
     Best = std::move(R->Variant);
-    BestCycles = R->Run.Cycles;
     BestChecksum = R->Run.Checksum;
   } else {
     auto R = Orch.runSearch();
@@ -882,138 +701,19 @@ int main(int argc, char **argv) {
       std::fprintf(stderr, "search failed: %s\n", R.message().c_str());
       return 1;
     }
-    std::printf("space: %llu points (%zu parameters)\n",
-                (unsigned long long)R->Space.fullSize(),
-                R->Space.Params.size());
-    std::printf("%s", R->Space.describe().c_str());
-    std::printf("assessed %d variants (%d invalid, %d duplicates",
-                R->Search.Evaluations, R->Search.InvalidPoints,
-                R->Search.DuplicatesSkipped);
-    if (R->Search.ReplayedEvaluations > 0)
-      std::printf(", %d replayed from journal", R->Search.ReplayedEvaluations);
-    if (R->Search.PrunedStatic > 0) {
-      std::printf(", %d pruned statically", R->Search.PrunedStatic);
-      if (R->Search.PrunedStaticByRange > 0)
-        std::printf(" (%d by range)", R->Search.PrunedStaticByRange);
-    }
-    std::printf(")\n");
-    for (int K = 1; K < search::NumFailureKinds; ++K)
-      if (int N = R->Search.FailureCounts[static_cast<size_t>(K)])
-        std::printf("  %-17s %d\n",
-                    search::failureKindName(static_cast<search::FailureKind>(K)),
-                    N);
-    if (R->Search.PoolJobs > 1)
-      std::printf("pool: %d workers, %d batches (widest %d), %d of %d "
-                  "assessments dispatched in parallel\n",
-                  R->Search.PoolJobs, R->Search.Batches, R->Search.MaxBatch,
-                  R->Search.PooledEvaluations, R->Search.Evaluations);
-    if (R->Search.CacheHits || R->Search.CacheMisses)
-      std::printf("eval cache: %llu hits / %llu misses, %llu cross-point "
-                  "dedup saves\n",
-                  (unsigned long long)R->Search.CacheHits,
-                  (unsigned long long)R->Search.CacheMisses,
-                  (unsigned long long)R->Search.CacheDedupSaves);
-    if (!Opts.CacheDir.empty()) {
-      std::printf("persistent cache: %llu loaded, %llu appended",
-                  (unsigned long long)R->Search.CacheLoadedPersistent,
-                  (unsigned long long)R->Search.CachePersistedAppends);
-      if (R->Search.CacheWarnings)
-        std::printf(", %llu warnings",
-                    (unsigned long long)R->Search.CacheWarnings);
-      if (R->Search.CacheDegraded)
-        std::printf(" (degraded to in-memory)");
-      std::printf("\n");
-    }
-    if (R->Guard.UnstableRetries || R->Guard.QuarantinedPoints)
-      std::printf("guards: %d unstable retries (%d recovered), %d points "
-                  "quarantined (%d rejects)\n",
-                  R->Guard.UnstableRetries, R->Guard.UnstableRecovered,
-                  R->Guard.QuarantinedPoints, R->Guard.QuarantineRejects);
-    if (R->Served) {
-      const service::ServiceStats &S = R->Service;
-      std::printf("service: %llu task(s) (%llu from workers, %llu recovered, "
-                  "%llu local), %d worker(s) spawned (%llu death(s), %llu "
-                  "respawn(s)), %llu lease expiries, %llu stale result(s) "
-                  "discarded, %llu quarantined%s\n",
-                  (unsigned long long)S.TasksSubmitted,
-                  (unsigned long long)S.WorkerResults,
-                  (unsigned long long)S.RecoveredResults,
-                  (unsigned long long)S.LocalFallbackEvals, S.WorkersSpawned,
-                  (unsigned long long)S.WorkerDeaths,
-                  (unsigned long long)S.WorkerRespawns,
-                  (unsigned long long)S.LeaseExpiries,
-                  (unsigned long long)S.StaleResultsDiscarded,
-                  (unsigned long long)S.QuarantinedTasks,
-                  S.Degraded ? " (degraded to in-process)" : "");
-    }
-    if (R->Search.Stopped)
-      std::printf("interrupted: partial results after %d evaluation(s)\n",
-                  R->Search.Evaluations);
-    if (Opts.NativeMetric)
-      std::printf("baseline %.6f s -> best %.6f s, speedup %.2fx%s\n",
-                  R->BaselineCycles, R->BestCycles, R->Speedup,
-                  R->BaselineChosen ? " (baseline kept)" : "");
-    else
-      std::printf("baseline %.0f cycles -> best %.0f cycles, speedup %.2fx%s\n",
-                  R->BaselineCycles, R->BestCycles, R->Speedup,
-                  R->BaselineChosen ? " (baseline kept)" : "");
+    printSearchSummary(*R, Opts);
+    if (!R->BaselineChosen)
+      exportBest(**Prog, R->Search.Best, Cli);
     Best = std::move(R->BestProgram);
-    BestPoint = R->Search.Best;
-    BestCycles = R->BestCycles;
     if (R->BestRun.Ok)
       BestChecksum = R->BestRun.Checksum;
-
-    if (!ExportPoint.empty() && !R->BaselineChosen)
-      if (!writeFile(ExportPoint, driver::serializePoint(BestPoint)))
-        std::fprintf(stderr, "cannot write %s\n", ExportPoint.c_str());
-    if (!ExportDirect.empty() && !R->BaselineChosen) {
-      auto DirectProg = lang::exportDirectProgram(**Prog, BestPoint);
-      if (DirectProg.ok()) {
-        if (!writeFile(ExportDirect, lang::printLocusProgram(**DirectProg)))
-          std::fprintf(stderr, "cannot write %s\n", ExportDirect.c_str());
-        else
-          std::printf("direct program written to %s\n", ExportDirect.c_str());
-      } else {
-        std::fprintf(stderr, "direct export failed: %s\n",
-                     DirectProg.message().c_str());
-      }
-    }
   }
 
-  (void)BestCycles;
-  if (!EmitC.empty() && Best) {
-    if (!writeFile(EmitC, eval::emitNativeC(*Best)))
-      std::fprintf(stderr, "cannot write %s\n", EmitC.c_str());
+  if (!Cli.EmitC.empty() && Best) {
+    if (!writeFile(Cli.EmitC, eval::emitNativeC(*Best)))
+      std::fprintf(stderr, "cannot write %s\n", Cli.EmitC.c_str());
     else
-      std::printf("C source written to %s\n", EmitC.c_str());
+      std::printf("C source written to %s\n", Cli.EmitC.c_str());
   }
-  if (Native && Best) {
-    eval::NativeResult NR = eval::evaluateNative(*Best, Opts.Native);
-    if (NR.Ok) {
-      std::printf("native run: %.6f s (checksum %.6f)\n", NR.Seconds,
-                  NR.Checksum);
-      // Native-vs-simulator validation: the emitted harness initializes
-      // arrays exactly like the simulator, so the checksums must agree
-      // within --checksum-rtol; a mismatch means the unparsed variant does
-      // not compute what the simulated one did.
-      if (!std::isnan(BestChecksum)) {
-        double Tol = Opts.ChecksumRtol * std::max(1.0, std::abs(BestChecksum));
-        if (std::abs(NR.Checksum - BestChecksum) > Tol) {
-          std::fprintf(stderr,
-                       "native checksum %.9f disagrees with the simulator's "
-                       "%.9f (rtol %g)\n",
-                       NR.Checksum, BestChecksum, Opts.ChecksumRtol);
-          return 1;
-        }
-        std::printf("native checksum matches the simulator (rtol %g)\n",
-                    Opts.ChecksumRtol);
-      }
-    } else {
-      std::fprintf(stderr, "native run failed (%s): %s\n",
-                   search::failureKindName(NR.Failure), NR.Error.c_str());
-    }
-    if (!NR.WorkDir.empty())
-      std::printf("native workdir kept: %s\n", NR.WorkDir.c_str());
-  }
-  return 0;
+  return Cli.Native && Best ? runNative(*Best, BestChecksum, Opts) : 0;
 }

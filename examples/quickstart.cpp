@@ -15,6 +15,7 @@
 #include "src/cir/Printer.h"
 #include "src/driver/Orchestrator.h"
 #include "src/locus/LocusParser.h"
+#include "src/search/PointCodec.h"
 #include "src/workloads/Workloads.h"
 
 #include <cstdio>
@@ -59,7 +60,7 @@ int main() {
 
   std::printf("assessed %d variants (%d invalid, %d duplicates skipped)\n",
               Result->Search.Evaluations, Result->Search.InvalidPoints,
-              Result->Search.DuplicatesSkipped);
+              Result->Search.DuplicateHits);
   std::printf("baseline: %.0f cycles, best variant: %.0f cycles "
               "-> speedup %.2fx%s\n\n",
               Result->BaselineCycles, Result->BestCycles, Result->Speedup,
@@ -71,7 +72,7 @@ int main() {
     std::printf("=== Best variant ===\n%s\n",
                 cir::printProgram(*Result->BestProgram).c_str());
     std::printf("=== Pinned point (ship with the baseline) ===\n%s\n",
-                driver::serializePoint(Result->Search.Best).c_str());
+                search::serializePoint(Result->Search.Best).c_str());
   }
   return 0;
 }

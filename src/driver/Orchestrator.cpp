@@ -52,8 +52,6 @@ Expected<eval::RunResult> Orchestrator::evaluateBaseline() {
 }
 
 const lang::LocusProgram &Orchestrator::program() {
-  if (!Opts.OptimizeProgram)
-    return LProg;
   if (!OptimizedProg) {
     std::unique_ptr<cir::Program> Clone = Baseline.clone();
     transform::TransformContext TCtx;
@@ -63,7 +61,7 @@ const lang::LocusProgram &Orchestrator::program() {
     TCtx.TrustParallel = Opts.TrustParallel;
     TCtx.AllowSnippetFiles = Opts.AllowSnippetFiles;
     OptimizedProg =
-        lang::optimizeLocusProgram(LProg, *Clone, Registry, TCtx, &OptStats);
+        lang::optimizeLocusProgram(LProg, *Clone, Registry, TCtx);
   }
   return *OptimizedProg;
 }
@@ -273,14 +271,6 @@ lang::Value planArgToValue(const analysis::PlanArg &A) {
   default:
     return lang::Value::none();
   }
-}
-
-bool fileExists(const std::string &Path) {
-  if (std::FILE *F = std::fopen(Path.c_str(), "rb")) {
-    std::fclose(F);
-    return true;
-  }
-  return false;
 }
 
 } // namespace
@@ -508,8 +498,8 @@ Expected<SearchWorkflowResult> Orchestrator::runSearch() {
     Header.SpaceFingerprint = Result.Space.fingerprint();
     Header.ConfigDigest =
         search::journalConfigDigest(Opts.SearcherName, Opts.Seed);
-    bool LoadedLegacy = false;
-    if (Opts.ResumeFromJournal && fileExists(Opts.JournalPath)) {
+    // A missing journal loads as empty: the resumed run starts fresh.
+    if (Opts.ResumeFromJournal) {
       auto Loaded = search::SearchJournal::load(Opts.JournalPath, Result.Space,
                                                 &Header);
       if (!Loaded.ok())
@@ -519,12 +509,9 @@ Expected<SearchWorkflowResult> Orchestrator::runSearch() {
       if (!Loaded->Warning.empty())
         std::fprintf(stderr, "warning: %s\n", Loaded->Warning.c_str());
       SOpts.Replay = std::move(Loaded->Records);
-      LoadedLegacy = Loaded->Legacy;
     }
     auto J = search::SearchJournal::open(Opts.JournalPath, Opts.JournalSyncMode,
-                                         Header,
-                                         LoadedLegacy ? &SOpts.Replay
-                                                      : nullptr);
+                                         Header);
     if (!J.ok())
       return Expected<SearchWorkflowResult>::error(J.message());
     Journal = std::move(*J);
@@ -585,15 +572,6 @@ Expected<SearchWorkflowResult> Orchestrator::runSearch() {
       Opts.NativeMetric ? Result.Search.BestMetric : Best->Run.Cycles;
   Result.Speedup = Result.BaselineCycles / Result.BestCycles;
   return Result;
-}
-
-std::string serializePoint(const search::Point &P) {
-  return search::serializePoint(P);
-}
-
-Expected<search::Point> deserializePoint(const std::string &Text,
-                                         const search::Space &Space) {
-  return search::deserializePoint(Text, Space);
 }
 
 } // namespace driver

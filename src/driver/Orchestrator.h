@@ -81,11 +81,6 @@ struct OrchestratorOptions {
   /// paths. Off by default so search runs never read surprise files; the
   /// CLI enables it for the paper's external snippet-file workflow.
   bool AllowSnippetFiles = false;
-  /// Apply the Section IV-C Locus-program optimizations (query
-  /// pre-execution, constant folding, dead-branch elimination) before
-  /// interpretation. The direct program is re-interpreted per assessed
-  /// variant, so this pays off across the whole search.
-  bool OptimizeProgram = true;
   /// Named snippets for BuiltIn.Altdesc.
   std::map<std::string, std::string> Snippets;
   /// Hook to initialize evaluator inputs (index arrays, scalars) before
@@ -208,13 +203,12 @@ public:
   /// keys; compare against stored hashes to detect source drift).
   std::map<std::string, uint64_t> regionHashes() const;
 
-  /// Statistics from the Section IV-C program optimizer (populated after
-  /// the first workflow call when OptimizeProgram is on).
-  const lang::OptimizeStats &optimizeStats() const { return OptStats; }
-
 private:
   Expected<eval::RunResult> evaluate(const cir::Program &P);
-  /// The (possibly optimized) program used for interpretation.
+  /// The program used for interpretation, after the Section IV-C
+  /// optimizations (query pre-execution, constant folding, dead-branch
+  /// elimination); it is re-interpreted per assessed variant, so this pays
+  /// off across the whole search.
   const lang::LocusProgram &program();
   /// Everything runSearch and runWorker share: extracted space, baseline
   /// reference, per-variant deadline, evaluation cache, and the
@@ -227,16 +221,7 @@ private:
   OrchestratorOptions Opts;
   lang::ModuleRegistry Registry;
   std::unique_ptr<lang::LocusProgram> OptimizedProg;
-  lang::OptimizeStats OptStats;
 };
-
-/// Serializes a point as "id=value" lines (the shippable pinned recipe).
-/// Forwards to search::serializePoint (src/search/PointCodec.h).
-std::string serializePoint(const search::Point &P);
-
-/// Parses a serialized point back; validated, never throws.
-Expected<search::Point> deserializePoint(const std::string &Text,
-                                         const search::Space &Space);
 
 } // namespace driver
 } // namespace locus

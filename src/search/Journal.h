@@ -17,11 +17,10 @@
 /// checked per record: a torn *tail* (the frame a crashed writer was in the
 /// middle of) is discarded with a warning and the resume continues from the
 /// intact prefix; a CRC mismatch anywhere earlier is damage and a hard
-/// error naming the byte offset. v1 journals (plain JSONL, no header, no
-/// checksums) are still loaded, and an open() over one migrates it to v2
-/// with an atomic rewrite.
+/// error naming the byte offset. Any other file, such as a v1 plain-JSONL
+/// journal, is refused with a "bad magic at byte 0" error.
 ///
-/// Record payload schema (one EvalRecord, unchanged from v1):
+/// Record payload schema (one EvalRecord):
 ///   {"point":"<serialized point>","metric":<double>,
 ///    "failure":"<FailureKind name>","detail":"<string>"}
 ///
@@ -87,15 +86,11 @@ public:
 
   /// Opens \p Path for appending, creating it (with \p Header) when absent.
   /// An existing v2 journal is verified — magic, CRCs, header equality with
-  /// \p Header — and a torn tail is truncated away. An existing v1 (plain
-  /// JSONL) journal is migrated to v2 via an atomic rewrite when
-  /// \p MigrateRecords carries its already-loaded records (pass the result
-  /// of load()); without them, a v1 file is an error directing the caller
-  /// to --resume or remove it.
-  static Expected<SearchJournal>
-  open(const std::string &Path, JournalSync Sync = JournalSync::Full,
-       const JournalHeader &Header = {},
-       const std::vector<EvalRecord> *MigrateRecords = nullptr);
+  /// \p Header — and a torn tail is truncated away. A file that is not a
+  /// record log is refused (bad magic at byte 0).
+  static Expected<SearchJournal> open(const std::string &Path,
+                                      JournalSync Sync = JournalSync::Full,
+                                      const JournalHeader &Header = {});
 
   /// Appends one record and pushes it toward stable storage per the
   /// configured JournalSync. Internally serialized: concurrent callers
@@ -114,10 +109,8 @@ public:
     int DroppedTailLines = 0;
     /// Human-readable description of the recovery when DroppedTailLines.
     std::string Warning;
-    /// Header of a v2 journal; zeroed for legacy files.
+    /// The journal's header.
     JournalHeader Header;
-    /// True when the file was a v1 plain-JSONL journal.
-    bool Legacy = false;
   };
 
   /// Loads a journal and validates every point against \p Space. A missing

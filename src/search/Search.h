@@ -97,13 +97,6 @@ public:
   /// a concurrency-safe objective must build per-call interpreter/evaluator
   /// state instead of mutating anything shared.
   virtual bool concurrencySafe() const { return false; }
-
-  /// Legacy adapter: metric plus a validity flag (failure kinds erased).
-  double evaluate(const Point &P, bool &Valid) {
-    EvalOutcome O = assess(P);
-    Valid = O.ok();
-    return Valid ? O.Metric : 0;
-  }
 };
 
 /// Base class for objectives that support batched, concurrent assessment:
@@ -115,24 +108,13 @@ public:
   bool concurrencySafe() const override { return true; }
 };
 
-/// Convenience adapter over a lambda, in either the outcome-returning or the
-/// legacy (metric, Valid&) form; the latter maps Valid=false to InvalidPoint.
-/// Pass ThreadSafe=true when the lambda tolerates concurrent calls (required
+/// Convenience adapter over an outcome-returning lambda. Pass ThreadSafe=true when the lambda tolerates concurrent calls (required
 /// for the pool to parallelize under SearchOptions::Jobs > 1).
 class LambdaObjective : public Objective {
 public:
-  using Fn = std::function<double(const Point &, bool &)>;
   using OutcomeFn = std::function<EvalOutcome(const Point &)>;
   explicit LambdaObjective(OutcomeFn F, bool ThreadSafe = false)
       : F(std::move(F)), ThreadSafe(ThreadSafe) {}
-  explicit LambdaObjective(Fn Legacy, bool ThreadSafe = false)
-      : F([G = std::move(Legacy)](const Point &P) {
-          bool Valid = false;
-          double Metric = G(P, Valid);
-          return Valid ? EvalOutcome::success(Metric)
-                       : EvalOutcome::fail(FailureKind::InvalidPoint);
-        }),
-        ThreadSafe(ThreadSafe) {}
   EvalOutcome assess(const Point &P) override { return F(P); }
   bool concurrencySafe() const override { return ThreadSafe; }
 
@@ -198,15 +180,13 @@ struct SearchResult {
   int Evaluations = 0;         ///< distinct variants assessed (incl. replay)
   int ReplayedEvaluations = 0; ///< of those, satisfied from Replay
   int InvalidPoints = 0;       ///< points rejected as invalid (any kind)
-  int DuplicatesSkipped = 0;   ///< proposals identical to evaluated variants
   int PrunedStatic = 0;        ///< of InvalidPoints, proven by StaticFilter
                                ///< without invoking the objective
   int PrunedStaticByRange = 0; ///< of PrunedStatic, proven by symbolic
                                ///< dependent-range resolution (filled by the
                                ///< driver from the legality oracle)
   /// Duplicate proposals served a memoized outcome instead of being
-  /// re-assessed (the canonical counter; DuplicatesSkipped mirrors it for
-  /// backward compatibility). Variant-level dedup across *distinct* points
+  /// re-assessed. Variant-level dedup across *distinct* points
   /// is counted separately in CacheDedupSaves.
   int DuplicateHits = 0;
   /// Per-kind failure counts, indexed by FailureKind; the entries other

@@ -282,7 +282,6 @@ public:
       switch (S.K) {
       case Kind::Dup: {
         const auto &Memo = Seen.at(S.Key);
-        ++Result.DuplicatesSkipped;
         ++Result.DuplicateHits;
         Item.Metric = Memo.first;
         Item.Valid = Memo.second;

@@ -367,7 +367,7 @@ void Coordinator::superviseSlots(double Now) {
       S.WorkerId = "w" + std::to_string(I) + "." + std::to_string(S.Attempts);
       support::ChildProcessOptions CPOpts;
       CPOpts.Argv = Opts.WorkerArgv(static_cast<int>(I), S.Attempts);
-      CPOpts.Argv.push_back("--worker-id");
+      CPOpts.Argv.push_back(WorkerIdFlag);
       CPOpts.Argv.push_back(S.WorkerId);
       CPOpts.OutputPath =
           Opts.QueueDir + "/worker-" + std::to_string(I) + ".log";

@@ -56,6 +56,11 @@
 namespace locus {
 namespace service {
 
+/// The flag a coordinator appends, followed by the worker's id
+/// ("w<slot>.<attempt>"), to every worker argv it spawns; every worker
+/// binary accepts it.
+inline constexpr const char *WorkerIdFlag = "--worker-id";
+
 struct CoordinatorOptions {
   /// Queue directory (created if missing): queue.rlog, coordinator.lock,
   /// worker-<slot>.log.
@@ -68,7 +73,7 @@ struct CoordinatorOptions {
   /// workers (`locus_cli --worker`) may serve the queue instead.
   int Workers = 0;
   /// Argv factory for slot spawns (coordinator appends
-  /// `--worker-id w<slot>.<attempt>` itself). Attempt counts respawns, so a
+  /// `WorkerIdFlag w<slot>.<attempt>` itself). Attempt counts respawns, so a
   /// crash-injection flag can be limited to a slot's first incarnation.
   /// Empty means no managed workers regardless of Workers.
   std::function<std::vector<std::string>(int Slot, int Attempt)> WorkerArgv;

@@ -5,6 +5,7 @@
 #include "src/cir/PathIndex.h"
 #include "src/driver/Orchestrator.h"
 #include "src/locus/LocusParser.h"
+#include "src/search/PointCodec.h"
 #include "src/workloads/Workloads.h"
 
 #include <gtest/gtest.h>
@@ -77,8 +78,8 @@ TEST(Driver, PointRoundTripReproducesBestVariant) {
   if (R->BaselineChosen)
     GTEST_SKIP() << "baseline won; no point to round-trip";
 
-  std::string Text = driver::serializePoint(R->Search.Best);
-  auto Restored = driver::deserializePoint(Text, R->Space);
+  std::string Text = search::serializePoint(R->Search.Best);
+  auto Restored = search::deserializePoint(Text, R->Space);
   ASSERT_TRUE(Restored.ok()) << Restored.message();
   auto Direct = Orch.runPoint(*Restored);
   ASSERT_TRUE(Direct.ok()) << Direct.message();

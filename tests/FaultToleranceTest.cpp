@@ -40,13 +40,12 @@ Space mixedSpace() {
 }
 
 /// Separable objective with a unique optimum: a=16, b=7, c=1.
-double synthetic(const Point &P, bool &Valid) {
-  Valid = true;
+EvalOutcome synthetic(const Point &P) {
   double A = static_cast<double>(P.getInt("a"));
   double B = static_cast<double>(P.getInt("b"));
   double C = static_cast<double>(P.getInt("c"));
-  return std::abs(std::log2(A) - 4.0) * 3 + std::abs(B - 7.0) +
-         std::abs(C - 1.0) * 5;
+  return EvalOutcome::success(std::abs(std::log2(A) - 4.0) * 3 +
+                              std::abs(B - 7.0) + std::abs(C - 1.0) * 5);
 }
 
 int sumFailures(const SearchResult &R) {
@@ -84,9 +83,7 @@ TEST(FailureKinds, PerKindCountsSumToInvalidPoints) {
       return EvalOutcome::fail(FailureKind::ChecksumMismatch, "mismatch");
     if (B == 2)
       return EvalOutcome::fail(FailureKind::InvalidPoint, "range");
-    bool Valid = true;
-    double M = synthetic(P, Valid);
-    return EvalOutcome::success(M);
+    return synthetic(P);
   }));
   SearchOptions Opts;
   Opts.MaxEvaluations = 200;
@@ -105,22 +102,6 @@ TEST(FailureKinds, PerKindCountsSumToInvalidPoints) {
       ++HistoryFailures;
   }
   EXPECT_EQ(HistoryFailures, R.InvalidPoints);
-}
-
-TEST(FailureKinds, LegacyBoolLambdaMapsToInvalidPoint) {
-  Space S = mixedSpace();
-  LambdaObjective Obj([](const Point &P, bool &Valid) {
-    if (P.getInt("b") == 0) {
-      Valid = false;
-      return 0.0;
-    }
-    return synthetic(P, Valid);
-  });
-  SearchOptions Opts;
-  Opts.MaxEvaluations = 100;
-  SearchResult R = makeRandomSearcher()->search(S, Obj, Opts);
-  EXPECT_EQ(R.failures(FailureKind::InvalidPoint), R.InvalidPoints);
-  EXPECT_GT(R.InvalidPoints, 0);
 }
 
 //===----------------------------------------------------------------------===//
@@ -312,8 +293,7 @@ TEST(Guards, RetryRecoversUnstableMetric) {
   Point P = samplePoint(S, R);
   EvalOutcome Out = Guarded.assess(P);
   ASSERT_TRUE(Out.ok()) << Out.Detail;
-  bool Valid = true;
-  EXPECT_EQ(Out.Metric, synthetic(P, Valid));
+  EXPECT_EQ(Out.Metric, synthetic(P).Metric);
   EXPECT_EQ(Guarded.stats().UnstableRetries, 1);
   EXPECT_EQ(Guarded.stats().UnstableRecovered, 1);
 }

@@ -1,5 +1,7 @@
 //===- JournalTest.cpp - Point codec and crash-safe journal tests --------===//
 
+#include "TestFiles.h"
+
 #include "src/driver/Orchestrator.h"
 #include "src/search/EvalPool.h"
 #include "src/search/Journal.h"
@@ -14,7 +16,6 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
-#include <cstdio>
 #include <fstream>
 
 namespace locus {
@@ -22,15 +23,8 @@ namespace {
 
 using namespace search;
 
-/// A scratch file removed on scope exit.
-struct TempFile {
-  std::string Path;
-  explicit TempFile(const std::string &Name)
-      : Path(std::string(::testing::TempDir()) + Name) {
-    std::remove(Path.c_str());
-  }
-  ~TempFile() { std::remove(Path.c_str()); }
-};
+using test::slurp;
+using test::TempFile;
 
 Space smallSpace() {
   Space S;
@@ -51,11 +45,11 @@ Space smallSpace() {
   return S;
 }
 
-double synthetic(const Point &P, bool &Valid) {
-  Valid = true;
+EvalOutcome synthetic(const Point &P) {
   double A = static_cast<double>(P.getInt("a"));
   double B = static_cast<double>(P.getInt("b"));
-  return std::abs(std::log2(A) - 4.0) * 3 + std::abs(B - 7.0);
+  return EvalOutcome::success(std::abs(std::log2(A) - 4.0) * 3 +
+                              std::abs(B - 7.0));
 }
 
 //===----------------------------------------------------------------------===//
@@ -79,16 +73,6 @@ TEST(PointCodec, RoundTripAllValueKinds) {
   EXPECT_DOUBLE_EQ(Back->getFloat("float"), 0.125);
   EXPECT_EQ(Back->getString("name"), "ZGD");
   EXPECT_EQ(Back->getPerm("perm"), (std::vector<int>{2, 0, 1}));
-}
-
-TEST(PointCodec, DriverForwardersAgree) {
-  Point P;
-  P.Values["a"] = int64_t(16);
-  EXPECT_EQ(driver::serializePoint(P), serializePoint(P));
-  Space Empty;
-  auto Back = driver::deserializePoint(serializePoint(P), Empty);
-  ASSERT_TRUE(Back.ok());
-  EXPECT_EQ(Back->key(), P.key());
 }
 
 TEST(PointCodec, MalformedInputsAreErrorsNotCrashes) {
@@ -427,7 +411,7 @@ TEST(Journal, FlippedByteBeforeTailIsALocatedError) {
   EXPECT_NE(Loaded.message().find("remove the journal"), std::string::npos);
 }
 
-TEST(Journal, LegacyJsonlLoadsAndOpenMigratesToV2) {
+TEST(Journal, LegacyJsonlIsABadMagicError) {
   Space S = smallSpace();
   TempFile F("journal_legacy.jsonl");
   {
@@ -435,38 +419,21 @@ TEST(Journal, LegacyJsonlLoadsAndOpenMigratesToV2) {
     std::ofstream Out(F.Path, std::ios::binary);
     Out << SearchJournal::encodeLine(makeRecord(16, 7, 10, FailureKind::None))
         << "\n";
-    Out << SearchJournal::encodeLine(makeRecord(8, 3, 20, FailureKind::None))
-        << "\n";
   }
   JournalHeader H;
   H.SpaceFingerprint = S.fingerprint();
 
-  // Opening for append without the loaded records is refused (appending v2
-  // frames to a JSONL file would corrupt both formats)...
-  auto Refused = SearchJournal::open(F.Path, JournalSync::Full, H);
-  ASSERT_FALSE(Refused.ok());
-  EXPECT_NE(Refused.message().find("legacy"), std::string::npos);
-
-  // ...but load() understands v1 and open() migrates with its records.
+  // Neither loading nor appending reads it as a journal; both name the
+  // offending byte and leave the file alone.
   auto Loaded = SearchJournal::load(F.Path, S, &H);
-  ASSERT_TRUE(Loaded.ok()) << Loaded.message();
-  EXPECT_TRUE(Loaded->Legacy);
-  ASSERT_EQ(Loaded->Records.size(), 2u);
-  {
-    auto J = SearchJournal::open(F.Path, JournalSync::Full, H,
-                                 &Loaded->Records);
-    ASSERT_TRUE(J.ok()) << J.message();
-    ASSERT_TRUE(J->append(makeRecord(4, 1, 30, FailureKind::None)).ok());
-  }
-  auto Migrated = SearchJournal::load(F.Path, S, &H);
-  ASSERT_TRUE(Migrated.ok()) << Migrated.message();
-  EXPECT_FALSE(Migrated->Legacy);
-  EXPECT_EQ(Migrated->Header.SpaceFingerprint, S.fingerprint());
-  ASSERT_EQ(Migrated->Records.size(), 3u);
-  EXPECT_EQ(Migrated->Records[0].P.key(),
-            makeRecord(16, 7, 0, FailureKind::None).P.key());
-  EXPECT_EQ(Migrated->Records[2].P.key(),
-            makeRecord(4, 1, 0, FailureKind::None).P.key());
+  ASSERT_FALSE(Loaded.ok());
+  EXPECT_NE(Loaded.message().find("bad magic at byte 0"), std::string::npos)
+      << Loaded.message();
+  auto Opened = SearchJournal::open(F.Path, JournalSync::Full, H);
+  ASSERT_FALSE(Opened.ok());
+  EXPECT_NE(Opened.message().find("bad magic at byte 0"), std::string::npos)
+      << Opened.message();
+  EXPECT_EQ(slurp(F.Path).substr(0, 1), "{");
 }
 
 TEST(Journal, GarbageFileIsABadMagicError) {
@@ -540,8 +507,7 @@ TEST_P(KillAndResume, ResumedRunMatchesUninterruptedRun) {
   LambdaObjective CountedObj(
       LambdaObjective::OutcomeFn([&FreshCalls](const Point &P) {
         ++FreshCalls;
-        bool Valid = true;
-        return EvalOutcome::success(synthetic(P, Valid));
+        return synthetic(P);
       }));
   SearchOptions Resume = Base;
   Resume.Replay = std::move(Loaded->Records);

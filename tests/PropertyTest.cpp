@@ -24,6 +24,9 @@
 
 #include <gtest/gtest.h>
 
+#include <string>
+#include <tuple>
+
 namespace locus {
 namespace {
 
@@ -119,7 +122,10 @@ INSTANTIATE_TEST_SUITE_P(
                       std::make_tuple(1, 1, 3), std::make_tuple(5, 4, 3),
                       std::make_tuple(11, 13, 7), std::make_tuple(2, 8, 1)));
 
-class UnrollSweep : public ::testing::TestWithParam<std::tuple<const char *, int>> {};
+// The loop path is a std::string, not a const char *: gtest prints a char
+// pointer with its address, and ctest names each case after the printed value.
+class UnrollSweep
+    : public ::testing::TestWithParam<std::tuple<std::string, int>> {};
 
 TEST_P(UnrollSweep, PreservesSemantics) {
   auto [Path, Factor] = GetParam();
@@ -138,10 +144,14 @@ TEST_P(UnrollSweep, PreservesSemantics) {
 
 INSTANTIATE_TEST_SUITE_P(
     Factors, UnrollSweep,
-    ::testing::Values(std::make_tuple("0", 2), std::make_tuple("0", 3),
-                      std::make_tuple("0.0", 4), std::make_tuple("0.0", 13),
-                      std::make_tuple("0.0.0", 2), std::make_tuple("0.0.0", 5),
-                      std::make_tuple("0.0.0", 7), std::make_tuple("0.0.0", 9)));
+    ::testing::Values(std::make_tuple(std::string("0"), 2),
+                      std::make_tuple(std::string("0"), 3),
+                      std::make_tuple(std::string("0.0"), 4),
+                      std::make_tuple(std::string("0.0"), 13),
+                      std::make_tuple(std::string("0.0.0"), 2),
+                      std::make_tuple(std::string("0.0.0"), 5),
+                      std::make_tuple(std::string("0.0.0"), 7),
+                      std::make_tuple(std::string("0.0.0"), 9)));
 
 class UajSweep : public ::testing::TestWithParam<std::tuple<int, int>> {};
 

@@ -11,16 +11,15 @@
 ///
 //===----------------------------------------------------------------------===//
 
+#include "TestFiles.h"
+
 #include "src/cir/Parser.h"
 #include "src/driver/Orchestrator.h"
 #include "src/locus/LocusParser.h"
+#include "src/search/PointCodec.h"
 #include "src/workloads/Workloads.h"
 
 #include <gtest/gtest.h>
-
-#include <cstdio>
-#include <fstream>
-#include <sstream>
 
 namespace locus {
 namespace {
@@ -41,29 +40,18 @@ CodeReg matmul {
 }
 )";
 
-struct TempFile {
-  std::string Path;
-  explicit TempFile(const std::string &Name)
-      : Path(std::string(::testing::TempDir()) + Name) {
-    std::remove(Path.c_str());
-  }
-  ~TempFile() { std::remove(Path.c_str()); }
-};
-
-std::string slurp(const std::string &Path) {
-  std::ifstream In(Path, std::ios::binary);
-  std::ostringstream Buf;
-  Buf << In.rdbuf();
-  return Buf.str();
-}
+using test::slurp;
+using test::TempFile;
 
 driver::SearchWorkflowResult runDependentRange(const std::string &Searcher,
                                                bool StaticPrune,
                                                const std::string &Journal) {
   auto LP = lang::parseLocusProgram(DependentRangeProgram);
-  EXPECT_TRUE(LP.ok()) << LP.message();
   auto CP = cir::parseProgram(workloads::dgemmSource(16, 16, 16));
-  EXPECT_TRUE(CP.ok()) << CP.message();
+  if (!LP.ok() || !CP.ok()) {
+    ADD_FAILURE() << (LP.ok() ? CP.message() : LP.message());
+    return {};
+  }
   OrchestratorOptions Opts;
   Opts.Eval.Machine = machine::MachineConfig::tiny();
   Opts.MaxEvaluations = 24;
@@ -73,7 +61,10 @@ driver::SearchWorkflowResult runDependentRange(const std::string &Searcher,
   Opts.JournalPath = Journal;
   Orchestrator Orch(**LP, **CP, Opts);
   auto R = Orch.runSearch();
-  EXPECT_TRUE(R.ok()) << R.message();
+  if (!R.ok()) {
+    ADD_FAILURE() << R.message();
+    return {};
+  }
   return std::move(*R);
 }
 
@@ -111,8 +102,8 @@ TEST_P(RangePrune, PrunesByRangeWithoutChangingAnything) {
                        Off.Search.History[I].Metric);
     }
   }
-  EXPECT_EQ(driver::serializePoint(On.Search.Best),
-            driver::serializePoint(Off.Search.Best));
+  EXPECT_EQ(search::serializePoint(On.Search.Best),
+            search::serializePoint(Off.Search.Best));
   EXPECT_DOUBLE_EQ(On.Search.BestMetric, Off.Search.BestMetric);
 
   // Byte-identical journal: the pruned failure records carry the exact

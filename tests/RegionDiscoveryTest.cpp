@@ -11,18 +11,18 @@
 ///
 //===----------------------------------------------------------------------===//
 
+#include "TestFiles.h"
+
 #include "src/analysis/RegionDiscovery.h"
 #include "src/cir/AstUtils.h"
 #include "src/cir/Parser.h"
 #include "src/cir/Printer.h"
 #include "src/driver/Orchestrator.h"
 #include "src/locus/LocusParser.h"
+#include "src/search/PointCodec.h"
 #include "src/workloads/Workloads.h"
 
-#include <cstdio>
-#include <fstream>
 #include <map>
-#include <sstream>
 
 #include <gtest/gtest.h>
 
@@ -55,22 +55,8 @@ OrchestratorOptions tinyOptions() {
   return Opts;
 }
 
-/// A scratch file removed on scope exit.
-struct TempFile {
-  std::string Path;
-  explicit TempFile(const std::string &Name)
-      : Path(std::string(::testing::TempDir()) + Name) {
-    std::remove(Path.c_str());
-  }
-  ~TempFile() { std::remove(Path.c_str()); }
-};
-
-std::string slurp(const std::string &Path) {
-  std::ifstream In(Path, std::ios::binary);
-  std::ostringstream Buf;
-  Buf << In.rdbuf();
-  return Buf.str();
-}
+using test::slurp;
+using test::TempFile;
 
 int countVerdict(const DiscoveryReport &R, CandidateVerdict V) {
   int N = 0;
@@ -481,42 +467,49 @@ struct TuneResult {
   std::string JournalBytes;
 };
 
-TuneResult tuneProgram(std::unique_ptr<cir::Program> CP,
-                       const std::string &RegionName,
-                       const std::string &Searcher, int Budget,
-                       const std::string &JournalName) {
+Expected<TuneResult> tuneProgram(std::unique_ptr<cir::Program> CP,
+                                 const std::string &RegionName,
+                                 const std::string &Searcher, int Budget,
+                                 const std::string &JournalName) {
   TempFile Journal(JournalName);
   auto LP = parseLocusOrDie(analysis::genericLocusProgram(RegionName));
+  if (!LP || !CP)
+    return Expected<TuneResult>::error("unparseable program or source");
   OrchestratorOptions Opts = tinyOptions();
   Opts.SearcherName = Searcher;
   Opts.MaxEvaluations = Budget;
   Opts.JournalPath = Journal.Path;
   Orchestrator Orch(*LP, *CP, Opts);
   auto R = Orch.runSearch();
-  EXPECT_TRUE(R.ok()) << R.message();
+  if (!R.ok())
+    return Expected<TuneResult>::error(R.message());
   return TuneResult{std::move(*R), slurp(Journal.Path)};
 }
 
 /// Tunes the hand-annotated source as-is.
-TuneResult tuneHand(const std::string &Src, const std::string &RegionName,
-                    const std::string &Searcher, int Budget) {
+Expected<TuneResult> tuneHand(const std::string &Src,
+                              const std::string &RegionName,
+                              const std::string &Searcher, int Budget) {
   return tuneProgram(parseCOrDie(Src), RegionName, Searcher, Budget,
                      "discovery_hand.rlog");
 }
 
 /// Strips the annotations, rediscovers the nest, renames it to the hand
 /// label, annotates, and tunes the result.
-TuneResult tuneDiscovered(const std::string &Src,
-                          const std::string &RegionName,
-                          const std::string &Searcher, int Budget) {
+Expected<TuneResult> tuneDiscovered(const std::string &Src,
+                                    const std::string &RegionName,
+                                    const std::string &Searcher, int Budget) {
   auto CP = parseCOrDie(analysis::stripLocusRegionPragmas(Src));
+  if (!CP)
+    return Expected<TuneResult>::error("unparseable stripped source");
   DiscoveryReport R = analysis::discoverRegions(*CP);
   EXPECT_EQ(R.annotatable().size(), 1u);
   for (NestCandidate &C : R.Candidates)
     if (C.Verdict != CandidateVerdict::Rejected)
       C.Name = RegionName;
   auto Injected = analysis::annotateRegions(*CP, R);
-  EXPECT_TRUE(Injected.ok()) << Injected.message();
+  if (!Injected.ok())
+    return Expected<TuneResult>::error(Injected.message());
   return tuneProgram(std::move(CP), RegionName, Searcher, Budget,
                      "discovery_auto.rlog");
 }
@@ -536,7 +529,7 @@ void expectIdenticalTrajectories(const TuneResult &Hand,
     if (H.History[I].Valid)
       EXPECT_DOUBLE_EQ(H.History[I].Metric, A.History[I].Metric) << Tag;
   }
-  EXPECT_EQ(driver::serializePoint(H.Best), driver::serializePoint(A.Best))
+  EXPECT_EQ(search::serializePoint(H.Best), search::serializePoint(A.Best))
       << Tag;
   EXPECT_DOUBLE_EQ(H.BestMetric, A.BestMetric) << Tag;
   EXPECT_DOUBLE_EQ(Hand.R.BestCycles, Auto.R.BestCycles) << Tag;
@@ -552,9 +545,11 @@ TEST(RegionDiscovery, TrajectoryMatchesHandAnnotatedPerSearcher) {
   const std::string Src = workloads::dgemmSource(16, 16, 16);
   for (const std::string &Searcher :
        {"bandit", "tpe", "random", "hillclimb", "de"}) {
-    TuneResult Hand = tuneHand(Src, "matmul", Searcher, 12);
-    TuneResult Auto = tuneDiscovered(Src, "matmul", Searcher, 12);
-    expectIdenticalTrajectories(Hand, Auto, "searcher=" + Searcher);
+    auto Hand = tuneHand(Src, "matmul", Searcher, 12);
+    auto Auto = tuneDiscovered(Src, "matmul", Searcher, 12);
+    ASSERT_TRUE(Hand.ok()) << Searcher << ": " << Hand.message();
+    ASSERT_TRUE(Auto.ok()) << Searcher << ": " << Auto.message();
+    expectIdenticalTrajectories(*Hand, *Auto, "searcher=" + Searcher);
   }
 }
 
@@ -572,9 +567,12 @@ TEST(RegionDiscovery, TrajectoryMatchesHandAnnotatedPerWorkload) {
   }
   for (size_t I = 0; I < Workloads.size(); ++I) {
     const auto &[Src, Region] = Workloads[I];
-    TuneResult Hand = tuneHand(Src, Region, "bandit", 8);
-    TuneResult Auto = tuneDiscovered(Src, Region, "bandit", 8);
-    expectIdenticalTrajectories(Hand, Auto, "workload #" + std::to_string(I));
+    auto Hand = tuneHand(Src, Region, "bandit", 8);
+    auto Auto = tuneDiscovered(Src, Region, "bandit", 8);
+    ASSERT_TRUE(Hand.ok()) << "workload #" << I << ": " << Hand.message();
+    ASSERT_TRUE(Auto.ok()) << "workload #" << I << ": " << Auto.message();
+    expectIdenticalTrajectories(*Hand, *Auto,
+                                "workload #" + std::to_string(I));
   }
 }
 

@@ -5,6 +5,7 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <ostream>
 
 namespace locus {
 namespace {
@@ -42,14 +43,14 @@ Space mixedSpace() {
 }
 
 /// Separable objective with a unique optimum: a=16, b=7, c=1, d=1.
-double synthetic(const Point &P, bool &Valid) {
-  Valid = true;
+EvalOutcome synthetic(const Point &P) {
   double A = static_cast<double>(P.getInt("a"));
   double B = static_cast<double>(P.getInt("b"));
   double C = static_cast<double>(P.getInt("c"));
   double D = static_cast<double>(P.getInt("d"));
-  return std::abs(std::log2(A) - 4.0) * 3 + std::abs(B - 7.0) +
-         std::abs(C - 1.0) * 5 + (1.0 - D) * 2;
+  return EvalOutcome::success(std::abs(std::log2(A) - 4.0) * 3 +
+                              std::abs(B - 7.0) + std::abs(C - 1.0) * 5 +
+                              (1.0 - D) * 2);
 }
 
 TEST(Space, CardinalitiesAndSizes) {
@@ -101,6 +102,12 @@ struct NamedSearcherCase {
   double QualityBound; ///< best metric must be <= bound within the budget
 };
 
+// Print by value: gtest's default dumps the raw bytes, pointer included, and
+// ctest names each case after that dump, so the name would change per build.
+void PrintTo(const NamedSearcherCase &C, std::ostream *OS) {
+  *OS << C.Name << " (bound " << C.QualityBound << ")";
+}
+
 class SearcherQuality : public ::testing::TestWithParam<NamedSearcherCase> {};
 
 TEST_P(SearcherQuality, FindsGoodPointWithinBudget) {
@@ -148,12 +155,10 @@ TEST(Searchers, DeterministicUnderSeed) {
 TEST(Searchers, InvalidRegionsAreSkipped) {
   Space S = mixedSpace();
   // Half the space (d == 0) is invalid.
-  LambdaObjective Obj([](const Point &P, bool &Valid) {
-    if (P.getInt("d") == 0) {
-      Valid = false;
-      return 0.0;
-    }
-    return synthetic(P, Valid);
+  LambdaObjective Obj([](const Point &P) {
+    if (P.getInt("d") == 0)
+      return EvalOutcome::fail(FailureKind::InvalidPoint);
+    return synthetic(P);
   });
   SearchOptions Opts;
   Opts.MaxEvaluations = 150;
@@ -177,17 +182,16 @@ TEST(Searchers, DeduplicationAvoidsReassessment) {
   A.Max = 3;
   S.Params.push_back(A);
   int Calls = 0;
-  LambdaObjective Obj([&](const Point &P, bool &Valid) {
-    Valid = true;
+  LambdaObjective Obj([&](const Point &P) {
     ++Calls;
-    return static_cast<double>(P.getInt("a"));
+    return EvalOutcome::success(static_cast<double>(P.getInt("a")));
   });
   SearchOptions Opts;
   Opts.MaxEvaluations = 100;
   SearchResult R = makeBanditSearcher()->search(S, Obj, Opts);
   EXPECT_EQ(Calls, R.Evaluations);
   EXPECT_LE(R.Evaluations, 4);
-  EXPECT_GT(R.DuplicatesSkipped, 0);
+  EXPECT_GT(R.DuplicateHits, 0);
   EXPECT_EQ(R.BestMetric, 0.0);
 }
 
@@ -200,13 +204,12 @@ TEST(Searchers, PermutationSpace) {
   P.PermSize = 4;
   S.Params.push_back(P);
   // Optimum: identity permutation.
-  LambdaObjective Obj([](const Point &Pt, bool &Valid) {
-    Valid = true;
+  LambdaObjective Obj([](const Point &Pt) {
     const auto &Perm = Pt.getPerm("perm");
     double Cost = 0;
     for (size_t I = 0; I < Perm.size(); ++I)
       Cost += std::abs(static_cast<double>(Perm[I]) - static_cast<double>(I));
-    return Cost;
+    return EvalOutcome::success(Cost);
   });
   SearchOptions Opts;
   Opts.MaxEvaluations = 24;
@@ -253,9 +256,7 @@ struct FilterHarness {
       ++Invocations;
       if (P.getInt("b") < 4)
         return EvalOutcome::fail(FailureKind::InvalidPoint, "b out of range");
-      bool Valid = false;
-      double M = synthetic(P, Valid);
-      return EvalOutcome::success(M);
+      return synthetic(P);
     });
     SearchOptions Opts;
     Opts.MaxEvaluations = 200;

@@ -11,6 +11,7 @@
 #include "src/cir/Parser.h"
 #include "src/driver/Orchestrator.h"
 #include "src/locus/LocusParser.h"
+#include "src/search/PointCodec.h"
 #include "src/workloads/Workloads.h"
 
 #include <gtest/gtest.h>
@@ -49,7 +50,10 @@ driver::SearchWorkflowResult runFig7(bool StaticPrune) {
   Opts.StaticPrune = StaticPrune;
   Orchestrator Orch(*LP, *CP, Opts);
   auto R = Orch.runSearch();
-  EXPECT_TRUE(R.ok()) << R.message();
+  if (!R.ok()) {
+    ADD_FAILURE() << R.message();
+    return {};
+  }
   return std::move(*R);
 }
 
@@ -85,8 +89,8 @@ TEST(StaticPrune, Fig7PrunesWithoutChangingTheOutcome) {
                        Off.Search.History[I].Metric);
     }
   }
-  EXPECT_EQ(driver::serializePoint(On.Search.Best),
-            driver::serializePoint(Off.Search.Best));
+  EXPECT_EQ(search::serializePoint(On.Search.Best),
+            search::serializePoint(Off.Search.Best));
   EXPECT_DOUBLE_EQ(On.Search.BestMetric, Off.Search.BestMetric);
 }
 
@@ -242,8 +246,8 @@ TEST(StaticPrune, RacyParallelizationIsPrunedNotEvaluated) {
   ASSERT_TRUE(RHand.ok()) << RHand.message();
   EXPECT_EQ(RHand->Search.Evaluations, 1);
   EXPECT_EQ(RHand->Search.PrunedStatic, 0);
-  EXPECT_EQ(driver::serializePoint(RFull->Search.Best),
-            driver::serializePoint(RHand->Search.Best));
+  EXPECT_EQ(search::serializePoint(RFull->Search.Best),
+            search::serializePoint(RHand->Search.Best));
   EXPECT_DOUBLE_EQ(RFull->Search.BestMetric, RHand->Search.BestMetric);
 }
 
@@ -259,7 +263,10 @@ TEST(StaticPrune, RacePruneDoesNotChangeTheTrajectory) {
     Opts.StaticPrune = StaticPrune;
     Orchestrator Orch(*LP, *CP, Opts);
     auto R = Orch.runSearch();
-    EXPECT_TRUE(R.ok()) << R.message();
+    if (!R.ok()) {
+      ADD_FAILURE() << R.message();
+      return driver::SearchWorkflowResult{};
+    }
     return std::move(*R);
   };
   driver::SearchWorkflowResult On = run(true);
@@ -272,8 +279,8 @@ TEST(StaticPrune, RacePruneDoesNotChangeTheTrajectory) {
     EXPECT_EQ(On.Search.History[I].P.key(), Off.Search.History[I].P.key());
     EXPECT_EQ(On.Search.History[I].Valid, Off.Search.History[I].Valid);
   }
-  EXPECT_EQ(driver::serializePoint(On.Search.Best),
-            driver::serializePoint(Off.Search.Best));
+  EXPECT_EQ(search::serializePoint(On.Search.Best),
+            search::serializePoint(Off.Search.Best));
   EXPECT_DOUBLE_EQ(On.Search.BestMetric, Off.Search.BestMetric);
 }
 

@@ -71,7 +71,7 @@ TEST(Workloads, KripkeSnippetsCoverAllKernelsAndLayouts) {
     EXPECT_EQ(Snips.size(), 6u) << Kernel;
     for (const auto &[Name, Text] : Snips) {
       auto Stmts = cir::parseStatements(Text);
-      EXPECT_TRUE(Stmts.ok()) << Name << ": " << Stmts.message();
+      ASSERT_TRUE(Stmts.ok()) << Name << ": " << Stmts.message();
       EXPECT_FALSE(Stmts->empty()) << Name;
     }
     for (const std::string &Layout : workloads::kripkeLayouts()) {

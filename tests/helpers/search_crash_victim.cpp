@@ -42,6 +42,7 @@
 #include "src/cir/Parser.h"
 #include "src/driver/Orchestrator.h"
 #include "src/locus/LocusParser.h"
+#include "src/search/PointCodec.h"
 #include "src/support/Signals.h"
 #include "src/workloads/Workloads.h"
 
@@ -237,7 +238,7 @@ int main(int argc, char **argv) {
       std::fprintf(stderr, "%s\n", R.message().c_str());
       return 1;
     }
-    std::string Best = driver::serializePoint(R->Search.Best);
+    std::string Best = search::serializePoint(R->Search.Best);
     for (char &C : Best)
       if (C == '\n')
         C = ';';
@@ -272,7 +273,7 @@ int main(int argc, char **argv) {
 
   // One line per fact, stable ordering, full double precision: the parent
   // diffs these strings byte for byte.
-  std::string Best = driver::serializePoint(R->Search.Best);
+  std::string Best = search::serializePoint(R->Search.Best);
   for (char &C : Best)
     if (C == '\n')
       C = ';';
