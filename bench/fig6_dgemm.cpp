@@ -128,6 +128,30 @@ void BM_EvaluateDgemm(benchmark::State &State) {
 }
 BENCHMARK(BM_EvaluateDgemm)->Arg(16)->Arg(32)->Arg(48);
 
+/// Microbenchmark: what a search pays per variant on the xeon model, a fresh
+/// evaluator with prepare() and one run() (BM_EvaluateDgemm reuses one).
+void BM_EvaluateVariant(benchmark::State &State) {
+  int N = static_cast<int>(State.range(0));
+  auto P = bench::mustParse(workloads::dgemmSource(N, N, N));
+  eval::EvalOptions Opts;
+  Opts.Machine = machine::MachineConfig::xeonE5v3();
+  for (auto _ : State) {
+    eval::ProgramEvaluator Eval(*P, Opts);
+    if (!Eval.prepare().ok()) {
+      State.SkipWithError("prepare failed");
+      break;
+    }
+    eval::RunResult R = Eval.run();
+    benchmark::DoNotOptimize(R.Cycles);
+  }
+  State.SetItemsProcessed(State.iterations() * static_cast<int64_t>(N) * N * N);
+}
+BENCHMARK(BM_EvaluateVariant)
+    ->Arg(16)
+    ->Arg(32)
+    ->Arg(96)
+    ->Unit(benchmark::kMillisecond);
+
 } // namespace
 
 int main(int argc, char **argv) {

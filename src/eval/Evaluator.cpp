@@ -1,4 +1,40 @@
 //===- Evaluator.cpp - MiniC execution and cost evaluation -------------------===//
+//
+// prepare() lowers the AST once into flat register code; run() executes it.
+//
+//  - Registers. Scalar slots, constants, loop state and expression
+//    temporaries share one file of 64-bit cells. Every operand is resolved
+//    to a register index at lowering time, so execution never looks up a
+//    name or walks a tree.
+//  - Instructions. One array of fixed-size instructions in execution order,
+//    with jumps for if/else, && and || (short-circuit) and loop back edges.
+//    An instruction's cost-model charge (`K`) is computed at lowering time:
+//    the SIMD scale of a program point is static, because only innermost
+//    loops vectorize and nothing nests inside them.
+//  - Memory accesses. Each array reference becomes an Access descriptor.
+//    Affine subscripts (analysis::toAffine) are coefficient/register forms
+//    evaluated and bounds-checked inside the load or store instruction; any
+//    other subscript is computed by ordinary code and checked by a
+//    CheckIndex instruction right after it, so the first failing dimension
+//    reports exactly as it would in source order. An arithmetic op whose
+//    right operand is a double element is one instruction (AddLoadD...).
+//  - Strength reduction. In a loop whose body assigns neither the loop
+//    variable nor any other variable of an affine access, the access's flat
+//    index is FlatBase + Delta * variable. Each entry to the loop proves the
+//    first and last iteration in bounds, which by affinity covers every
+//    iteration; when the proof fails the access checks each index as usual
+//    and traps at the first out-of-bounds iteration.
+//
+// Results match a direct walk of the source tree bit for bit
+// (tests/EvalParityTest.cpp) because every side effect runs in source
+// evaluation order: the cycle additions (the same doubles, added in the
+// same order), the CacheSim accesses (same addresses, same order), the
+// iteration count and its budget check, and short-circuit evaluation. A
+// store's subscripts are charged and checked before its right-hand side
+// runs, by an IndexFlat instruction, as the source order requires. A failed
+// run stops at its first error, which is the error the run reports.
+//
+//===----------------------------------------------------------------------===//
 
 #include "src/eval/Evaluator.h"
 
@@ -11,7 +47,10 @@
 
 #include <algorithm>
 #include <cassert>
+#include <cstring>
+#include <optional>
 #include <queue>
+#include <set>
 
 namespace locus {
 namespace eval {
@@ -21,83 +60,111 @@ using namespace cir;
 namespace detail {
 
 //===----------------------------------------------------------------------===//
-// Compiled representation
+// Flat code
 //===----------------------------------------------------------------------===//
 
-enum class EK : uint8_t {
-  ConstI,
-  ConstD,
-  VarI,
-  VarD,
-  LoadI,   ///< int array element
-  LoadD,   ///< double array element
-  BinI,    ///< both operands int, result int
-  BinD,    ///< double arithmetic/comparison (comparison yields 0/1 as double)
-  CmpD,    ///< double comparison, result int
-  NegI,
-  NegD,
-  NotI,
-  CastID,  ///< int operand used in a double context
-  MinI,
-  MaxI,
-  MinD,
-  MaxD,
-  Rtclock, ///< harness intrinsic; evaluates to 0.0
+/// One register.
+union Cell {
+  int64_t I;
+  double D;
 };
 
-struct CE {
-  EK Kind = EK::ConstI;
-  BinOp Op = BinOp::Add;
-  int64_t ConstInt = 0;
-  double ConstDouble = 0;
-  int Slot = -1; ///< scalar slot or array id
-  std::vector<CE> Kids;
-
-  bool isDouble() const {
-    switch (Kind) {
-    case EK::ConstD:
-    case EK::VarD:
-    case EK::LoadD:
-    case EK::BinD:
-    case EK::NegD:
-    case EK::CastID:
-    case EK::MinD:
-    case EK::MaxD:
-    case EK::Rtclock:
-      return true;
-    default:
-      return false;
-    }
-  }
+enum class Op : uint8_t {
+  // Int arithmetic and comparison: Dst = A op B, charging one int op.
+  AddI, SubI, MulI, DivI, ModI, MinI, MaxI,
+  LtI, LeI, GtI, GeI, EqI, NeI,
+  // Double arithmetic and comparison: counts a flop, charges a double op.
+  AddD, SubD, MulD, DivD, MinD, MaxD,
+  LtD, LeD, GtD, GeD, EqD, NeD,
+  // The same four ops with a double array element (access Aux) as the
+  // right operand: the load, then the op.
+  AddLoadD, SubLoadD, MulLoadD, DivLoadD,
+  // No charge of their own.
+  NegI, NegD, NotI, CvtID, NeZ, MovI, MovD,
+  // A negation's charge, made before its operand is evaluated.
+  ChargeI, ChargeD,
+  // Compound scalar assignment: Dst op= A, charging one op.
+  AccAddI, AccSubI, AccMulI, AccAddD, AccSubD, AccMulD,
+  // Memory, through Access descriptor Aux.
+  LoadI, LoadD,     ///< Dst = element
+  CheckIndex,       ///< bounds-check register A as dimension B
+  IndexFlat,        ///< Dst = checked flat index (a store's target)
+  StoreI, StoreD,   ///< element[A] (op)= B; Dst holds the AssignOp
+  // Control.
+  Jump,       ///< to Aux
+  JumpIfZero, ///< to Aux when A == 0
+  AndJump,    ///< when A == 0: Dst = 0, jump to Aux
+  OrJump,     ///< when A != 0: Dst = 1, jump to Aux
+  LoopEnter,  ///< loop Aux from A to B (exclusive)
+  LoopNext,
+  ParEnter,   ///< the same for a loop whose OpenMP speedup is modeled
+  ParNext,
+  Fail,       ///< runtime error Messages[Aux]
+  Halt,
 };
 
-enum class SK : uint8_t { Block, For, If, AssignScalar, AssignArray, Nop };
+struct Insn {
+  Op Code = Op::Halt;
+  int32_t Dst = 0;
+  int32_t A = 0;
+  int32_t B = 0;
+  int32_t Aux = 0;
+  double K = 0; ///< cycles charged (cost mode only)
+};
+
+/// One dimension of an array reference: Const + sum of Coeff * register.
+struct DimForm {
+  int64_t Const = 0;
+  int64_t Extent = 0;
+  int64_t Stride = 0;
+  uint32_t TermBegin = 0, TermEnd = 0;
+};
+
+struct Term {
+  int32_t Reg = 0;
+  int64_t Coeff = 0;
+};
+
+struct Access {
+  int32_t Array = 0;
+  uint32_t DimBegin = 0, DimEnd = 0;
+  /// Int ops in affine subscripts, charged when the index is formed.
+  uint32_t Charges = 0;
+  double IndexCharge = 0;
+  /// ArithScale at this point: scales an L1-hit latency.
+  double Scale = 1.0;
+  uint64_t Base = 0;
+  double *D = nullptr; ///< this run's element storage
+  int64_t *I = nullptr;
+  /// Strength reduction in the innermost enclosing loop (LoopVar is its
+  /// variable's slot): entering the loop sets Hoisted when both end
+  /// iterations are in bounds, and FlatBase for this entry.
+  int32_t LoopVar = -1;
+  int64_t Delta = 0;
+  bool Hoisted = false;
+  uint64_t FlatBase = 0;
+};
 
 /// OpenMP schedule kinds recognized on loops.
 enum class Sched : uint8_t { None, Default, Static, Dynamic };
 
-struct CS {
-  SK Kind = SK::Nop;
-
-  // For
-  int Slot = -1;
-  CE Init;
-  CE BoundExcl; ///< exclusive upper bound (Le bounds get +1 at compile time)
-  int64_t Step = 1;
-  std::vector<CS> Body;
+/// What a loop's pragmas ask the cost model for.
+struct LoopModel {
   Sched Par = Sched::None;
   int Chunk = 0;
   double VecScale = 1.0; ///< <1 when a SIMD pragma applies
+};
 
-  // If
-  CE Cond;
-  std::vector<CS> Else;
-
-  // Assign
-  cir::AssignOp Op = cir::AssignOp::Set;
-  bool TargetDouble = false;
-  std::vector<CE> Indices;
-  CE Rhs;
+struct Loop {
+  int32_t Var = 0;     ///< the loop variable's slot
+  int32_t Ctr = 0;     ///< register: the iteration value
+  int32_t Hi = 0;      ///< register: exclusive bound
+  int64_t Step = 1;
+  uint32_t Body = 0;   ///< first body instruction
+  uint32_t Exit = 0;   ///< first instruction after the loop
+  double Overhead = 0; ///< LoopOverhead * ArithScale
+  LoopModel Model;
+  std::vector<int32_t> Reduced; ///< accesses strength-reduced in this loop
 };
 
 struct ArrayInfo {
@@ -110,7 +177,6 @@ struct ArrayInfo {
 };
 
 struct CompiledProgram {
-  const cir::Program *Prog = nullptr;
   EvalOptions Opts;
 
   // Symbols.
@@ -125,29 +191,36 @@ struct CompiledProgram {
   std::vector<double> InitScalarD;
   std::vector<int64_t> InitScalarI;
 
-  std::vector<CS> Body;
   std::string CompileError;
   /// Compile-time model notes surfaced on every RunResult (e.g. OpenMP
   /// speedup not modeled because the loop's safety is unproven).
   std::vector<std::string> Warnings;
 
+  // Code.
+  std::vector<Insn> Code;
+  std::vector<Access> Accesses;
+  std::vector<DimForm> Dims;
+  std::vector<Term> Terms;
+  std::vector<Loop> Loops;
+  std::vector<std::string> Messages;
+  std::vector<Cell> InitRegs; ///< constants set, everything else zero
+  std::map<int64_t, int32_t> Constants; ///< bit pattern -> register
+
   // ---- execution state ----
-  std::vector<double> ScalarD;
-  std::vector<int64_t> ScalarI;
+  std::vector<Cell> Regs;
   std::vector<std::vector<double>> DataD;
   std::vector<std::vector<int64_t>> DataI;
-  std::unique_ptr<machine::CacheSim> Cache;
+  machine::CacheSim *Cache = nullptr;
   double Cycles = 0;
-  double ArithScale = 1.0;
   int L1HitLatency = 4;
-  bool InParallel = false;
   uint64_t Iterations = 0;
   uint64_t ArithOps = 0, MemReads = 0, MemWrites = 0;
   bool Failed = false;
   std::string RunError;
+  std::vector<double> IterCosts; ///< of the running modeled-parallel loop
 
   //===--------------------------------------------------------------------===//
-  // Compilation
+  // Symbols and checking
   //===--------------------------------------------------------------------===//
 
   void fail(const std::string &Message) {
@@ -167,6 +240,10 @@ struct CompiledProgram {
     ScalarSlots[Name] = Slot;
     SlotTypes.push_back(Elem);
     return Slot;
+  }
+
+  bool slotIsDouble(int Slot) const {
+    return SlotTypes[static_cast<size_t>(Slot)] == ElemType::Double;
   }
 
   void declareArray(const DeclStmt &D) {
@@ -224,149 +301,96 @@ struct CompiledProgram {
     }
   }
 
-  CE compileExpr(const Expr &E) {
-    CE Out;
+  /// Pass 1 over an expression: creates the scalar slots it names, reports
+  /// the first type error, and returns whether its value is a double. The
+  /// traversal order fixes implicit slot types and which error is first.
+  bool checkExpr(const Expr &E) {
     switch (E.kind()) {
     case ExprKind::IntLit:
-      Out.Kind = EK::ConstI;
-      Out.ConstInt = cast<IntLit>(&E)->Value;
-      return Out;
+      return false;
     case ExprKind::FloatLit:
-      Out.Kind = EK::ConstD;
-      Out.ConstDouble = cast<FloatLit>(&E)->Value;
-      return Out;
+      return true;
     case ExprKind::VarRef: {
       const std::string &Name = cast<VarRef>(&E)->Name;
       if (ArrayIds.count(Name)) {
         fail("array " + Name + " used without subscripts");
-        return Out;
+        return false;
       }
-      int Slot = scalarSlot(Name, ElemType::Int, /*Declare=*/false);
-      Out.Slot = Slot;
-      Out.Kind = SlotTypes[static_cast<size_t>(Slot)] == ElemType::Double
-                     ? EK::VarD
-                     : EK::VarI;
-      return Out;
+      return slotIsDouble(scalarSlot(Name, ElemType::Int, /*Declare=*/false));
     }
     case ExprKind::ArrayRef: {
       const auto *A = cast<ArrayRef>(&E);
       auto It = ArrayIds.find(A->Name);
       if (It == ArrayIds.end()) {
         fail("unknown array: " + A->Name);
-        return Out;
+        return false;
       }
       const ArrayInfo &Info = Arrays[static_cast<size_t>(It->second)];
       if (A->Indices.size() != Info.Dims.size()) {
         fail("array " + A->Name + " has " + std::to_string(Info.Dims.size()) +
              " dimensions but is subscripted with " +
              std::to_string(A->Indices.size()));
-        return Out;
+        return false;
       }
-      Out.Kind = Info.Elem == ElemType::Double ? EK::LoadD : EK::LoadI;
-      Out.Slot = It->second;
-      for (const auto &I : A->Indices) {
-        CE Idx = compileExpr(*I);
-        if (Idx.isDouble()) {
+      for (const auto &I : A->Indices)
+        if (checkExpr(*I)) {
           fail("array subscript of " + A->Name + " has floating type");
-          return Out;
+          break;
         }
-        Out.Kids.push_back(std::move(Idx));
-      }
-      return Out;
+      return Info.Elem == ElemType::Double;
     }
     case ExprKind::Unary: {
       const auto *U = cast<UnaryExpr>(&E);
-      CE Operand = compileExpr(*U->Operand);
+      bool Double = checkExpr(*U->Operand);
       if (U->Op == UnOp::Not) {
-        if (Operand.isDouble()) {
+        if (Double)
           fail("logical not applied to a floating value");
-          return Out;
-        }
-        Out.Kind = EK::NotI;
-      } else {
-        Out.Kind = Operand.isDouble() ? EK::NegD : EK::NegI;
+        return false;
       }
-      Out.Kids.push_back(std::move(Operand));
-      return Out;
+      return Double;
     }
     case ExprKind::Binary: {
       const auto *B = cast<BinaryExpr>(&E);
-      CE L = compileExpr(*B->Lhs);
-      CE R = compileExpr(*B->Rhs);
-      bool AnyDouble = L.isDouble() || R.isDouble();
-      bool IsCompare = B->Op == BinOp::Lt || B->Op == BinOp::Le ||
-                       B->Op == BinOp::Gt || B->Op == BinOp::Ge ||
-                       B->Op == BinOp::Eq || B->Op == BinOp::Ne;
-      bool IsLogic = B->Op == BinOp::And || B->Op == BinOp::Or;
-      if (B->Op == BinOp::Mod && AnyDouble) {
+      bool L = checkExpr(*B->Lhs);
+      bool R = checkExpr(*B->Rhs);
+      if (B->Op == BinOp::Mod && (L || R)) {
         fail("modulo on floating values");
-        return Out;
+        return false;
       }
-      if (AnyDouble && !IsLogic) {
-        if (!L.isDouble()) {
-          CE C;
-          C.Kind = EK::CastID;
-          C.Kids.push_back(std::move(L));
-          L = std::move(C);
-        }
-        if (!R.isDouble()) {
-          CE C;
-          C.Kind = EK::CastID;
-          C.Kids.push_back(std::move(R));
-          R = std::move(C);
-        }
-        Out.Kind = IsCompare ? EK::CmpD : EK::BinD;
-      } else {
-        if (IsLogic && (L.isDouble() || R.isDouble())) {
+      if (isLogic(B->Op)) {
+        if (L || R)
           fail("logical operator on floating values");
-          return Out;
-        }
-        Out.Kind = EK::BinI;
+        return false;
       }
-      Out.Op = B->Op;
-      Out.Kids.push_back(std::move(L));
-      Out.Kids.push_back(std::move(R));
-      return Out;
+      return (L || R) && !isCompare(B->Op);
     }
     case ExprKind::Call: {
       const auto *C = cast<CallExpr>(&E);
-      if ((C->Callee == "min" || C->Callee == "max") && C->Args.size() == 2) {
-        CE L = compileExpr(*C->Args[0]);
-        CE R = compileExpr(*C->Args[1]);
-        bool AnyDouble = L.isDouble() || R.isDouble();
-        if (AnyDouble) {
-          if (!L.isDouble()) {
-            CE Cast;
-            Cast.Kind = EK::CastID;
-            Cast.Kids.push_back(std::move(L));
-            L = std::move(Cast);
-          }
-          if (!R.isDouble()) {
-            CE Cast;
-            Cast.Kind = EK::CastID;
-            Cast.Kids.push_back(std::move(R));
-            R = std::move(Cast);
-          }
-        }
-        Out.Kind = C->Callee == "min" ? (AnyDouble ? EK::MinD : EK::MinI)
-                                      : (AnyDouble ? EK::MaxD : EK::MaxI);
-        Out.Kids.push_back(std::move(L));
-        Out.Kids.push_back(std::move(R));
-        return Out;
+      if (isMinMax(*C)) {
+        bool L = checkExpr(*C->Args[0]);
+        bool R = checkExpr(*C->Args[1]);
+        return L || R;
       }
-      if (C->Callee == "rtclock" && C->Args.empty()) {
-        Out.Kind = EK::Rtclock;
-        return Out;
-      }
+      if (C->Callee == "rtclock" && C->Args.empty())
+        return true;
       fail("unknown function in expression: " + C->Callee);
-      return Out;
+      return false;
     }
     }
-    return Out;
+    return false;
+  }
+
+  static bool isCompare(BinOp Op) {
+    return Op == BinOp::Lt || Op == BinOp::Le || Op == BinOp::Gt ||
+           Op == BinOp::Ge || Op == BinOp::Eq || Op == BinOp::Ne;
+  }
+  static bool isLogic(BinOp Op) { return Op == BinOp::And || Op == BinOp::Or; }
+  static bool isMinMax(const CallExpr &C) {
+    return (C.Callee == "min" || C.Callee == "max") && C.Args.size() == 2;
   }
 
   /// Parses OpenMP / vectorization pragmas attached to a loop.
-  void compileLoopPragmas(const ForStmt &For, CS &Out) {
+  void compileLoopPragmas(const ForStmt &For, LoopModel &Out) {
     bool Vector = false;
     for (const std::string &P : For.Pragmas) {
       std::string_view Text = trimString(P);
@@ -469,11 +493,13 @@ struct CompiledProgram {
       Out.VecScale = 1.0;
   }
 
-  void compileStmt(const Stmt &S, std::vector<CS> &Out) {
+  /// Pass 1 over a statement: declares its arrays and slots and checks it,
+  /// right-hand sides before targets, as expressions are typed.
+  void checkStmt(const Stmt &S) {
     switch (S.kind()) {
     case StmtKind::Block:
       for (const auto &Sub : cast<Block>(&S)->Stmts)
-        compileStmt(*Sub, Out);
+        checkStmt(*Sub);
       return;
     case StmtKind::Decl: {
       const auto *D = cast<DeclStmt>(&S);
@@ -481,90 +507,47 @@ struct CompiledProgram {
         declareArray(*D);
         return;
       }
-      int Slot = scalarSlot(D->Name, D->Elem, /*Declare=*/true);
-      if (D->Init) {
-        CS A;
-        A.Kind = SK::AssignScalar;
-        A.Slot = Slot;
-        A.Op = AssignOp::Set;
-        A.TargetDouble = SlotTypes[static_cast<size_t>(Slot)] == ElemType::Double;
-        A.Rhs = compileExpr(*D->Init);
-        Out.push_back(std::move(A));
-      }
+      scalarSlot(D->Name, D->Elem, /*Declare=*/true);
+      if (D->Init)
+        checkExpr(*D->Init);
       return;
     }
     case StmtKind::For: {
       const auto *F = cast<ForStmt>(&S);
-      CS L;
-      L.Kind = SK::For;
-      L.Slot = scalarSlot(F->Var, ElemType::Int, /*Declare=*/false);
-      if (SlotTypes[static_cast<size_t>(L.Slot)] != ElemType::Int) {
+      int Slot = scalarSlot(F->Var, ElemType::Int, /*Declare=*/false);
+      if (slotIsDouble(Slot)) {
         fail("loop variable " + F->Var + " must be an int");
         return;
       }
-      L.Init = compileExpr(*F->Init);
-      CE Bound = compileExpr(*F->Bound);
-      if (L.Init.isDouble() || Bound.isDouble()) {
+      bool InitDouble = checkExpr(*F->Init);
+      bool BoundDouble = checkExpr(*F->Bound);
+      if (InitDouble || BoundDouble) {
         fail("loop bounds of " + F->Var + " must be integers");
         return;
       }
-      if (F->Op == BoundOp::Le) {
-        CE Plus;
-        Plus.Kind = EK::BinI;
-        Plus.Op = BinOp::Add;
-        Plus.Kids.push_back(std::move(Bound));
-        CE One;
-        One.Kind = EK::ConstI;
-        One.ConstInt = 1;
-        Plus.Kids.push_back(std::move(One));
-        Bound = std::move(Plus);
-      }
-      L.BoundExcl = std::move(Bound);
-      L.Step = F->Step;
-      compileLoopPragmas(*F, L);
       for (const auto &Sub : F->Body->Stmts)
-        compileStmt(*Sub, L.Body);
-      Out.push_back(std::move(L));
+        checkStmt(*Sub);
       return;
     }
     case StmtKind::If: {
       const auto *I = cast<IfStmt>(&S);
-      CS C;
-      C.Kind = SK::If;
-      C.Cond = compileExpr(*I->Cond);
-      if (C.Cond.isDouble()) {
-        CE Cmp;
-        Cmp.Kind = EK::CmpD;
-        Cmp.Op = BinOp::Ne;
-        Cmp.Kids.push_back(std::move(C.Cond));
-        CE Zero;
-        Zero.Kind = EK::ConstD;
-        Cmp.Kids.push_back(std::move(Zero));
-        C.Cond = std::move(Cmp);
-      }
+      checkExpr(*I->Cond);
       for (const auto &Sub : I->Then->Stmts)
-        compileStmt(*Sub, C.Body);
+        checkStmt(*Sub);
       if (I->Else)
         for (const auto &Sub : I->Else->Stmts)
-          compileStmt(*Sub, C.Else);
-      Out.push_back(std::move(C));
+          checkStmt(*Sub);
       return;
     }
     case StmtKind::Assign: {
       const auto *A = cast<AssignStmt>(&S);
-      CS C;
-      C.Op = A->Op;
-      C.Rhs = compileExpr(*A->Rhs);
+      bool RhsDouble = checkExpr(*A->Rhs);
       if (const auto *V = dyn_cast<VarRef>(A->Lhs.get())) {
-        C.Kind = SK::AssignScalar;
         // The first assignment of an undeclared scalar fixes its type from
         // the RHS (harness temporaries like t_start).
         bool Known = ScalarSlots.count(V->Name) != 0;
-        C.Slot = scalarSlot(
-            V->Name, C.Rhs.isDouble() ? ElemType::Double : ElemType::Int,
-            /*Declare=*/!Known);
-        C.TargetDouble =
-            SlotTypes[static_cast<size_t>(C.Slot)] == ElemType::Double;
+        scalarSlot(V->Name, RhsDouble ? ElemType::Double : ElemType::Int,
+                   /*Declare=*/!Known);
       } else if (const auto *Arr = dyn_cast<ArrayRef>(A->Lhs.get())) {
         auto It = ArrayIds.find(Arr->Name);
         if (It == ArrayIds.end()) {
@@ -576,22 +559,14 @@ struct CompiledProgram {
           fail("array " + Arr->Name + " subscript arity mismatch");
           return;
         }
-        C.Kind = SK::AssignArray;
-        C.Slot = It->second;
-        C.TargetDouble = Info.Elem == ElemType::Double;
-        for (const auto &I : Arr->Indices) {
-          CE Idx = compileExpr(*I);
-          if (Idx.isDouble()) {
+        for (const auto &I : Arr->Indices)
+          if (checkExpr(*I)) {
             fail("array subscript of " + Arr->Name + " has floating type");
             return;
           }
-          C.Indices.push_back(std::move(Idx));
-        }
       } else {
         fail("unsupported assignment target");
-        return;
       }
-      Out.push_back(std::move(C));
       return;
     }
     case StmtKind::CallStmt: {
@@ -606,270 +581,6 @@ struct CompiledProgram {
            " (was a placeholder left unexpanded?)");
       return;
     }
-    }
-  }
-
-  Status compile(const cir::Program &P) {
-    Prog = &P;
-    std::vector<CS> GlobalInit;
-    for (const auto &G : P.Globals) {
-      if (G->isArray())
-        declareArray(*G);
-      else {
-        int Slot = scalarSlot(G->Name, G->Elem, /*Declare=*/true);
-        if (G->Init) {
-          CS A;
-          A.Kind = SK::AssignScalar;
-          A.Slot = Slot;
-          A.Op = AssignOp::Set;
-          A.TargetDouble =
-              SlotTypes[static_cast<size_t>(Slot)] == ElemType::Double;
-          A.Rhs = compileExpr(*G->Init);
-          GlobalInit.push_back(std::move(A));
-        }
-      }
-    }
-    std::vector<CS> MainBody;
-    for (const auto &S : P.Body->Stmts)
-      compileStmt(*S, MainBody);
-    Body = std::move(GlobalInit);
-    for (auto &S : MainBody)
-      Body.push_back(std::move(S));
-    if (!CompileError.empty())
-      return Status::error(CompileError);
-    buildInitialData();
-    L1HitLatency =
-        Opts.Machine.Levels.empty() ? 0 : Opts.Machine.Levels[0].HitLatency;
-    return Status::success();
-  }
-
-  //===--------------------------------------------------------------------===//
-  // Execution
-  //===--------------------------------------------------------------------===//
-
-  void runtimeFail(const std::string &Message) {
-    if (!Failed) {
-      Failed = true;
-      RunError = Message;
-    }
-  }
-
-  int64_t flatIndex(const CS &S) {
-    const ArrayInfo &A = Arrays[static_cast<size_t>(S.Slot)];
-    int64_t Flat = 0;
-    for (size_t I = 0; I < S.Indices.size(); ++I) {
-      int64_t Idx = evalI(S.Indices[I]);
-      if (Idx < 0 || Idx >= A.Dims[I]) {
-        runtimeFail("index " + std::to_string(Idx) + " out of bounds for " +
-                    A.Name + " dim " + std::to_string(I) + " (size " +
-                    std::to_string(A.Dims[I]) + ")");
-        return 0;
-      }
-      Flat += Idx * A.Strides[I];
-    }
-    return Flat;
-  }
-
-  int64_t flatIndexCE(const CE &E) {
-    const ArrayInfo &A = Arrays[static_cast<size_t>(E.Slot)];
-    int64_t Flat = 0;
-    for (size_t I = 0; I < E.Kids.size(); ++I) {
-      int64_t Idx = evalI(E.Kids[I]);
-      if (Idx < 0 || Idx >= A.Dims[I]) {
-        runtimeFail("index " + std::to_string(Idx) + " out of bounds for " +
-                    A.Name + " dim " + std::to_string(I) + " (size " +
-                    std::to_string(A.Dims[I]) + ")");
-        return 0;
-      }
-      Flat += Idx * A.Strides[I];
-    }
-    return Flat;
-  }
-
-  void chargeMemory(int ArrayId, int64_t Flat, bool IsWrite) {
-    if (IsWrite)
-      ++MemWrites;
-    else
-      ++MemReads;
-    if (!Cache)
-      return;
-    const ArrayInfo &A = Arrays[static_cast<size_t>(ArrayId)];
-    uint64_t Address = A.Base + static_cast<uint64_t>(Flat) * 8;
-    int Latency = Cache->access(Address, IsWrite);
-    // Vectorization hides latency only for cache-resident data.
-    if (Latency <= L1HitLatency)
-      Cycles += Latency * ArithScale;
-    else
-      Cycles += Latency;
-  }
-
-  void chargeArith(bool IsDouble) {
-    if (IsDouble)
-      ++ArithOps;
-    if (Cache) // CountCost proxy: Cache is only created when counting
-      Cycles += (IsDouble ? Opts.Machine.ArithCost
-                          : Opts.Machine.ArithCost * 0.5) *
-                ArithScale;
-  }
-
-  int64_t evalI(const CE &E) {
-    switch (E.Kind) {
-    case EK::ConstI:
-      return E.ConstInt;
-    case EK::VarI:
-      return ScalarI[static_cast<size_t>(E.Slot)];
-    case EK::LoadI: {
-      int64_t Flat = flatIndexCE(E);
-      if (Failed)
-        return 0;
-      chargeMemory(E.Slot, Flat, /*IsWrite=*/false);
-      return DataI[static_cast<size_t>(E.Slot)][static_cast<size_t>(Flat)];
-    }
-    case EK::BinI: {
-      // Short-circuit logic first.
-      if (E.Op == BinOp::And) {
-        if (evalI(E.Kids[0]) == 0)
-          return 0;
-        return evalI(E.Kids[1]) != 0;
-      }
-      if (E.Op == BinOp::Or) {
-        if (evalI(E.Kids[0]) != 0)
-          return 1;
-        return evalI(E.Kids[1]) != 0;
-      }
-      int64_t L = evalI(E.Kids[0]);
-      int64_t R = evalI(E.Kids[1]);
-      chargeArith(false);
-      switch (E.Op) {
-      case BinOp::Add:
-        return L + R;
-      case BinOp::Sub:
-        return L - R;
-      case BinOp::Mul:
-        return L * R;
-      case BinOp::Div:
-        if (R == 0) {
-          runtimeFail("integer division by zero");
-          return 0;
-        }
-        return L / R;
-      case BinOp::Mod:
-        if (R == 0) {
-          runtimeFail("integer modulo by zero");
-          return 0;
-        }
-        return L % R;
-      case BinOp::Lt:
-        return L < R;
-      case BinOp::Le:
-        return L <= R;
-      case BinOp::Gt:
-        return L > R;
-      case BinOp::Ge:
-        return L >= R;
-      case BinOp::Eq:
-        return L == R;
-      case BinOp::Ne:
-        return L != R;
-      default:
-        return 0;
-      }
-    }
-    case EK::CmpD: {
-      double L = evalD(E.Kids[0]);
-      double R = evalD(E.Kids[1]);
-      chargeArith(true);
-      switch (E.Op) {
-      case BinOp::Lt:
-        return L < R;
-      case BinOp::Le:
-        return L <= R;
-      case BinOp::Gt:
-        return L > R;
-      case BinOp::Ge:
-        return L >= R;
-      case BinOp::Eq:
-        return L == R;
-      case BinOp::Ne:
-        return L != R;
-      default:
-        return 0;
-      }
-    }
-    case EK::NegI:
-      chargeArith(false);
-      return -evalI(E.Kids[0]);
-    case EK::NotI:
-      return evalI(E.Kids[0]) == 0;
-    case EK::MinI: {
-      int64_t L = evalI(E.Kids[0]);
-      int64_t R = evalI(E.Kids[1]);
-      chargeArith(false);
-      return std::min(L, R);
-    }
-    case EK::MaxI: {
-      int64_t L = evalI(E.Kids[0]);
-      int64_t R = evalI(E.Kids[1]);
-      chargeArith(false);
-      return std::max(L, R);
-    }
-    default:
-      runtimeFail("internal: double expression in int context");
-      return 0;
-    }
-  }
-
-  double evalD(const CE &E) {
-    switch (E.Kind) {
-    case EK::ConstD:
-      return E.ConstDouble;
-    case EK::VarD:
-      return ScalarD[static_cast<size_t>(E.Slot)];
-    case EK::LoadD: {
-      int64_t Flat = flatIndexCE(E);
-      if (Failed)
-        return 0;
-      chargeMemory(E.Slot, Flat, /*IsWrite=*/false);
-      return DataD[static_cast<size_t>(E.Slot)][static_cast<size_t>(Flat)];
-    }
-    case EK::BinD: {
-      double L = evalD(E.Kids[0]);
-      double R = evalD(E.Kids[1]);
-      chargeArith(true);
-      switch (E.Op) {
-      case BinOp::Add:
-        return L + R;
-      case BinOp::Sub:
-        return L - R;
-      case BinOp::Mul:
-        return L * R;
-      case BinOp::Div:
-        return L / R;
-      default:
-        return 0;
-      }
-    }
-    case EK::NegD:
-      chargeArith(true);
-      return -evalD(E.Kids[0]);
-    case EK::CastID:
-      return static_cast<double>(evalI(E.Kids[0]));
-    case EK::MinD: {
-      double L = evalD(E.Kids[0]);
-      double R = evalD(E.Kids[1]);
-      chargeArith(true);
-      return std::min(L, R);
-    }
-    case EK::MaxD: {
-      double L = evalD(E.Kids[0]);
-      double R = evalD(E.Kids[1]);
-      chargeArith(true);
-      return std::max(L, R);
-    }
-    case EK::Rtclock:
-      return 0.0;
-    default:
-      return static_cast<double>(evalI(E));
     }
   }
 
@@ -927,213 +638,912 @@ struct CompiledProgram {
     return Max;
   }
 
-  void execBlock(const std::vector<CS> &Stmts) {
-    for (const CS &S : Stmts) {
-      if (Failed)
-        return;
-      execStmt(S);
+  //===--------------------------------------------------------------------===//
+  // Pass 2: lowering to flat code, in execution order
+  //===--------------------------------------------------------------------===//
+
+  struct Val {
+    int32_t Reg;
+    bool Double;
+  };
+
+  double Scale = 1.0;             ///< ArithScale of the code being lowered
+  bool InModeledParallel = false; ///< inside a loop whose speedup is modeled
+  int32_t NumRegs = 0;
+  /// The innermost loop being lowered and the names its body assigns.
+  struct LoopScope {
+    int32_t Id;
+    const ForStmt *For;
+    std::set<std::string> Assigned;
+  };
+  std::vector<LoopScope> Scopes;
+
+  static void collectAssigned(const Stmt &S, std::set<std::string> &Out) {
+    forEachStmt(const_cast<Stmt &>(S), [&](Stmt &Sub) {
+      if (const auto *F = dyn_cast<ForStmt>(&Sub))
+        Out.insert(F->Var);
+      else if (const auto *D = dyn_cast<DeclStmt>(&Sub))
+        Out.insert(D->Name);
+      else if (const auto *A = dyn_cast<AssignStmt>(&Sub))
+        if (const auto *V = dyn_cast<VarRef>(A->Lhs.get()))
+          Out.insert(V->Name);
+    });
+  }
+
+  int32_t newReg() { return NumRegs++; }
+
+  uint32_t emit(Op O, int32_t Dst = 0, int32_t A = 0, int32_t B = 0,
+                int32_t Aux = 0, double K = 0) {
+    Code.push_back(Insn{O, Dst, A, B, Aux, K});
+    return static_cast<uint32_t>(Code.size() - 1);
+  }
+
+  void patchTarget(uint32_t At) {
+    Code[At].Aux = static_cast<int32_t>(Code.size());
+  }
+
+  double intCharge() const { return Opts.Machine.ArithCost * 0.5 * Scale; }
+  double doubleCharge() const { return Opts.Machine.ArithCost * Scale; }
+
+  /// The register preset to \p Bits (an int and a double with the same
+  /// bits share one).
+  int32_t constant(int64_t Bits) {
+    auto [It, New] = Constants.try_emplace(Bits, NumRegs);
+    if (New)
+      ++NumRegs;
+    return It->second;
+  }
+  int32_t constI(int64_t V) { return constant(V); }
+  int32_t constD(double V) {
+    int64_t Bits;
+    std::memcpy(&Bits, &V, sizeof Bits);
+    return constant(Bits);
+  }
+
+  bool exprIsDouble(const Expr &E) const {
+    switch (E.kind()) {
+    case ExprKind::IntLit:
+      return false;
+    case ExprKind::FloatLit:
+      return true;
+    case ExprKind::VarRef:
+      return slotIsDouble(ScalarSlots.at(cast<VarRef>(&E)->Name));
+    case ExprKind::ArrayRef:
+      return Arrays[static_cast<size_t>(
+                        ArrayIds.at(cast<ArrayRef>(&E)->Name))]
+                 .Elem == ElemType::Double;
+    case ExprKind::Unary: {
+      const auto *U = cast<UnaryExpr>(&E);
+      return U->Op != UnOp::Not && exprIsDouble(*U->Operand);
+    }
+    case ExprKind::Binary: {
+      const auto *B = cast<BinaryExpr>(&E);
+      return !isLogic(B->Op) && !isCompare(B->Op) &&
+             (exprIsDouble(*B->Lhs) || exprIsDouble(*B->Rhs));
+    }
+    case ExprKind::Call: {
+      const auto *C = cast<CallExpr>(&E);
+      if (isMinMax(*C))
+        return exprIsDouble(*C->Args[0]) || exprIsDouble(*C->Args[1]);
+      return true; // rtclock
+    }
+    }
+    return false;
+  }
+
+  /// Int ops an affine subscript performs: one per operator node.
+  static uint32_t countOps(const Expr &E) {
+    switch (E.kind()) {
+    case ExprKind::Unary:
+      return 1 + countOps(*cast<UnaryExpr>(&E)->Operand);
+    case ExprKind::Binary: {
+      const auto *B = cast<BinaryExpr>(&E);
+      return 1 + countOps(*B->Lhs) + countOps(*B->Rhs);
+    }
+    case ExprKind::Call: {
+      uint32_t N = 1;
+      for (const auto &A : cast<CallExpr>(&E)->Args)
+        N += countOps(*A);
+      return N;
+    }
+    default:
+      return 0;
     }
   }
 
-  void execStmt(const CS &S) {
-    switch (S.Kind) {
-    case SK::Nop:
+  /// Moves \p V into \p Dst when a destination is requested.
+  Val place(Val V, int32_t Dst) {
+    if (Dst < 0 || Dst == V.Reg)
+      return V;
+    emit(V.Double ? Op::MovD : Op::MovI, Dst, V.Reg);
+    return {Dst, V.Double};
+  }
+
+  Val toDouble(Val V) {
+    if (V.Double)
+      return V;
+    int32_t R = newReg();
+    emit(Op::CvtID, R, V.Reg);
+    return {R, true};
+  }
+
+  /// Builds the Access for reference \p A. When every subscript is affine
+  /// the load/store instruction forms and checks the indices itself;
+  /// otherwise each subscript is computed here and checked right after.
+  int32_t lowerAccess(const ArrayRef &A) {
+    int Id = ArrayIds.at(A.Name);
+    const ArrayInfo &Info = Arrays[static_cast<size_t>(Id)];
+    int32_t AccId = static_cast<int32_t>(Accesses.size());
+    Accesses.emplace_back(); // reserved: subscripts may nest accesses
+    Access Ac;
+    Ac.Array = Id;
+    Ac.Base = Info.Base;
+    Ac.Scale = Scale;
+    Ac.IndexCharge = intCharge();
+    std::vector<std::optional<analysis::AffineExpr>> Forms;
+    bool AllAffine = true;
+    for (const auto &Idx : A.Indices) {
+      Forms.push_back(analysis::toAffine(*Idx));
+      AllAffine = AllAffine && Forms.back();
+    }
+    std::vector<int32_t> Computed;
+    if (!AllAffine)
+      for (size_t D = 0; D < A.Indices.size(); ++D) {
+        Val V = lowerExpr(*A.Indices[D]);
+        emit(Op::CheckIndex, 0, V.Reg, static_cast<int32_t>(D), AccId);
+        Computed.push_back(V.Reg);
+      }
+    Ac.DimBegin = static_cast<uint32_t>(Dims.size());
+    for (size_t D = 0; D < A.Indices.size(); ++D) {
+      DimForm F;
+      F.Extent = Info.Dims[D];
+      F.Stride = Info.Strides[D];
+      F.TermBegin = static_cast<uint32_t>(Terms.size());
+      if (AllAffine) {
+        F.Const = Forms[D]->constant();
+        for (const auto &[Name, Coeff] : Forms[D]->coeffs())
+          Terms.push_back({ScalarSlots.at(Name), Coeff});
+        Ac.Charges += countOps(*A.Indices[D]);
+      } else {
+        Terms.push_back({Computed[D], 1});
+      }
+      F.TermEnd = static_cast<uint32_t>(Terms.size());
+      Dims.push_back(F);
+    }
+    Ac.DimEnd = static_cast<uint32_t>(Dims.size());
+    if (AllAffine && !Scopes.empty() && Scopes.back().For->Step > 0) {
+      const LoopScope &L = Scopes.back();
+      bool Invariant = !L.Assigned.count(L.For->Var);
+      for (const auto &F : Forms)
+        for (const auto &[Name, Coeff] : F->coeffs()) {
+          if (Name == L.For->Var)
+            Ac.Delta += Coeff * Info.Strides[&F - Forms.data()];
+          else
+            Invariant = Invariant && !L.Assigned.count(Name);
+        }
+      if (Invariant) {
+        Ac.LoopVar = ScalarSlots.at(L.For->Var);
+        Loops[static_cast<size_t>(L.Id)].Reduced.push_back(AccId);
+      }
+    }
+    Accesses[static_cast<size_t>(AccId)] = Ac;
+    return AccId;
+  }
+
+  /// Emits code computing \p E, into \p Dst when given (the root node
+  /// writes it, after every read of its operands).
+  Val lowerExpr(const Expr &E, int32_t Dst = -1) {
+    switch (E.kind()) {
+    case ExprKind::IntLit:
+      return place({constI(cast<IntLit>(&E)->Value), false}, Dst);
+    case ExprKind::FloatLit:
+      return place({constD(cast<FloatLit>(&E)->Value), true}, Dst);
+    case ExprKind::VarRef: {
+      int Slot = ScalarSlots.at(cast<VarRef>(&E)->Name);
+      return place({Slot, slotIsDouble(Slot)}, Dst);
+    }
+    case ExprKind::ArrayRef: {
+      const auto *A = cast<ArrayRef>(&E);
+      int32_t Acc = lowerAccess(*A);
+      bool Double = Arrays[static_cast<size_t>(Accesses[Acc].Array)].Elem ==
+                    ElemType::Double;
+      int32_t R = Dst >= 0 ? Dst : newReg();
+      emit(Double ? Op::LoadD : Op::LoadI, R, 0, 0, Acc);
+      return {R, Double};
+    }
+    case ExprKind::Unary: {
+      const auto *U = cast<UnaryExpr>(&E);
+      if (U->Op == UnOp::Not) {
+        Val O = lowerExpr(*U->Operand);
+        int32_t R = Dst >= 0 ? Dst : newReg();
+        emit(Op::NotI, R, O.Reg);
+        return {R, false};
+      }
+      // A negation is charged before its operand runs.
+      uint32_t Charge = emit(Op::ChargeI, 0, 0, 0, 0, intCharge());
+      Val O = lowerExpr(*U->Operand);
+      if (O.Double) {
+        Code[Charge].Code = Op::ChargeD;
+        Code[Charge].K = doubleCharge();
+      }
+      int32_t R = Dst >= 0 ? Dst : newReg();
+      emit(O.Double ? Op::NegD : Op::NegI, R, O.Reg);
+      return {R, O.Double};
+    }
+    case ExprKind::Binary: {
+      const auto *B = cast<BinaryExpr>(&E);
+      if (isLogic(B->Op)) {
+        Val L = lowerExpr(*B->Lhs);
+        int32_t R = Dst >= 0 ? Dst : newReg();
+        uint32_t Short =
+            emit(B->Op == BinOp::And ? Op::AndJump : Op::OrJump, R, L.Reg);
+        Val Rv = lowerExpr(*B->Rhs);
+        emit(Op::NeZ, R, Rv.Reg);
+        patchTarget(Short);
+        return {R, false};
+      }
+      Val L = lowerExpr(*B->Lhs);
+      if (const auto *Elem = dyn_cast<ArrayRef>(B->Rhs.get());
+          Elem && exprIsDouble(*Elem) && !isCompare(B->Op)) {
+        // Arithmetic (Add..Div; Mod is int-only) on a double element.
+        L = toDouble(L);
+        int32_t Acc = lowerAccess(*Elem);
+        int32_t R = Dst >= 0 ? Dst : newReg();
+        static const Op Fused[] = {Op::AddLoadD, Op::SubLoadD, Op::MulLoadD,
+                                   Op::DivLoadD};
+        emit(Fused[static_cast<size_t>(B->Op)], R, L.Reg, 0, Acc,
+             doubleCharge());
+        return {R, true};
+      }
+      Val Rv = lowerExpr(*B->Rhs);
+      bool Double = L.Double || Rv.Double;
+      if (Double) {
+        L = toDouble(L);
+        Rv = toDouble(Rv);
+      }
+      int32_t R = Dst >= 0 ? Dst : newReg();
+      emit(binaryOp(B->Op, Double), R, L.Reg, Rv.Reg, 0,
+           Double ? doubleCharge() : intCharge());
+      return {R, Double && !isCompare(B->Op)};
+    }
+    case ExprKind::Call: {
+      const auto *C = cast<CallExpr>(&E);
+      if (!isMinMax(*C))
+        return place({constD(0.0), true}, Dst); // rtclock()
+      Val L = lowerExpr(*C->Args[0]);
+      Val Rv = lowerExpr(*C->Args[1]);
+      bool Double = L.Double || Rv.Double;
+      if (Double) {
+        L = toDouble(L);
+        Rv = toDouble(Rv);
+      }
+      bool Min = C->Callee == "min";
+      int32_t R = Dst >= 0 ? Dst : newReg();
+      emit(Double ? (Min ? Op::MinD : Op::MaxD) : (Min ? Op::MinI : Op::MaxI),
+           R, L.Reg, Rv.Reg, 0, Double ? doubleCharge() : intCharge());
+      return {R, Double};
+    }
+    }
+    return {0, false};
+  }
+
+  static Op binaryOp(BinOp B, bool Double) {
+    switch (B) {
+    case BinOp::Add:
+      return Double ? Op::AddD : Op::AddI;
+    case BinOp::Sub:
+      return Double ? Op::SubD : Op::SubI;
+    case BinOp::Mul:
+      return Double ? Op::MulD : Op::MulI;
+    case BinOp::Div:
+      return Double ? Op::DivD : Op::DivI;
+    case BinOp::Mod:
+      return Op::ModI;
+    case BinOp::Lt:
+      return Double ? Op::LtD : Op::LtI;
+    case BinOp::Le:
+      return Double ? Op::LeD : Op::LeI;
+    case BinOp::Gt:
+      return Double ? Op::GtD : Op::GtI;
+    case BinOp::Ge:
+      return Double ? Op::GeD : Op::GeI;
+    case BinOp::Eq:
+      return Double ? Op::EqD : Op::EqI;
+    default:
+      return Double ? Op::NeD : Op::NeI;
+    }
+  }
+
+  void lowerFail(const std::string &Message) {
+    emit(Op::Fail, 0, 0, 0, static_cast<int32_t>(Messages.size()));
+    Messages.push_back(Message);
+  }
+
+  void lowerScalarAssign(int Slot, AssignOp AOp, const Expr &Rhs) {
+    bool TargetDouble = slotIsDouble(Slot);
+    bool RhsDouble = exprIsDouble(Rhs);
+    if (!TargetDouble && RhsDouble) {
+      lowerFail("assigning a floating value to int scalar");
       return;
-    case SK::Block:
-      execBlock(S.Body);
-      return;
-    case SK::If:
-      if (evalI(S.Cond) != 0)
-        execBlock(S.Body);
+    }
+    if (AOp == AssignOp::Set) {
+      if (TargetDouble == RhsDouble)
+        lowerExpr(Rhs, Slot);
       else
-        execBlock(S.Else);
-      return;
-    case SK::AssignScalar: {
-      if (S.TargetDouble) {
-        double V = evalD(S.Rhs);
-        double &Slot = ScalarD[static_cast<size_t>(S.Slot)];
-        switch (S.Op) {
-        case AssignOp::Set:
-          Slot = V;
-          break;
-        case AssignOp::Add:
-          chargeArith(true);
-          Slot += V;
-          break;
-        case AssignOp::Sub:
-          chargeArith(true);
-          Slot -= V;
-          break;
-        case AssignOp::Mul:
-          chargeArith(true);
-          Slot *= V;
-          break;
-        }
-      } else {
-        if (S.Rhs.isDouble()) {
-          runtimeFail("assigning a floating value to int scalar");
-          return;
-        }
-        int64_t V = evalI(S.Rhs);
-        int64_t &Slot = ScalarI[static_cast<size_t>(S.Slot)];
-        switch (S.Op) {
-        case AssignOp::Set:
-          Slot = V;
-          break;
-        case AssignOp::Add:
-          chargeArith(false);
-          Slot += V;
-          break;
-        case AssignOp::Sub:
-          chargeArith(false);
-          Slot -= V;
-          break;
-        case AssignOp::Mul:
-          chargeArith(false);
-          Slot *= V;
-          break;
-        }
-      }
+        emit(Op::CvtID, Slot, lowerExpr(Rhs).Reg);
       return;
     }
-    case SK::AssignArray: {
-      int64_t Flat = flatIndex(S);
-      if (Failed)
-        return;
-      if (S.TargetDouble) {
-        double V = evalD(S.Rhs);
-        if (Failed)
-          return;
-        double &Elem =
-            DataD[static_cast<size_t>(S.Slot)][static_cast<size_t>(Flat)];
-        if (S.Op != AssignOp::Set) {
-          chargeMemory(S.Slot, Flat, /*IsWrite=*/false);
-          chargeArith(true);
-        }
-        switch (S.Op) {
-        case AssignOp::Set:
-          Elem = V;
-          break;
-        case AssignOp::Add:
-          Elem += V;
-          break;
-        case AssignOp::Sub:
-          Elem -= V;
-          break;
-        case AssignOp::Mul:
-          Elem *= V;
-          break;
-        }
-        chargeMemory(S.Slot, Flat, /*IsWrite=*/true);
-      } else {
-        if (S.Rhs.isDouble()) {
-          runtimeFail("assigning a floating value to int array");
-          return;
-        }
-        int64_t V = evalI(S.Rhs);
-        if (Failed)
-          return;
-        int64_t &Elem =
-            DataI[static_cast<size_t>(S.Slot)][static_cast<size_t>(Flat)];
-        if (S.Op != AssignOp::Set) {
-          chargeMemory(S.Slot, Flat, /*IsWrite=*/false);
-          chargeArith(false);
-        }
-        switch (S.Op) {
-        case AssignOp::Set:
-          Elem = V;
-          break;
-        case AssignOp::Add:
-          Elem += V;
-          break;
-        case AssignOp::Sub:
-          Elem -= V;
-          break;
-        case AssignOp::Mul:
-          Elem *= V;
-          break;
-        }
-        chargeMemory(S.Slot, Flat, /*IsWrite=*/true);
-      }
-      return;
-    }
-    case SK::For: {
-      int64_t Lo = evalI(S.Init);
-      int64_t Hi = evalI(S.BoundExcl);
-      if (Failed)
-        return;
-      bool Parallel = S.Par != Sched::None && Cache && !InParallel;
-      bool Vector = S.VecScale < 1.0 && Cache;
-      double SavedScale = ArithScale;
-      if (Vector)
-        ArithScale *= S.VecScale;
+    Val V = lowerExpr(Rhs);
+    if (TargetDouble)
+      V = toDouble(V);
+    static const Op AccI[] = {Op::MovI, Op::AccAddI, Op::AccSubI, Op::AccMulI};
+    static const Op AccD[] = {Op::MovD, Op::AccAddD, Op::AccSubD, Op::AccMulD};
+    size_t Index = static_cast<size_t>(AOp);
+    emit(TargetDouble ? AccD[Index] : AccI[Index], Slot, V.Reg, 0, 0,
+         TargetDouble ? doubleCharge() : intCharge());
+  }
 
-      if (!Parallel) {
-        for (int64_t V = Lo; V < Hi; V += S.Step) {
-          ScalarI[static_cast<size_t>(S.Slot)] = V;
-          if (++Iterations > Opts.MaxIterations) {
-            runtimeFail("iteration budget exceeded");
-            break;
+  void lowerArrayAssign(const ArrayRef &Lhs, AssignOp AOp, const Expr &Rhs) {
+    // The target's subscripts are evaluated and checked before the RHS.
+    int32_t Acc = lowerAccess(Lhs);
+    int32_t Flat = newReg();
+    emit(Op::IndexFlat, Flat, 0, 0, Acc);
+    bool TargetDouble =
+        Arrays[static_cast<size_t>(Accesses[Acc].Array)].Elem ==
+        ElemType::Double;
+    bool RhsDouble = exprIsDouble(Rhs);
+    if (!TargetDouble && RhsDouble) {
+      lowerFail("assigning a floating value to int array");
+      return;
+    }
+    Val V = lowerExpr(Rhs);
+    if (TargetDouble)
+      V = toDouble(V);
+    emit(TargetDouble ? Op::StoreD : Op::StoreI, static_cast<int32_t>(AOp),
+         Flat, V.Reg, Acc, TargetDouble ? doubleCharge() : intCharge());
+  }
+
+  void lowerLoop(const ForStmt &F) {
+    LoopModel M;
+    compileLoopPragmas(F, M);
+    Val Lo = lowerExpr(*F.Init);
+    Val Hi = lowerExpr(*F.Bound);
+    if (F.Op == BoundOp::Le) {
+      int32_t R = newReg();
+      emit(Op::AddI, R, Hi.Reg, constI(1), 0, intCharge());
+      Hi.Reg = R;
+    }
+    bool Parallel =
+        M.Par != Sched::None && Opts.CountCost && !InModeledParallel;
+    bool Vector = M.VecScale < 1.0 && Opts.CountCost;
+    double SavedScale = Scale;
+    if (Vector)
+      Scale *= M.VecScale;
+    Loop L;
+    L.Var = ScalarSlots.at(F.Var);
+    L.Ctr = newReg();
+    L.Hi = newReg();
+    L.Step = F.Step;
+    L.Overhead = Opts.Machine.LoopOverhead * Scale;
+    L.Model = M;
+    int32_t Id = static_cast<int32_t>(Loops.size());
+    Loops.push_back(L);
+    emit(Parallel ? Op::ParEnter : Op::LoopEnter, 0, Lo.Reg, Hi.Reg, Id);
+    Loops[static_cast<size_t>(Id)].Body = static_cast<uint32_t>(Code.size());
+    bool SavedParallel = InModeledParallel;
+    InModeledParallel = InModeledParallel || Parallel;
+    Scopes.push_back({Id, &F, {}});
+    collectAssigned(*F.Body, Scopes.back().Assigned);
+    for (const auto &Sub : F.Body->Stmts)
+      lowerStmt(*Sub);
+    Scopes.pop_back();
+    InModeledParallel = SavedParallel;
+    Scale = SavedScale;
+    emit(Parallel ? Op::ParNext : Op::LoopNext, 0, 0, 0, Id);
+    Loops[static_cast<size_t>(Id)].Exit = static_cast<uint32_t>(Code.size());
+  }
+
+  void lowerStmt(const Stmt &S) {
+    switch (S.kind()) {
+    case StmtKind::Block:
+      for (const auto &Sub : cast<Block>(&S)->Stmts)
+        lowerStmt(*Sub);
+      return;
+    case StmtKind::Decl: {
+      const auto *D = cast<DeclStmt>(&S);
+      if (!D->isArray() && D->Init)
+        lowerScalarAssign(ScalarSlots.at(D->Name), AssignOp::Set, *D->Init);
+      return;
+    }
+    case StmtKind::For:
+      lowerLoop(*cast<ForStmt>(&S));
+      return;
+    case StmtKind::If: {
+      const auto *I = cast<IfStmt>(&S);
+      Val C = lowerExpr(*I->Cond);
+      if (C.Double) {
+        int32_t R = newReg();
+        emit(Op::NeD, R, C.Reg, constD(0.0), 0, doubleCharge());
+        C = {R, false};
+      }
+      uint32_t ToElse = emit(Op::JumpIfZero, 0, C.Reg);
+      for (const auto &Sub : I->Then->Stmts)
+        lowerStmt(*Sub);
+      if (I->Else) {
+        uint32_t ToEnd = emit(Op::Jump);
+        patchTarget(ToElse);
+        for (const auto &Sub : I->Else->Stmts)
+          lowerStmt(*Sub);
+        patchTarget(ToEnd);
+      } else {
+        patchTarget(ToElse);
+      }
+      return;
+    }
+    case StmtKind::Assign: {
+      const auto *A = cast<AssignStmt>(&S);
+      if (const auto *V = dyn_cast<VarRef>(A->Lhs.get()))
+        lowerScalarAssign(ScalarSlots.at(V->Name), A->Op, *A->Rhs);
+      else
+        lowerArrayAssign(*cast<ArrayRef>(A->Lhs.get()), A->Op, *A->Rhs);
+      return;
+    }
+    case StmtKind::CallStmt:
+      return; // harness calls are no-ops
+    }
+  }
+
+  Status compile(const cir::Program &P) {
+    for (const auto &G : P.Globals) {
+      if (G->isArray()) {
+        declareArray(*G);
+      } else {
+        scalarSlot(G->Name, G->Elem, /*Declare=*/true);
+        if (G->Init)
+          checkExpr(*G->Init);
+      }
+    }
+    for (const auto &S : P.Body->Stmts)
+      checkStmt(*S);
+    if (!CompileError.empty())
+      return Status::error(CompileError);
+    buildInitialData();
+    L1HitLatency =
+        Opts.Machine.Levels.empty() ? 0 : Opts.Machine.Levels[0].HitLatency;
+
+    NumRegs = static_cast<int32_t>(SlotTypes.size());
+    for (const auto &G : P.Globals)
+      if (!G->isArray() && G->Init)
+        lowerScalarAssign(ScalarSlots.at(G->Name), AssignOp::Set, *G->Init);
+    for (const auto &S : P.Body->Stmts)
+      lowerStmt(*S);
+    emit(Op::Halt);
+    InitRegs.assign(static_cast<size_t>(NumRegs), Cell{0});
+    for (const auto &[Bits, Reg] : Constants)
+      InitRegs[static_cast<size_t>(Reg)].I = Bits;
+    return Status::success();
+  }
+
+  //===--------------------------------------------------------------------===//
+  // Execution
+  //===--------------------------------------------------------------------===//
+
+  void runtimeFail(const std::string &Message) {
+    Failed = true;
+    RunError = Message;
+  }
+
+  void outOfBounds(const Access &Ac, uint32_t Dim, int64_t Idx) {
+    const ArrayInfo &A = Arrays[static_cast<size_t>(Ac.Array)];
+    runtimeFail("index " + std::to_string(Idx) + " out of bounds for " +
+                A.Name + " dim " + std::to_string(Dim) + " (size " +
+                std::to_string(A.Dims[Dim]) + ")");
+  }
+
+  /// On entry to \p L, iterating from \p First to \p Last: strength-reduces
+  /// each of its accesses whose indices are in bounds at both ends.
+  void enterReduced(const Loop &L, const Cell *R, int64_t First,
+                    int64_t Last) {
+    for (int32_t Id : L.Reduced) {
+      Access &Ac = Accesses[static_cast<size_t>(Id)];
+      Ac.Hoisted = true;
+      __int128 FlatFirst = 0;
+      for (uint32_t D = Ac.DimBegin; D < Ac.DimEnd && Ac.Hoisted; ++D) {
+        const DimForm &F = Dims[D];
+        __int128 AtFirst = F.Const, AtLast = F.Const;
+        for (uint32_t T = F.TermBegin; T < F.TermEnd; ++T) {
+          const Term &X = Terms[T];
+          bool IsVar = X.Reg == Ac.LoopVar;
+          AtFirst += static_cast<__int128>(X.Coeff) *
+                     (IsVar ? First : R[X.Reg].I);
+          AtLast += static_cast<__int128>(X.Coeff) *
+                    (IsVar ? Last : R[X.Reg].I);
+        }
+        Ac.Hoisted = AtFirst >= 0 && AtFirst < F.Extent && AtLast >= 0 &&
+                     AtLast < F.Extent;
+        FlatFirst += AtFirst * F.Stride;
+      }
+      if (Ac.Hoisted)
+        Ac.FlatBase = static_cast<uint64_t>(static_cast<int64_t>(FlatFirst)) -
+                      static_cast<uint64_t>(Ac.Delta) *
+                          static_cast<uint64_t>(First);
+    }
+  }
+
+  /// The interpreter loop. The counters live in locals (registers) and are
+  /// published on every exit.
+  template <bool Cost> void exec() {
+    Cell *R = Regs.data();
+    const Insn *Base = Code.data();
+    const Insn *PC = Base;
+    const DimForm *DimsP = Dims.data();
+    const Term *TermsP = Terms.data();
+    machine::CacheSim *Sim = Cache;
+    const int L1 = L1HitLatency;
+    const uint64_t MaxIterations = Opts.MaxIterations;
+    double Cyc = 0, ParStart = 0, IterMark = 0;
+    uint64_t Iter = 0, Ops = 0, Reads = 0, Writes = 0;
+
+    auto Done = [&] {
+      Cycles = Cyc;
+      Iterations = Iter;
+      ArithOps = Ops;
+      MemReads = Reads;
+      MemWrites = Writes;
+    };
+    // Forms and checks an access's flat element index.
+    auto Index = [&](const Access &Ac, int64_t &Flat) {
+      if (Ac.Hoisted) {
+        Flat = static_cast<int64_t>(
+            Ac.FlatBase + static_cast<uint64_t>(Ac.Delta) *
+                              static_cast<uint64_t>(R[Ac.LoopVar].I));
+      } else {
+        int64_t Sum = 0;
+        for (uint32_t D = Ac.DimBegin; D < Ac.DimEnd; ++D) {
+          const DimForm &F = DimsP[D];
+          int64_t Idx = F.Const;
+          for (uint32_t T = F.TermBegin; T < F.TermEnd; ++T)
+            Idx += TermsP[T].Coeff * R[TermsP[T].Reg].I;
+          if (Idx < 0 || Idx >= F.Extent) {
+            outOfBounds(Ac, D - Ac.DimBegin, Idx);
+            return false;
           }
-          if (Cache)
-            Cycles += Opts.Machine.LoopOverhead * ArithScale;
-          execBlock(S.Body);
-          if (Failed)
-            break;
+          Sum += Idx * F.Stride;
         }
-        ArithScale = SavedScale;
-        return;
+        Flat = Sum;
       }
-
-      // Parallel loop: execute sequentially, recording per-iteration cost,
-      // then rewind the clock to the modeled parallel time.
-      InParallel = true;
-      double LoopStart = Cycles;
-      std::vector<double> IterCosts;
-      for (int64_t V = Lo; V < Hi; V += S.Step) {
-        ScalarI[static_cast<size_t>(S.Slot)] = V;
-        if (++Iterations > Opts.MaxIterations) {
-          runtimeFail("iteration budget exceeded");
-          break;
-        }
-        double Mark = Cycles;
-        Cycles += Opts.Machine.LoopOverhead * ArithScale;
-        execBlock(S.Body);
-        IterCosts.push_back(Cycles - Mark);
-        if (Failed)
-          break;
+      if constexpr (Cost)
+        for (uint32_t C = 0; C < Ac.Charges; ++C)
+          Cyc += Ac.IndexCharge;
+      return true;
+    };
+    auto Memory = [&](const Access &Ac, int64_t Flat, bool IsWrite) {
+      int Latency =
+          Sim->access(Ac.Base + static_cast<uint64_t>(Flat) * 8, IsWrite);
+      // Vectorization hides latency only for cache-resident data.
+      if (Latency <= L1)
+        Cyc += Latency * Ac.Scale;
+      else
+        Cyc += Latency;
+    };
+    // Starts an iteration with value V; false when the budget is spent.
+    auto Begin = [&](const Loop &L, int64_t V, bool Parallel) {
+      R[L.Var].I = V;
+      if (++Iter > MaxIterations) {
+        runtimeFail("iteration budget exceeded");
+        return false;
       }
-      InParallel = false;
-      ArithScale = SavedScale;
-      if (Failed)
-        return;
-      double ParTime = scheduleTime(IterCosts, S.Par, S.Chunk) +
+      if (Parallel)
+        IterMark = Cyc;
+      if constexpr (Cost)
+        Cyc += L.Overhead;
+      return true;
+    };
+    // Rewinds the clock from the sequential run of a modeled-parallel loop
+    // to its modeled parallel time.
+    auto FinishParallel = [&](const Loop &L) {
+      double ParTime = scheduleTime(IterCosts, L.Model.Par, L.Model.Chunk) +
                        Opts.Machine.ParallelSpawnOverhead;
-      Cycles = LoopStart + ParTime;
-      return;
+      Cyc = ParStart + ParTime;
+    };
+
+    for (;;) {
+      const Insn &I = *PC++;
+      switch (I.Code) {
+#define LOCUS_INT_OP(NAME, EXPR)                                               \
+  case Op::NAME: {                                                             \
+    int64_t L = R[I.A].I, Rv = R[I.B].I;                                       \
+    R[I.Dst].I = (EXPR);                                                       \
+    if constexpr (Cost)                                                        \
+      Cyc += I.K;                                                              \
+    break;                                                                     \
+  }
+#define LOCUS_DOUBLE_OP(NAME, TYPE, EXPR)                                      \
+  case Op::NAME: {                                                             \
+    double L = R[I.A].D, Rv = R[I.B].D;                                        \
+    R[I.Dst].TYPE = (EXPR);                                                    \
+    ++Ops;                                                                     \
+    if constexpr (Cost)                                                        \
+      Cyc += I.K;                                                              \
+    break;                                                                     \
+  }
+        LOCUS_INT_OP(AddI, L + Rv)
+        LOCUS_INT_OP(SubI, L - Rv)
+        LOCUS_INT_OP(MulI, L * Rv)
+        LOCUS_INT_OP(MinI, std::min(L, Rv))
+        LOCUS_INT_OP(MaxI, std::max(L, Rv))
+        LOCUS_INT_OP(LtI, L < Rv)
+        LOCUS_INT_OP(LeI, L <= Rv)
+        LOCUS_INT_OP(GtI, L > Rv)
+        LOCUS_INT_OP(GeI, L >= Rv)
+        LOCUS_INT_OP(EqI, L == Rv)
+        LOCUS_INT_OP(NeI, L != Rv)
+        LOCUS_DOUBLE_OP(AddD, D, L + Rv)
+        LOCUS_DOUBLE_OP(SubD, D, L - Rv)
+        LOCUS_DOUBLE_OP(MulD, D, L * Rv)
+        LOCUS_DOUBLE_OP(DivD, D, L / Rv)
+        LOCUS_DOUBLE_OP(MinD, D, std::min(L, Rv))
+        LOCUS_DOUBLE_OP(MaxD, D, std::max(L, Rv))
+        LOCUS_DOUBLE_OP(LtD, I, L < Rv)
+        LOCUS_DOUBLE_OP(LeD, I, L <= Rv)
+        LOCUS_DOUBLE_OP(GtD, I, L > Rv)
+        LOCUS_DOUBLE_OP(GeD, I, L >= Rv)
+        LOCUS_DOUBLE_OP(EqD, I, L == Rv)
+        LOCUS_DOUBLE_OP(NeD, I, L != Rv)
+#undef LOCUS_INT_OP
+#undef LOCUS_DOUBLE_OP
+      case Op::DivI:
+      case Op::ModI: {
+        int64_t L = R[I.A].I, Rv = R[I.B].I;
+        if constexpr (Cost)
+          Cyc += I.K;
+        if (Rv == 0) {
+          runtimeFail(I.Code == Op::DivI ? "integer division by zero"
+                                         : "integer modulo by zero");
+          return Done();
+        }
+        R[I.Dst].I = I.Code == Op::DivI ? L / Rv : L % Rv;
+        break;
+      }
+      case Op::NegI:
+        R[I.Dst].I = -R[I.A].I;
+        break;
+      case Op::NegD:
+        R[I.Dst].D = -R[I.A].D;
+        break;
+      case Op::NotI:
+        R[I.Dst].I = R[I.A].I == 0;
+        break;
+      case Op::CvtID:
+        R[I.Dst].D = static_cast<double>(R[I.A].I);
+        break;
+      case Op::NeZ:
+        R[I.Dst].I = R[I.A].I != 0;
+        break;
+      case Op::MovI:
+      case Op::MovD:
+        R[I.Dst] = R[I.A];
+        break;
+      case Op::ChargeD:
+        ++Ops;
+        [[fallthrough]];
+      case Op::ChargeI:
+        if constexpr (Cost)
+          Cyc += I.K;
+        break;
+      case Op::AccAddI:
+      case Op::AccSubI:
+      case Op::AccMulI: {
+        if constexpr (Cost)
+          Cyc += I.K;
+        int64_t &T = R[I.Dst].I, V = R[I.A].I;
+        T = I.Code == Op::AccAddI ? T + V
+            : I.Code == Op::AccSubI ? T - V
+                                    : T * V;
+        break;
+      }
+      case Op::AccAddD:
+      case Op::AccSubD:
+      case Op::AccMulD: {
+        ++Ops;
+        if constexpr (Cost)
+          Cyc += I.K;
+        double &T = R[I.Dst].D, V = R[I.A].D;
+        T = I.Code == Op::AccAddD ? T + V
+            : I.Code == Op::AccSubD ? T - V
+                                    : T * V;
+        break;
+      }
+      case Op::AddLoadD:
+      case Op::SubLoadD:
+      case Op::MulLoadD:
+      case Op::DivLoadD: {
+        const Access &Ac = Accesses[static_cast<size_t>(I.Aux)];
+        int64_t Flat;
+        if (!Index(Ac, Flat))
+          return Done();
+        ++Reads;
+        if constexpr (Cost)
+          Memory(Ac, Flat, /*IsWrite=*/false);
+        double L = R[I.A].D, Rv = Ac.D[Flat];
+        R[I.Dst].D = I.Code == Op::AddLoadD   ? L + Rv
+                     : I.Code == Op::SubLoadD ? L - Rv
+                     : I.Code == Op::MulLoadD ? L * Rv
+                                              : L / Rv;
+        ++Ops;
+        if constexpr (Cost)
+          Cyc += I.K;
+        break;
+      }
+      case Op::LoadI:
+      case Op::LoadD: {
+        const Access &Ac = Accesses[static_cast<size_t>(I.Aux)];
+        int64_t Flat;
+        if (!Index(Ac, Flat))
+          return Done();
+        ++Reads;
+        if constexpr (Cost)
+          Memory(Ac, Flat, /*IsWrite=*/false);
+        if (I.Code == Op::LoadD)
+          R[I.Dst].D = Ac.D[Flat];
+        else
+          R[I.Dst].I = Ac.I[Flat];
+        break;
+      }
+      case Op::CheckIndex: {
+        const Access &Ac = Accesses[static_cast<size_t>(I.Aux)];
+        int64_t Idx = R[I.A].I;
+        uint32_t Dim = static_cast<uint32_t>(I.B);
+        if (Idx < 0 || Idx >= DimsP[Ac.DimBegin + Dim].Extent) {
+          outOfBounds(Ac, Dim, Idx);
+          return Done();
+        }
+        break;
+      }
+      case Op::IndexFlat: {
+        int64_t Flat;
+        if (!Index(Accesses[static_cast<size_t>(I.Aux)], Flat))
+          return Done();
+        R[I.Dst].I = Flat;
+        break;
+      }
+      case Op::StoreD:
+      case Op::StoreI: {
+        const Access &Ac = Accesses[static_cast<size_t>(I.Aux)];
+        int64_t Flat = R[I.A].I;
+        auto AOp = static_cast<AssignOp>(I.Dst);
+        bool Double = I.Code == Op::StoreD;
+        if (AOp != AssignOp::Set) {
+          ++Reads;
+          if constexpr (Cost)
+            Memory(Ac, Flat, /*IsWrite=*/false);
+          if (Double)
+            ++Ops;
+          if constexpr (Cost)
+            Cyc += I.K;
+        }
+        if (Double)
+          applyAssign(Ac.D[Flat], AOp, R[I.B].D);
+        else
+          applyAssign(Ac.I[Flat], AOp, R[I.B].I);
+        ++Writes;
+        if constexpr (Cost)
+          Memory(Ac, Flat, /*IsWrite=*/true);
+        break;
+      }
+      case Op::Jump:
+        PC = Base + I.Aux;
+        break;
+      case Op::JumpIfZero:
+        if (R[I.A].I == 0)
+          PC = Base + I.Aux;
+        break;
+      case Op::AndJump:
+        if (R[I.A].I == 0) {
+          R[I.Dst].I = 0;
+          PC = Base + I.Aux;
+        }
+        break;
+      case Op::OrJump:
+        if (R[I.A].I != 0) {
+          R[I.Dst].I = 1;
+          PC = Base + I.Aux;
+        }
+        break;
+      case Op::LoopEnter:
+      case Op::ParEnter: {
+        const Loop &L = Loops[static_cast<size_t>(I.Aux)];
+        bool Parallel = I.Code == Op::ParEnter;
+        int64_t Lo = R[I.A].I, Hi = R[I.B].I;
+        R[L.Hi].I = Hi;
+        if (Parallel) {
+          ParStart = Cyc;
+          IterCosts.clear();
+        }
+        if (!(Lo < Hi)) {
+          if (Parallel)
+            FinishParallel(L);
+          PC = Base + L.Exit;
+          break;
+        }
+        R[L.Ctr].I = Lo;
+        if (!L.Reduced.empty()) {
+          uint64_t Span = static_cast<uint64_t>(Hi) - static_cast<uint64_t>(Lo);
+          uint64_t Step = static_cast<uint64_t>(L.Step);
+          enterReduced(L, R, Lo,
+                       static_cast<int64_t>(static_cast<uint64_t>(Lo) +
+                                            (Span - 1) / Step * Step));
+        }
+        if (!Begin(L, Lo, Parallel))
+          return Done();
+        break;
+      }
+      case Op::LoopNext:
+      case Op::ParNext: {
+        const Loop &L = Loops[static_cast<size_t>(I.Aux)];
+        bool Parallel = I.Code == Op::ParNext;
+        if (Parallel)
+          IterCosts.push_back(Cyc - IterMark);
+        int64_t V = R[L.Ctr].I + L.Step;
+        if (V < R[L.Hi].I) {
+          R[L.Ctr].I = V;
+          if (!Begin(L, V, Parallel))
+            return Done();
+          PC = Base + L.Body;
+        } else if (Parallel) {
+          FinishParallel(L);
+        }
+        break;
+      }
+      case Op::Fail:
+        runtimeFail(Messages[static_cast<size_t>(I.Aux)]);
+        return Done();
+      case Op::Halt:
+        return Done();
+      }
     }
+  }
+
+  template <typename T> static void applyAssign(T &Elem, AssignOp Op, T V) {
+    switch (Op) {
+    case AssignOp::Set:
+      Elem = V;
+      break;
+    case AssignOp::Add:
+      Elem += V;
+      break;
+    case AssignOp::Sub:
+      Elem -= V;
+      break;
+    case AssignOp::Mul:
+      Elem *= V;
+      break;
     }
   }
 
   RunResult run() {
     // Reset state.
-    ScalarD = InitScalarD;
-    ScalarI = InitScalarI;
     DataD = InitDouble;
     DataI = InitInt;
-    Cycles = 0;
-    ArithScale = 1.0;
-    InParallel = false;
-    Iterations = ArithOps = MemReads = MemWrites = 0;
+    Regs = InitRegs;
+    for (size_t S = 0; S < SlotTypes.size(); ++S) {
+      if (SlotTypes[S] == ElemType::Double)
+        Regs[S].D = InitScalarD[S];
+      else
+        Regs[S].I = InitScalarI[S];
+    }
+    for (Access &Ac : Accesses) {
+      Ac.D = DataD[static_cast<size_t>(Ac.Array)].data();
+      Ac.I = DataI[static_cast<size_t>(Ac.Array)].data();
+    }
     Failed = false;
     RunError.clear();
-    if (Opts.CountCost) {
-      Cache = std::make_unique<machine::CacheSim>(Opts.Machine);
-    } else {
-      Cache.reset();
-    }
-
-    execBlock(Body);
+    Cache = Opts.CountCost ? &machine::CacheSim::forThread(Opts.Machine)
+                           : nullptr;
+    if (Cache)
+      exec<true>();
+    else
+      exec<false>();
 
     RunResult R;
     R.Ok = !Failed;
@@ -1145,6 +1555,7 @@ struct CompiledProgram {
     R.LoopIterations = Iterations;
     if (Cache)
       R.Cache = Cache->stats();
+    Cache = nullptr;
     double Sum = 0;
     for (const auto &V : DataD)
       for (double X : V)

@@ -9,8 +9,10 @@
 /// OpenMP-schedule and SIMD models. The returned cycle count is the metric
 /// the search modules minimize.
 ///
-/// The evaluator first compiles the AST to an internal typed tree with
-/// resolved variable slots so repeated variant evaluations are fast.
+/// prepare() lowers the AST once to flat register code with resolved
+/// variable slots and array descriptors; run() executes it against the
+/// calling thread's reused cache simulator. Results are bit-identical to
+/// walking the source tree (tests/EvalParityTest.cpp).
 ///
 //===----------------------------------------------------------------------===//
 #ifndef LOCUS_EVAL_EVALUATOR_H

@@ -95,14 +95,16 @@ std::string emitNativeC(const Program &OrigP) {
     Out << ";\n";
     if (G->isArray()) {
       const char *Elem = G->Elem == ElemType::Int ? "long long" : "double";
-      Init << "  { " << Elem << " *p = &" << G->Name;
+      Init << "  { " << Elem << " *locus_p = &" << G->Name;
       for (size_t I = 0; I < G->Dims.size(); ++I)
         Init << "[0]";
-      Init << "; for (long long i = 0; i < " << Total << "; i++) ";
+      Init << "; for (long long locus_i = 0; locus_i < " << Total
+           << "; locus_i++) ";
       if (G->Elem == ElemType::Double)
-        Init << "p[i] = (double)((i * 7 + 3) % 1021) / 1021.0; }\n";
+        Init << "locus_p[locus_i] = (double)((locus_i * 7 + 3) % 1021) / "
+                "1021.0; }\n";
       else
-        Init << "p[i] = i % 13; }\n";
+        Init << "locus_p[locus_i] = locus_i % 13; }\n";
     } else if (G->Init) {
       Init << "  " << G->Name << " = " << printExpr(*G->Init) << ";\n";
     } else if (G->Elem == ElemType::Double) {
@@ -133,7 +135,9 @@ std::string emitNativeC(const Program &OrigP) {
           Needed.insert(V->Name);
   });
 
-  Out << "\nstatic double locus_checksum(void) {\n  double s = 0;\n";
+  // Every harness identifier carries the locus_ prefix so it cannot shadow
+  // a program global (PolyBench's bicg has arrays named s and p).
+  Out << "\nstatic double locus_checksum(void) {\n  double locus_s = 0;\n";
   for (const auto &G : P.Globals) {
     if (!G->isArray())
       continue;
@@ -141,20 +145,20 @@ std::string emitNativeC(const Program &OrigP) {
     for (int64_t D : G->Dims)
       Total *= D;
     const char *Elem = G->Elem == ElemType::Int ? "long long" : "double";
-    Out << "  { " << Elem << " *p = &" << G->Name;
+    Out << "  { " << Elem << " *locus_p = &" << G->Name;
     for (size_t I = 0; I < G->Dims.size(); ++I)
       Out << "[0]";
-    Out << "; for (long long i = 0; i < " << Total
-        << "; i++) s += (double)p[i]; }\n";
+    Out << "; for (long long locus_i = 0; locus_i < " << Total
+        << "; locus_i++) locus_s += (double)locus_p[locus_i]; }\n";
   }
-  Out << "  return s;\n}\n\n";
+  Out << "  return locus_s;\n}\n\n";
 
   Out << "int main(void) {\n";
   for (const std::string &Name : Needed)
     Out << "  long long " << Name << " = 0; (void)" << Name << ";\n";
   Out << Init.str();
-  Out << "  struct timespec t0, t1;\n";
-  Out << "  clock_gettime(CLOCK_MONOTONIC, &t0);\n";
+  Out << "  struct timespec locus_t0, locus_t1;\n";
+  Out << "  clock_gettime(CLOCK_MONOTONIC, &locus_t0);\n";
 
   // The program body, minus region markers, translating ICC pragmas. The
   // harness intrinsics (init_array etc.) become no-ops.
@@ -179,9 +183,11 @@ std::string emitNativeC(const Program &OrigP) {
     ReplaceAll(Body, Noop, Noop[0] == 'r' ? "0.0" : ";");
   Out << Body;
 
-  Out << "  clock_gettime(CLOCK_MONOTONIC, &t1);\n";
-  Out << "  double secs = (t1.tv_sec - t0.tv_sec) + 1e-9 * (t1.tv_nsec - t0.tv_nsec);\n";
-  Out << "  printf(\"LOCUS_TIME %.9f\\nLOCUS_CHECKSUM %.9f\\n\", secs, locus_checksum());\n";
+  Out << "  clock_gettime(CLOCK_MONOTONIC, &locus_t1);\n";
+  Out << "  double locus_secs = (locus_t1.tv_sec - locus_t0.tv_sec) + 1e-9 * "
+         "(locus_t1.tv_nsec - locus_t0.tv_nsec);\n";
+  Out << "  printf(\"LOCUS_TIME %.9f\\nLOCUS_CHECKSUM %.9f\\n\", locus_secs, "
+         "locus_checksum());\n";
   Out << "  return 0;\n}\n";
   return Out.str();
 }

@@ -3,8 +3,10 @@
 #include "src/machine/CacheSim.h"
 
 #include <algorithm>
+#include <memory>
+#include <new>
 
-#include <cassert>
+#include <sys/mman.h>
 
 namespace locus {
 namespace machine {
@@ -55,9 +57,12 @@ int log2Floor(uint64_t X) {
   return L;
 }
 
+size_t alignUp(size_t X) { return (X + 63) & ~size_t(63); }
+
 } // namespace
 
-CacheSim::CacheSim(const MachineConfig &Config) : MemLatency(Config.MemLatency) {
+std::vector<CacheSim::Level> CacheSim::geometry(const MachineConfig &Config) {
+  std::vector<Level> Out;
   for (const CacheLevelConfig &LC : Config.Levels) {
     Level L;
     L.LineShift = log2Floor(static_cast<uint64_t>(LC.LineBytes));
@@ -69,58 +74,115 @@ CacheSim::CacheSim(const MachineConfig &Config) : MemLatency(Config.MemLatency) 
     uint64_t Pow2 = 1;
     while (Pow2 * 2 <= Sets)
       Pow2 *= 2;
-    L.NumSets = Pow2;
-    L.Assoc = LC.Assoc;
+    L.SetMask = Pow2 - 1;
+    L.Assoc = static_cast<uint64_t>(LC.Assoc);
     L.HitLatency = LC.HitLatency;
-    L.Tags.assign(L.NumSets * static_cast<uint64_t>(L.Assoc), 0);
-    L.Stamps.assign(L.NumSets * static_cast<uint64_t>(L.Assoc), 0);
-    Levels.push_back(std::move(L));
+    Out.push_back(L);
   }
-  Stats.assign(Levels.size(), CacheLevelStats{});
+  return Out;
 }
 
-int CacheSim::access(uint64_t Address, bool IsWrite) {
-  (void)IsWrite; // write-allocate, write-back: same path as reads
+CacheSim::CacheSim(const MachineConfig &Config)
+    : Levels(geometry(Config)), Stats(Levels.size()),
+      MemLatency(Config.MemLatency) {
+  // One private anonymous mapping holds every level's arrays. Its pages read
+  // as zero (epoch 0: stale) and take no memory until a set is first used.
+  std::vector<size_t> Offsets;
+  for (const Level &L : Levels) {
+    size_t Sets = L.SetMask + 1, Ways = Sets * L.Assoc;
+    Offsets.push_back(MapBytes);
+    MapBytes += alignUp(Ways * sizeof(uint64_t)) * 2 +
+                alignUp(Sets * sizeof(uint16_t)) +
+                alignUp(Sets * sizeof(uint32_t));
+  }
+  if (MapBytes == 0)
+    return;
+  Map = mmap(nullptr, MapBytes, PROT_READ | PROT_WRITE,
+             MAP_PRIVATE | MAP_ANONYMOUS | MAP_NORESERVE, -1, 0);
+  if (Map == MAP_FAILED)
+    throw std::bad_alloc();
+  for (size_t I = 0; I < Levels.size(); ++I) {
+    Level &L = Levels[I];
+    size_t Sets = L.SetMask + 1, Ways = Sets * L.Assoc;
+    char *P = static_cast<char *>(Map) + Offsets[I];
+    L.Tags = reinterpret_cast<uint64_t *>(P);
+    P += alignUp(Ways * sizeof(uint64_t));
+    L.Stamps = reinterpret_cast<uint64_t *>(P);
+    P += alignUp(Ways * sizeof(uint64_t));
+    L.Epochs = reinterpret_cast<uint16_t *>(P);
+    P += alignUp(Sets * sizeof(uint16_t));
+    L.Mru = reinterpret_cast<uint32_t *>(P);
+  }
+}
+
+CacheSim::~CacheSim() {
+  if (Map)
+    munmap(Map, MapBytes);
+}
+
+bool CacheSim::models(const MachineConfig &Config) const {
+  std::vector<Level> Want = geometry(Config);
+  if (MemLatency != Config.MemLatency || Want.size() != Levels.size())
+    return false;
+  for (size_t I = 0; I < Want.size(); ++I)
+    if (!Levels[I].sameShape(Want[I]))
+      return false;
+  return true;
+}
+
+CacheSim &CacheSim::forThread(const MachineConfig &Config) {
+  thread_local std::unique_ptr<CacheSim> Sim;
+  if (Sim && Sim->models(Config))
+    Sim->reset();
+  else
+    Sim = std::make_unique<CacheSim>(Config);
+  return *Sim;
+}
+
+int CacheSim::accessSlow(uint64_t Address) {
   ++Clock;
   int Latency = 0;
-  bool Hit = false;
   size_t HitLevel = Levels.size();
   for (size_t I = 0; I < Levels.size(); ++I) {
     Level &L = Levels[I];
     uint64_t Line = Address >> L.LineShift;
-    uint64_t Set = Line & (L.NumSets - 1);
+    uint64_t Set = Line & L.SetMask;
     uint64_t Tag = Line + 1; // offset so 0 means empty
-    uint64_t BaseIdx = Set * static_cast<uint64_t>(L.Assoc);
+    uint64_t *Tags = L.Tags + Set * L.Assoc;
     Latency += L.HitLatency;
-    for (int W = 0; W < L.Assoc; ++W) {
-      if (L.Tags[BaseIdx + static_cast<uint64_t>(W)] == Tag) {
-        L.Stamps[BaseIdx + static_cast<uint64_t>(W)] = Clock;
+    if (L.Epochs[Set] != Epoch) {
+      // Stale since the last reset: empty, so this is a miss.
+      std::fill_n(Tags, L.Assoc, 0);
+      L.Epochs[Set] = Epoch;
+      L.Mru[Set] = 0;
+    } else {
+      uint64_t W = 0;
+      while (W < L.Assoc && Tags[W] != Tag)
+        ++W;
+      if (W < L.Assoc) {
+        L.Stamps[Set * L.Assoc + W] = Clock;
+        L.Mru[Set] = static_cast<uint32_t>(W);
         ++Stats[I].Hits;
-        Hit = true;
         HitLevel = I;
         break;
       }
     }
-    if (Hit)
-      break;
     ++Stats[I].Misses;
   }
-  if (!Hit)
+  if (HitLevel == Levels.size())
     Latency += MemLatency;
 
   // Fill all levels above (and including) the miss point.
-  size_t FillUpTo = Hit ? HitLevel : Levels.size();
-  for (size_t I = 0; I < FillUpTo; ++I) {
+  for (size_t I = 0; I < HitLevel; ++I) {
     Level &L = Levels[I];
     uint64_t Line = Address >> L.LineShift;
-    uint64_t Set = Line & (L.NumSets - 1);
-    uint64_t Tag = Line + 1;
-    uint64_t BaseIdx = Set * static_cast<uint64_t>(L.Assoc);
+    uint64_t Set = Line & L.SetMask;
+    uint64_t BaseIdx = Set * L.Assoc;
     // Find an empty way or the LRU victim.
     uint64_t VictimIdx = BaseIdx;
     uint64_t OldestStamp = ~0ULL;
-    for (int W = 0; W < L.Assoc; ++W) {
-      uint64_t Idx = BaseIdx + static_cast<uint64_t>(W);
+    for (uint64_t W = 0; W < L.Assoc; ++W) {
+      uint64_t Idx = BaseIdx + W;
       if (L.Tags[Idx] == 0) {
         VictimIdx = Idx;
         break;
@@ -130,20 +192,24 @@ int CacheSim::access(uint64_t Address, bool IsWrite) {
         VictimIdx = Idx;
       }
     }
-    L.Tags[VictimIdx] = Tag;
+    L.Tags[VictimIdx] = Line + 1;
     L.Stamps[VictimIdx] = Clock;
+    L.Mru[Set] = static_cast<uint32_t>(VictimIdx - BaseIdx);
   }
   return Latency;
 }
 
 void CacheSim::reset() {
-  for (Level &L : Levels) {
-    std::fill(L.Tags.begin(), L.Tags.end(), 0);
-    std::fill(L.Stamps.begin(), L.Stamps.end(), 0);
-  }
   for (CacheLevelStats &S : Stats)
     S = CacheLevelStats{};
   Clock = 0;
+  if (++Epoch != 0)
+    return;
+  // The epoch wrapped: sets last written 65536 resets ago would look
+  // current, so mark every set stale explicitly once.
+  for (Level &L : Levels)
+    std::fill_n(L.Epochs, L.SetMask + 1, 0);
+  Epoch = 1;
 }
 
 } // namespace machine

@@ -1,8 +1,7 @@
-//===- EvaluatorTest.cpp - Machine model and evaluator tests ------------------===//
+//===- EvaluatorTest.cpp - Evaluator semantics and cost model tests -----------===//
 
 #include "src/cir/Parser.h"
 #include "src/eval/Evaluator.h"
-#include "src/machine/CacheSim.h"
 
 #include <gtest/gtest.h>
 
@@ -15,49 +14,6 @@ std::unique_ptr<cir::Program> parseCOrDie(const std::string &Src) {
   auto P = cir::parseProgram(Src);
   EXPECT_TRUE(P.ok()) << P.message();
   return P.ok() ? std::move(*P) : nullptr;
-}
-
-//===----------------------------------------------------------------------===//
-// Cache simulator
-//===----------------------------------------------------------------------===//
-
-TEST(CacheSim, HitsAfterFill) {
-  machine::MachineConfig M = machine::MachineConfig::tiny();
-  machine::CacheSim Cache(M);
-  int First = Cache.access(0x1000, false);
-  int Second = Cache.access(0x1000, false);
-  EXPECT_GT(First, Second);
-  EXPECT_EQ(Second, M.Levels[0].HitLatency);
-  EXPECT_EQ(Cache.stats()[0].Hits, 1u);
-  EXPECT_EQ(Cache.stats()[0].Misses, 1u);
-}
-
-TEST(CacheSim, SameLineSharesFill) {
-  machine::CacheSim Cache(machine::MachineConfig::tiny());
-  Cache.access(0x1000, false);
-  int Next = Cache.access(0x1008, false); // same 64-byte line
-  EXPECT_EQ(Next, machine::MachineConfig::tiny().Levels[0].HitLatency);
-}
-
-TEST(CacheSim, CapacityEviction) {
-  machine::MachineConfig M = machine::MachineConfig::tiny(); // 1 KB L1
-  machine::CacheSim Cache(M);
-  // Touch 4 KB then re-touch the first line: must miss in L1, hit in L2.
-  for (uint64_t A = 0; A < 4096; A += 64)
-    Cache.access(A, false);
-  uint64_t L1MissesBefore = Cache.stats()[0].Misses;
-  Cache.access(0, false);
-  EXPECT_EQ(Cache.stats()[0].Misses, L1MissesBefore + 1);
-  EXPECT_GE(Cache.stats()[1].Hits, 1u);
-}
-
-TEST(CacheSim, ResetClearsState) {
-  machine::CacheSim Cache(machine::MachineConfig::tiny());
-  Cache.access(0x40, false);
-  Cache.reset();
-  EXPECT_EQ(Cache.stats()[0].Hits, 0u);
-  int Latency = Cache.access(0x40, false);
-  EXPECT_GT(Latency, machine::MachineConfig::tiny().Levels[0].HitLatency);
 }
 
 //===----------------------------------------------------------------------===//

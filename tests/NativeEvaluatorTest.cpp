@@ -62,6 +62,36 @@ TEST(NativeEvaluator, MatchesSimulatorChecksum) {
               1e-6 * std::max(1.0, std::abs(Sim.Checksum)));
 }
 
+TEST(NativeEvaluator, HarnessNamesDoNotShadowProgramGlobals) {
+  if (!eval::nativeCompilerAvailable("cc"))
+    GTEST_SKIP() << "no system C compiler";
+  // The harness's own locals (checksum accumulator, element pointer, loop
+  // index, timers) must not collide with globals of these names.
+  auto P = cir::parseProgram(R"(
+double s[16];
+double p[16];
+double t0;
+int secs;
+int main() {
+  int i;
+  for (i = 0; i < 16; i++) {
+    s[i] = s[i] + p[i] * t0;
+    p[i] = p[i] + secs + i;
+  }
+}
+)");
+  ASSERT_TRUE(P.ok()) << P.message();
+  eval::NativeResult Native = eval::evaluateNative(**P);
+  ASSERT_TRUE(Native.Ok) << Native.Error;
+
+  eval::EvalOptions SimOpts;
+  SimOpts.CountCost = false;
+  eval::RunResult Sim = eval::evaluateProgram(**P, SimOpts);
+  ASSERT_TRUE(Sim.Ok) << Sim.Error;
+  EXPECT_NEAR(Native.Checksum, Sim.Checksum,
+              1e-6 * std::max(1.0, std::abs(Sim.Checksum)));
+}
+
 TEST(NativeEvaluator, TransformedVariantMatchesBaselineNatively) {
   if (!eval::nativeCompilerAvailable("cc"))
     GTEST_SKIP() << "no system C compiler";
