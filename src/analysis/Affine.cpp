@@ -9,7 +9,9 @@ namespace analysis {
 
 AffineExpr AffineExpr::operator+(const AffineExpr &Other) const {
   AffineExpr Result = *this;
-  Result.Constant += Other.Constant;
+  Result.Overflowed |= Other.Overflowed;
+  Result.Overflowed |=
+      __builtin_add_overflow(Constant, Other.Constant, &Result.Constant);
   for (const auto &[Name, Coeff] : Other.Coeffs)
     Result.addTerm(Name, Coeff);
   return Result;
@@ -21,11 +23,14 @@ AffineExpr AffineExpr::operator-(const AffineExpr &Other) const {
 
 AffineExpr AffineExpr::scaled(int64_t Factor) const {
   AffineExpr Result;
+  Result.Overflowed = Overflowed;
   if (Factor == 0)
     return Result;
-  Result.Constant = Constant * Factor;
+  Result.Overflowed |=
+      __builtin_mul_overflow(Constant, Factor, &Result.Constant);
   for (const auto &[Name, Coeff] : Coeffs)
-    Result.Coeffs[Name] = Coeff * Factor;
+    Result.Overflowed |=
+        __builtin_mul_overflow(Coeff, Factor, &Result.Coeffs[Name]);
   return Result;
 }
 
@@ -49,6 +54,13 @@ std::string AffineExpr::str() const {
   return Out.str();
 }
 
+/// \p A, or nullopt when computing it overflowed.
+static std::optional<AffineExpr> unlessOverflowed(AffineExpr A) {
+  if (A.overflowed())
+    return std::nullopt;
+  return A;
+}
+
 std::optional<AffineExpr> toAffine(const cir::Expr &E) {
   using namespace cir;
   switch (E.kind()) {
@@ -63,7 +75,7 @@ std::optional<AffineExpr> toAffine(const cir::Expr &E) {
     std::optional<AffineExpr> Inner = toAffine(*U->Operand);
     if (!Inner)
       return std::nullopt;
-    return Inner->scaled(-1);
+    return unlessOverflowed(Inner->scaled(-1));
   }
   case ExprKind::Binary: {
     const auto *B = cast<BinaryExpr>(&E);
@@ -72,24 +84,26 @@ std::optional<AffineExpr> toAffine(const cir::Expr &E) {
     switch (B->Op) {
     case BinOp::Add:
       if (L && R)
-        return *L + *R;
+        return unlessOverflowed(*L + *R);
       return std::nullopt;
     case BinOp::Sub:
       if (L && R)
-        return *L - *R;
+        return unlessOverflowed(*L - *R);
       return std::nullopt;
     case BinOp::Mul:
       if (L && R) {
         if (L->isConstant())
-          return R->scaled(L->constant());
+          return unlessOverflowed(R->scaled(L->constant()));
         if (R->isConstant())
-          return L->scaled(R->constant());
+          return unlessOverflowed(L->scaled(R->constant()));
       }
       return std::nullopt;
     case BinOp::Div:
       // Division only stays affine when it divides a constant exactly.
       if (L && R && L->isConstant() && R->isConstant() &&
-          R->constant() != 0 && L->constant() % R->constant() == 0)
+          R->constant() != 0 &&
+          !(L->constant() == INT64_MIN && R->constant() == -1) &&
+          L->constant() % R->constant() == 0)
         return AffineExpr(L->constant() / R->constant());
       return std::nullopt;
     default:

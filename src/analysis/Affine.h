@@ -57,25 +57,31 @@ public:
     return Constant == Other.Constant && Coeffs == Other.Coeffs;
   }
 
+  /// True when a constant or coefficient overflowed int64_t while this form
+  /// was computed (the value then wrapped); toAffine() never returns one.
+  bool overflowed() const { return Overflowed; }
+
   /// Renders "2*i + j + 3" style text for diagnostics.
   std::string str() const;
 
 private:
   void addTerm(const std::string &Name, int64_t Coeff) {
     int64_t &Slot = Coeffs[Name];
-    Slot += Coeff;
+    Overflowed |= __builtin_add_overflow(Slot, Coeff, &Slot);
     if (Slot == 0)
       Coeffs.erase(Name);
   }
 
   int64_t Constant = 0;
   std::map<std::string, int64_t> Coeffs;
+  bool Overflowed = false;
 };
 
 /// Tries to convert \p E into affine form. Returns nullopt for non-affine
-/// expressions. Every VarRef becomes a variable term; calls, modulo,
-/// divisions and variable products are non-affine. ArrayRef subscripts make
-/// the whole expression non-affine (indirect access).
+/// expressions and when a constant or coefficient would overflow int64_t.
+/// Every VarRef becomes a variable term; calls, modulo, divisions and
+/// variable products are non-affine. ArrayRef subscripts make the whole
+/// expression non-affine (indirect access).
 std::optional<AffineExpr> toAffine(const cir::Expr &E);
 
 } // namespace analysis

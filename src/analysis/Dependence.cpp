@@ -6,7 +6,6 @@
 #include "src/cir/Printer.h"
 
 #include <algorithm>
-#include <array>
 #include <functional>
 #include <numeric>
 #include <set>
@@ -388,21 +387,13 @@ struct DependenceBuilder {
       return true;
     }
 
-    // Constant iteration range {first value, last value, step} of the common
-    // loop driving \p Var, when its bounds are compile-time constants.
-    auto ConstRange =
-        [&](const std::string &Var) -> std::optional<std::array<int64_t, 3>> {
-      for (size_t L = 0; L < Common; ++L) {
-        const ForStmt *Loop = A.Loops[L];
-        if (Loop->Var != Var)
-          continue;
-        std::optional<int64_t> Lo = evalConstInt(*Loop->Init);
-        std::optional<int64_t> Hi = evalConstInt(*Loop->Bound);
-        if (!Lo || !Hi || Loop->Step <= 0)
-          return std::nullopt;
-        int64_t Last = Loop->Op == BoundOp::Lt ? *Hi - 1 : *Hi;
-        return std::array<int64_t, 3>{*Lo, Last, Loop->Step};
-      }
+    // Constant iteration facts of the common loop driving \p Var, when its
+    // bounds are compile-time constants. The range tests below treat the
+    // loop as covering [First, Limit - 1], not aligned to the step.
+    auto ConstRange = [&](const std::string &Var) -> std::optional<ConstLoop> {
+      for (size_t L = 0; L < Common; ++L)
+        if (A.Loops[L]->Var == Var)
+          return constLoop(*A.Loops[L]);
       return std::nullopt;
     };
 
@@ -420,9 +411,9 @@ struct DependenceBuilder {
         if (Diff % Coeff != 0)
           return false; // no integer solution: independent
         int64_t I0 = Diff / Coeff;
-        if (std::optional<std::array<int64_t, 3>> R = ConstRange(Var)) {
-          auto [Lo, Hi, Step] = *R;
-          if (I0 < Lo || I0 > Hi || (I0 - Lo) % Step != 0)
+        if (std::optional<ConstLoop> R = ConstRange(Var)) {
+          if (I0 < R->First || I0 >= R->Limit ||
+              (static_cast<__int128>(I0) - R->First) % R->Step != 0)
             return false; // solution outside the iteration space
         }
       }
@@ -442,9 +433,11 @@ struct DependenceBuilder {
       if (Diff % Coeff != 0)
         return false; // crossing point is not at an integer multiple
       int64_t Sum = Diff / Coeff; // i1 + i2 at the crossing
-      if (std::optional<std::array<int64_t, 3>> R = ConstRange(Var)) {
-        auto [Lo, Hi, Step] = *R;
-        if (Sum < 2 * Lo || Sum > 2 * Hi || (Sum - 2 * Lo) % Step != 0)
+      if (std::optional<ConstLoop> R = ConstRange(Var)) {
+        // Twice an endpoint may leave int64_t; compare in 128 bits.
+        __int128 Lo2 = 2 * static_cast<__int128>(R->First);
+        __int128 Hi2 = 2 * (static_cast<__int128>(R->Limit) - 1);
+        if (Sum < Lo2 || Sum > Hi2 || (Sum - Lo2) % R->Step != 0)
           return false; // no iteration pair reaches the crossing
       }
       return true; // realizable crossing: directions stay '*'

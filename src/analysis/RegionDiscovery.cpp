@@ -20,7 +20,6 @@ namespace analysis {
 
 using cir::ArrayRef;
 using cir::Block;
-using cir::BoundOp;
 using cir::CallExpr;
 using cir::CallStmt;
 using cir::DeclStmt;
@@ -253,18 +252,6 @@ std::optional<support::Diag> findBadBound(const ForStmt &Root) {
   return Found;
 }
 
-/// Trip count of one loop when its bounds are compile-time constants.
-std::optional<uint64_t> constTrip(const ForStmt &For) {
-  auto Init = cir::evalConstInt(*For.Init);
-  auto Bound = cir::evalConstInt(*For.Bound);
-  if (!Init || !Bound || For.Step <= 0)
-    return std::nullopt;
-  int64_t Span = *Bound - *Init + (For.Op == BoundOp::Le ? 1 : 0);
-  if (Span <= 0)
-    return 0;
-  return static_cast<uint64_t>((Span + For.Step - 1) / For.Step);
-}
-
 struct TripInfo {
   uint64_t Product = 1;
   bool Exact = true;
@@ -278,8 +265,8 @@ struct TripInfo {
 TripInfo loopTrip(const ForStmt &For,
                   const std::map<const ForStmt *, LoopRange> &Ranges,
                   uint64_t SymbolicTrip) {
-  if (auto T = constTrip(For))
-    return TripInfo{*T, true};
+  if (auto L = cir::constLoop(For))
+    return TripInfo{static_cast<uint64_t>(L->Trips), true};
   TripInfo Fallback{SymbolicTrip, false};
   if (For.Step <= 0)
     return Fallback;
@@ -292,12 +279,11 @@ TripInfo loopTrip(const ForStmt &For,
     return TripInfo{0, true}; // provably never runs
   if (Init.Lo == INT64_MIN || Limit.Hi == INT64_MAX)
     return Fallback;
+  std::optional<int64_t> Trips = cir::tripCount(Init.Lo, Limit.Hi, For.Step);
+  if (!Trips)
+    return Fallback;
   bool Exact = Init.Lo == Init.Hi && Limit.Lo == Limit.Hi;
-  int64_t Span = satSub(Limit.Hi, Init.Lo);
-  if (Span <= 0)
-    return TripInfo{0, Exact};
-  return TripInfo{static_cast<uint64_t>((Span + For.Step - 1) / For.Step),
-                  Exact};
+  return TripInfo{static_cast<uint64_t>(*Trips), Exact};
 }
 
 /// Trip-count product along the deepest (maximum-product) chain of the nest
@@ -326,25 +312,19 @@ TripInfo chainTrips(const ForStmt &For,
 //===----------------------------------------------------------------------===//
 
 /// Value range of an affine expression over a box of variable ranges.
-/// Returns nullopt when the expression mentions a variable outside the box.
-std::optional<std::pair<int64_t, int64_t>>
-affineRange(const AffineExpr &E,
-            const std::map<std::string, std::pair<int64_t, int64_t>> &Box) {
-  int64_t Min = E.constant(), Max = E.constant();
+/// Returns nullopt when the expression mentions a variable outside the box
+/// or its range saturates.
+std::optional<Interval> affineRange(const AffineExpr &E, const RangeEnv &Box) {
+  Interval R = Interval::point(E.constant());
   for (const auto &[Name, Coeff] : E.coeffs()) {
     auto It = Box.find(Name);
     if (It == Box.end())
       return std::nullopt;
-    const auto &[Lo, Hi] = It->second;
-    if (Coeff >= 0) {
-      Min += Coeff * Lo;
-      Max += Coeff * Hi;
-    } else {
-      Min += Coeff * Hi;
-      Max += Coeff * Lo;
-    }
+    R = rangeAdd(R, rangeMul(Interval::point(Coeff), It->second));
   }
-  return std::make_pair(Min, Max);
+  if (!R.bounded())
+    return std::nullopt;
+  return R;
 }
 
 /// Declared dimensions of array \p Name: a global or a body-local
@@ -366,21 +346,21 @@ std::vector<int64_t> declaredDims(const Program &P, const std::string &Name) {
 /// Arrays with non-affine or out-of-box subscripts fall back to their
 /// declared size; 0 when anything stays unknown.
 uint64_t estimateFootprint(const Program &P, const ForStmt &Root) {
-  // The iteration box; bail out unless every loop is concrete.
-  std::map<std::string, std::pair<int64_t, int64_t>> Box;
+  // The iteration box [First, max(First, Limit - 1)]; bail out unless every
+  // loop is concrete.
+  RangeEnv Box;
   bool Concrete = true;
   visitStmt(Root, [&](const Stmt &S) {
     const auto *For = cir::dyn_cast<ForStmt>(&S);
     if (!For || !Concrete)
       return;
-    auto Init = cir::evalConstInt(*For->Init);
-    auto Bound = cir::evalConstInt(*For->Bound);
-    if (!Init || !Bound || For->Step <= 0) {
+    std::optional<cir::ConstLoop> L = cir::constLoop(*For);
+    if (!L) {
       Concrete = false;
       return;
     }
-    int64_t Hi = *Bound - (For->Op == BoundOp::Lt ? 1 : 0);
-    Box[For->Var] = {*Init, std::max(*Init, Hi)};
+    Box[For->Var] =
+        Interval::make(L->First, L->Trips ? L->Limit - 1 : L->First);
   });
   if (!Concrete)
     return 0;
@@ -400,8 +380,8 @@ uint64_t estimateFootprint(const Program &P, const ForStmt &Root) {
         Fallback.insert(Ref->Name);
         return;
       }
-      RefExtents.push_back(
-          static_cast<uint64_t>(Range->second - Range->first + 1));
+      RefExtents.push_back(static_cast<uint64_t>(Range->Hi) -
+                           static_cast<uint64_t>(Range->Lo) + 1);
     }
     auto &Slot = Extents[Ref->Name];
     Slot.resize(std::max(Slot.size(), RefExtents.size()), 1);

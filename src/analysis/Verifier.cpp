@@ -284,15 +284,10 @@ std::optional<long long> countInstances(const Stmt &S) {
   }
   case StmtKind::For: {
     const auto *F = cast<ForStmt>(&S);
-    std::optional<int64_t> Init = evalConstInt(*F->Init);
-    std::optional<int64_t> Bound = evalConstInt(*F->Bound);
-    if (!Init || !Bound || F->Step <= 0)
+    std::optional<ConstLoop> L = constLoop(*F);
+    if (!L)
       return std::nullopt;
-    long long Trips;
-    if (F->Op == BoundOp::Lt)
-      Trips = *Bound > *Init ? (*Bound - *Init + F->Step - 1) / F->Step : 0;
-    else
-      Trips = *Bound >= *Init ? (*Bound - *Init) / F->Step + 1 : 0;
+    long long Trips = L->Trips;
     std::optional<long long> BodyCount = countInstances(*F->Body);
     if (!BodyCount)
       return std::nullopt;

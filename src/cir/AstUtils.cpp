@@ -337,34 +337,48 @@ bool stmtReferencesVar(const Stmt &S, const std::string &Name) {
   return Found;
 }
 
-std::optional<int64_t> evalConstInt(const Expr &E) {
+std::optional<int64_t> evalConstInt(const Expr &E,
+                                    const std::map<std::string, int64_t> *Env) {
   switch (E.kind()) {
   case ExprKind::IntLit:
     return cast<IntLit>(&E)->Value;
+  case ExprKind::VarRef: {
+    if (!Env)
+      return std::nullopt;
+    auto It = Env->find(cast<VarRef>(&E)->Name);
+    if (It == Env->end())
+      return std::nullopt;
+    return It->second;
+  }
   case ExprKind::Unary: {
     const auto *U = cast<UnaryExpr>(&E);
-    std::optional<int64_t> V = evalConstInt(*U->Operand);
-    if (!V)
+    std::optional<int64_t> V = evalConstInt(*U->Operand, Env);
+    if (!V || (U->Op == UnOp::Neg && *V == INT64_MIN))
       return std::nullopt;
     return U->Op == UnOp::Neg ? -*V : static_cast<int64_t>(*V == 0);
   }
   case ExprKind::Binary: {
     const auto *B = cast<BinaryExpr>(&E);
-    std::optional<int64_t> L = evalConstInt(*B->Lhs);
-    std::optional<int64_t> R = evalConstInt(*B->Rhs);
+    std::optional<int64_t> L = evalConstInt(*B->Lhs, Env);
+    std::optional<int64_t> R = evalConstInt(*B->Rhs, Env);
     if (!L || !R)
       return std::nullopt;
+    int64_t V = 0;
     switch (B->Op) {
     case BinOp::Add:
-      return *L + *R;
+      return __builtin_add_overflow(*L, *R, &V) ? std::nullopt
+                                                : std::optional<int64_t>(V);
     case BinOp::Sub:
-      return *L - *R;
+      return __builtin_sub_overflow(*L, *R, &V) ? std::nullopt
+                                                : std::optional<int64_t>(V);
     case BinOp::Mul:
-      return *L * *R;
+      return __builtin_mul_overflow(*L, *R, &V) ? std::nullopt
+                                                : std::optional<int64_t>(V);
     case BinOp::Div:
-      return *R == 0 ? std::nullopt : std::optional<int64_t>(*L / *R);
     case BinOp::Mod:
-      return *R == 0 ? std::nullopt : std::optional<int64_t>(*L % *R);
+      if (*R == 0 || (*L == INT64_MIN && *R == -1))
+        return std::nullopt;
+      return B->Op == BinOp::Div ? *L / *R : *L % *R;
     case BinOp::Lt:
       return static_cast<int64_t>(*L < *R);
     case BinOp::Le:
@@ -387,8 +401,8 @@ std::optional<int64_t> evalConstInt(const Expr &E) {
   case ExprKind::Call: {
     const auto *C = cast<CallExpr>(&E);
     if ((C->Callee == "min" || C->Callee == "max") && C->Args.size() == 2) {
-      std::optional<int64_t> A = evalConstInt(*C->Args[0]);
-      std::optional<int64_t> B = evalConstInt(*C->Args[1]);
+      std::optional<int64_t> A = evalConstInt(*C->Args[0], Env);
+      std::optional<int64_t> B = evalConstInt(*C->Args[1], Env);
       if (A && B)
         return C->Callee == "min" ? std::min(*A, *B) : std::max(*A, *B);
     }
@@ -397,6 +411,39 @@ std::optional<int64_t> evalConstInt(const Expr &E) {
   default:
     return std::nullopt;
   }
+}
+
+std::optional<int64_t> tripCount(int64_t First, int64_t Limit, int64_t Step) {
+  if (Step <= 0)
+    return std::nullopt;
+  if (Limit <= First)
+    return 0;
+  // Limit - First is positive and below 2^64: exact in unsigned arithmetic.
+  uint64_t Span = static_cast<uint64_t>(Limit) - static_cast<uint64_t>(First);
+  uint64_t Trips = (Span - 1) / static_cast<uint64_t>(Step) + 1;
+  if (Trips > static_cast<uint64_t>(INT64_MAX))
+    return std::nullopt;
+  return static_cast<int64_t>(Trips);
+}
+
+std::optional<ConstLoop> constLoop(const ForStmt &Loop) {
+  std::optional<int64_t> First = evalConstInt(*Loop.Init);
+  std::optional<int64_t> Bound = evalConstInt(*Loop.Bound);
+  if (!First || !Bound)
+    return std::nullopt;
+  int64_t Limit = *Bound;
+  if (Loop.Op == BoundOp::Le && __builtin_add_overflow(*Bound, 1, &Limit))
+    return std::nullopt;
+  std::optional<int64_t> Trips = tripCount(*First, Limit, Loop.Step);
+  if (!Trips)
+    return std::nullopt;
+  return ConstLoop{*First, Limit, Loop.Step, *Trips};
+}
+
+ExprPtr exclusiveBound(const ForStmt &Loop) {
+  if (Loop.Op == BoundOp::Lt)
+    return Loop.Bound->clone();
+  return foldExpr(makeBin(BinOp::Add, Loop.Bound->clone(), makeInt(1)));
 }
 
 ExprPtr foldExpr(ExprPtr E) {

@@ -13,6 +13,7 @@
 
 #include <cstdint>
 #include <functional>
+#include <map>
 #include <optional>
 #include <set>
 #include <string>
@@ -71,8 +72,34 @@ bool referencesVar(const Expr &E, const std::string &Name);
 /// Returns true if any expression in the statement subtree references \p Name.
 bool stmtReferencesVar(const Stmt &S, const std::string &Name);
 
-/// Evaluates \p E when it is a compile-time integer constant.
-std::optional<int64_t> evalConstInt(const Expr &E);
+/// The one integer constant evaluator. Folds literals, names bound in \p Env
+/// (the parser passes its const-int globals), unary - and !, + - * / %,
+/// comparisons, && ||, and min/max. Arithmetic is overflow-checked: an
+/// operation that overflows int64_t, INT64_MIN / -1, INT64_MIN % -1 and a
+/// zero divisor all make \p E "not a constant" (nullopt).
+std::optional<int64_t>
+evalConstInt(const Expr &E,
+             const std::map<std::string, int64_t> *Env = nullptr);
+
+/// Trip count of `for (v = First; v < Limit; v += Step)` (0 when Limit <=
+/// First); nullopt when Step <= 0 or the count exceeds INT64_MAX.
+std::optional<int64_t> tripCount(int64_t First, int64_t Limit, int64_t Step);
+
+/// Iteration facts of a loop whose bounds are integer constants.
+struct ConstLoop {
+  int64_t First = 0; ///< initial value of the induction variable
+  int64_t Limit = 0; ///< exclusive upper limit: Bound, or Bound + 1 for <=
+  int64_t Step = 1;  ///< positive step
+  int64_t Trips = 0; ///< iteration count; 0 for an empty loop
+};
+
+/// The constant iteration facts of \p Loop; nullopt when a bound is not an
+/// integer constant, the step is not positive, or Limit or Trips would
+/// overflow int64_t.
+std::optional<ConstLoop> constLoop(const ForStmt &Loop);
+
+/// Exclusive upper bound expression of a loop (Bound, or Bound + 1 for <=).
+ExprPtr exclusiveBound(const ForStmt &Loop);
 
 /// Folds constant subexpressions and algebraic identities (x+0, x*1, 1*x,
 /// min/max of constants). Transformation-generated bounds go through this so

@@ -5,6 +5,7 @@
 #include "src/support/StringUtils.h"
 
 #include <cctype>
+#include <cerrno>
 #include <cstdlib>
 
 namespace locus {
@@ -94,9 +95,14 @@ Token Lexer::lexToken() {
         std::string Name(trimString(Rest.substr(0, Space)));
         std::string Value(trimString(Rest.substr(Space)));
         char *End = nullptr;
+        errno = 0;
         long long V = std::strtoll(Value.c_str(), &End, 10);
-        if (End && *End == '\0')
+        if (End && *End == '\0') {
+          if (errno == ERANGE) // reported; lexing stops at the next token
+            ErrorMessage = "line " + std::to_string(T.Line) +
+                           ": integer literal out of range: " + Value;
           Defines[Name] = V;
+        }
       }
       return lexToken(); // skip the define line itself
     }
@@ -156,7 +162,11 @@ Token Lexer::lexToken() {
       T.FloatValue = std::strtod(Num.c_str(), nullptr);
     } else {
       T.Kind = TokKind::IntLit;
+      errno = 0;
       T.IntValue = std::strtoll(Num.c_str(), nullptr, 10);
+      if (errno == ERANGE)
+        ErrorMessage = "line " + std::to_string(T.Line) +
+                       ": integer literal out of range: " + Num;
     }
     T.Text = std::move(Num);
     return T;

@@ -2,9 +2,11 @@
 
 #include "src/cir/Parser.h"
 
+#include "src/cir/AstUtils.h"
 #include "src/support/StringUtils.h"
 
 #include <cassert>
+#include <optional>
 
 namespace locus {
 namespace cir {
@@ -352,8 +354,8 @@ StmtPtr Parser::parseFor() {
       ExprPtr StepE = parseExpr();
       if (!StepE)
         return nullptr;
-      Expected<int64_t> C = evalConstExpr(*StepE);
-      if (!C.ok()) {
+      std::optional<int64_t> C = evalConstInt(*StepE, &ConstInts);
+      if (!C) {
         fail("for step must be an integer constant");
         return nullptr;
       }
@@ -459,8 +461,8 @@ StmtPtr Parser::parseDecl(bool IsGlobal) {
       ExprPtr DimE = parseExpr();
       if (!DimE)
         return nullptr;
-      Expected<int64_t> Dim = evalConstExpr(*DimE);
-      if (!Dim.ok()) {
+      std::optional<int64_t> Dim = evalConstInt(*DimE, &ConstInts);
+      if (!Dim) {
         fail("array dimension of '" + Name + "' is not an integer constant");
         return nullptr;
       }
@@ -474,8 +476,7 @@ StmtPtr Parser::parseDecl(bool IsGlobal) {
       if (!Init)
         return nullptr;
       if ((IsConst || IsGlobal) && Dims.empty() && Elem == ElemType::Int) {
-        Expected<int64_t> C = evalConstExpr(*Init);
-        if (C.ok())
+        if (std::optional<int64_t> C = evalConstInt(*Init, &ConstInts))
           ConstInts[Name] = *C;
       }
     }
@@ -716,56 +717,6 @@ ExprPtr Parser::parsePrimary() {
   }
   fail("unexpected token '" + T.Text + "' in expression");
   return nullptr;
-}
-
-Expected<int64_t> Parser::evalConstExpr(const Expr &E) const {
-  switch (E.kind()) {
-  case ExprKind::IntLit:
-    return cast<IntLit>(&E)->Value;
-  case ExprKind::VarRef: {
-    auto It = ConstInts.find(cast<VarRef>(&E)->Name);
-    if (It != ConstInts.end())
-      return It->second;
-    return Expected<int64_t>::error("not a constant: " +
-                                    cast<VarRef>(&E)->Name);
-  }
-  case ExprKind::Unary: {
-    const auto *U = cast<UnaryExpr>(&E);
-    Expected<int64_t> V = evalConstExpr(*U->Operand);
-    if (!V.ok())
-      return V;
-    return U->Op == UnOp::Neg ? -*V : static_cast<int64_t>(*V == 0);
-  }
-  case ExprKind::Binary: {
-    const auto *B = cast<BinaryExpr>(&E);
-    Expected<int64_t> L = evalConstExpr(*B->Lhs);
-    if (!L.ok())
-      return L;
-    Expected<int64_t> R = evalConstExpr(*B->Rhs);
-    if (!R.ok())
-      return R;
-    switch (B->Op) {
-    case BinOp::Add:
-      return *L + *R;
-    case BinOp::Sub:
-      return *L - *R;
-    case BinOp::Mul:
-      return *L * *R;
-    case BinOp::Div:
-      if (*R == 0)
-        return Expected<int64_t>::error("division by zero in constant");
-      return *L / *R;
-    case BinOp::Mod:
-      if (*R == 0)
-        return Expected<int64_t>::error("modulo by zero in constant");
-      return *L % *R;
-    default:
-      return Expected<int64_t>::error("non-arithmetic constant expression");
-    }
-  }
-  default:
-    return Expected<int64_t>::error("not a constant expression");
-  }
 }
 
 } // namespace detail

@@ -65,10 +65,6 @@ private:
   ExprPtr parseUnary();
   ExprPtr parsePrimary();
 
-  /// Folds an expression to an integer constant (array dims); uses Defines
-  /// and previously seen const-int globals.
-  Expected<int64_t> evalConstExpr(const Expr &E) const;
-
   /// Handles a run of pragma tokens: Locus region pragmas drive region
   /// wrapping; other pragmas accumulate into PendingPragmas.
   void collectPragmas();
@@ -86,6 +82,8 @@ private:
   /// "omp parallel for" emitted between the marker and its loop).
   size_t PendingRegionSplit = 0;
 
+  /// Values of `const` and global int scalars with constant initializers,
+  /// the environment evalConstInt() folds array dimensions and steps in.
   std::map<std::string, int64_t> ConstInts;
   std::unique_ptr<Program> Prog;
 };

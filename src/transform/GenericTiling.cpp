@@ -13,16 +13,6 @@ namespace transform {
 
 using namespace cir;
 
-namespace {
-
-ExprPtr exclusiveBound(const ForStmt &Loop) {
-  if (Loop.Op == BoundOp::Lt)
-    return Loop.Bound->clone();
-  return foldExpr(makeBin(BinOp::Add, Loop.Bound->clone(), makeInt(1)));
-}
-
-} // namespace
-
 TransformResult applyGenericTiling(Block &Region,
                                    const GenericTilingArgs &Args,
                                    const TransformContext &Ctx) {

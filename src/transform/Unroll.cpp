@@ -36,25 +36,6 @@ std::unique_ptr<Block> cloneWithConst(const Block &Body,
   return Copy;
 }
 
-/// Exclusive upper bound expression of a loop (Bound, or Bound + 1 for <=).
-ExprPtr exclusiveBound(const ForStmt &Loop) {
-  if (Loop.Op == BoundOp::Lt)
-    return Loop.Bound->clone();
-  return foldExpr(makeBin(BinOp::Add, Loop.Bound->clone(), makeInt(1)));
-}
-
-/// Tries to compute the constant trip count of a unit-lower-structure loop.
-std::optional<int64_t> constTripCount(const ForStmt &Loop) {
-  std::optional<int64_t> Lo = evalConstInt(*Loop.Init);
-  std::optional<int64_t> Hi = evalConstInt(*Loop.Bound);
-  if (!Lo || !Hi)
-    return std::nullopt;
-  int64_t Excl = Loop.Op == BoundOp::Lt ? *Hi : *Hi + 1;
-  if (Excl <= *Lo)
-    return 0;
-  return (Excl - *Lo + Loop.Step - 1) / Loop.Step;
-}
-
 /// Fuses copies of a loop body back together where possible: when every copy
 /// consists of a single loop with an identical header, the copies' bodies
 /// are jammed recursively inside one loop. Otherwise the copies are simply
@@ -126,33 +107,32 @@ TransformResult unrollLoop(StmtLocation Loc, int64_t Factor, bool Jam) {
     return Body;
   };
 
-  std::optional<int64_t> Trip = constTripCount(*Loop);
-  if (Trip) {
-    int64_t Lo = *evalConstInt(*Loop->Init);
-    if (*Trip == 0)
+  if (std::optional<ConstLoop> L = constLoop(*Loop)) {
+    if (L->Trips == 0)
       return TransformResult::noop("loop has zero iterations");
-    if (*Trip <= Factor && !Jam) {
-      // Full unroll.
-      auto Out = std::make_unique<Block>();
-      for (int64_t C = 0; C < *Trip; ++C) {
-        auto Copy = cloneWithConst(*Loop->Body, Loop->Var, Lo + C * Step);
-        for (auto &S : Copy->Stmts)
-          Out->Stmts.push_back(std::move(S));
-      }
-      Loc.replace(std::move(Out));
-      return TransformResult::success();
-    }
-    int64_t MainTrips = (*Trip / Factor) * Factor;
-    int64_t MainEnd = Lo + MainTrips * Step; // exclusive
-    auto Main = std::make_unique<ForStmt>(
-        Loop->Var, Loop->Init->clone(), BoundOp::Lt, makeInt(MainEnd),
-        Factor * Step, BuildBody(Factor));
-    Main->Pragmas = Loop->Pragmas;
+    // A full unroll is the remainder of a main loop that is never emitted.
+    bool Full = L->Trips <= Factor && !Jam;
+    int64_t MainTrips = Full ? 0 : (L->Trips / Factor) * Factor;
     auto Out = std::make_unique<Block>();
-    Out->Stmts.push_back(std::move(Main));
-    // Remainder iterations fully unrolled with constant indices.
-    for (int64_t C = MainTrips; C < *Trip; ++C) {
-      auto Copy = cloneWithConst(*Loop->Body, Loop->Var, Lo + C * Step);
+    if (!Full) {
+      int64_t MainStep = 0, MainEnd = 0; // MainEnd is exclusive
+      if (__builtin_mul_overflow(Factor, Step, &MainStep) ||
+          __builtin_mul_overflow(MainTrips, Step, &MainEnd) ||
+          __builtin_add_overflow(MainEnd, L->First, &MainEnd))
+        return TransformResult::error("unrolled loop bounds overflow");
+      auto Main = std::make_unique<ForStmt>(
+          Loop->Var, Loop->Init->clone(), BoundOp::Lt, makeInt(MainEnd),
+          MainStep, BuildBody(Factor));
+      Main->Pragmas = Loop->Pragmas;
+      Out->Stmts.push_back(std::move(Main));
+    }
+    // Remainder iterations fully unrolled with constant indices; iteration
+    // C's value lies in [First, Limit), so only First + C * Step's
+    // intermediate product needs the wider type.
+    for (int64_t C = MainTrips; C < L->Trips; ++C) {
+      auto Value =
+          static_cast<int64_t>(L->First + static_cast<__int128>(C) * Step);
+      auto Copy = cloneWithConst(*Loop->Body, Loop->Var, Value);
       for (auto &S : Copy->Stmts)
         Out->Stmts.push_back(std::move(S));
     }

@@ -102,6 +102,37 @@ int main() {
   EXPECT_FALSE(Prog.ok());
 }
 
+/// strtoll saturates out-of-range text to INT64_MAX; the lexer must refuse
+/// it with the line instead of silently changing the program.
+TEST(CirParser, OutOfRangeIntegerLiteralIsALocatedError) {
+  auto Literal = parseProgram(R"(double A[4];
+int main() {
+  int i;
+  for (i = 0; i < 99999999999999999999; i++)
+    A[0] = 1.0;
+  return 0;
+}
+)");
+  ASSERT_FALSE(Literal.ok());
+  EXPECT_NE(Literal.message().find("line 4: integer literal out of range"),
+            std::string::npos)
+      << Literal.message();
+
+  auto Define = parseProgram(R"(double A[4];
+#define BIG 99999999999999999999
+int main() { return 0; }
+)");
+  ASSERT_FALSE(Define.ok());
+  EXPECT_NE(Define.message().find("line 2: integer literal out of range"),
+            std::string::npos)
+      << Define.message();
+
+  auto Edge = parseProgram("#define BIG 9223372036854775807\n"
+                           "int main() { int i; i = BIG; return 0; }\n");
+  EXPECT_TRUE(Edge.ok()) << "INT64_MAX itself is in range: "
+                         << Edge.message();
+}
+
 TEST(CirParser, OrdinaryPragmasAttachToNextStmt) {
   const char *Src = R"(
 double A[8];

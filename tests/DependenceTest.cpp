@@ -328,6 +328,29 @@ int main() {
   EXPECT_TRUE(hasDepOn(*Deps, "A"));
 }
 
+TEST(Dependence, WeakZeroSivRangeEndsBeforeTheLimit) {
+  // `i <= 9` covers [0, 9]: the constant write A[10] is one past the last
+  // iteration (independent), A[9] is the last iteration itself (dependent).
+  for (int Target : {10, 9}) {
+    auto P = parse(R"(
+double A[64];
+double B[16];
+double C[16];
+int main() {
+  int i;
+#pragma @Locus loop=r
+  for (i = 0; i <= 9; i++) {
+    A[)" + std::to_string(Target) + R"(] = B[i];
+    C[i] = A[i];
+  }
+}
+)");
+    auto Deps = DependenceInfo::compute(*firstLoop(*P, "r"));
+    ASSERT_TRUE(Deps.has_value());
+    EXPECT_EQ(hasDepOn(*Deps, "A"), Target == 9) << "A[" << Target << "]";
+  }
+}
+
 TEST(Dependence, WeakCrossingSivProvesIndependence) {
   // A[i] vs A[19 - i]: crossing point at i = 9.5; with i in [0, 9] the sum
   // constraint 19 > 2*9 means the accesses never meet.

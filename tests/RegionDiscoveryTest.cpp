@@ -195,6 +195,65 @@ int main() {
   EXPECT_TRUE(C.Why.Loc.valid());
 }
 
+/// A bound whose constant overflows int64_t has no affine form: discovery
+/// rejects the nest with the located bound message instead of wrapping.
+TEST(RegionDiscovery, OverflowingBoundRejectsAsNonAffine) {
+  auto P = parseCOrDie(R"(
+double A[256];
+int main() {
+  int i;
+  for (i = 0; i < 4611686018427387904 * 4; i++)
+    A[i] = 1.0;
+  return 0;
+}
+)");
+  DiscoveryReport R = analysis::discoverRegions(*P);
+  ASSERT_EQ(R.Candidates.size(), 1u);
+  const NestCandidate &C = R.Candidates[0];
+  EXPECT_EQ(C.Verdict, CandidateVerdict::Rejected);
+  EXPECT_NE(C.Why.Message.find("bound `4611686018427387904 * 4` is non-affine"),
+            std::string::npos)
+      << C.Why.Message;
+  EXPECT_EQ(C.Why.Loc.Line, 5);
+}
+
+/// A trip count beyond int64_t is not a constant trip: the estimate falls
+/// back instead of overflowing, and the footprint stays unknown.
+TEST(RegionDiscovery, TripCountBeyondInt64IsAnEstimate) {
+  auto P = parseCOrDie(R"(
+double A[256];
+int main() {
+  int i;
+  for (i = -9223372036854775807; i < 9223372036854775807; i++)
+    A[0] = A[0] + 1.0;
+  return 0;
+}
+)");
+  DiscoveryReport R = analysis::discoverRegions(*P);
+  ASSERT_EQ(R.Candidates.size(), 1u);
+  EXPECT_FALSE(R.Candidates[0].TripExact);
+  EXPECT_EQ(R.Candidates[0].FootprintBytes, 0u);
+}
+
+/// A subscript range that saturates int64_t over a constant box is as
+/// unknown as a non-affine one: the footprint falls back to the declared
+/// array size.
+TEST(RegionDiscovery, SaturatedSubscriptRangeFallsBackToDeclaredSize) {
+  auto P = parseCOrDie(R"(
+double A[256];
+int main() {
+  int i;
+  for (i = 0; i < 4; i++)
+    A[4611686018427387904 * i] = 1.0;
+  return 0;
+}
+)");
+  DiscoveryReport R = analysis::discoverRegions(*P);
+  ASSERT_EQ(R.Candidates.size(), 1u);
+  EXPECT_TRUE(R.Candidates[0].TripExact);
+  EXPECT_EQ(R.Candidates[0].FootprintBytes, 256u * 8u);
+}
+
 /// Min/max intrinsics are pure: they must not reject a nest (they appear in
 /// every tiled variant's bounds).
 TEST(RegionDiscovery, IntrinsicCallsDoNotReject) {

@@ -393,6 +393,45 @@ int main() {
             TransformStatus::Illegal);
 }
 
+/// A non-positive step has no constant trip count. Unrolling used to divide
+/// by a zero step and "fully unroll" a negative one into nothing; both must
+/// now reach the symbolic path's refusal and leave the loop in place.
+TEST(Unroll, RefusesNonPositiveSteps) {
+  for (const char *Step : {"0", "-1"}) {
+    std::string Src = std::string(R"(
+double A[100];
+int main() {
+  int i;
+#pragma @Locus loop=r
+  for (i = 7; i < 100; i += )") + Step + R"()
+    A[i] = 1.0;
+}
+)";
+    for (bool Jam : {false, true}) {
+      auto Prog = parseOrDie(Src);
+      ASSERT_NE(Prog, nullptr);
+      Block *Region = Prog->findRegions("r")[0];
+      TransformContext Ctx;
+      TransformResult R;
+      if (Jam) {
+        UnrollAndJamArgs Args;
+        Args.Factor = 2;
+        R = applyUnrollAndJam(*Region, Args, Ctx);
+      } else {
+        UnrollArgs Args;
+        Args.Factor = 2;
+        R = applyUnroll(*Region, Args, Ctx);
+      }
+      std::string Context = std::string(Jam ? "unroll-and-jam" : "unroll") +
+                            ", step " + Step;
+      EXPECT_EQ(R.Status, TransformStatus::Error) << Context;
+      EXPECT_EQ(R.Message, "symbolic-bound unrolling requires a unit-step loop")
+          << Context;
+      EXPECT_EQ(countLoops(*Region), 1) << Context;
+    }
+  }
+}
+
 //===----------------------------------------------------------------------===//
 // Fusion / distribution
 //===----------------------------------------------------------------------===//
