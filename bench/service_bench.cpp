@@ -211,7 +211,7 @@ void BM_QueueRoundTrip(benchmark::State &State) {
   support::TempDir Dir("locus-svc-bench-");
   service::TaskQueueOptions Opts;
   Opts.Dir = Dir.path();
-  Opts.Header = service::makeQueueHeader(1, 2);
+  Opts.Header = {1, 2};
   auto Q = service::TaskQueue::open(Opts);
   if (!Q.ok()) {
     State.SkipWithError(Q.message().c_str());

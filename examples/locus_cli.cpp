@@ -59,10 +59,47 @@ bool writeFile(const std::string &Path, const std::string &Text) {
   return static_cast<bool>(Out);
 }
 
+/// One line per record: the decoded journal record, or the queue event
+/// (folded into \p State).
+Expected<std::string> describeRecord(const std::string &Payload, bool Queue,
+                                     service::QueueState &State) {
+  using E = Expected<std::string>;
+  if (!Queue) {
+    auto R = search::SearchJournal::decodeRecord(Payload, search::Space());
+    if (!R.ok())
+      return E::error(R.message());
+    std::string Summary = R->P.key() + " ";
+    Summary += R->Valid ? "metric=" + search::formatDouble(R->Metric)
+                        : std::string(search::failureKindName(R->Failure));
+    if (!R->Detail.empty())
+      Summary += ": " + R->Detail;
+    return Summary;
+  }
+  auto R = service::parseQueueRecord(Payload);
+  if (!R.ok())
+    return E::error(R.message());
+  State.apply(*R);
+  using K = service::QueueRecord::Kind;
+  std::string Summary = service::queueRecordKindName(R->K);
+  if (R->K != K::Shutdown)
+    Summary += " id=" + std::to_string(R->Id);
+  if (R->K == K::Lease || R->K == K::Heartbeat || R->K == K::Expire ||
+      R->K == K::Result)
+    Summary += " epoch=" + std::to_string(R->Epoch);
+  if (!R->Worker.empty())
+    Summary += " worker=" + R->Worker;
+  if (R->K == K::Result)
+    Summary += R->Out.ok() ? " metric=" + search::formatDouble(R->Out.Metric)
+                           : " " + std::string(search::failureKindName(
+                                       R->Out.Failure));
+  return Summary;
+}
+
 /// --journal-dump / --queue-dump: human-readable inspection of a CRC-framed
-/// RecordLog file — header, per-record byte offset and payload summary, and
+/// RecordLog file — header, per-record byte offset and decoded record, and
 /// an explicit note when a torn tail was found. Queue dumps additionally
-/// fold the records and print the resulting task state.
+/// fold the records and print the resulting task state. Exits 1 when the
+/// header or any record does not decode.
 int dumpRecordLog(std::string Path, bool Queue) {
   struct stat St;
   if (Queue && ::stat(Path.c_str(), &St) == 0 && S_ISDIR(St.st_mode))
@@ -80,74 +117,32 @@ int dumpRecordLog(std::string Path, bool Queue) {
               Path.c_str(), Scan->Records.size(),
               (unsigned long long)Scan->GoodBytes);
 
-  // The header payload pins the file to a space + config; show both the
-  // parsed fingerprints (when the format is recognized) and the raw text.
-  if (Queue) {
-    auto H = service::parseQueueHeader(Scan->Header);
-    if (H.ok())
-      std::printf("header: queue v1, space fingerprint %016llx, config "
-                  "digest %016llx\n",
-                  (unsigned long long)H->SpaceFingerprint,
-                  (unsigned long long)H->ConfigDigest);
-    else
-      std::printf("header: unrecognized (%s)\n", H.message().c_str());
-  } else {
-    search::JournalHeader H;
-    if (search::SearchJournal::parseHeader(Scan->Header, H))
-      std::printf("header: journal, space fingerprint %016llx, config "
-                  "digest %016llx\n",
-                  (unsigned long long)H.SpaceFingerprint,
-                  (unsigned long long)H.ConfigDigest);
-    else
-      std::printf("header: unrecognized journal header\n");
+  const char *Tag = Queue ? service::QueueTag : search::JournalTag;
+  auto H = search::readRunHeader(Scan->Header, Tag,
+                                 Queue ? "queue" : "journal", Path);
+  if (!H.ok()) {
+    // Records under a foreign header follow another grammar.
+    std::fprintf(stderr, "%s\n", H.message().c_str());
+    return 1;
   }
+  std::printf("header: %s, space fingerprint %016llx, config digest %016llx\n",
+              Tag, (unsigned long long)H->SpaceFingerprint,
+              (unsigned long long)H->ConfigDigest);
 
   uint64_t Off = support::RecordLog::headerBlockSize(Scan->Header.size());
   service::QueueState State;
-  for (size_t I = 0; I < Scan->Records.size(); ++I) {
-    const std::string &Payload = Scan->Records[I];
-    std::string Summary;
-    if (Queue) {
-      auto R = service::parseQueueRecord(Payload);
-      if (R.ok()) {
-        Summary = service::queueRecordKindName(R->K);
-        if (R->K != service::QueueRecord::Kind::Shutdown)
-          Summary += " id=" + std::to_string(R->Id);
-        switch (R->K) {
-        case service::QueueRecord::Kind::Lease:
-        case service::QueueRecord::Kind::Heartbeat:
-          Summary += " epoch=" + std::to_string(R->Epoch) + " worker=" +
-                     R->Worker;
-          break;
-        case service::QueueRecord::Kind::Expire:
-          Summary += " epoch=" + std::to_string(R->Epoch);
-          break;
-        case service::QueueRecord::Kind::Result:
-          Summary += " epoch=" + std::to_string(R->Epoch) + " worker=" +
-                     R->Worker + " " +
-                     (R->Out.ok() ? "metric=" + std::to_string(R->Out.Metric)
-                                  : std::string(search::failureKindName(
-                                        R->Out.Failure)));
-          break;
-        default:
-          break;
-        }
-        State.apply(*R);
-      } else {
-        Summary = "unparseable: " + R.message();
-      }
-    } else {
-      // Journal records are single JSON lines; the first stretch is the
-      // point itself, which is the useful part at a glance.
-      Summary = Payload.substr(0, 96);
-      if (Payload.size() > 96)
-        Summary += "...";
-      for (char &C : Summary)
-        if (C == '\n')
-          C = ' ';
+  bool Clean = true;
+  for (const std::string &Payload : Scan->Records) {
+    auto Summary = describeRecord(Payload, Queue, State);
+    if (!Summary.ok()) {
+      Clean = false;
+      std::fprintf(stderr, "record at byte %llu does not decode: %s\n",
+                   (unsigned long long)Off, Summary.message().c_str());
     }
+    std::string Line = Summary.ok() ? *Summary : "undecodable";
+    std::replace(Line.begin(), Line.end(), '\n', ' ');
     std::printf("  @%-8llu %5zu bytes  %s\n", (unsigned long long)Off,
-                Payload.size(), Summary.c_str());
+                Payload.size(), Line.c_str());
     Off += 8 + Payload.size();
   }
   if (Scan->TornTail)
@@ -175,7 +170,7 @@ int dumpRecordLog(std::string Path, bool Queue) {
                 (unsigned long long)State.StaleResultsDiscarded,
                 State.ShutdownSeen ? "; shutdown announced" : "");
   }
-  return 0;
+  return Clean ? 0 : 1;
 }
 
 using cir::collectAllLoops;

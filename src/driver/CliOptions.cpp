@@ -102,7 +102,7 @@ const CliFlag Flags[] = {
     {"--journal", "FILE", Run,
      "append every assessed variant to a crash-safe journal",
      [](CliOptions &O, V X) { O.Opts.JournalPath = X; return Status(); }},
-    {"--journal-sync", "none|flush|full", Run,
+    {"--journal-sync", "none|full", Run,
      "durability of each journal record (default full: fsync per record)",
      [](CliOptions &O, V X) {
        bool Ok = false;

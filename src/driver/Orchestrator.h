@@ -117,8 +117,8 @@ struct OrchestratorOptions {
   /// stable storage per JournalSyncMode.
   std::string JournalPath;
   /// Durability of each journal append (see search::JournalSync): Full
-  /// fsyncs per record (machine-crash safe, the default), Flush reaches the
-  /// kernel only, None leaves records buffered.
+  /// fsyncs per record (machine-crash safe, the default), None reaches the
+  /// kernel only (process-crash safe).
   search::JournalSync JournalSyncMode = search::JournalSync::Full;
   /// When the journal file already exists, reload it and resume the
   /// interrupted search: journaled evaluations replay into the searcher's

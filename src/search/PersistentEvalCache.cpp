@@ -2,10 +2,9 @@
 
 #include "src/search/PersistentEvalCache.h"
 
-#include <charconv>
-#include <cmath>
+#include "src/search/RecordCodec.h"
+
 #include <cstdio>
-#include <limits>
 #include <set>
 
 #include <sys/stat.h>
@@ -18,73 +17,6 @@ namespace {
 constexpr const char *StoreHeader = "locus-evalcache v1";
 constexpr const char *StoreFile = "evalcache.rlog";
 
-/// Escapes the record separators (tab, newline, backslash) so point keys
-/// and failure details survive the tab-separated framing.
-void appendEscaped(std::string &Out, std::string_view S) {
-  for (char C : S) {
-    switch (C) {
-    case '\\':
-      Out += "\\\\";
-      break;
-    case '\t':
-      Out += "\\t";
-      break;
-    case '\n':
-      Out += "\\n";
-      break;
-    default:
-      Out += C;
-    }
-  }
-}
-
-bool unescape(std::string_view S, std::string &Out) {
-  Out.clear();
-  for (size_t I = 0; I < S.size(); ++I) {
-    if (S[I] != '\\') {
-      Out += S[I];
-      continue;
-    }
-    if (++I >= S.size())
-      return false;
-    switch (S[I]) {
-    case '\\':
-      Out += '\\';
-      break;
-    case 't':
-      Out += '\t';
-      break;
-    case 'n':
-      Out += '\n';
-      break;
-    default:
-      return false;
-    }
-  }
-  return true;
-}
-
-bool parseHexU64(std::string_view S, uint64_t &Out) {
-  if (S.empty())
-    return false;
-  auto [Ptr, Ec] = std::from_chars(S.data(), S.data() + S.size(), Out, 16);
-  return Ec == std::errc() && Ptr == S.data() + S.size();
-}
-
-std::vector<std::string_view> splitTabs(std::string_view S) {
-  std::vector<std::string_view> Fields;
-  size_t Pos = 0;
-  while (true) {
-    size_t Tab = S.find('\t', Pos);
-    if (Tab == std::string_view::npos) {
-      Fields.push_back(S.substr(Pos));
-      return Fields;
-    }
-    Fields.push_back(S.substr(Pos, Tab - Pos));
-    Pos = Tab + 1;
-  }
-}
-
 } // namespace
 
 std::string PersistentEvalCache::storePath(const std::string &Dir) {
@@ -94,50 +26,26 @@ std::string PersistentEvalCache::storePath(const std::string &Dir) {
 std::string PersistentEvalCache::encodeEntry(const CacheKey &Key,
                                              const std::string &PointKey,
                                              const EvalOutcome &Outcome) {
-  char Buf[64];
-  std::snprintf(Buf, sizeof(Buf), "%016llx\t%016llx\t",
-                static_cast<unsigned long long>(Key.Lo),
-                static_cast<unsigned long long>(Key.Hi));
-  std::string Out = Buf;
-  Out += failureKindName(Outcome.Failure);
-  Out += '\t';
-  // Failed outcomes carry an infinite sentinel metric; store 0 and let the
-  // decoder recompute it from the failure kind, exactly like the journal.
-  double Metric = std::isfinite(Outcome.Metric) ? Outcome.Metric : 0;
-  std::snprintf(Buf, sizeof(Buf), "%.17g", Metric);
-  Out += Buf;
-  Out += '\t';
-  appendEscaped(Out, PointKey);
-  Out += '\t';
-  appendEscaped(Out, Outcome.Detail);
-  return Out;
+  return RecordWriter()
+      .hex(Key.Lo)
+      .hex(Key.Hi)
+      .verdict(Outcome)
+      .text(PointKey)
+      .text(Outcome.Detail)
+      .take();
 }
 
 bool PersistentEvalCache::decodeEntry(const std::string &Record, CacheKey &Key,
                                       std::string &PointKey,
                                       EvalOutcome &Outcome) {
-  std::vector<std::string_view> F = splitTabs(Record);
-  if (F.size() != 6)
-    return false;
-  if (!parseHexU64(F[0], Key.Lo) || !parseHexU64(F[1], Key.Hi))
-    return false;
-  bool KindOk = false;
-  Outcome.Failure = parseFailureKind(std::string(F[2]), KindOk);
-  if (!KindOk)
-    return false;
-  double Metric = 0;
-  {
-    auto [Ptr, Ec] = std::from_chars(F[3].data(), F[3].data() + F[3].size(),
-                                     Metric);
-    if (Ec != std::errc() || Ptr != F[3].data() + F[3].size())
-      return false;
-  }
-  Outcome.Metric = Outcome.Failure == FailureKind::None
-                       ? Metric
-                       : std::numeric_limits<double>::infinity();
-  if (!unescape(F[4], PointKey))
-    return false;
-  return unescape(F[5], Outcome.Detail);
+  return RecordReader(Record)
+      .hex(Key.Lo, "key-lo")
+      .hex(Key.Hi, "key-hi")
+      .verdict(Outcome)
+      .text(PointKey, "point key")
+      .text(Outcome.Detail, "detail")
+      .finish()
+      .ok();
 }
 
 PersistentEvalCache::PersistentEvalCache(PersistentCacheOptions Opts,

@@ -2,34 +2,13 @@
 
 #include "src/search/PointCodec.h"
 
+#include "src/search/RecordCodec.h"
 #include "src/support/StringUtils.h"
 
-#include <charconv>
 #include <sstream>
 
 namespace locus {
 namespace search {
-
-namespace {
-
-/// Full-consumption integer parse; rejects empty and trailing garbage.
-bool parseInt64(std::string_view S, int64_t &Out) {
-  if (S.empty())
-    return false;
-  const char *Begin = S.data(), *End = S.data() + S.size();
-  auto R = std::from_chars(Begin, End, Out);
-  return R.ec == std::errc() && R.ptr == End;
-}
-
-bool parseDouble(std::string_view S, double &Out) {
-  if (S.empty())
-    return false;
-  const char *Begin = S.data(), *End = S.data() + S.size();
-  auto R = std::from_chars(Begin, End, Out);
-  return R.ec == std::errc() && R.ptr == End;
-}
-
-} // namespace
 
 std::string serializePoint(const Point &P) {
   std::ostringstream Out;
@@ -38,7 +17,7 @@ std::string serializePoint(const Point &P) {
     if (const auto *I = std::get_if<int64_t>(&V))
       Out << "i:" << *I;
     else if (const auto *D = std::get_if<double>(&V))
-      Out << "f:" << *D;
+      Out << "f:" << formatDouble(*D);
     else if (const auto *S = std::get_if<std::string>(&V))
       Out << "s:" << *S;
     else if (const auto *Perm = std::get_if<std::vector<int>>(&V)) {
@@ -68,12 +47,12 @@ Expected<Point> deserializePoint(const std::string &Text, const Space &Space) {
     std::string_view Body = Rest.substr(2);
     if (Tag == 'i') {
       int64_t I = 0;
-      if (!parseInt64(Body, I))
+      if (!parseWhole(Body, I))
         return Expected<Point>::error("malformed integer value: " + Line);
       P.Values[Id] = I;
     } else if (Tag == 'f') {
       double D = 0;
-      if (!parseDouble(Body, D))
+      if (!parseWhole(Body, D))
         return Expected<Point>::error("malformed float value: " + Line);
       P.Values[Id] = D;
     } else if (Tag == 's') {
@@ -84,7 +63,7 @@ Expected<Point> deserializePoint(const std::string &Text, const Space &Space) {
         if (Part.empty())
           continue;
         int64_t Entry = 0;
-        if (!parseInt64(Part, Entry))
+        if (!parseWhole(Part, Entry))
           return Expected<Point>::error("malformed permutation entry '" +
                                         Part + "': " + Line);
         Perm.push_back(static_cast<int>(Entry));

@@ -2,6 +2,7 @@
 
 #include "src/search/Space.h"
 
+#include "src/search/RecordCodec.h"
 #include "src/support/Hashing.h"
 #include "src/support/StringUtils.h"
 
@@ -104,7 +105,7 @@ std::string Point::key() const {
     if (const auto *I = std::get_if<int64_t>(&V))
       Out << *I;
     else if (const auto *D = std::get_if<double>(&V))
-      Out << *D;
+      Out << formatDouble(*D);
     else if (const auto *S = std::get_if<std::string>(&V))
       Out << *S;
     else if (const auto *P = std::get_if<std::vector<int>>(&V)) {

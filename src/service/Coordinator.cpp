@@ -7,28 +7,14 @@
 #include "src/support/Posix.h"
 
 #include <algorithm>
-#include <cerrno>
 #include <chrono>
 #include <csignal>
-#include <cstring>
-#include <ctime>
-#include <fcntl.h>
-#include <sys/file.h>
 #include <sys/stat.h>
 
 namespace locus {
 namespace service {
 
-namespace {
-
-double monotonicSeconds() {
-  struct timespec Ts;
-  clock_gettime(CLOCK_MONOTONIC, &Ts);
-  return static_cast<double>(Ts.tv_sec) +
-         1e-9 * static_cast<double>(Ts.tv_nsec);
-}
-
-} // namespace
+using support::monotonicSeconds;
 
 Coordinator::Coordinator(CoordinatorOptions Opts) : Opts(std::move(Opts)) {
   if (this->Opts.DegradeGraceSeconds < 0)
@@ -52,25 +38,17 @@ Status Coordinator::init() {
   // Single-coordinator exclusion: one authority per queue dir, enforced at
   // the kernel. The lock rides the open fd, so any coordinator death —
   // including SIGKILL — releases it.
-  std::string LockPath = Opts.QueueDir + "/coordinator.lock";
-  LockFd = support::retryOpen(LockPath.c_str(),
-                              O_RDWR | O_CREAT | O_CLOEXEC, 0644);
-  if (LockFd < 0)
-    return Status::error("cannot create coordinator lock " + LockPath + ": " +
-                         std::strerror(errno));
-  if (support::retryFlock(LockFd, LOCK_EX | LOCK_NB) != 0) {
-    support::closeQuietly(LockFd);
-    LockFd = -1;
-    return Status::error(
-        "queue dir " + Opts.QueueDir +
-        " is already served by a live coordinator (flock held on " + LockPath +
-        "); two coordinators must not share one queue");
-  }
+  auto Lock = support::FileLock::acquire(
+      Opts.QueueDir + "/coordinator.lock",
+      "queue dir " + Opts.QueueDir + " is already served by a live coordinator");
+  if (!Lock.ok())
+    return Status::error(Lock.message() +
+                         "; two coordinators must not share one queue");
+  OwnerLock = std::move(*Lock);
 
   TaskQueueOptions QOpts;
   QOpts.Dir = Opts.QueueDir;
-  QOpts.Header = makeQueueHeader(Opts.SpaceFingerprint, Opts.ConfigDigest);
-  QOpts.RequireHeaderMatch = true;
+  QOpts.Header = {Opts.SpaceFingerprint, Opts.ConfigDigest};
   QOpts.FsyncEachRecord = Opts.FsyncEachRecord;
   auto Q = TaskQueue::open(QOpts);
   if (!Q.ok())
@@ -116,13 +94,7 @@ Status Coordinator::init() {
   return Status::success();
 }
 
-Coordinator::~Coordinator() {
-  shutdown();
-  if (LockFd >= 0) {
-    support::closeQuietly(LockFd); // closing drops the flock
-    LockFd = -1;
-  }
-}
+Coordinator::~Coordinator() { shutdown(); }
 
 ServiceStats Coordinator::stats() const {
   std::lock_guard<std::mutex> L(M);

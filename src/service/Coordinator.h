@@ -40,6 +40,7 @@
 #include "src/search/Search.h"
 #include "src/service/TaskQueue.h"
 #include "src/support/Error.h"
+#include "src/support/Posix.h"
 #include "src/support/Subprocess.h"
 
 #include <atomic>
@@ -172,7 +173,7 @@ private:
   };
 
   CoordinatorOptions Opts;
-  int LockFd = -1;
+  support::FileLock OwnerLock; ///< <dir>/coordinator.lock, held while live
   TaskQueue Queue;
 
   // Guarded by M: the waiting-assessment rendezvous and the stats.

@@ -2,12 +2,8 @@
 
 #include "src/service/TaskQueue.h"
 
-#include <cerrno>
-#include <cinttypes>
-#include <cstdio>
-#include <cstdlib>
-#include <cstring>
-#include <limits>
+#include <algorithm>
+#include <iterator>
 #include <vector>
 
 namespace locus {
@@ -16,211 +12,68 @@ namespace service {
 namespace {
 
 constexpr const char *QueueFileName = "queue.rlog";
-constexpr const char *HeaderMagic = "locus-queue v1";
 
-/// Worker ids are single space-free tokens in the record grammar; anything
-/// else would shift fields on parse.
-std::string sanitizeToken(const std::string &S) {
-  std::string Out = S.empty() ? std::string("anon") : S;
-  for (char &C : Out)
-    if (C == ' ' || C == '\n' || C == '\t' || C == '\r')
-      C = '_';
-  return Out;
-}
+/// Record kind names, in QueueRecord::Kind order.
+constexpr const char *KindNames[] = {"task",   "lease",      "hb",
+                                     "expire", "result",     "quarantine",
+                                     "shutdown"};
 
-std::string formatMetric(const search::EvalOutcome &Out) {
-  // Journal convention: failures carry no meaningful metric; encode 0 and
-  // restore infinity on decode. Successful metrics round-trip exactly via
-  // %.17g.
-  char Buf[64];
-  std::snprintf(Buf, sizeof(Buf), "%.17g", Out.ok() ? Out.Metric : 0.0);
-  return Buf;
-}
-
-bool parseU64(const std::string &Tok, uint64_t &V) {
-  if (Tok.empty())
-    return false;
-  char *End = nullptr;
-  errno = 0;
-  V = std::strtoull(Tok.c_str(), &End, 10);
-  return End && *End == '\0' && errno == 0;
-}
-
-bool parseHex64(const std::string &Tok, uint64_t &V) {
-  if (Tok.empty())
-    return false;
-  char *End = nullptr;
-  errno = 0;
-  V = std::strtoull(Tok.c_str(), &End, 16);
-  return End && *End == '\0' && errno == 0;
-}
-
-std::vector<std::string> splitFields(const std::string &Line) {
-  std::vector<std::string> Fields;
-  size_t Pos = 0;
-  while (Pos < Line.size()) {
-    size_t Space = Line.find(' ', Pos);
-    if (Space == std::string::npos) {
-      Fields.push_back(Line.substr(Pos));
-      break;
-    }
-    Fields.push_back(Line.substr(Pos, Space - Pos));
-    Pos = Space + 1;
+/// The fields after the kind name, per record kind: the one layout that
+/// encodeQueueRecord writes and parseQueueRecord reads.
+template <typename Codec, typename Record>
+void walkFields(Codec &C, Record &R) {
+  using K = QueueRecord::Kind;
+  if (R.K != K::Shutdown)
+    C.id(R.Id, "id");
+  switch (R.K) {
+  case K::Task:
+    C.hex(R.Digest, "digest").text(R.Body, "point");
+    break;
+  case K::Lease:
+  case K::Heartbeat:
+    C.id(R.Epoch, "epoch").text(R.Worker, "worker");
+    break;
+  case K::Expire:
+    C.id(R.Epoch, "epoch");
+    break;
+  case K::Result:
+    C.id(R.Epoch, "epoch").text(R.Worker, "worker").outcome(R.Out);
+    break;
+  case K::Quarantine:
+    C.text(R.Body, "detail");
+    break;
+  case K::Shutdown:
+    break;
   }
-  return Fields;
 }
 
 } // namespace
 
 const char *queueRecordKindName(QueueRecord::Kind K) {
-  switch (K) {
-  case QueueRecord::Kind::Task:
-    return "task";
-  case QueueRecord::Kind::Lease:
-    return "lease";
-  case QueueRecord::Kind::Heartbeat:
-    return "hb";
-  case QueueRecord::Kind::Expire:
-    return "expire";
-  case QueueRecord::Kind::Result:
-    return "result";
-  case QueueRecord::Kind::Quarantine:
-    return "quarantine";
-  case QueueRecord::Kind::Shutdown:
-    return "shutdown";
-  }
-  return "unknown";
+  return KindNames[static_cast<size_t>(K)];
 }
 
 std::string encodeQueueRecord(const QueueRecord &R) {
-  char Buf[96];
-  std::string Out;
-  switch (R.K) {
-  case QueueRecord::Kind::Task:
-    std::snprintf(Buf, sizeof(Buf), "task %" PRIu64 " %016" PRIx64, R.Id,
-                  R.Digest);
-    Out = Buf;
-    Out += '\n';
-    Out += R.Body;
-    return Out;
-  case QueueRecord::Kind::Lease:
-  case QueueRecord::Kind::Heartbeat:
-    std::snprintf(Buf, sizeof(Buf), "%s %" PRIu64 " %" PRIu64 " ",
-                  queueRecordKindName(R.K), R.Id, R.Epoch);
-    Out = Buf;
-    Out += sanitizeToken(R.Worker);
-    return Out;
-  case QueueRecord::Kind::Expire:
-    std::snprintf(Buf, sizeof(Buf), "expire %" PRIu64 " %" PRIu64, R.Id,
-                  R.Epoch);
-    return Buf;
-  case QueueRecord::Kind::Result:
-    std::snprintf(Buf, sizeof(Buf), "result %" PRIu64 " %" PRIu64 " ", R.Id,
-                  R.Epoch);
-    Out = Buf;
-    Out += sanitizeToken(R.Worker);
-    Out += ' ';
-    Out += search::failureKindName(R.Out.Failure);
-    Out += ' ';
-    Out += formatMetric(R.Out);
-    Out += '\n';
-    Out += R.Out.Detail;
-    return Out;
-  case QueueRecord::Kind::Quarantine:
-    std::snprintf(Buf, sizeof(Buf), "quarantine %" PRIu64, R.Id);
-    Out = Buf;
-    Out += '\n';
-    Out += R.Body;
-    return Out;
-  case QueueRecord::Kind::Shutdown:
-    return "shutdown";
-  }
-  return "";
+  search::RecordWriter W;
+  walkFields(W.text(queueRecordKindName(R.K)), R);
+  return W.take();
 }
 
 Expected<QueueRecord> parseQueueRecord(const std::string &Payload) {
-  using E = Expected<QueueRecord>;
-  size_t Newline = Payload.find('\n');
-  std::string Line =
-      Newline == std::string::npos ? Payload : Payload.substr(0, Newline);
-  std::string Body =
-      Newline == std::string::npos ? std::string() : Payload.substr(Newline + 1);
-  std::vector<std::string> F = splitFields(Line);
-  if (F.empty())
-    return E::error("empty queue record");
-
+  search::RecordReader In(Payload);
+  std::string Kind;
+  In.text(Kind, "kind");
+  auto Name = std::find(std::begin(KindNames), std::end(KindNames), Kind);
+  if (Name == std::end(KindNames))
+    return Expected<QueueRecord>::error("unknown queue record kind '" + Kind +
+                                        "'");
   QueueRecord R;
-  const std::string &Kind = F[0];
-  auto WantFields = [&](size_t N) {
-    return F.size() == N
-               ? Status::success()
-               : Status::error("queue record '" + Kind + "' has " +
-                               std::to_string(F.size() - 1) + " field(s), want " +
-                               std::to_string(N - 1));
-  };
-
-  if (Kind == "task") {
-    if (Status S = WantFields(3); !S.ok())
-      return E::error(S.message());
-    R.K = QueueRecord::Kind::Task;
-    if (!parseU64(F[1], R.Id) || !parseHex64(F[2], R.Digest))
-      return E::error("malformed task record fields");
-    R.Body = std::move(Body);
-    return R;
-  }
-  if (Kind == "lease" || Kind == "hb") {
-    if (Status S = WantFields(4); !S.ok())
-      return E::error(S.message());
-    R.K = Kind == "lease" ? QueueRecord::Kind::Lease
-                          : QueueRecord::Kind::Heartbeat;
-    if (!parseU64(F[1], R.Id) || !parseU64(F[2], R.Epoch))
-      return E::error("malformed " + Kind + " record fields");
-    R.Worker = F[3];
-    return R;
-  }
-  if (Kind == "expire") {
-    if (Status S = WantFields(3); !S.ok())
-      return E::error(S.message());
-    R.K = QueueRecord::Kind::Expire;
-    if (!parseU64(F[1], R.Id) || !parseU64(F[2], R.Epoch))
-      return E::error("malformed expire record fields");
-    return R;
-  }
-  if (Kind == "result") {
-    if (Status S = WantFields(6); !S.ok())
-      return E::error(S.message());
-    R.K = QueueRecord::Kind::Result;
-    if (!parseU64(F[1], R.Id) || !parseU64(F[2], R.Epoch))
-      return E::error("malformed result record fields");
-    R.Worker = F[3];
-    bool KindOk = false;
-    R.Out.Failure = search::parseFailureKind(F[4], KindOk);
-    if (!KindOk)
-      return E::error("unknown failure kind '" + F[4] + "' in result record");
-    char *End = nullptr;
-    double Metric = std::strtod(F[5].c_str(), &End);
-    if (!End || *End != '\0')
-      return E::error("malformed metric '" + F[5] + "' in result record");
-    R.Out.Metric = R.Out.ok() ? Metric
-                              : std::numeric_limits<double>::infinity();
-    R.Out.Detail = Body;
-    R.Body = std::move(Body);
-    return R;
-  }
-  if (Kind == "quarantine") {
-    if (Status S = WantFields(2); !S.ok())
-      return E::error(S.message());
-    R.K = QueueRecord::Kind::Quarantine;
-    if (!parseU64(F[1], R.Id))
-      return E::error("malformed quarantine record fields");
-    R.Body = std::move(Body);
-    return R;
-  }
-  if (Kind == "shutdown") {
-    R.K = QueueRecord::Kind::Shutdown;
-    return R;
-  }
-  return E::error("unknown queue record kind '" + Kind + "'");
+  R.K = static_cast<QueueRecord::Kind>(Name - std::begin(KindNames));
+  walkFields(In, R);
+  if (Status S = In.finish(); !S.ok())
+    return Expected<QueueRecord>::error("queue record '" + Kind +
+                                        "': " + S.message());
+  return R;
 }
 
 //===----------------------------------------------------------------------===//
@@ -326,34 +179,6 @@ const TaskState *QueueState::firstClaimable() const {
 // TaskQueue
 //===----------------------------------------------------------------------===//
 
-std::string makeQueueHeader(uint64_t SpaceFingerprint, uint64_t ConfigDigest) {
-  char Buf[96];
-  std::snprintf(Buf, sizeof(Buf), "%s\nspace=%016" PRIx64 "\nconfig=%016" PRIx64,
-                HeaderMagic, SpaceFingerprint, ConfigDigest);
-  return Buf;
-}
-
-Expected<QueueHeaderInfo> parseQueueHeader(const std::string &Header) {
-  using E = Expected<QueueHeaderInfo>;
-  QueueHeaderInfo Info;
-  size_t FirstNl = Header.find('\n');
-  if (Header.compare(0, std::strlen(HeaderMagic), HeaderMagic) != 0 ||
-      FirstNl == std::string::npos)
-    return E::error("not a locus-queue v1 header");
-  size_t SecondNl = Header.find('\n', FirstNl + 1);
-  if (SecondNl == std::string::npos)
-    return E::error("queue header is missing its config line");
-  std::string SpaceLine = Header.substr(FirstNl + 1, SecondNl - FirstNl - 1);
-  std::string ConfigLine = Header.substr(SecondNl + 1);
-  if (SpaceLine.compare(0, 6, "space=") != 0 ||
-      !parseHex64(SpaceLine.substr(6), Info.SpaceFingerprint))
-    return E::error("queue header has a malformed space fingerprint");
-  if (ConfigLine.compare(0, 7, "config=") != 0 ||
-      !parseHex64(ConfigLine.substr(7), Info.ConfigDigest))
-    return E::error("queue header has a malformed config digest");
-  return Info;
-}
-
 std::string TaskQueue::queueFilePath(const std::string &Dir) {
   return Dir + "/" + QueueFileName;
 }
@@ -362,80 +187,73 @@ Expected<TaskQueue> TaskQueue::open(const TaskQueueOptions &Opts) {
   TaskQueue Q;
   Q.Path = queueFilePath(Opts.Dir);
   support::RecordLogOptions LOpts;
-  LOpts.Header = Opts.Header;
-  LOpts.RequireHeaderMatch = Opts.RequireHeaderMatch;
+  LOpts.Header = search::encodeRunHeader(QueueTag, Opts.Header);
+  // Compared structurally below for located diagnostics, not byte-wise.
+  LOpts.RequireHeaderMatch = false;
   LOpts.FsyncEachRecord = Opts.FsyncEachRecord;
   support::RecordLogScan Recovery;
   auto Log = support::RecordLog::open(Q.Path, LOpts, &Recovery);
   if (!Log.ok())
     return Expected<TaskQueue>::error(Log.message());
+  auto H = search::readRunHeader(
+      Recovery.Header.empty() ? LOpts.Header : Recovery.Header, QueueTag,
+      "queue", Q.Path, Opts.RequireHeaderMatch ? &Opts.Header : nullptr);
+  if (!H.ok())
+    return Expected<TaskQueue>::error(H.message());
+  Q.Header = *H;
   Q.Log = std::move(*Log);
-  Q.Header = Recovery.Header.empty() ? Opts.Header : Recovery.Header;
   return Q;
+}
+
+Status TaskQueue::append(const QueueRecord &R) {
+  return Log.append(encodeQueueRecord(R));
 }
 
 Status TaskQueue::announceTask(uint64_t Id, const std::string &PointText,
                                uint64_t Digest) {
-  QueueRecord R;
-  R.K = QueueRecord::Kind::Task;
-  R.Id = Id;
-  R.Digest = Digest;
-  R.Body = PointText;
-  return Log.append(encodeQueueRecord(R));
+  return append({.K = QueueRecord::Kind::Task,
+                 .Id = Id,
+                 .Digest = Digest,
+                 .Body = PointText});
 }
 
 Status TaskQueue::claim(uint64_t Id, uint64_t Epoch,
                         const std::string &Worker) {
-  QueueRecord R;
-  R.K = QueueRecord::Kind::Lease;
-  R.Id = Id;
-  R.Epoch = Epoch;
-  R.Worker = Worker;
-  return Log.append(encodeQueueRecord(R));
+  return append({.K = QueueRecord::Kind::Lease,
+                 .Id = Id,
+                 .Epoch = Epoch,
+                 .Worker = Worker});
 }
 
 Status TaskQueue::heartbeat(uint64_t Id, uint64_t Epoch,
                             const std::string &Worker) {
-  QueueRecord R;
-  R.K = QueueRecord::Kind::Heartbeat;
-  R.Id = Id;
-  R.Epoch = Epoch;
-  R.Worker = Worker;
-  return Log.append(encodeQueueRecord(R));
+  return append({.K = QueueRecord::Kind::Heartbeat,
+                 .Id = Id,
+                 .Epoch = Epoch,
+                 .Worker = Worker});
 }
 
 Status TaskQueue::postResult(uint64_t Id, uint64_t Epoch,
                              const std::string &Worker,
                              const search::EvalOutcome &Out) {
-  QueueRecord R;
-  R.K = QueueRecord::Kind::Result;
-  R.Id = Id;
-  R.Epoch = Epoch;
-  R.Worker = Worker;
-  R.Out = Out;
-  return Log.append(encodeQueueRecord(R));
+  return append({.K = QueueRecord::Kind::Result,
+                 .Id = Id,
+                 .Epoch = Epoch,
+                 .Worker = Worker,
+                 .Out = Out});
 }
 
 Status TaskQueue::expire(uint64_t Id, uint64_t Epoch) {
-  QueueRecord R;
-  R.K = QueueRecord::Kind::Expire;
-  R.Id = Id;
-  R.Epoch = Epoch;
-  return Log.append(encodeQueueRecord(R));
+  return append({.K = QueueRecord::Kind::Expire, .Id = Id, .Epoch = Epoch});
 }
 
 Status TaskQueue::quarantine(uint64_t Id, const std::string &Detail) {
-  QueueRecord R;
-  R.K = QueueRecord::Kind::Quarantine;
-  R.Id = Id;
-  R.Body = Detail;
-  return Log.append(encodeQueueRecord(R));
+  return append(
+      {.K = QueueRecord::Kind::Quarantine, .Id = Id, .Body = Detail});
 }
 
 Status TaskQueue::announceShutdown() {
-  QueueRecord R;
-  R.K = QueueRecord::Kind::Shutdown;
-  return Log.append(encodeQueueRecord(R));
+  return append({.K = QueueRecord::Kind::Shutdown});
 }
 
 Status TaskQueue::compactDropShutdown() {

@@ -8,16 +8,9 @@
 /// is the state* — there is no other source of truth, which is exactly what
 /// makes a SIGKILL at any byte recoverable: reopen, re-fold, continue.
 ///
-/// Record grammar (text payloads; first line is space-separated fields,
-/// the remainder — after the first '\n' — is a free-form body):
-///
-///   task <id> <digest16>        body = serialized point
-///   lease <id> <epoch> <worker>
-///   hb <id> <epoch> <worker>
-///   expire <id> <epoch>
-///   result <id> <epoch> <worker> <failure-kind> <metric>   body = detail
-///   quarantine <id>             body = detail
-///   shutdown
+/// Records (task, lease, hb, expire, result, quarantine, shutdown) and the
+/// "locus-queue v2" run header are written in the RecordCodec grammar; its
+/// table lists every record's fields.
 ///
 /// Lease state machine (per task):
 ///
@@ -40,6 +33,7 @@
 #ifndef LOCUS_SERVICE_TASKQUEUE_H
 #define LOCUS_SERVICE_TASKQUEUE_H
 
+#include "src/search/RecordCodec.h"
 #include "src/search/Search.h"
 #include "src/support/Error.h"
 #include "src/support/RecordLog.h"
@@ -67,9 +61,9 @@ struct QueueRecord {
   uint64_t Id = 0;
   uint64_t Epoch = 0;
   uint64_t Digest = 0;     ///< Task: fnv1a of the serialized point
-  std::string Worker;      ///< Lease/Heartbeat/Result
-  std::string Body;        ///< Task: point text; Result/Quarantine: detail
-  search::EvalOutcome Out; ///< Result: decoded outcome (Detail == Body)
+  std::string Worker{};      ///< Lease/Heartbeat/Result
+  std::string Body{};        ///< Task: point text; Quarantine: detail
+  search::EvalOutcome Out{}; ///< Result: the outcome, detail included
 };
 
 /// Stable name of a record kind ("task", "lease", ...).
@@ -78,9 +72,9 @@ const char *queueRecordKindName(QueueRecord::Kind K);
 /// Encodes a record as a RecordLog payload.
 std::string encodeQueueRecord(const QueueRecord &R);
 
-/// Decodes a payload; rejects malformed records with a reason (a corrupt
-/// frame cannot pass the RecordLog CRC, so a parse failure here means a
-/// foreign or newer-version writer).
+/// Decodes a payload; rejects malformed records with a reason naming the
+/// field (a corrupt frame cannot pass the RecordLog CRC, so a parse failure
+/// here means a foreign or newer-version writer).
 Expected<QueueRecord> parseQueueRecord(const std::string &Payload);
 
 /// Per-task view after folding the log.
@@ -119,15 +113,18 @@ struct QueueState {
   const TaskState *firstClaimable() const;
 };
 
+/// The queue's header tag.
+inline constexpr const char *QueueTag = "locus-queue v2";
+
 struct TaskQueueOptions {
   /// Queue directory; the log lives at <Dir>/queue.rlog.
   std::string Dir;
-  /// Header payload pinning the queue to one space + search config (see
-  /// makeQueueHeader). The opener that creates the file writes it.
-  std::string Header;
-  /// Refuse a queue written under a different header (coordinator). Workers
-  /// open with false and diff the parsed header themselves for a located
-  /// diagnostic.
+  /// The run the queue is pinned to. The opener that creates the file
+  /// writes it.
+  search::RunHeader Header;
+  /// Refuse a queue written for another run (coordinator). Workers open
+  /// with false and compare the space themselves. A file that is not a
+  /// queue of this version is refused either way.
   bool RequireHeaderMatch = true;
   /// fsync per append. The queue is coordination state — a *machine* crash
   /// may lose tail records, which only costs re-evaluation time — so the
@@ -135,16 +132,6 @@ struct TaskQueueOptions {
   /// owns history, keeps its own Full sync.
   bool FsyncEachRecord = false;
 };
-
-/// Queue header payload: "locus-queue v1\nspace=<hex16>\nconfig=<hex16>".
-std::string makeQueueHeader(uint64_t SpaceFingerprint, uint64_t ConfigDigest);
-
-/// Parses a queue header; Ok=false when it is not a v1 queue header.
-struct QueueHeaderInfo {
-  uint64_t SpaceFingerprint = 0;
-  uint64_t ConfigDigest = 0;
-};
-Expected<QueueHeaderInfo> parseQueueHeader(const std::string &Header);
 
 /// Shared handle on the queue log: append typed records, re-fold on poll.
 /// Appends are thread-safe (RecordLog's internal mutex + flock); poll takes
@@ -178,13 +165,15 @@ public:
 
   const std::string &path() const { return Path; }
   /// The header actually found in (or written to) the file.
-  const std::string &header() const { return Header; }
+  const search::RunHeader &header() const { return Header; }
 
   static std::string queueFilePath(const std::string &Dir);
 
 private:
+  Status append(const QueueRecord &R);
+
   std::string Path;
-  std::string Header;
+  search::RunHeader Header;
   support::RecordLog Log;
 };
 

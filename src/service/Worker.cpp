@@ -3,11 +3,10 @@
 #include "src/service/Worker.h"
 
 #include "src/search/PointCodec.h"
+#include "src/support/Posix.h"
 
 #include <atomic>
 #include <chrono>
-#include <ctime>
-#include <sstream>
 #include <sys/stat.h>
 #include <thread>
 
@@ -16,12 +15,7 @@ namespace service {
 
 namespace {
 
-double monotonicSeconds() {
-  struct timespec Ts;
-  clock_gettime(CLOCK_MONOTONIC, &Ts);
-  return static_cast<double>(Ts.tv_sec) +
-         1e-9 * static_cast<double>(Ts.tv_nsec);
-}
+using support::monotonicSeconds;
 
 bool stopRequested(const WorkerOptions &Opts) {
   return Opts.StopFlag && Opts.StopFlag->load(std::memory_order_relaxed);
@@ -74,6 +68,9 @@ Expected<WorkerStats> runWorker(const search::Space &Space,
   using Ret = Expected<WorkerStats>;
   if (Opts.QueueDir.empty())
     return Ret::error("worker requires --queue-dir");
+  // An empty lease holder reads as "unclaimed" in the fold.
+  if (Opts.WorkerId.empty())
+    return Ret::error("worker requires a non-empty worker id");
 
   // The coordinator creates the log; wait for it rather than racing to
   // write a header of our own.
@@ -94,18 +91,15 @@ Expected<WorkerStats> runWorker(const search::Space &Space,
   if (!Q.ok())
     return Ret::error(Q.message());
   TaskQueue Queue = std::move(*Q);
-
-  auto Header = parseQueueHeader(Queue.header());
-  if (!Header.ok())
-    return Ret::error("queue " + LogPath +
-                      " has no valid service header: " + Header.message());
-  if (Opts.SpaceFingerprint != 0 &&
-      Header->SpaceFingerprint != Opts.SpaceFingerprint) {
-    std::ostringstream Os;
-    Os << "queue " << LogPath << " was written for space fingerprint "
-       << std::hex << Header->SpaceFingerprint << " but this worker built "
-       << Opts.SpaceFingerprint << "; refusing to evaluate foreign points";
-    return Ret::error(Os.str());
+  // A worker knows the space it built but not the coordinator's searcher
+  // configuration, so only the space must match.
+  if (Opts.SpaceFingerprint != 0) {
+    search::RunHeader Want = Queue.header();
+    Want.SpaceFingerprint = Opts.SpaceFingerprint;
+    if (Status S = search::checkRunHeader(Queue.header(), Want, "queue",
+                                          LogPath);
+        !S.ok())
+      return Ret::error(S.message());
   }
 
   WorkerStats Stats;

@@ -3,6 +3,7 @@
 #include "src/support/Posix.h"
 
 #include <cerrno>
+#include <cstring>
 #include <ctime>
 #include <fcntl.h>
 #include <sys/file.h>
@@ -107,9 +108,28 @@ int retryOpen(const char *Path, int Flags, mode_t Mode) {
   }
 }
 
+double monotonicSeconds() {
+  struct timespec Ts;
+  clock_gettime(CLOCK_MONOTONIC, &Ts);
+  return static_cast<double>(Ts.tv_sec) +
+         1e-9 * static_cast<double>(Ts.tv_nsec);
+}
+
 void closeQuietly(int Fd) {
   if (Fd >= 0)
     ::close(Fd);
+}
+
+Expected<FileLock> FileLock::acquire(const std::string &Path,
+                                     const std::string &Held) {
+  FileLock L;
+  L.Fd = retryOpen(Path.c_str(), O_RDWR | O_CREAT | O_CLOEXEC, 0644);
+  if (L.Fd < 0)
+    return Expected<FileLock>::error("cannot create lock file " + Path +
+                                     ": " + std::strerror(errno));
+  if (retryFlock(L.Fd, LOCK_EX | LOCK_NB) != 0)
+    return Expected<FileLock>::error(Held + " (flock held on " + Path + ")");
+  return L;
 }
 
 } // namespace support

@@ -16,9 +16,12 @@
 #ifndef LOCUS_SUPPORT_POSIX_H
 #define LOCUS_SUPPORT_POSIX_H
 
+#include "src/support/Error.h"
+
 #include <poll.h>
 #include <string>
 #include <sys/types.h>
+#include <utility>
 
 namespace locus {
 namespace support {
@@ -55,10 +58,38 @@ pid_t retryWaitpid(pid_t Pid, int *Status, int Options);
 /// when O_CREAT contends).
 int retryOpen(const char *Path, int Flags, mode_t Mode = 0);
 
+/// CLOCK_MONOTONIC in seconds: the clock every liveness and timeout
+/// judgement uses (never wall time, which can jump).
+double monotonicSeconds();
+
 /// close(2), EINTR-tolerant: POSIX leaves the fd state unspecified after
 /// EINTR, and retrying risks closing a recycled descriptor, so the wrapper
 /// closes once and ignores EINTR (Linux semantics: the fd is released).
 void closeQuietly(int Fd);
+
+/// A non-blocking exclusive flock on a sidecar file, held for the object's
+/// lifetime: the one-owner rule for a durable store (a journal, a queue
+/// dir's coordinator). The lock rides the open fd (close-on-exec), so any
+/// holder's death, SIGKILL included, releases it.
+class FileLock {
+public:
+  FileLock() = default;
+  FileLock(FileLock &&O) noexcept : Fd(std::exchange(O.Fd, -1)) {}
+  FileLock &operator=(FileLock O) noexcept {
+    std::swap(Fd, O.Fd);
+    return *this;
+  }
+  ~FileLock() { closeQuietly(Fd); }
+
+  /// Creates \p Path if needed and locks it. Refused when the file cannot
+  /// be created, or with "<Held> (flock held on <Path>)" when another live
+  /// open file description holds the lock.
+  static Expected<FileLock> acquire(const std::string &Path,
+                                    const std::string &Held);
+
+private:
+  int Fd = -1;
+};
 
 } // namespace support
 } // namespace locus

@@ -30,12 +30,6 @@ namespace support {
 
 namespace {
 
-double monotonicSeconds() {
-  timespec Ts;
-  clock_gettime(CLOCK_MONOTONIC, &Ts);
-  return static_cast<double>(Ts.tv_sec) + 1e-9 * static_cast<double>(Ts.tv_nsec);
-}
-
 /// Child-side rlimit application; async-signal-safe (setrlimit only).
 /// Failures are deliberately ignored: a host without rlimit support still
 /// gets timeout supervision from the parent-side watchdog.

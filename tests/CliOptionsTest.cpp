@@ -120,10 +120,12 @@ TEST(CliOptions, MalformedValuesAreRefusedNamingTheFlag) {
           {{"--checksum-rtol", "nan"}, "--checksum-rtol"},
           {{"--native-timeout", "0"}, "--native-timeout"},
           {{"--journal-sync", "sometimes"}, "--journal-sync"},
+          {{"--journal-sync", "flush"}, "--journal-sync"},
           {{"--search", "annealing"}, "--search"},
           {{"--journal", "--resume"}, "--journal"},
           {{"--point", ""}, "--point"},
           {{"--eval-cache"}, "--eval-cache"},
+          {{"--worker", "--queue-dir", "q", "--worker-id", ""}, "--worker-id"},
       };
   for (const auto &[Flag, Name] : Cases) {
     std::vector<std::string> Args = {"prog.locus", "kernel.c"};

@@ -340,6 +340,29 @@ TEST(Guards, QuarantineAfterRepeatedFailures) {
   EXPECT_EQ(Guarded.stats().QuarantinedPoints, 1);
 }
 
+TEST(Guards, QuarantineKeepsNearbyFloatPointsApart) {
+  // Two float values that agree to six significant digits are distinct
+  // points: quarantining one must not reject the other.
+  const double Bad = 0.12345671, Good = 0.12345674;
+  LambdaObjective Inner(LambdaObjective::OutcomeFn([&](const Point &P) {
+    return P.getFloat("f") == Bad
+               ? EvalOutcome::fail(FailureKind::RuntimeTrap, "boom")
+               : EvalOutcome::success(1.0);
+  }));
+  GuardOptions GOpts;
+  GOpts.QuarantineThreshold = 1;
+  GuardedObjective Guarded(Inner, GOpts);
+  Point BadP, GoodP;
+  BadP.Values["f"] = Bad;
+  GoodP.Values["f"] = Good;
+
+  EXPECT_FALSE(Guarded.assess(BadP).ok());
+  EXPECT_TRUE(Guarded.isQuarantined(BadP));
+  EXPECT_FALSE(Guarded.isQuarantined(GoodP));
+  EXPECT_TRUE(Guarded.assess(GoodP).ok());
+  EXPECT_EQ(Guarded.stats().QuarantineRejects, 0);
+}
+
 TEST(Guards, SuccessClearsFailureStreak) {
   int Calls = 0;
   LambdaObjective Inner(LambdaObjective::OutcomeFn([&](const Point &) {

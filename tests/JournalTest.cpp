@@ -124,9 +124,9 @@ TEST(Journal, LineRoundTripIncludingEscapes) {
   Space S = smallSpace();
   EvalRecord R = makeRecord(16, 7, 123.5, FailureKind::None,
                             "detail with \"quotes\",\nnewline\tand \\slash");
-  std::string Line = SearchJournal::encodeLine(R);
+  std::string Line = SearchJournal::encodeRecord(R);
   EXPECT_EQ(Line.find('\n'), std::string::npos) << "journal lines are single";
-  auto Back = SearchJournal::decodeLine(Line, S);
+  auto Back = SearchJournal::decodeRecord(Line, S);
   ASSERT_TRUE(Back.ok()) << Back.message();
   EXPECT_EQ(Back->P.key(), R.P.key());
   EXPECT_DOUBLE_EQ(Back->Metric, R.Metric);
@@ -138,7 +138,7 @@ TEST(Journal, LineRoundTripIncludingEscapes) {
 TEST(Journal, FailedRecordRoundTripsKindAndInfiniteMetric) {
   Space S = smallSpace();
   EvalRecord R = makeRecord(8, 3, 0, FailureKind::ChecksumMismatch, "boom");
-  auto Back = SearchJournal::decodeLine(SearchJournal::encodeLine(R), S);
+  auto Back = SearchJournal::decodeRecord(SearchJournal::encodeRecord(R), S);
   ASSERT_TRUE(Back.ok()) << Back.message();
   EXPECT_EQ(Back->Failure, FailureKind::ChecksumMismatch);
   EXPECT_FALSE(Back->Valid);
@@ -170,8 +170,7 @@ TEST(Journal, AllSyncModesAppendAndLoad) {
   // The durability policy changes when bytes reach stable storage, never
   // what a clean close leaves on disk.
   Space S = smallSpace();
-  for (JournalSync Mode :
-       {JournalSync::None, JournalSync::Flush, JournalSync::Full}) {
+  for (JournalSync Mode : {JournalSync::None, JournalSync::Full}) {
     TempFile F("journal_sync.jsonl");
     {
       auto J = SearchJournal::open(F.Path, Mode);
@@ -190,8 +189,6 @@ TEST(Journal, ParseJournalSyncNames) {
   bool Ok = false;
   EXPECT_EQ(parseJournalSync("none", Ok), JournalSync::None);
   EXPECT_TRUE(Ok);
-  EXPECT_EQ(parseJournalSync("flush", Ok), JournalSync::Flush);
-  EXPECT_TRUE(Ok);
   EXPECT_EQ(parseJournalSync("full", Ok), JournalSync::Full);
   EXPECT_TRUE(Ok);
   parseJournalSync("eventually", Ok);
@@ -205,7 +202,7 @@ TEST(Journal, ConcurrentAppendsStayWholeLine) {
   Space S = smallSpace();
   TempFile F("journal_concurrent.jsonl");
   {
-    auto J = SearchJournal::open(F.Path, JournalSync::Flush);
+    auto J = SearchJournal::open(F.Path, JournalSync::None);
     ASSERT_TRUE(J.ok());
     EvalPool Pool(4);
     Pool.run(64, [&](size_t I) {
@@ -220,6 +217,30 @@ TEST(Journal, ConcurrentAppendsStayWholeLine) {
   ASSERT_TRUE(Loaded.ok()) << Loaded.message();
   EXPECT_EQ(Loaded->Records.size(), 64u);
   EXPECT_EQ(Loaded->DroppedTailLines, 0);
+}
+
+TEST(Journal, SecondLiveOpenIsRefusedUntilTheFirstCloses) {
+  // One writer per journal: a second live run appending to the same file
+  // would interleave its records with the first run's.
+  TempFile F("journal_owner.rlog");
+  auto First = SearchJournal::open(F.Path);
+  ASSERT_TRUE(First.ok()) << First.message();
+  auto Second = SearchJournal::open(F.Path);
+  ASSERT_FALSE(Second.ok());
+  EXPECT_NE(Second.message().find("journal " + F.Path + " "),
+            std::string::npos)
+      << Second.message();
+  EXPECT_NE(Second.message().find(F.Path + ".owner"), std::string::npos)
+      << Second.message();
+
+  ASSERT_TRUE(First->append(makeRecord(16, 7, 10, FailureKind::None)).ok());
+  First->close();
+  auto Third = SearchJournal::open(F.Path);
+  ASSERT_TRUE(Third.ok()) << Third.message();
+  ASSERT_TRUE(Third->append(makeRecord(8, 3, 20, FailureKind::None)).ok());
+  auto Loaded = SearchJournal::load(F.Path, smallSpace());
+  ASSERT_TRUE(Loaded.ok()) << Loaded.message();
+  EXPECT_EQ(Loaded->Records.size(), 2u);
 }
 
 TEST(Journal, EmptyAndMissingJournalsLoadAsEmpty) {
@@ -247,7 +268,7 @@ TEST(Journal, TruncatedLastLineIsDropped) {
   // exactly as a dying writer leaves it.
   {
     std::string Frame = support::RecordLog::encodeFrame(
-        SearchJournal::encodeLine(makeRecord(8, 1, 20, FailureKind::None)));
+        SearchJournal::encodeRecord(makeRecord(8, 1, 20, FailureKind::None)));
     std::ofstream Out(F.Path, std::ios::app | std::ios::binary);
     Out.write(Frame.data(), static_cast<std::streamsize>(Frame.size() / 2));
   }
@@ -263,10 +284,10 @@ TEST(Journal, CorruptMiddleLineIsAnError) {
   TempFile F("journal_corrupt.jsonl");
   {
     std::ofstream Out(F.Path, std::ios::binary);
-    Out << SearchJournal::encodeLine(makeRecord(16, 7, 10, FailureKind::None))
+    Out << SearchJournal::encodeRecord(makeRecord(16, 7, 10, FailureKind::None))
         << "\n";
     Out << "not json at all\n";
-    Out << SearchJournal::encodeLine(makeRecord(4, 2, 30, FailureKind::None))
+    Out << SearchJournal::encodeRecord(makeRecord(4, 2, 30, FailureKind::None))
         << "\n";
   }
   auto Loaded = SearchJournal::load(F.Path, S);
@@ -303,11 +324,13 @@ TEST(Journal, HeaderRoundTrip) {
   JournalHeader H;
   H.SpaceFingerprint = 0x0123456789abcdefULL;
   H.ConfigDigest = 0xfedcba9876543210ULL;
-  JournalHeader Back;
-  ASSERT_TRUE(SearchJournal::parseHeader(SearchJournal::encodeHeader(H), Back));
-  EXPECT_TRUE(Back == H);
-  EXPECT_FALSE(SearchJournal::parseHeader("locus-journal v1\n", Back));
-  EXPECT_FALSE(SearchJournal::parseHeader("", Back));
+  auto Back =
+      readRunHeader(encodeRunHeader(JournalTag, H), JournalTag, "journal", "j");
+  ASSERT_TRUE(Back.ok()) << Back.message();
+  EXPECT_TRUE(*Back == H);
+  EXPECT_FALSE(
+      readRunHeader("locus-journal v1\n", JournalTag, "journal", "j").ok());
+  EXPECT_FALSE(readRunHeader("", JournalTag, "journal", "j").ok());
 }
 
 TEST(Journal, SpaceFingerprintIsStableAndStructureSensitive) {
@@ -417,8 +440,8 @@ TEST(Journal, LegacyJsonlIsABadMagicError) {
   {
     // A v1 journal: plain JSONL, no header, no checksums.
     std::ofstream Out(F.Path, std::ios::binary);
-    Out << SearchJournal::encodeLine(makeRecord(16, 7, 10, FailureKind::None))
-        << "\n";
+    Out << "{\"point\":\"a = i:16\\nb = i:7\\n\",\"metric\":10,"
+           "\"failure\":\"None\",\"detail\":\"\"}\n";
   }
   JournalHeader H;
   H.SpaceFingerprint = S.fingerprint();

@@ -115,20 +115,23 @@ TEST(QueueCodec, RoundTripsEveryKind) {
 
 TEST(QueueCodec, RejectsMalformedPayloads) {
   EXPECT_FALSE(parseQueueRecord("").ok());
-  EXPECT_FALSE(parseQueueRecord("frobnicate 1 2 3").ok());
-  EXPECT_FALSE(parseQueueRecord("lease").ok());           // missing fields
-  EXPECT_FALSE(parseQueueRecord("lease x 0 w").ok());     // non-numeric id
-  EXPECT_FALSE(parseQueueRecord("result 1 0 w nope 1").ok()); // bad kind
+  EXPECT_FALSE(parseQueueRecord("frobnicate\t1\t2\t3").ok());
+  EXPECT_FALSE(parseQueueRecord("lease").ok());            // missing fields
+  EXPECT_FALSE(parseQueueRecord("lease\tx\t0\tw").ok());    // non-numeric id
+  EXPECT_FALSE(parseQueueRecord("result\t1\t0\tw\tnope\t1\t").ok()); // bad kind
 }
 
 TEST(QueueCodec, HeaderRoundTrip) {
-  std::string H = makeQueueHeader(0x0123456789abcdefull, 0xfedcba9876543210ull);
-  auto Info = parseQueueHeader(H);
+  auto parse = [](const std::string &Payload) {
+    return search::readRunHeader(Payload, QueueTag, "queue", "q");
+  };
+  auto Info = parse(search::encodeRunHeader(
+      QueueTag, {0x0123456789abcdefull, 0xfedcba9876543210ull}));
   ASSERT_TRUE(Info.ok()) << Info.message();
   EXPECT_EQ(Info->SpaceFingerprint, 0x0123456789abcdefull);
   EXPECT_EQ(Info->ConfigDigest, 0xfedcba9876543210ull);
-  EXPECT_FALSE(parseQueueHeader("locus-journal v1\nwhatever").ok());
-  EXPECT_FALSE(parseQueueHeader("").ok());
+  EXPECT_FALSE(parse("locus-journal v1\nwhatever").ok());
+  EXPECT_FALSE(parse("").ok());
 }
 
 //===----------------------------------------------------------------------===//
@@ -268,7 +271,7 @@ TEST(TaskQueueDurability, StateSurvivesReopenAndReFold) {
   ASSERT_TRUE(Dir.valid());
   TaskQueueOptions Opts;
   Opts.Dir = Dir.path();
-  Opts.Header = makeQueueHeader(11, 22);
+  Opts.Header = search::RunHeader{11, 22};
 
   auto Q = TaskQueue::open(Opts);
   ASSERT_TRUE(Q.ok()) << Q.message();
@@ -306,11 +309,11 @@ TEST(TaskQueueDurability, RefusesAQueueWrittenUnderADifferentHeader) {
   ASSERT_TRUE(Dir.valid());
   TaskQueueOptions Opts;
   Opts.Dir = Dir.path();
-  Opts.Header = makeQueueHeader(11, 22);
+  Opts.Header = search::RunHeader{11, 22};
   ASSERT_TRUE(TaskQueue::open(Opts).ok());
 
   TaskQueueOptions Foreign = Opts;
-  Foreign.Header = makeQueueHeader(33, 44);
+  Foreign.Header = search::RunHeader{33, 44};
   auto Refused = TaskQueue::open(Foreign);
   EXPECT_FALSE(Refused.ok());
 
@@ -319,9 +322,7 @@ TEST(TaskQueueDurability, RefusesAQueueWrittenUnderADifferentHeader) {
   Foreign.RequireHeaderMatch = false;
   auto Worker = TaskQueue::open(Foreign);
   ASSERT_TRUE(Worker.ok()) << Worker.message();
-  auto Info = parseQueueHeader(Worker->header());
-  ASSERT_TRUE(Info.ok());
-  EXPECT_EQ(Info->SpaceFingerprint, 11u);
+  EXPECT_EQ(Worker->header().SpaceFingerprint, 11u);
 }
 
 TEST(TaskQueueDurability, CompactDropShutdownRevivesACompletedQueue) {
@@ -329,7 +330,7 @@ TEST(TaskQueueDurability, CompactDropShutdownRevivesACompletedQueue) {
   ASSERT_TRUE(Dir.valid());
   TaskQueueOptions Opts;
   Opts.Dir = Dir.path();
-  Opts.Header = makeQueueHeader(1, 2);
+  Opts.Header = search::RunHeader{1, 2};
   auto Q = TaskQueue::open(Opts);
   ASSERT_TRUE(Q.ok()) << Q.message();
   ASSERT_TRUE(Q->announceTask(1, "p", 7).ok());
@@ -484,7 +485,7 @@ TEST(Coordinator, RecoveredResultsAreServedWithoutReEvaluation) {
   {
     TaskQueueOptions QOpts;
     QOpts.Dir = Dir.path();
-    QOpts.Header = makeQueueHeader(S.fingerprint(), 42);
+    QOpts.Header = search::RunHeader{S.fingerprint(), 42};
     auto Q = TaskQueue::open(QOpts);
     ASSERT_TRUE(Q.ok()) << Q.message();
     ASSERT_TRUE(Q->announceTask(1, Text, 0).ok());
@@ -631,7 +632,7 @@ TEST(Worker, RefusesAQueuePinnedToAForeignSpace) {
   ASSERT_TRUE(Dir.valid());
   TaskQueueOptions QOpts;
   QOpts.Dir = Dir.path();
-  QOpts.Header = makeQueueHeader(0xaaaa, 0xbbbb);
+  QOpts.Header = search::RunHeader{0xaaaa, 0xbbbb};
   ASSERT_TRUE(TaskQueue::open(QOpts).ok());
 
   search::Space S = twoParamSpace();
@@ -642,6 +643,65 @@ TEST(Worker, RefusesAQueuePinnedToAForeignSpace) {
   auto R = runWorker(S, Obj, WOpts);
   ASSERT_FALSE(R.ok());
   EXPECT_NE(R.message().find("foreign"), std::string::npos) << R.message();
+}
+
+TEST(Worker, IdWithASpaceKeepsItsClaim) {
+  // Worker ids are escaped record fields: a worker named "w 1" must find
+  // its own lease in the fold and evaluate the task.
+  support::TempDir Dir("locus-svc-");
+  ASSERT_TRUE(Dir.valid());
+  search::Space S = twoParamSpace();
+  TaskQueueOptions QOpts;
+  QOpts.Dir = Dir.path();
+  QOpts.Header = search::RunHeader{S.fingerprint(), 42};
+  auto Q = TaskQueue::open(QOpts);
+  ASSERT_TRUE(Q.ok()) << Q.message();
+  ASSERT_TRUE(
+      Q->announceTask(1, search::serializePoint(makePoint(8, 1)), 0).ok());
+
+  // A lost claim parks the worker until the lease expires; the stop flag
+  // bounds the test instead of letting it hang.
+  std::atomic<bool> Stop{false};
+  std::thread Watchdog([&Stop] {
+    for (int I = 0; I < 500 && !Stop.load(); ++I)
+      std::this_thread::sleep_for(std::chrono::milliseconds(10));
+    Stop.store(true);
+  });
+  search::LambdaObjective Obj{search::LambdaObjective::OutcomeFn(toyAssess)};
+  WorkerOptions WOpts;
+  WOpts.QueueDir = Dir.path();
+  WOpts.WorkerId = "w 1";
+  WOpts.MaxTasks = 1;
+  WOpts.StopFlag = &Stop;
+  auto R = runWorker(S, Obj, WOpts);
+  Stop.store(true);
+  Watchdog.join();
+  ASSERT_TRUE(R.ok()) << R.message();
+  EXPECT_EQ(R->TasksEvaluated, 1u);
+  EXPECT_EQ(R->ClaimsLost, 0u);
+
+  QueueState State;
+  ASSERT_TRUE(Q->poll(State).ok());
+  ASSERT_NE(State.find(1), nullptr);
+  EXPECT_TRUE(State.find(1)->Done);
+  EXPECT_EQ(State.find(1)->DoneWorker, "w 1");
+}
+
+TEST(Worker, EmptyIdIsRefused) {
+  // An empty lease holder reads as "unclaimed" in the fold, so a worker
+  // without a name could never own a task.
+  search::Space S = twoParamSpace();
+  search::LambdaObjective Obj{search::LambdaObjective::OutcomeFn(toyAssess)};
+  // The queue dir never appears; a stop flag that is already set keeps a
+  // worker that accepts the id from waiting for it.
+  std::atomic<bool> Stop{true};
+  WorkerOptions WOpts;
+  WOpts.QueueDir = "unused";
+  WOpts.WorkerId = "";
+  WOpts.StopFlag = &Stop;
+  auto R = runWorker(S, Obj, WOpts);
+  ASSERT_FALSE(R.ok());
+  EXPECT_NE(R.message().find("worker id"), std::string::npos) << R.message();
 }
 
 //===----------------------------------------------------------------------===//

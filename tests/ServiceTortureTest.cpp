@@ -21,11 +21,13 @@
 //
 //===----------------------------------------------------------------------===//
 
+#include "src/service/TaskQueue.h"
 #include "src/support/RecordLog.h"
 #include "src/support/Subprocess.h"
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <chrono>
 #include <csignal>
 #include <fstream>
@@ -148,8 +150,13 @@ TEST(ServiceTorture, CoordinatorKilledMidAppendResumesToTheExactResult) {
   // The crashed runs really did commit evaluation results into the queue
   // before dying — the recovered-result store the resumes fed from is
   // visible as result records in the surviving queue log.
-  EXPECT_NE(readFile(QueueDir + "/queue.rlog").find("result "),
-            std::string::npos);
+  auto Log = RecordLog::scan(QueueDir + "/queue.rlog");
+  ASSERT_TRUE(Log.ok()) << Log.message();
+  EXPECT_TRUE(std::any_of(
+      Log->Records.begin(), Log->Records.end(), [](const std::string &P) {
+        auto R = service::parseQueueRecord(P);
+        return R.ok() && R->K == service::QueueRecord::Kind::Result;
+      }));
 }
 
 TEST(ServiceTorture, WorkerKilledMidRunIsReassignedNotLost) {
@@ -213,10 +220,12 @@ TEST(ServiceTorture, PoisonTaskIsQuarantinedAfterDistinctWorkerDeaths) {
   auto Q = RecordLog::scan(Dir.path() + "/q/queue.rlog");
   ASSERT_TRUE(Q.ok()) << Q.message();
   bool SawQuarantine = false;
-  for (const std::string &R : Q->Records)
-    if (R.compare(0, 11, "quarantine ") == 0) {
+  for (const std::string &P : Q->Records)
+    if (auto R = service::parseQueueRecord(P);
+        R.ok() && R->K == service::QueueRecord::Kind::Quarantine) {
       SawQuarantine = true;
-      EXPECT_NE(R.find("distinct workers died"), std::string::npos) << R;
+      EXPECT_NE(R->Body.find("distinct workers died"), std::string::npos)
+          << R->Body;
     }
   EXPECT_TRUE(SawQuarantine);
 }
