@@ -7,7 +7,6 @@
 #include "src/support/Posix.h"
 
 #include <algorithm>
-#include <chrono>
 #include <csignal>
 #include <sys/stat.h>
 
@@ -160,6 +159,7 @@ void Coordinator::shutdown() {
     return;
   }
   (void)Queue.announceShutdown();
+  Queue.ring(); // wakes the supervisor even if the record did not land
   Cv.notify_all();
   if (Supervisor.joinable())
     Supervisor.join();
@@ -185,11 +185,11 @@ void Coordinator::superviseLoop() {
     maybeDegrade(Now);
     if (stopRequested())
       Cv.notify_all(); // unblock waiters promptly on Ctrl-C/SIGTERM
-    std::unique_lock<std::mutex> L(M);
+    // shutdown() sets the flag before it rings, and pollQueue sampled the
+    // bell before this check, so a shutdown cannot slip between the two.
     if (ShuttingDown.load())
       break;
-    Cv.wait_for(L, std::chrono::duration<double>(Opts.PollSeconds),
-                [this] { return ShuttingDown.load(); });
+    Queue.waitForAppend(State, Opts.PollSeconds);
   }
   // Final fold so stats reflect the last records (and late results land in
   // the fulfillment map for any still-blocked waiter).

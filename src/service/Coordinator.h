@@ -81,7 +81,10 @@ struct CoordinatorOptions {
   /// A claimed task whose lease shows no lease/heartbeat arrival for this
   /// long is expired and reassigned.
   double LeaseTimeoutSeconds = 10.0;
-  /// Supervision loop period (queue poll, liveness checks).
+  /// Fallback supervision period: the supervisor wakes on the queue's
+  /// doorbell whenever a record is appended, and otherwise after this long
+  /// for its timer-driven checks (lease expiry, worker liveness, respawn
+  /// backoff, degradation).
   double PollSeconds = 0.02;
   /// Quarantine a task after this many distinct workers died holding it.
   int PoisonWorkerDeaths = 3;

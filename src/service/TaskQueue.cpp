@@ -12,6 +12,7 @@ namespace service {
 namespace {
 
 constexpr const char *QueueFileName = "queue.rlog";
+constexpr const char *BellFileName = "queue.bell";
 
 /// Record kind names, in QueueRecord::Kind order.
 constexpr const char *KindNames[] = {"task",   "lease",      "hb",
@@ -202,11 +203,17 @@ Expected<TaskQueue> TaskQueue::open(const TaskQueueOptions &Opts) {
     return Expected<TaskQueue>::error(H.message());
   Q.Header = *H;
   Q.Log = std::move(*Log);
+  // No doorbell only costs latency: waitForAppend falls back to sleeping.
+  if (auto Bell = support::Doorbell::open(Opts.Dir + "/" + BellFileName);
+      Bell.ok())
+    Q.Bell = std::move(*Bell);
   return Q;
 }
 
 Status TaskQueue::append(const QueueRecord &R) {
-  return Log.append(encodeQueueRecord(R));
+  Status S = Log.append(encodeQueueRecord(R));
+  Bell.ring();
+  return S;
 }
 
 Status TaskQueue::announceTask(uint64_t Id, const std::string &PointText,
@@ -274,6 +281,7 @@ Status TaskQueue::compactDropShutdown() {
 Expected<uint64_t>
 TaskQueue::poll(QueueState &State,
                 const std::function<void(const QueueRecord &)> &OnRecord) {
+  State.BellSeen = Bell.sample();
   auto Scan = support::RecordLog::scan(Path);
   if (!Scan.ok())
     return Expected<uint64_t>::error(Scan.message());
@@ -292,6 +300,10 @@ TaskQueue::poll(QueueState &State,
     ++Applied;
   }
   return Applied;
+}
+
+void TaskQueue::waitForAppend(const QueueState &State, double Timeout) const {
+  Bell.wait(State.BellSeen, Timeout);
 }
 
 } // namespace service

@@ -8,6 +8,10 @@
 /// is the state* — there is no other source of truth, which is exactly what
 /// makes a SIGKILL at any byte recoverable: reopen, re-fold, continue.
 ///
+/// Every append rings a doorbell (support::Doorbell, <dir>/queue.bell), so
+/// an idle reader sleeps until the log grows instead of re-scanning it on a
+/// timer; the poll period survives only as the fallback wake-up.
+///
 /// Records (task, lease, hb, expire, result, quarantine, shutdown) and the
 /// "locus-queue v2" run header are written in the RecordCodec grammar; its
 /// table lists every record's fields.
@@ -36,6 +40,7 @@
 #include "src/search/RecordCodec.h"
 #include "src/search/Search.h"
 #include "src/support/Error.h"
+#include "src/support/Posix.h"
 #include "src/support/RecordLog.h"
 
 #include <cstdint>
@@ -106,6 +111,9 @@ struct QueueState {
   uint64_t StaleResultsDiscarded = 0;
   /// Records folded so far (poll() resumes from here).
   uint64_t AppliedRecords = 0;
+  /// The queue's doorbell as sampled by the last poll() *before* its scan:
+  /// any append the scan missed has moved the bell past this value.
+  uint32_t BellSeen = 0;
 
   void apply(const QueueRecord &R);
   const TaskState *find(uint64_t Id) const;
@@ -117,7 +125,8 @@ struct QueueState {
 inline constexpr const char *QueueTag = "locus-queue v2";
 
 struct TaskQueueOptions {
-  /// Queue directory; the log lives at <Dir>/queue.rlog.
+  /// Queue directory; the log lives at <Dir>/queue.rlog, its doorbell at
+  /// <Dir>/queue.bell.
   std::string Dir;
   /// The run the queue is pinned to. The opener that creates the file
   /// writes it.
@@ -163,6 +172,15 @@ public:
   poll(QueueState &State,
        const std::function<void(const QueueRecord &)> &OnRecord = nullptr);
 
+  /// Blocks until some record is appended after State's last poll began,
+  /// or Timeout seconds pass (the fallback wake-up; also the whole wait
+  /// when the doorbell could not be mapped). May return early; callers
+  /// re-poll and wait again.
+  void waitForAppend(const QueueState &State, double Timeout) const;
+  /// Wakes every waitForAppend without appending (a shutdown that must not
+  /// depend on its record reaching the log).
+  void ring() const { Bell.ring(); }
+
   const std::string &path() const { return Path; }
   /// The header actually found in (or written to) the file.
   const search::RunHeader &header() const { return Header; }
@@ -175,6 +193,7 @@ private:
   std::string Path;
   search::RunHeader Header;
   support::RecordLog Log;
+  support::Doorbell Bell;
 };
 
 } // namespace service

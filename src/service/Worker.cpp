@@ -5,8 +5,9 @@
 #include "src/search/PointCodec.h"
 #include "src/support/Posix.h"
 
-#include <atomic>
 #include <chrono>
+#include <condition_variable>
+#include <mutex>
 #include <sys/stat.h>
 #include <thread>
 
@@ -14,8 +15,6 @@ namespace locus {
 namespace service {
 
 namespace {
-
-using support::monotonicSeconds;
 
 bool stopRequested(const WorkerOptions &Opts) {
   return Opts.StopFlag && Opts.StopFlag->load(std::memory_order_relaxed);
@@ -25,39 +24,43 @@ void sleepSeconds(double S) {
   std::this_thread::sleep_for(std::chrono::duration<double>(S));
 }
 
-/// Heartbeats Task/Epoch every HeartbeatSeconds until told to stop, in
-/// 10 ms slices so joining is prompt once the evaluation finishes.
+/// Heartbeats Task/Epoch every HeartbeatSeconds until told to stop. The
+/// thread parks on a condition variable, so the destructor's notify ends it
+/// at once when the evaluation finishes.
 class HeartbeatPump {
 public:
   HeartbeatPump(TaskQueue &Q, uint64_t Id, uint64_t Epoch,
                 const WorkerOptions &Opts, uint64_t &Beats)
       : T([&Q, Id, Epoch, &Opts, &Beats, this] {
-          double Last = monotonicSeconds();
           uint64_t Sent = 0;
-          while (!Stop.load(std::memory_order_relaxed)) {
-            sleepSeconds(0.01);
-            double Now = monotonicSeconds();
-            if (Now - Last < Opts.HeartbeatSeconds)
-              continue;
+          std::unique_lock<std::mutex> L(M);
+          auto Period = std::chrono::duration<double>(Opts.HeartbeatSeconds);
+          while (!Cv.wait_for(L, Period, [this] { return Stop; })) {
             if (Opts.MaxHeartbeatsPerTask >= 0 &&
                 Sent >= static_cast<uint64_t>(Opts.MaxHeartbeatsPerTask))
               continue; // simulated stall: lease goes silent
+            L.unlock();
             if (Q.heartbeat(Id, Epoch, Opts.WorkerId).ok()) {
               ++Sent;
               ++Beats;
             }
-            Last = Now;
+            L.lock();
           }
         }) {}
   ~HeartbeatPump() {
-    Stop.store(true);
-    if (T.joinable())
-      T.join();
+    {
+      std::lock_guard<std::mutex> L(M);
+      Stop = true;
+    }
+    Cv.notify_one();
+    T.join();
   }
 
 private:
-  std::atomic<bool> Stop{false};
-  std::thread T;
+  std::mutex M;
+  std::condition_variable Cv;
+  bool Stop = false;
+  std::thread T; ///< last: starts once M, Cv and Stop exist
 };
 
 } // namespace
@@ -113,7 +116,7 @@ Expected<WorkerStats> runWorker(const search::Space &Space,
       break;
     const TaskState *T = State.firstClaimable();
     if (!T) {
-      sleepSeconds(Opts.PollSeconds);
+      Queue.waitForAppend(State, Opts.PollSeconds);
       continue;
     }
 

@@ -31,7 +31,9 @@ struct WorkerOptions {
   uint64_t SpaceFingerprint = 0;
   /// Heartbeat period while an evaluation runs.
   double HeartbeatSeconds = 0.5;
-  /// Idle poll period while waiting for claimable tasks.
+  /// Fallback wake period while waiting for claimable tasks: an idle worker
+  /// wakes on the queue's doorbell as soon as a record is appended, and
+  /// re-scans after this long even if it never rings.
   double PollSeconds = 0.02;
   /// Exit after this many evaluated tasks; 0 = until shutdown record.
   uint64_t MaxTasks = 0;

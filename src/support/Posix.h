@@ -12,12 +12,17 @@
 /// EINTR is absorbed. Timeouts (retryPoll) are re-armed against a monotonic
 /// deadline so a signal storm cannot extend the wait.
 ///
+/// Two small owners of kernel objects live here too: FileLock (an flock
+/// held for an object's lifetime) and Doorbell (a futex word shared through
+/// a file, the tuning service's cross-process wake-up).
+///
 //===----------------------------------------------------------------------===//
 #ifndef LOCUS_SUPPORT_POSIX_H
 #define LOCUS_SUPPORT_POSIX_H
 
 #include "src/support/Error.h"
 
+#include <cstdint>
 #include <poll.h>
 #include <string>
 #include <sys/types.h>
@@ -89,6 +94,43 @@ public:
 
 private:
   int Fd = -1;
+};
+
+/// A cross-process wake-up: one 32-bit counter in a small MAP_SHARED file.
+/// ring() increments it and FUTEX_WAKEs every waiter; wait(Seen, T) sleeps
+/// in FUTEX_WAIT until the counter differs from Seen, or T passes. A waiter
+/// that samples the counter *before* it looks for work cannot miss a ring
+/// that follows the look: the counter has moved, so the wait returns at
+/// once. Threads and processes that map the same file share the futex.
+///
+/// An invalid (default or moved-from) doorbell rings nowhere and waits by
+/// sleeping the timeout: polling is the fallback wherever the file cannot
+/// be created or mapped.
+class Doorbell {
+public:
+  Doorbell() = default;
+  Doorbell(Doorbell &&O) noexcept : Word(std::exchange(O.Word, nullptr)) {}
+  Doorbell &operator=(Doorbell O) noexcept {
+    std::swap(Word, O.Word);
+    return *this;
+  }
+  ~Doorbell();
+
+  /// Maps the counter at \p Path, creating the file if needed. Refused
+  /// when the file cannot be opened, sized or mapped (a directory, a
+  /// read-only or mmap-less filesystem).
+  static Expected<Doorbell> open(const std::string &Path);
+
+  /// The counter now (0 when invalid).
+  uint32_t sample() const;
+  /// Increments the counter and wakes every waiter.
+  void ring() const;
+  /// Returns once the counter differs from Seen, after TimeoutSeconds, or
+  /// early on a signal (callers re-check their condition and loop).
+  void wait(uint32_t Seen, double TimeoutSeconds) const;
+
+private:
+  uint32_t *Word = nullptr;
 };
 
 } // namespace support

@@ -6,6 +6,7 @@
 
 #include <algorithm>
 #include <cerrno>
+#include <cmath>
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
@@ -475,13 +476,32 @@ void ChildProcess::signalGroup(int Sig) {
 
 bool ChildProcess::waitExit(double TimeoutSeconds) {
   double Deadline = monotonicSeconds() + TimeoutSeconds;
+  // A pidfd turns readable the moment the child exits, so the wait ends
+  // there rather than at the next 5 ms tick. Kernels or sandboxes without
+  // pidfd_open (ENOSYS, EPERM) keep the sleep loop.
+  int PidFd = -1;
+#ifdef SYS_pidfd_open
+  if (running())
+    PidFd = static_cast<int>(::syscall(SYS_pidfd_open, Pid, 0));
+#endif
+  bool Exited = true;
   while (running()) {
-    if (monotonicSeconds() >= Deadline)
-      return false;
+    double Left = Deadline - monotonicSeconds();
+    if (Left <= 0) {
+      Exited = false;
+      break;
+    }
+    struct pollfd P = {PidFd, POLLIN, 0};
+    int WaitMs = static_cast<int>(std::min(std::ceil(Left * 1000), 1e9));
+    if (PidFd >= 0 && retryPoll(&P, 1, WaitMs) >= 0)
+      continue;
+    closeQuietly(PidFd); // no pidfd, or poll refused it: sleep instead
+    PidFd = -1;
     struct timespec Ts = {0, 5 * 1000000};
     nanosleep(&Ts, nullptr);
   }
-  return Pid > 0;
+  closeQuietly(PidFd);
+  return Exited && Pid > 0;
 }
 
 void ChildProcess::kill() {

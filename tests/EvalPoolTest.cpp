@@ -11,9 +11,12 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <atomic>
 #include <chrono>
 #include <cmath>
+#include <condition_variable>
+#include <mutex>
 #include <set>
 #include <thread>
 
@@ -350,26 +353,50 @@ struct MatmulFixture {
   }
 };
 
+/// Records the peak number of variant runs in flight at once. Installed as
+/// the orchestrator's InitHook, which runs once per simulated variant. A
+/// pool-thread call holds its variant until a second run joins it (or 5 s
+/// pass), so a concurrent pool shows a peak of 2 however slow the host is,
+/// and a serial one never can. Calls on the search thread (the baseline,
+/// the best re-run) never hold.
+class InFlightProbe {
+public:
+  void enter() {
+    std::unique_lock<std::mutex> L(M);
+    Peak = std::max(Peak, ++InFlight);
+    Cv.notify_all();
+    if (std::this_thread::get_id() != SearchThread)
+      Cv.wait_for(L, std::chrono::seconds(5), [this] { return Peak >= 2; });
+    --InFlight;
+  }
+  int peak() {
+    std::lock_guard<std::mutex> L(M);
+    return Peak;
+  }
+
+private:
+  const std::thread::id SearchThread = std::this_thread::get_id();
+  std::mutex M;
+  std::condition_variable Cv;
+  int InFlight = 0;
+  int Peak = 0;
+};
+
 TEST(DriverPool, ParallelMatmulSearchMatchesSerial) {
   MatmulFixture F;
   for (const char *Name : {"de", "exhaustive"}) {
     driver::OrchestratorOptions Serial = F.options(Name);
     driver::OrchestratorOptions Par = F.options(Name);
     Par.Jobs = 4;
+    InFlightProbe Probe;
+    Par.InitHook = [&Probe](eval::ProgramEvaluator &) { Probe.enter(); };
 
-    using Clock = std::chrono::steady_clock;
     driver::Orchestrator SOrch(*F.LP, *F.CP, Serial);
-    auto T0 = Clock::now();
     auto RS = SOrch.runSearch();
-    auto SerialMs = std::chrono::duration_cast<std::chrono::milliseconds>(
-        Clock::now() - T0);
     ASSERT_TRUE(RS.ok()) << RS.message();
 
     driver::Orchestrator POrch(*F.LP, *F.CP, Par);
-    auto T1 = Clock::now();
     auto RP = POrch.runSearch();
-    auto ParMs = std::chrono::duration_cast<std::chrono::milliseconds>(
-        Clock::now() - T1);
     ASSERT_TRUE(RP.ok()) << RP.message();
 
     // Identical best point and metric, always.
@@ -379,13 +406,9 @@ TEST(DriverPool, ParallelMatmulSearchMatchesSerial) {
     EXPECT_EQ(RS->Search.Evaluations, RP->Search.Evaluations) << Name;
     EXPECT_EQ(RS->BaselineChosen, RP->BaselineChosen) << Name;
 
-    // Wall-clock speedup needs real cores; CI containers with one core
-    // cannot show a CPU-bound speedup, so gate the timing assertion.
-    if (std::thread::hardware_concurrency() >= 4 && SerialMs.count() >= 200) {
-      EXPECT_GE(SerialMs.count(), 2 * ParMs.count())
-          << Name << ": serial " << SerialMs.count() << "ms vs parallel "
-          << ParMs.count() << "ms";
-    }
+    // The pool really overlapped variant runs. A count, not a wall-clock
+    // ratio: it holds on a loaded or sanitized host.
+    EXPECT_GE(Probe.peak(), 2) << Name;
   }
 }
 

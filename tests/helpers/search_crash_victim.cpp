@@ -12,9 +12,14 @@
 //                       [--serve N --queue-dir DIR [--lease-timeout S]
 //                        [--poison-deaths K] [--max-respawns N]
 //                        [--backoff S] [--worker-crash-at SPEC]
-//                        [--die-on-task N] [--worker-die-immediately]]
+//                        [--die-on-task N] [--worker-die-immediately]
+//                        [--poll S]]
 //                       [--worker --queue-dir DIR [--worker-id ID]
-//                        [--heartbeat S] [--max-heartbeats N]]
+//                        [--heartbeat S] [--max-heartbeats N] [--poll S]]
+//
+// --poll S sets the fallback wake period of the coordinator and of every
+// worker it spawns (or of this worker); a large value leaves the queue's
+// doorbell as the only prompt wake-up.
 //
 // --crash-at SPEC arms the RecordLog crash injector (the SPEC lands in
 // LOCUS_RECORDLOG_CRASH_AT before any log is opened): the Nth append
@@ -76,6 +81,7 @@ int main(int argc, char **argv) {
   bool WorkerDieImmediately = false;
   double Heartbeat = 0.25;
   int MaxHeartbeats = -1;
+  std::string Poll;
 
   for (int I = 1; I < argc; ++I) {
     std::string Arg = argv[I];
@@ -146,6 +152,9 @@ int main(int argc, char **argv) {
     } else if (Arg == "--max-heartbeats") {
       if (const char *V = Next())
         MaxHeartbeats = std::atoi(V);
+    } else if (Arg == "--poll") {
+      if (const char *V = Next())
+        Poll = V;
     } else {
       std::fprintf(stderr, "search_crash_victim: unknown option %s\n",
                    Arg.c_str());
@@ -184,6 +193,8 @@ int main(int argc, char **argv) {
     WOpts.WorkerId = WorkerId;
     WOpts.HeartbeatSeconds = Heartbeat;
     WOpts.MaxHeartbeatsPerTask = MaxHeartbeats;
+    if (!Poll.empty())
+      WOpts.PollSeconds = std::atof(Poll.c_str());
     WOpts.StopFlag = Opts.StopFlag;
     if (DieOnTask > 0)
       WOpts.OnClaim = [DieOnTask](uint64_t Id) {
@@ -220,6 +231,11 @@ int main(int argc, char **argv) {
     }
     if (WorkerDieImmediately)
       Base.push_back("--worker-die-immediately");
+    if (!Poll.empty()) {
+      Opts.Serve.PollSeconds = std::atof(Poll.c_str());
+      Base.push_back("--poll");
+      Base.push_back(Poll);
+    }
     std::string CrashAt = WorkerCrashAt;
     Opts.Serve.WorkerArgv = [Base, CrashAt](int Slot, int Attempt) {
       std::vector<std::string> Argv = Base;
