@@ -6,8 +6,9 @@
 #include "src/cir/Printer.h"
 
 #include <algorithm>
+#include <cstdint>
 #include <functional>
-#include <numeric>
+#include <map>
 #include <set>
 
 namespace locus {
@@ -18,9 +19,10 @@ using namespace cir;
 bool Dependence::mayBeCarriedBy(size_t Level) const {
   if (Level >= Dirs.size())
     return false;
-  // Carried by Level when some plausible vector has its first non-'=' at
-  // Level; approximated as: all earlier components may be '=', and the
-  // component at Level may be '<'.
+  // Exact, without enumerating: a vector with '=' before Level and '<' at
+  // Level is lexicographically positive, hence plausible, and one exists
+  // exactly when every earlier component can be '=' (is '=' or '*') and the
+  // component at Level can be '<' (is '<' or '*').
   for (size_t I = 0; I < Level; ++I)
     if (Dirs[I] == '<' || Dirs[I] == '>')
       return false;
@@ -29,15 +31,48 @@ bool Dependence::mayBeCarriedBy(size_t Level) const {
 
 namespace {
 
-int64_t gcd64(int64_t A, int64_t B) {
-  A = std::abs(A);
-  B = std::abs(B);
+/// The emptiness test behind Dependence::hasPlausibleVector, in O(k): scan
+/// for the first component that is not '='. '<' or '*' (expand it to '<')
+/// starts a lexicographically positive vector; '>' makes every expansion
+/// start negative; all '=' is plausible only when the source precedes the
+/// destination textually (or reads before it writes within one statement).
+bool plausible(const char *Dirs, size_t K, int SrcStmt, int DstStmt,
+               DepKind Kind) {
+  for (size_t I = 0; I < K; ++I) {
+    if (Dirs[I] == '=')
+      continue;
+    return Dirs[I] != '>';
+  }
+  return SrcStmt < DstStmt || (SrcStmt == DstStmt && Kind == DepKind::Anti);
+}
+
+/// Magnitude of \p V; exact for INT64_MIN too.
+uint64_t magnitude(int64_t V) {
+  return V < 0 ? 0 - static_cast<uint64_t>(V) : static_cast<uint64_t>(V);
+}
+
+uint64_t gcdU64(uint64_t A, uint64_t B) {
   while (B != 0) {
-    int64_t T = A % B;
+    uint64_t T = A % B;
     A = B;
     B = T;
   }
   return A;
+}
+
+/// N / D when D divides N exactly. Overflowing cases (D == 0, INT64_MIN /
+/// -1) are Unknown: a dimension that meets one proves nothing.
+struct Quotient {
+  enum { Exact, Fractional, Unknown } Kind;
+  int64_t Value = 0;
+};
+
+Quotient divide(int64_t N, int64_t D) {
+  if (D == 0 || (N == INT64_MIN && D == -1))
+    return {Quotient::Unknown};
+  if (N % D != 0)
+    return {Quotient::Fractional};
+  return {Quotient::Exact, N / D};
 }
 
 /// Direction constraint lattice: '*' unconstrained, concrete values, or
@@ -50,10 +85,62 @@ bool mergeDir(char &Slot, char New) {
   return Slot == New;
 }
 
+/// Sentinel depth of a subscript variable that no enclosing loop drives.
+constexpr size_t NotALoop = SIZE_MAX;
+
 } // namespace
+
+bool Dependence::hasPlausibleVector() const {
+  return plausible(Dirs.data(), Dirs.size(), SrcStmt, DstStmt, Kind);
+}
+
+std::vector<std::vector<char>> Dependence::plausibleVectors() const {
+  std::vector<std::vector<char>> Result;
+  std::vector<char> Current(Dirs.size(), '=');
+  const std::function<void(size_t)> Expand = [&](size_t Pos) {
+    if (Pos == Dirs.size()) {
+      // Keep lexicographically positive vectors; all-'=' vectors are
+      // plausible only when the source precedes the destination textually
+      // (or reads-before-write within one statement).
+      size_t FirstNonEq = 0;
+      while (FirstNonEq < Current.size() && Current[FirstNonEq] == '=')
+        ++FirstNonEq;
+      if (FirstNonEq == Current.size()) {
+        bool EqPlausible = SrcStmt < DstStmt ||
+                           (SrcStmt == DstStmt && Kind == DepKind::Anti);
+        if (EqPlausible)
+          Result.push_back(Current);
+        return;
+      }
+      if (Current[FirstNonEq] == '<')
+        Result.push_back(Current);
+      return;
+    }
+    if (Dirs[Pos] == '*') {
+      for (char C : {'<', '=', '>'}) {
+        Current[Pos] = C;
+        Expand(Pos + 1);
+      }
+    } else {
+      Current[Pos] = Dirs[Pos];
+      Expand(Pos + 1);
+    }
+  };
+  Expand(0);
+  return Result;
+}
 
 /// Walks a nest collecting leaf statements and their accesses; also checks
 /// that everything needed for dependence testing is affine.
+///
+/// Names are resolved once per nest: every subscript variable and array gets
+/// an integer id, and every subscript term records the depth of the
+/// outermost enclosing loop of its access driven by that variable. The pair
+/// tests then classify a term for a pair with C common loops by comparing
+/// that depth with C: a common loop variable below C, another loop's
+/// variable at or past it, a parameter when no loop drives it. Loops are
+/// matched by variable name, so a name reused by nested loops classifies
+/// by its outermost loop, as comparing names would.
 struct DependenceBuilder {
   bool Affine = true;
   support::Diag *WhyNot = nullptr;
@@ -61,6 +148,37 @@ struct DependenceBuilder {
   std::set<std::string> LoopVars;
   std::set<std::string> WrittenScalars;
   DependenceInfo Info;
+
+  /// One variable of an affine subscript, resolved.
+  struct Term {
+    int Var = 0;             ///< interned name
+    int64_t Coeff = 0;       ///< coefficient
+    size_t Depth = NotALoop; ///< outermost enclosing loop over Var
+  };
+  /// One subscript: Terms[Begin, End) in the AffineExpr's name order.
+  struct Subscript {
+    size_t Begin = 0;
+    size_t End = 0;
+    int64_t Constant = 0;
+  };
+  /// The resolved twin of Info.Accesses[I].
+  struct Resolved {
+    int Array = 0;
+    size_t FirstSub = 0;      ///< into Subs
+    std::vector<int> LoopVar; ///< interned Var of each enclosing loop
+  };
+  std::map<std::string, int> Names;
+  std::vector<Term> Terms;
+  std::vector<Subscript> Subs;
+  std::vector<Resolved> Res;
+  /// Every loop of the nest with its constant range.
+  std::vector<std::pair<const ForStmt *, std::optional<ConstLoop>>> Ranges;
+  std::vector<char> Dirs; ///< the pair under test's direction vector
+
+  int intern(const std::string &Name) {
+    int Next = static_cast<int>(Names.size());
+    return Names.try_emplace(Name, Next).first->second;
+  }
 
   /// Marks the analysis unavailable, capturing the first reason (with its
   /// source location) for diagnostics when the caller asked for one.
@@ -98,12 +216,12 @@ struct DependenceBuilder {
     // ranges) are fine: the subscript tests are conservative without trip
     // information. Only subscripts must be affine.
     LoopStack.push_back(&For);
+    Ranges.emplace_back(&For, constLoop(For));
     LoopVars.insert(For.Var);
     visitBlock(*For.Body);
     LoopVars.erase(For.Var);
     LoopStack.pop_back();
   }
-
   void visitBlock(const Block &B) {
     for (const auto &S : B.Stmts)
       visitStmt(*S);
@@ -241,137 +359,214 @@ struct DependenceBuilder {
     }
   }
 
-  /// Tests every ordered pair of accesses to the same array where at least
-  /// one is a write.
-  void testAllPairs() {
-    for (size_t I = 0; I < Info.Accesses.size(); ++I) {
-      for (size_t J = 0; J < Info.Accesses.size(); ++J) {
-        if (I == J)
-          continue;
-        const Access &A = Info.Accesses[I];
-        const Access &B = Info.Accesses[J];
-        if (A.Array != B.Array || (!A.IsWrite && !B.IsWrite))
-          continue;
-        testPair(A, B);
+  /// Interns every name the pair tests compare and resolves each access's
+  /// subscript terms and loops (see the struct comment).
+  void resolve() {
+    Res.reserve(Info.Accesses.size());
+    for (const Access &Acc : Info.Accesses) {
+      Resolved R;
+      R.Array = intern(Acc.Array);
+      R.FirstSub = Subs.size();
+      R.LoopVar.reserve(Acc.Loops.size());
+      for (const ForStmt *L : Acc.Loops)
+        R.LoopVar.push_back(intern(L->Var));
+      for (const AffineExpr &E : Acc.Subs) {
+        Subscript Sub{Terms.size(), 0, E.constant()};
+        for (const auto &[Name, Coeff] : E.coeffs()) {
+          Term T{intern(Name), Coeff, NotALoop};
+          for (size_t L = 0; L < R.LoopVar.size() && T.Depth == NotALoop; ++L)
+            if (R.LoopVar[L] == T.Var)
+              T.Depth = L;
+          Terms.push_back(T);
+        }
+        Sub.End = Terms.size();
+        Subs.push_back(Sub);
       }
+      Res.push_back(std::move(R));
     }
   }
 
-  void testPair(const Access &A, const Access &B) {
+  /// Tests every ordered pair of accesses to the same array where at least
+  /// one is a write.
+  void testAllPairs() {
+    resolve();
+    // Accesses per array, in access order, so the pairs (and the Deps they
+    // produce) come in the order of a scan over all (I, J).
+    std::vector<std::vector<size_t>> ByArray(Names.size());
+    for (size_t I = 0; I < Res.size(); ++I)
+      ByArray[static_cast<size_t>(Res[I].Array)].push_back(I);
+    for (size_t I = 0; I < Info.Accesses.size(); ++I)
+      for (size_t J : ByArray[static_cast<size_t>(Res[I].Array)])
+        if (I != J &&
+            (Info.Accesses[I].IsWrite || Info.Accesses[J].IsWrite))
+          testPair(I, J);
+  }
+
+  void testPair(size_t I, size_t J) {
+    const Access &A = Info.Accesses[I];
+    const Access &B = Info.Accesses[J];
     // Common loops: longest common prefix of the enclosing loop chains.
     size_t Common = 0;
     while (Common < A.Loops.size() && Common < B.Loops.size() &&
            A.Loops[Common] == B.Loops[Common])
       ++Common;
 
-    std::vector<char> Dirs(Common, '*');
-    std::set<std::string> CommonVars;
-    for (size_t L = 0; L < Common; ++L)
-      CommonVars.insert(A.Loops[L]->Var);
-
     if (A.Subs.size() != B.Subs.size())
       return; // different dimensionality: treat as distinct objects
 
+    Dirs.assign(Common, '*');
     for (size_t D = 0; D < A.Subs.size(); ++D)
-      if (!testDim(A.Subs[D], B.Subs[D], A, B, CommonVars, Dirs, Common))
+      if (!testDim(Subs[Res[I].FirstSub + D], Subs[Res[J].FirstSub + D], A,
+                   Res[I], Common))
         return; // proven independent
 
+    // Keep only dependences with at least one plausible vector.
+    DepKind Kind = A.IsWrite ? (B.IsWrite ? DepKind::Output : DepKind::Flow)
+                             : DepKind::Anti;
+    if (!plausible(Dirs.data(), Common, A.LeafStmt, B.LeafStmt, Kind))
+      return;
     Dependence Dep;
     Dep.SrcStmt = A.LeafStmt;
     Dep.DstStmt = B.LeafStmt;
     Dep.Array = A.Array;
     Dep.IsScalar = A.Subs.empty();
-    Dep.Kind = A.IsWrite ? (B.IsWrite ? DepKind::Output : DepKind::Flow)
-                         : DepKind::Anti;
-    Dep.Dirs = std::move(Dirs);
+    Dep.Kind = Kind;
+    Dep.Dirs = Dirs;
     Dep.CommonLoops.assign(A.Loops.begin(),
                            A.Loops.begin() + static_cast<long>(Common));
-    // Keep only dependences with at least one plausible vector.
-    DependenceInfo Tmp;
     Info.Deps.push_back(std::move(Dep));
-    if (Info.plausibleVectors(Info.Deps.back()).empty())
-      Info.Deps.pop_back();
+  }
+
+  /// GCD of the loop-variable coefficients (common and other loops) of both
+  /// subscripts; 0 when there are none.
+  uint64_t loopGcd(const Subscript &SA, const Subscript &SB) const {
+    uint64_t G = 0;
+    for (const Subscript *S : {&SA, &SB})
+      for (size_t T = S->Begin; T < S->End; ++T)
+        if (Terms[T].Depth != NotALoop)
+          G = gcdU64(G, magnitude(Terms[T].Coeff));
+    return G;
+  }
+
+  /// The parameter term of \p S for variable \p Var, or null.
+  const Term *paramOf(const Subscript &S, int Var) const {
+    for (size_t T = S.Begin; T < S.End; ++T)
+      if (Terms[T].Var == Var && Terms[T].Depth == NotALoop)
+        return &Terms[T];
+    return nullptr;
+  }
+
+  /// True when both subscripts have the same parameter terms.
+  bool sameParams(const Subscript &SA, const Subscript &SB) const {
+    size_t I = SA.Begin;
+    size_t J = SB.Begin;
+    while (true) {
+      while (I < SA.End && Terms[I].Depth != NotALoop)
+        ++I;
+      while (J < SB.End && Terms[J].Depth != NotALoop)
+        ++J;
+      if (I == SA.End || J == SB.End)
+        return I == SA.End && J == SB.End;
+      if (Terms[I].Var != Terms[J].Var || Terms[I].Coeff != Terms[J].Coeff)
+        return false;
+      ++I;
+      ++J;
+    }
+  }
+
+  /// The constant range of the first common loop driven by \p Var.
+  const std::optional<ConstLoop> &constRange(const Access &A,
+                                             const Resolved &RA, int Var,
+                                             size_t Common) const {
+    static const std::optional<ConstLoop> None;
+    for (size_t L = 0; L < Common; ++L) {
+      if (RA.LoopVar[L] != Var)
+        continue;
+      for (const auto &[Loop, Range] : Ranges)
+        if (Loop == A.Loops[L])
+          return Range;
+    }
+    return None;
   }
 
   /// Per-dimension test; returns false when the dimension proves the pair
-  /// independent, otherwise refines \p Dirs.
-  bool testDim(const AffineExpr &FA, const AffineExpr &FB, const Access &A,
-               const Access &B, const std::set<std::string> &CommonVars,
-               std::vector<char> &Dirs, size_t Common) {
-    // Split into common-loop-var part, other-loop-var part, and params.
-    auto Classify = [&](const AffineExpr &E, const Access &Acc,
-                        std::map<std::string, int64_t> &CommonC,
-                        std::map<std::string, int64_t> &OtherLoopC,
-                        std::map<std::string, int64_t> &ParamC) {
-      for (const auto &[Name, Coeff] : E.coeffs()) {
-        bool IsLoop = false;
-        for (const ForStmt *L : Acc.Loops)
-          if (L->Var == Name)
-            IsLoop = true;
-        if (CommonVars.count(Name))
-          CommonC[Name] += Coeff;
-        else if (IsLoop)
-          OtherLoopC[Name] += Coeff;
-        else
-          ParamC[Name] += Coeff;
+  /// independent, otherwise refines Dirs. Every constant difference and
+  /// division is overflow-checked: a dimension whose arithmetic overflows
+  /// returns true and leaves Dirs alone, so it never proves independence.
+  bool testDim(const Subscript &SA, const Subscript &SB, const Access &A,
+               const Resolved &RA, size_t Common) {
+    // Split each side into common-loop-var, other-loop-var and parameter
+    // terms: a term's depth below Common marks a common loop variable.
+    const Term *CA = nullptr;
+    const Term *CB = nullptr;
+    size_t NumCA = 0, NumCB = 0, NumOA = 0, NumOB = 0;
+    auto Split = [&](const Subscript &S, const Term *&C, size_t &NumC,
+                     size_t &NumO) {
+      for (size_t T = S.Begin; T < S.End; ++T) {
+        if (Terms[T].Depth < Common) {
+          C = &Terms[T];
+          ++NumC;
+        } else if (Terms[T].Depth != NotALoop) {
+          ++NumO;
+        }
       }
     };
-
-    std::map<std::string, int64_t> CA, OA, PA, CB, OB, PB;
-    Classify(FA, A, CA, OA, PA);
-    Classify(FB, B, CB, OB, PB);
+    Split(SA, CA, NumCA, NumOA);
+    Split(SB, CB, NumCB, NumOB);
+    const int64_t FA = SA.Constant;
+    const int64_t FB = SB.Constant;
+    int64_t Diff = 0;
 
     // Mismatched symbolic parameter parts: the constant distance is unknown,
     // but a symbolic GCD test still proves independence when every
     // coefficient of the parameter difference is a multiple of the gcd of
     // the loop-variable coefficients while the constant difference is not.
-    if (PA != PB) {
-      std::map<std::string, int64_t> PD = PA;
-      for (const auto &[Name, Coeff] : PB)
-        PD[Name] -= Coeff;
-      int64_t G = 0;
-      for (const auto &[Name, Coeff] : CA)
-        (void)Name, G = gcd64(G, Coeff);
-      for (const auto &[Name, Coeff] : CB)
-        (void)Name, G = gcd64(G, Coeff);
-      for (const auto &[Name, Coeff] : OA)
-        (void)Name, G = gcd64(G, Coeff);
-      for (const auto &[Name, Coeff] : OB)
-        (void)Name, G = gcd64(G, Coeff);
-      if (G != 0) {
-        bool ParamsDivisible = true;
-        for (const auto &[Name, Coeff] : PD) {
-          (void)Name;
-          if (Coeff % G != 0)
-            ParamsDivisible = false;
-        }
-        if (ParamsDivisible && (FA.constant() - FB.constant()) % G != 0)
-          return false; // symbolic GCD proves independence
+    if (!sameParams(SA, SB)) {
+      uint64_t G = loopGcd(SA, SB);
+      if (G == 0)
+        return true;
+      for (size_t T = SA.Begin; T < SA.End; ++T) {
+        if (Terms[T].Depth != NotALoop)
+          continue;
+        int64_t PD = Terms[T].Coeff;
+        const Term *PB = paramOf(SB, Terms[T].Var);
+        if (PB && __builtin_sub_overflow(PD, PB->Coeff, &PD))
+          return true;
+        if (magnitude(PD) % G != 0)
+          return true; // parameters not divisible: unknown
       }
-      return true; // otherwise conservatively unknown
+      for (size_t T = SB.Begin; T < SB.End; ++T)
+        if (Terms[T].Depth == NotALoop && !paramOf(SA, Terms[T].Var) &&
+            magnitude(Terms[T].Coeff) % G != 0)
+          return true;
+      if (__builtin_sub_overflow(FA, FB, &Diff))
+        return true;
+      // Symbolic GCD proves independence, or the dependence stays unknown.
+      return magnitude(Diff) % G == 0;
     }
 
-    if (CA.empty() && CB.empty() && OA.empty() && OB.empty()) {
+    if (NumCA + NumCB + NumOA + NumOB == 0) {
       // ZIV: pure constants (plus matching params).
-      return FA.constant() == FB.constant();
+      return FA == FB;
     }
+
+    bool SingleVar = NumOA == 0 && NumOB == 0 && NumCA == 1 && NumCB == 1 &&
+                     CA->Var == CB->Var;
 
     // Strong SIV: exactly one common var with equal coefficients on both
     // sides, and no other loop vars involved.
-    if (OA.empty() && OB.empty() && CA.size() == 1 && CB.size() == 1 &&
-        CA.begin()->first == CB.begin()->first &&
-        CA.begin()->second == CB.begin()->second) {
-      const std::string &Var = CA.begin()->first;
-      int64_t Coeff = CA.begin()->second;
-      int64_t Diff = FA.constant() - FB.constant();
-      if (Diff % Coeff != 0)
-        return false; // non-integer distance: independent
-      int64_t Distance = Diff / Coeff; // in value space of the variable
+    if (SingleVar && CA->Coeff == CB->Coeff) {
+      if (__builtin_sub_overflow(FA, FB, &Diff))
+        return true;
+      Quotient Q = divide(Diff, CA->Coeff);
+      if (Q.Kind != Quotient::Exact)
+        return Q.Kind == Quotient::Unknown; // non-integer distance: independent
+      int64_t Distance = Q.Value; // in value space of the variable
       // The variable only takes values Lo, Lo+Step, ...: a distance that is
       // not a multiple of the step is unrealizable (unrolled loops write
       // interleaved, disjoint element sets).
       for (size_t L = 0; L < Common; ++L) {
-        if (A.Loops[L]->Var != Var)
+        if (RA.LoopVar[L] != CA->Var)
           continue;
         int64_t Step = A.Loops[L]->Step;
         if (Step > 1 && Distance % Step != 0)
@@ -379,7 +574,7 @@ struct DependenceBuilder {
       }
       char Dir = Distance > 0 ? '<' : (Distance < 0 ? '>' : '=');
       for (size_t L = 0; L < Common; ++L) {
-        if (A.Loops[L]->Var != Var)
+        if (RA.LoopVar[L] != CA->Var)
           continue;
         if (!mergeDir(Dirs[L], Dir))
           return false; // conflicting constraints: independent
@@ -387,31 +582,26 @@ struct DependenceBuilder {
       return true;
     }
 
-    // Constant iteration facts of the common loop driving \p Var, when its
-    // bounds are compile-time constants. The range tests below treat the
-    // loop as covering [First, Limit - 1], not aligned to the step.
-    auto ConstRange = [&](const std::string &Var) -> std::optional<ConstLoop> {
-      for (size_t L = 0; L < Common; ++L)
-        if (A.Loops[L]->Var == Var)
-          return constLoop(*A.Loops[L]);
-      return std::nullopt;
-    };
+    // The range tests below use the constant iteration facts of the common
+    // loop driving the variable, when its bounds are compile-time constants,
+    // and treat the loop as covering [First, Limit - 1], not aligned to the
+    // step.
 
     // Weak-zero SIV: a*i + c1 against a constant c2. A dependence needs the
     // single iteration i0 = (c2 - c1)/a; independent when i0 is fractional
     // or falls outside the loop's constant iteration range.
-    if (OA.empty() && OB.empty() &&
-        ((CA.size() == 1 && CB.empty()) || (CA.empty() && CB.size() == 1))) {
-      const auto &VarSide = CA.empty() ? CB : CA;
-      const std::string &Var = VarSide.begin()->first;
-      int64_t Coeff = VarSide.begin()->second;
-      int64_t Diff = CA.empty() ? FA.constant() - FB.constant()
-                                : FB.constant() - FA.constant();
-      if (Coeff != 0) {
-        if (Diff % Coeff != 0)
-          return false; // no integer solution: independent
-        int64_t I0 = Diff / Coeff;
-        if (std::optional<ConstLoop> R = ConstRange(Var)) {
+    if (NumOA == 0 && NumOB == 0 && NumCA + NumCB == 1) {
+      const Term &VarSide = NumCA == 0 ? *CB : *CA;
+      if (NumCA == 0 ? __builtin_sub_overflow(FA, FB, &Diff)
+                     : __builtin_sub_overflow(FB, FA, &Diff))
+        return true;
+      if (VarSide.Coeff != 0) {
+        Quotient Q = divide(Diff, VarSide.Coeff);
+        if (Q.Kind != Quotient::Exact)
+          return Q.Kind == Quotient::Unknown; // no integer solution
+        int64_t I0 = Q.Value;
+        if (const std::optional<ConstLoop> &R =
+                constRange(A, RA, VarSide.Var, Common)) {
           if (I0 < R->First || I0 >= R->Limit ||
               (static_cast<__int128>(I0) - R->First) % R->Step != 0)
             return false; // solution outside the iteration space
@@ -423,17 +613,17 @@ struct DependenceBuilder {
     // Weak-crossing SIV: a*i + c1 against -a*i + c2. A dependence needs
     // iterations i1, i2 with i1 + i2 = (c2 - c1)/a; independent when no such
     // pair exists in the loop's constant iteration range.
-    if (OA.empty() && OB.empty() && CA.size() == 1 && CB.size() == 1 &&
-        CA.begin()->first == CB.begin()->first &&
-        CA.begin()->second == -CB.begin()->second &&
-        CA.begin()->second != 0) {
-      const std::string &Var = CA.begin()->first;
-      int64_t Coeff = CA.begin()->second;
-      int64_t Diff = FB.constant() - FA.constant();
-      if (Diff % Coeff != 0)
-        return false; // crossing point is not at an integer multiple
-      int64_t Sum = Diff / Coeff; // i1 + i2 at the crossing
-      if (std::optional<ConstLoop> R = ConstRange(Var)) {
+    if (SingleVar &&
+        static_cast<__int128>(CA->Coeff) == -static_cast<__int128>(CB->Coeff) &&
+        CA->Coeff != 0) {
+      if (__builtin_sub_overflow(FB, FA, &Diff))
+        return true;
+      Quotient Q = divide(Diff, CA->Coeff);
+      if (Q.Kind != Quotient::Exact)
+        return Q.Kind == Quotient::Unknown; // crossing off the integers
+      int64_t Sum = Q.Value; // i1 + i2 at the crossing
+      if (const std::optional<ConstLoop> &R =
+              constRange(A, RA, CA->Var, Common)) {
         // Twice an endpoint may leave int64_t; compare in 128 bits.
         __int128 Lo2 = 2 * static_cast<__int128>(R->First);
         __int128 Hi2 = 2 * (static_cast<__int128>(R->Limit) - 1);
@@ -444,17 +634,10 @@ struct DependenceBuilder {
     }
 
     // GCD test over all loop-variable coefficients.
-    int64_t G = 0;
-    for (const auto &[Name, Coeff] : CA)
-      (void)Name, G = gcd64(G, Coeff);
-    for (const auto &[Name, Coeff] : CB)
-      (void)Name, G = gcd64(G, Coeff);
-    for (const auto &[Name, Coeff] : OA)
-      (void)Name, G = gcd64(G, Coeff);
-    for (const auto &[Name, Coeff] : OB)
-      (void)Name, G = gcd64(G, Coeff);
-    int64_t Diff = FA.constant() - FB.constant();
-    if (G != 0 && Diff % G != 0)
+    if (__builtin_sub_overflow(FA, FB, &Diff))
+      return true;
+    uint64_t G = loopGcd(SA, SB);
+    if (G != 0 && magnitude(Diff) % G != 0)
       return false; // GCD test proves independence
     return true;    // unknown: keep '*' directions
   }
@@ -473,46 +656,9 @@ DependenceInfo::compute(const ForStmt &Root, support::Diag *WhyNot) {
   return std::move(Builder.Info);
 }
 
-std::vector<std::vector<char>>
-DependenceInfo::plausibleVectors(const Dependence &D) const {
-  std::vector<std::vector<char>> Result;
-  std::vector<char> Current(D.Dirs.size(), '=');
-  const std::function<void(size_t)> Expand = [&](size_t Pos) {
-    if (Pos == D.Dirs.size()) {
-      // Keep lexicographically positive vectors; all-'=' vectors are
-      // plausible only when the source precedes the destination textually
-      // (or reads-before-write within one statement).
-      size_t FirstNonEq = 0;
-      while (FirstNonEq < Current.size() && Current[FirstNonEq] == '=')
-        ++FirstNonEq;
-      if (FirstNonEq == Current.size()) {
-        bool EqPlausible = D.SrcStmt < D.DstStmt ||
-                           (D.SrcStmt == D.DstStmt && D.Kind == DepKind::Anti);
-        if (EqPlausible)
-          Result.push_back(Current);
-        return;
-      }
-      if (Current[FirstNonEq] == '<')
-        Result.push_back(Current);
-      return;
-    }
-    if (D.Dirs[Pos] == '*') {
-      for (char C : {'<', '=', '>'}) {
-        Current[Pos] = C;
-        Expand(Pos + 1);
-      }
-    } else {
-      Current[Pos] = D.Dirs[Pos];
-      Expand(Pos + 1);
-    }
-  };
-  Expand(0);
-  return Result;
-}
-
 bool DependenceInfo::interchangeLegal(const std::vector<int> &Perm) const {
   for (const Dependence &D : Deps) {
-    for (const std::vector<char> &V : plausibleVectors(D)) {
+    for (const std::vector<char> &V : D.plausibleVectors()) {
       // Build the permuted vector over the perfect-nest positions.
       std::vector<char> P;
       P.reserve(Perm.size());
@@ -537,7 +683,7 @@ bool DependenceInfo::interchangeLegal(const std::vector<int> &Perm) const {
 
 bool DependenceInfo::tilingLegal(size_t BandBegin, size_t BandEnd) const {
   for (const Dependence &D : Deps) {
-    for (const std::vector<char> &V : plausibleVectors(D)) {
+    for (const std::vector<char> &V : D.plausibleVectors()) {
       bool SatisfiedOutside = false;
       for (size_t I = 0; I < BandBegin && I < V.size(); ++I)
         if (V[I] == '<') {
@@ -556,7 +702,7 @@ bool DependenceInfo::tilingLegal(size_t BandBegin, size_t BandEnd) const {
 
 bool DependenceInfo::unrollAndJamLegal(size_t Level) const {
   for (const Dependence &D : Deps) {
-    for (const std::vector<char> &V : plausibleVectors(D)) {
+    for (const std::vector<char> &V : D.plausibleVectors()) {
       bool SatisfiedOutside = false;
       for (size_t I = 0; I < Level && I < V.size(); ++I)
         if (V[I] == '<') {

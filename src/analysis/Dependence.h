@@ -51,12 +51,25 @@ struct Dependence {
   std::vector<char> Dirs;
   std::vector<const cir::ForStmt *> CommonLoops;
 
-  /// True when the dependence is carried by loop \p Level (first non-'='
-  /// position could be at Level).
+  /// True when the dependence is carried by loop \p Level: some plausible
+  /// vector has its first non-'=' at Level. Exact, in O(Level).
   bool mayBeCarriedBy(size_t Level) const;
+
+  /// The concrete vectors Dirs stands for: every '*' expanded to '<', '='
+  /// and '>', keeping the lexicographically positive ones, and all-'='
+  /// only when the source precedes the destination textually (or an
+  /// anti dependence within one statement). Enumerates up to 3^k vectors;
+  /// the interchange, tiling and unroll-and-jam legality queries walk it.
+  std::vector<std::vector<char>> plausibleVectors() const;
+
+  /// Same as !plausibleVectors().empty(), in O(k) without enumerating: the
+  /// first component that is not '=' decides ('<' or '*' yes, '>' no), and
+  /// all '=' falls back to the textual-order rule.
+  bool hasPlausibleVector() const;
 };
 
-/// Dependence analysis result for one loop nest.
+/// Dependence analysis result for one loop nest. compute() only records
+/// dependences with a plausible vector (Dependence::hasPlausibleVector).
 class DependenceInfo {
 public:
   /// Analyzes the nest rooted at \p Root. Returns nullopt when dependences
@@ -105,11 +118,6 @@ public:
   }
 
 private:
-  /// Expands '*' entries and filters to plausible (lexicographically
-  /// non-negative) concrete vectors.
-  std::vector<std::vector<char>>
-  plausibleVectors(const Dependence &D) const;
-
   std::vector<Access> Accesses;
   std::vector<Dependence> Deps;
   std::vector<const cir::Stmt *> LeafStmts;

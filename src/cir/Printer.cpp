@@ -2,12 +2,52 @@
 
 #include "src/cir/Printer.h"
 
-#include <sstream>
+#include <algorithm>
+#include <charconv>
+#include <cstdio>
+#include <string_view>
 
 namespace locus {
 namespace cir {
 
 namespace {
+
+/// The printer's one output buffer: every statement, expression and literal
+/// of a program appends to the same string. The printed text is hashed
+/// into eval-cache keys (makeCacheKey), so numbers keep the bytes of
+/// ostream's default formatting that persistent cache stores were keyed
+/// with.
+class TextOut {
+public:
+  TextOut &operator<<(std::string_view S) {
+    Text += S;
+    return *this;
+  }
+  TextOut &operator<<(char C) {
+    Text += C;
+    return *this;
+  }
+  TextOut &operator<<(int64_t V) {
+    char Buf[24];
+    Text.append(Buf, std::to_chars(Buf, Buf + sizeof Buf, V).ptr);
+    return *this;
+  }
+  /// ostream's default double format: %g at precision 6, "inf"/"nan" as
+  /// printf spells them. A result that would read as an integer gets ".0"
+  /// so it stays a floating literal.
+  TextOut &operator<<(double V) {
+    char Buf[32];
+    int N = std::snprintf(Buf, sizeof Buf, "%g", V);
+    std::string_view Num(Buf, static_cast<size_t>(N));
+    Text += Num;
+    if (Num.find_first_of(".e") == std::string_view::npos &&
+        Num.find("inf") == std::string_view::npos)
+      Text += ".0";
+    return *this;
+  }
+
+  std::string Text;
+};
 
 /// C operator precedence used to parenthesize minimally but safely.
 int precedence(BinOp Op) {
@@ -67,23 +107,14 @@ const char *opText(BinOp Op) {
   return "?";
 }
 
-void printExprPrec(const Expr &E, int Parent, std::ostringstream &Out) {
+void printExprPrec(const Expr &E, int Parent, TextOut &Out) {
   switch (E.kind()) {
   case ExprKind::IntLit:
     Out << cast<IntLit>(&E)->Value;
     return;
-  case ExprKind::FloatLit: {
-    std::ostringstream Num;
-    Num << cast<FloatLit>(&E)->Value;
-    std::string Text = Num.str();
-    // Make sure it still reads as a floating literal.
-    if (Text.find('.') == std::string::npos &&
-        Text.find('e') == std::string::npos &&
-        Text.find("inf") == std::string::npos)
-      Text += ".0";
-    Out << Text;
+  case ExprKind::FloatLit:
+    Out << cast<FloatLit>(&E)->Value;
     return;
-  }
   case ExprKind::VarRef:
     Out << cast<VarRef>(&E)->Name;
     return;
@@ -163,9 +194,10 @@ public:
     }
     case StmtKind::For: {
       const auto *F = cast<ForStmt>(&S);
-      line(Indent) << "for (" << F->Var << " = " << printExpr(*F->Init) << "; "
-                   << F->Var << (F->Op == BoundOp::Lt ? " < " : " <= ")
-                   << printExpr(*F->Bound) << "; " << F->Var;
+      line(Indent) << "for (" << F->Var << " = ";
+      expr(*F->Init) << "; " << F->Var
+                     << (F->Op == BoundOp::Lt ? " < " : " <= ");
+      expr(*F->Bound) << "; " << F->Var;
       if (F->Step == 1)
         Out << "++";
       else
@@ -178,7 +210,8 @@ public:
     }
     case StmtKind::If: {
       const auto *I = cast<IfStmt>(&S);
-      line(Indent) << "if (" << printExpr(*I->Cond) << ") {\n";
+      line(Indent) << "if (";
+      expr(*I->Cond) << ") {\n";
       for (const auto &Sub : I->Then->Stmts)
         print(*Sub, Indent + 1);
       if (I->Else) {
@@ -198,8 +231,9 @@ public:
         Op = "-=";
       else if (A->Op == AssignOp::Mul)
         Op = "*=";
-      line(Indent) << printExpr(*A->Lhs) << ' ' << Op << ' '
-                   << printExpr(*A->Rhs) << ";\n";
+      line(Indent);
+      expr(*A->Lhs) << ' ' << Op << ' ';
+      expr(*A->Rhs) << ";\n";
       return;
     }
     case StmtKind::Decl: {
@@ -208,38 +242,49 @@ public:
                    << D->Name;
       for (int64_t Dim : D->Dims)
         Out << '[' << Dim << ']';
-      if (D->Init)
-        Out << " = " << printExpr(*D->Init);
+      if (D->Init) {
+        Out << " = ";
+        expr(*D->Init);
+      }
       Out << ";\n";
       return;
     }
     case StmtKind::CallStmt: {
       const auto *C = cast<CallStmt>(&S);
-      line(Indent) << printExpr(*C->Call) << ";\n";
+      line(Indent);
+      expr(*C->Call) << ";\n";
       return;
     }
     }
   }
 
-  std::string take() { return Out.str(); }
+  std::string take() { return std::move(Out.Text); }
+
+  /// Separates the globals from the body in a whole-program printout.
+  void blankLine() { Out << '\n'; }
 
 private:
-  std::ostringstream &line(int Indent) {
-    for (int I = 0; I < Indent * Opts.IndentWidth; ++I)
-      Out << ' ';
+  TextOut &line(int Indent) {
+    Out.Text.append(static_cast<size_t>(std::max(0, Indent * Opts.IndentWidth)),
+                    ' ');
+    return Out;
+  }
+
+  TextOut &expr(const Expr &E) {
+    printExprPrec(E, -1, Out);
     return Out;
   }
 
   const PrintOptions &Opts;
-  std::ostringstream Out;
+  TextOut Out;
 };
 
 } // namespace
 
 std::string printExpr(const Expr &E) {
-  std::ostringstream Out;
+  TextOut Out;
   printExprPrec(E, -1, Out);
-  return Out.str();
+  return std::move(Out.Text);
 }
 
 std::string printStmt(const Stmt &S, const PrintOptions &Opts, int Indent) {
@@ -249,13 +294,13 @@ std::string printStmt(const Stmt &S, const PrintOptions &Opts, int Indent) {
 }
 
 std::string printProgram(const Program &P, const PrintOptions &Opts) {
-  std::string Out;
+  StmtPrinter Printer(Opts);
   for (const auto &G : P.Globals)
-    Out += printStmt(*G, Opts);
-  Out += "\n";
+    Printer.print(*G, 0);
+  Printer.blankLine();
   for (const auto &S : P.Body->Stmts)
-    Out += printStmt(*S, Opts);
-  return Out;
+    Printer.print(*S, 0);
+  return Printer.take();
 }
 
 } // namespace cir

@@ -7,6 +7,9 @@
 
 #include <gtest/gtest.h>
 
+#include <limits>
+#include <sstream>
+
 namespace locus {
 namespace cir {
 namespace {
@@ -211,6 +214,51 @@ TEST(CirPrinter, PreservesPrecedence) {
   std::string Printed = printProgram(**Prog);
   EXPECT_NE(Printed.find("(x + y) * (x - y) / (x * y)"), std::string::npos)
       << Printed;
+}
+
+// The printed text is hashed into locus-evalcache keys, so literals must
+// keep the bytes of ostream's default formatting (%g, precision 6), with
+// ".0" appended when the result would read as an integer.
+TEST(CirPrinter, LiteralsMatchOstreamFormatting) {
+  auto Reference = [](double V) {
+    std::ostringstream Num;
+    Num << V;
+    std::string Text = Num.str();
+    if (Text.find('.') == std::string::npos &&
+        Text.find('e') == std::string::npos &&
+        Text.find("inf") == std::string::npos)
+      Text += ".0";
+    return Text;
+  };
+  const double Values[] = {0.1,
+                           2.0,
+                           1e-7,
+                           1e21,
+                           1.5e300,
+                           -0.0,
+                           std::numeric_limits<double>::infinity(),
+                           -std::numeric_limits<double>::infinity(),
+                           std::numeric_limits<double>::quiet_NaN(),
+                           0.0,
+                           0.33333,
+                           123456.0,
+                           1234567.0,
+                           0.0001,
+                           0.00001,
+                           -2.5e-310,
+                           std::numeric_limits<double>::max(),
+                           std::numeric_limits<double>::min(),
+                           1.0 / 3.0,
+                           999999.5};
+  for (double V : Values)
+    EXPECT_EQ(printExpr(FloatLit(V)), Reference(V)) << V;
+  for (int64_t V : {int64_t{0}, int64_t{-7}, int64_t{1} << 40,
+                    std::numeric_limits<int64_t>::min(),
+                    std::numeric_limits<int64_t>::max()}) {
+    std::ostringstream Num;
+    Num << V;
+    EXPECT_EQ(printExpr(IntLit(V)), Num.str());
+  }
 }
 
 TEST(PathIndex, ResolvesHierarchicalPaths) {

@@ -276,6 +276,15 @@ TEST(CliBinary, MisparsesExitTwoNamingTheFlag) {
       << "a refused serve run must not create its queue directory";
 }
 
+// Subscript constants at the edge of int64_t once trapped the dependence
+// tests (SIGFPE from INT64_MIN % -1) and killed discovery.
+TEST(CliBinary, DiscoverSurvivesOverflowingSubscriptConstants) {
+  support::SubprocessResult R =
+      runCli({"--discover", LOCUS_TEST_DATA_DIR "/extreme_constants.c"});
+  ASSERT_TRUE(R.ok()) << R.describe() << "\n" << R.Stderr;
+  EXPECT_NE(R.Stdout.find("1 annotatable"), std::string::npos) << R.Stdout;
+}
+
 TEST(CliBinary, HelpListsEveryFlag) {
   support::SubprocessResult R = runCli({"--help"});
   ASSERT_TRUE(R.ok()) << R.describe() << "\n" << R.Stderr;

@@ -1,11 +1,17 @@
 //===- DependenceTest.cpp - Dependence analysis unit tests --------------------===//
 
+#include "TestFiles.h"
+
 #include "src/analysis/Affine.h"
 #include "src/analysis/Dependence.h"
 #include "src/cir/Parser.h"
 #include "src/cir/PathIndex.h"
 
 #include <gtest/gtest.h>
+
+#include <algorithm>
+#include <utility>
+#include <vector>
 
 namespace locus {
 namespace {
@@ -443,6 +449,93 @@ int main() {
   EXPECT_FALSE(DependenceInfo::compute(*firstLoop(*P, "r"), &Why).has_value());
   EXPECT_FALSE(Why.Message.empty());
   EXPECT_TRUE(Why.Loc.valid()) << Why.render();
+}
+
+// The strong-SIV distance of the write/read pair is INT64_MIN / -1 and the
+// read/write pair's constant difference overflows: both must stay
+// dependent with '*' directions (the accesses are in fact disjoint, but an
+// overflowing dimension proves nothing) instead of trapping.
+TEST(Dependence, OverflowingConstantsStayDependent) {
+  auto Parsed = parseProgram(
+      test::slurp(LOCUS_TEST_DATA_DIR "/extreme_constants.c"));
+  ASSERT_TRUE(Parsed.ok()) << Parsed.message();
+  auto Loops = listOuterLoops(*(*Parsed)->Body);
+  ASSERT_EQ(Loops.size(), 1u);
+  auto Deps = DependenceInfo::compute(*Loops[0].Loop);
+  ASSERT_TRUE(Deps.has_value());
+  ASSERT_EQ(Deps->deps().size(), 2u);
+  EXPECT_EQ(Deps->deps()[0].Kind, DepKind::Flow);
+  EXPECT_EQ(Deps->deps()[1].Kind, DepKind::Anti);
+  for (const Dependence &D : Deps->deps())
+    EXPECT_EQ(D.Dirs, std::vector<char>{'*'});
+}
+
+TEST(Dependence, OverflowingParameterAndGcdDifferencesStayDependent) {
+  // Mismatched parameter parts whose coefficient difference overflows, and
+  // a two-variable (GCD) subscript whose constant difference overflows.
+  auto P = parse(R"(
+double A[16][16];
+int n;
+int main() {
+  int i, j;
+#pragma @Locus loop=r
+  for (i = 0; i < 4; i++)
+    for (j = 0; j < 4; j++) {
+      A[2 * i + 9223372036854775807 * n][0] = A[2 * i - 9223372036854775807 * n][0];
+      A[0][2 * i + 2 * j - 9223372036854775807] = A[0][2 * i + 2 * j + 2];
+    }
+}
+)");
+  auto Deps = DependenceInfo::compute(*firstLoop(*P, "r"));
+  ASSERT_TRUE(Deps.has_value());
+  EXPECT_TRUE(hasDepOn(*Deps, "A"));
+}
+
+/// Every direction vector over {<,=,>,*} of length \p K, in order.
+std::vector<std::vector<char>> allDirVectors(size_t K) {
+  std::vector<std::vector<char>> Out(1);
+  for (size_t I = 0; I < K; ++I) {
+    std::vector<std::vector<char>> Next;
+    for (const std::vector<char> &V : Out)
+      for (char C : {'<', '=', '>', '*'}) {
+        Next.push_back(V);
+        Next.back().push_back(C);
+      }
+    Out = std::move(Next);
+  }
+  return Out;
+}
+
+// The O(k) emptiness test and mayBeCarriedBy against the 3^k enumeration
+// they replace, for every vector up to length 6, every textual order of
+// source and destination, and every kind.
+TEST(Dependence, PlausibilityChecksMatchTheEnumeration) {
+  for (size_t K = 0; K <= 6; ++K)
+    for (const std::vector<char> &Dirs : allDirVectors(K))
+      for (auto [Src, Dst] : {std::pair{0, 1}, {1, 1}, {1, 0}})
+        for (DepKind Kind : {DepKind::Flow, DepKind::Anti, DepKind::Output}) {
+          Dependence D;
+          D.SrcStmt = Src;
+          D.DstStmt = Dst;
+          D.Kind = Kind;
+          D.Dirs = Dirs;
+          std::vector<std::vector<char>> All = D.plausibleVectors();
+          std::string Name(Dirs.begin(), Dirs.end());
+          ASSERT_EQ(D.hasPlausibleVector(), !All.empty())
+              << Name << " " << Src << "->" << Dst << " kind "
+              << static_cast<int>(Kind);
+          for (size_t Level = 0; Level <= K; ++Level) {
+            bool Carried = std::any_of(
+                All.begin(), All.end(), [&](const std::vector<char> &V) {
+                  size_t First = 0;
+                  while (First < V.size() && V[First] == '=')
+                    ++First;
+                  return First < V.size() && First == Level;
+                });
+            ASSERT_EQ(D.mayBeCarriedBy(Level), Carried)
+                << Name << " level " << Level;
+          }
+        }
 }
 
 } // namespace
