@@ -13,7 +13,7 @@
 // and Locus competitive with the tuned library as cores scale.
 //
 // Knobs: LOCUS_BENCH_SIZE (matrix order, default 64),
-//        LOCUS_BENCH_BUDGET (assessments per core count, default 18).
+//        LOCUS_BENCH_BUDGET (assessments per core count, default 60).
 //
 //===----------------------------------------------------------------------===//
 

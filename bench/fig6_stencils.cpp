@@ -7,7 +7,7 @@
 // Pluto uses its fixed default — the paper's point is that the search,
 // not the transformation set, makes the difference.
 //
-// Knobs: LOCUS_BENCH_SIZE (2D grid edge, default 64; 1D uses size^2),
+// Knobs: LOCUS_BENCH_SIZE (2D grid edge, default 128; 1D uses size^2),
 //        LOCUS_BENCH_BUDGET (assessments, default 8 = exhaustive pow2 span).
 //
 //===----------------------------------------------------------------------===//

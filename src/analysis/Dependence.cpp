@@ -196,7 +196,7 @@ struct DependenceBuilder {
     // dependences; read-only scalars are parameters). Declarations count as
     // writes: a subscript through a loop-local temporary (Kripke's
     // "int idx = ..." address computations) is not analyzable as affine.
-    forEachStmt(const_cast<ForStmt &>(Root), [&](Stmt &S) {
+    forEachStmt(Root, [&](const Stmt &S) {
       if (auto *A = dyn_cast<AssignStmt>(&S)) {
         if (auto *V = dyn_cast<VarRef>(A->Lhs.get()))
           WrittenScalars.insert(V->Name);

@@ -2,34 +2,25 @@
 ///
 /// \file
 /// Classifies search points as provably invalid BEFORE a variant is
-/// materialized, from the TransformPlan recorded during space extraction.
-/// Two failure sources are modeled:
+/// materialized, from the dependent-range checks the TransformPlan recorded
+/// during space extraction. Each RangeCheck entry is evaluated directly
+/// against the point (the bounds are constants or other parameters).
+/// Before any point is seen the checks are also evaluated SYMBOLICALLY over
+/// the parameter value intervals (RangeAnalysis.h): a check that provably
+/// passes for every point in the space is elided from the per-point path,
+/// and the remaining checks are memoized per *sub-box* — the projection of
+/// the point onto the parameters the check mentions — so a whole sub-box of
+/// provably-invalid points short-circuits to the recorded verdict without
+/// re-resolving the bounds.
 ///
-///  - dependent-range violations: RangeCheck entries are evaluated directly
-///    against the point (the bounds are constants or other parameters).
-///    Before any point is seen they are also evaluated SYMBOLICALLY over the
-///    parameter value intervals (RangeAnalysis.h): a check that provably
-///    passes for every point in the space is elided from the per-point path,
-///    and the remaining checks are memoized per *sub-box* — the projection
-///    of the point onto the parameters the check mentions — so a whole
-///    sub-box of provably-invalid points short-circuits to the recorded
-///    verdict without re-resolving the bounds;
-///  - illegal/erroneous module calls: ModuleCall entries whose arguments
-///    fully resolve are REPLAYED, through the same module registry the
-///    interpreter uses, on a cached clone of the baseline program. A module
-///    reporting Illegal/Error yields the same failure the concrete run
-///    would produce; a module that applies extends the cached region state
-///    for the next entry.
-///
-/// Replay per region is incremental: a prefix cache keyed by the sequence of
-/// applied calls means points sharing a transformation prefix (e.g. the same
-/// tiling under different unroll factors) reuse the materialized state.
-/// Whenever an entry cannot be modeled — unresolvable arguments, an entry
-/// under an unknown conditional, overlapping or multiply-instantiated
-/// regions — the affected region is poisoned and classification degrades to
-/// "cannot prove" (nullopt), never to a wrong prediction. The search then
-/// evaluates the point normally, so enabling the oracle never changes which
-/// best point a search finds, only how many evaluator invocations it costs.
+/// Module calls are not modeled: an illegal or failing transformation is
+/// found once, when LocusInterpreter::applyPoint materializes the variant,
+/// and reported with the same failure kind and detail. A check that cannot
+/// be resolved against the point (an unknown bound, a guard the point does
+/// not pin, an entry under an unknown conditional) degrades to "cannot
+/// prove" (nullopt), never to a wrong prediction. The search then evaluates
+/// the point normally, so enabling the oracle never changes which best
+/// point a search finds, only how many evaluator invocations it costs.
 ///
 //===----------------------------------------------------------------------===//
 #ifndef LOCUS_ANALYSIS_LEGALITYORACLE_H
@@ -44,17 +35,15 @@
 
 #include <functional>
 #include <map>
-#include <memory>
 #include <optional>
 #include <string>
 
 namespace locus {
 namespace analysis {
 
-/// Applies module \p Module.\p Member with fully resolved \p Args to
-/// \p Region of \p Prog. Supplied by the driver layer (it owns the module
-/// registry and the argument-value conversion), so replay goes through
-/// exactly the code path the interpreter uses and cannot drift from it.
+/// A module-call applier. Nothing in the product calls one; perfbench's
+/// rebuilt pipeline still builds one for the four-argument constructor
+/// below.
 using ModuleInvoker = std::function<transform::TransformResult(
     const std::string &Module, const std::string &Member,
     const std::map<std::string, PlanArg> &Args, cir::Block &Region,
@@ -62,23 +51,28 @@ using ModuleInvoker = std::function<transform::TransformResult(
 
 class LegalityOracle {
 public:
-  /// \p Baseline must outlive the oracle; it is cloned, never mutated.
+  /// \p Space must outlive the oracle; \p Baseline is only read here.
   LegalityOracle(const cir::Program &Baseline, const search::Space &Space,
-                 TransformPlan Plan, ModuleInvoker Invoker);
-  ~LegalityOracle();
+                 TransformPlan Plan);
+  /// The invoker is ignored. perfbench's rebuilt pipeline still passes one;
+  /// this overload goes when the telemetry item of ROADMAP.md deletes that
+  /// pipeline.
+  LegalityOracle(const cir::Program &Baseline, const search::Space &Space,
+                 TransformPlan Plan, ModuleInvoker)
+      : LegalityOracle(Baseline, Space, std::move(Plan)) {}
 
   /// Returns the failure outcome the evaluation pipeline would report for a
   /// provably invalid point, or nullopt when the point cannot be proven
   /// invalid (and must be evaluated). Matches the interpreter's failure
-  /// classification: range violations map to InvalidPoint, module Illegal
-  /// to TransformIllegal, module Error to InvalidPoint.
+  /// wording: a range violation is an InvalidPoint.
   std::optional<search::EvalOutcome> classify(const search::Point &P);
 
   /// Number of classify() calls that proved a point invalid (monitoring).
   int prunedCount() const { return Pruned; }
   /// Of prunedCount(), how many were proven by a dependent-range check
-  /// (fresh or from a memoized sub-box verdict).
-  int rangePrunedCount() const { return RangePruned; }
+  /// (fresh or from a memoized sub-box verdict): all of them, since range
+  /// checks are the only thing the oracle classifies.
+  int rangePrunedCount() const { return Pruned; }
   /// Range checks proven to pass for EVERY point of the space at
   /// construction time and elided from the per-point path.
   int rangeChecksElided() const { return RangeChecksElided; }
@@ -86,8 +80,6 @@ public:
   int rangeBoxHits() const { return RangeBoxHits; }
 
 private:
-  struct RegionState;
-
   /// Construction-time symbolic classification of one RangeCheck entry.
   struct RangeCheckInfo {
     /// Proven to pass over the whole parameter box; skip it per point.
@@ -100,22 +92,8 @@ private:
     std::vector<std::string> KeyParams;
   };
 
-  const cir::Program &Baseline;
   const search::Space &Space;
   TransformPlan Plan;
-  ModuleInvoker Invoker;
-
-  /// Per region name: whether replay is permitted at all (single,
-  /// non-overlapping instantiation in the baseline).
-  std::map<std::string, bool> RegionReplayable;
-
-  /// Prefix cache: (region name, applied-call-sequence key) -> materialized
-  /// program state. Bounded; see Impl.
-  std::map<std::string, std::unique_ptr<RegionState>> PrefixCache;
-
-  /// Failed-call cache: (region, prefix, call key) -> outcome, so repeated
-  /// illegal prefixes across points don't re-run the module.
-  std::map<std::string, search::EvalOutcome> FailCache;
 
   /// Parallel to Plan.Entries (meaningful for RangeCheck entries only).
   std::vector<RangeCheckInfo> RCInfo;
@@ -124,7 +102,6 @@ private:
   std::map<std::string, std::optional<search::EvalOutcome>> RangeBoxVerdicts;
 
   int Pruned = 0;
-  int RangePruned = 0;
   int RangeChecksElided = 0;
   int RangeBoxHits = 0;
 };

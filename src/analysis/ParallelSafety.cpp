@@ -365,7 +365,7 @@ struct BodyFacts {
   static BodyFacts collect(const ForStmt &Root) {
     BodyFacts F;
     F.LoopVars.insert(Root.Var);
-    forEachStmt(const_cast<ForStmt &>(Root), [&](Stmt &S) {
+    forEachStmt(Root, [&](const Stmt &S) {
       if (auto *L = dyn_cast<ForStmt>(&S))
         if (L != &Root) {
           F.LoopVars.insert(L->Var);

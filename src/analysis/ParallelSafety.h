@@ -14,8 +14,8 @@
 ///
 /// Consumers:
 ///  - transform::applyOmpFor rejects provably-racy parallelization (the
-///    witness travels in TransformResult::Message), which the legality
-///    oracle replays so the search prunes racy points statically;
+///    witness travels in TransformResult::Message), so a racy point of a
+///    search fails as TransformIllegal before it is simulated;
 ///  - the simulator's OpenMP schedule model refuses to model speedup for
 ///    loops it cannot prove safe (unless trusted);
 ///  - the native evaluator emits data-sharing clauses for proven loops;

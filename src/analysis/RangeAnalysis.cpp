@@ -646,7 +646,7 @@ std::map<std::string, std::vector<int64_t>> arrayExtents(const Program &P) {
   for (const auto &G : P.Globals)
     if (G->isArray())
       Out[G->Name] = G->Dims;
-  forEachStmt(const_cast<Block &>(*P.Body), [&](Stmt &S) {
+  forEachStmt(*P.Body, [&](const Stmt &S) {
     if (const auto *D = dyn_cast<DeclStmt>(&S))
       if (D->isArray())
         Out[D->Name] = D->Dims;

@@ -50,7 +50,8 @@ bool isIntrinsicCall(const std::string &Callee) {
 }
 
 //===----------------------------------------------------------------------===//
-// Const traversal helpers (AstUtils' forEachStmt/forEachExpr are mutating).
+// Expression traversal: every subexpression, not only the top-level ones
+// cir::forEachExpr visits.
 //===----------------------------------------------------------------------===//
 
 void visitExpr(const Expr &E, const std::function<void(const Expr &)> &Fn) {
@@ -78,59 +79,10 @@ void visitExpr(const Expr &E, const std::function<void(const Expr &)> &Fn) {
   }
 }
 
-void visitStmt(const Stmt &S, const std::function<void(const Stmt &)> &Fn) {
-  Fn(S);
-  switch (S.kind()) {
-  case cir::StmtKind::Block:
-    for (const auto &Sub : cast<Block>(&S)->Stmts)
-      visitStmt(*Sub, Fn);
-    break;
-  case cir::StmtKind::For:
-    visitStmt(*cast<ForStmt>(&S)->Body, Fn);
-    break;
-  case cir::StmtKind::If: {
-    const auto *If = cast<IfStmt>(&S);
-    visitStmt(*If->Then, Fn);
-    if (If->Else)
-      visitStmt(*If->Else, Fn);
-    break;
-  }
-  default:
-    break;
-  }
-}
-
 /// Visits every expression in the subtree, including loop bounds and
 /// if conditions.
 void visitAllExprs(const Stmt &S, const std::function<void(const Expr &)> &Fn) {
-  visitStmt(S, [&](const Stmt &Sub) {
-    switch (Sub.kind()) {
-    case cir::StmtKind::For: {
-      const auto *For = cast<ForStmt>(&Sub);
-      visitExpr(*For->Init, Fn);
-      visitExpr(*For->Bound, Fn);
-      break;
-    }
-    case cir::StmtKind::If:
-      visitExpr(*cast<IfStmt>(&Sub)->Cond, Fn);
-      break;
-    case cir::StmtKind::Assign: {
-      const auto *A = cast<cir::AssignStmt>(&Sub);
-      visitExpr(*A->Lhs, Fn);
-      visitExpr(*A->Rhs, Fn);
-      break;
-    }
-    case cir::StmtKind::Decl:
-      if (const auto *D = cast<DeclStmt>(&Sub); D->Init)
-        visitExpr(*D->Init, Fn);
-      break;
-    case cir::StmtKind::CallStmt:
-      visitExpr(*cast<CallStmt>(&Sub)->Call, Fn);
-      break;
-    default:
-      break;
-    }
-  });
+  cir::forEachExpr(S, [&](const cir::ExprPtr &E) { visitExpr(*E, Fn); });
 }
 
 //===----------------------------------------------------------------------===//
@@ -226,7 +178,7 @@ bool triageBoundOk(const Expr &E) {
 /// if any: non-affine init/bound expression or a non-positive step.
 std::optional<support::Diag> findBadBound(const ForStmt &Root) {
   std::optional<support::Diag> Found;
-  visitStmt(Root, [&](const Stmt &S) {
+  cir::forEachStmt(Root, [&](const Stmt &S) {
     if (Found)
       return;
     const auto *For = cir::dyn_cast<ForStmt>(&S);
@@ -333,7 +285,7 @@ std::vector<int64_t> declaredDims(const Program &P, const std::string &Name) {
   if (const DeclStmt *G = P.findGlobal(Name))
     return G->Dims;
   std::vector<int64_t> Dims;
-  visitStmt(*P.Body, [&](const Stmt &S) {
+  cir::forEachStmt(*P.Body, [&](const Stmt &S) {
     if (const auto *D = cir::dyn_cast<DeclStmt>(&S))
       if (D->Name == Name && !Dims.size())
         Dims = D->Dims;
@@ -350,7 +302,7 @@ uint64_t estimateFootprint(const Program &P, const ForStmt &Root) {
   // loop is concrete.
   RangeEnv Box;
   bool Concrete = true;
-  visitStmt(Root, [&](const Stmt &S) {
+  cir::forEachStmt(Root, [&](const Stmt &S) {
     const auto *For = cir::dyn_cast<ForStmt>(&S);
     if (!For || !Concrete)
       return;
@@ -544,10 +496,12 @@ DiscoveryReport discoverRegions(const Program &P,
                      return A.ScanIndex < B.ScanIndex;
                    });
 
+  // Auto-assigned region labels: the prefix plus the rank index.
+  constexpr const char *NamePrefix = "scop";
   int Rank = 0;
   for (NestCandidate &C : Report.Candidates)
     if (C.Verdict != CandidateVerdict::Rejected)
-      C.Name = Opts.NamePrefix + std::to_string(Rank++);
+      C.Name = NamePrefix + std::to_string(Rank++);
 
   return Report;
 }

@@ -112,8 +112,6 @@ struct NestCandidate {
 
 /// Options for the discovery scan.
 struct DiscoveryOptions {
-  /// Prefix of auto-assigned region labels; rank index is appended.
-  std::string NamePrefix = "scop";
   /// Machine whose cache hierarchy refines the hotness estimate.
   machine::MachineConfig Machine = machine::MachineConfig::xeonE5v3();
   /// Assumed trip count for loops whose bounds are not compile-time

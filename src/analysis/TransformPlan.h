@@ -3,16 +3,17 @@
 /// \file
 /// A symbolic record of what a Locus optimization program will do to a code
 /// region, captured as a side effect of space extraction (convertOptUniverse).
-/// Each entry is either a dependent-range check on a search parameter or a
-/// module call whose arguments are reduced to PlanArgs: constants, references
-/// to search parameters, or Unknown when the extraction-time value of an
-/// argument cannot be trusted to equal its concrete-mode value.
+/// Each entry is either a dependent-range check on a search parameter, whose
+/// bounds are reduced to PlanArgs (constants, references to search
+/// parameters, or Unknown when the extraction-time value cannot be trusted
+/// to equal its concrete-mode value), or the location of a mutating module
+/// call.
 ///
-/// The plan is consumed by the static legality oracle (LegalityOracle.h),
-/// which classifies search points as provably-invalid before a variant is
-/// materialized. Everything here is conservative: an argument that cannot be
-/// resolved is Unknown, and Unknown always degrades to "cannot prove
-/// anything", never to a wrong prediction.
+/// The static legality oracle (LegalityOracle.h) classifies search points
+/// whose range checks provably fail before a variant is materialized;
+/// `locus_cli --lint` reads the module calls. Everything here is
+/// conservative: a bound that cannot be resolved is Unknown, and Unknown
+/// always degrades to "cannot prove anything", never to a wrong prediction.
 ///
 //===----------------------------------------------------------------------===//
 #ifndef LOCUS_ANALYSIS_TRANSFORMPLAN_H
@@ -97,7 +98,7 @@ struct PlanEntry {
 
   /// True when the entry was recorded inside a conditional whose outcome
   /// depends on a search value: it may or may not execute, so it can never
-  /// prove a failure, and a mutating entry poisons its region.
+  /// prove a failure.
   bool UnderUnknownCond = false;
 
   // -- RangeCheck: the dynamic dependent-range validation of a numeric
@@ -111,11 +112,10 @@ struct PlanEntry {
   // recorded: their results flow into Locus variables, and any variable
   // whose extraction-time value may diverge from its concrete-mode value is
   // tracked as unusable by the extractor's taint analysis, degrading the
-  // arguments that mention it to Unknown.
+  // range bounds that mention it to Unknown.
   std::string Module, Member;
   std::string Region; ///< CodeReg region name the call applies to
   int Line = 0;       ///< Locus source line of the call
-  std::map<std::string, PlanArg> Args; ///< keyword (or "argN") -> value
 };
 
 /// The whole recorded plan for one Locus program against one target.

@@ -189,7 +189,7 @@ private:
 
   void checkRegionLabels() {
     std::map<std::string, int> Seen;
-    forEachStmt(const_cast<Block &>(*Prog.Body), [&](Stmt &S) {
+    forEachStmt(*Prog.Body, [&](const Stmt &S) {
       const auto *B = dyn_cast<Block>(&S);
       if (!B || B->RegionName.empty())
         return;

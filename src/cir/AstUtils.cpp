@@ -323,10 +323,10 @@ bool referencesVar(const Expr &E, const std::string &Name) {
 
 bool stmtReferencesVar(const Stmt &S, const std::string &Name) {
   bool Found = false;
-  forEachStmt(const_cast<Stmt &>(S), [&](Stmt &Sub) {
+  forEachStmt(S, [&](const Stmt &Sub) {
     if (Found)
       return;
-    forEachExpr(Sub, [&](ExprPtr &E) {
+    forEachExpr(Sub, [&](const ExprPtr &E) {
       if (!Found && referencesVar(*E, Name))
         Found = true;
     });
@@ -528,25 +528,31 @@ void collectAllLoops(const Block &B, std::vector<const ForStmt *> &Out) {
   }
 }
 
-void forEachExpr(Stmt &S, const std::function<void(ExprPtr &)> &Fn) {
+namespace {
+
+// One body for the mutable and the const walks: \p StmtT is Stmt or
+// const Stmt, and the children are visited with the same constness.
+
+template <typename StmtT, typename FnT>
+void walkExprs(StmtT &S, const FnT &Fn) {
   switch (S.kind()) {
   case StmtKind::Block:
     for (auto &Sub : cast<Block>(&S)->Stmts)
-      forEachExpr(*Sub, Fn);
+      walkExprs<StmtT>(*Sub, Fn);
     return;
   case StmtKind::For: {
     auto *F = cast<ForStmt>(&S);
     Fn(F->Init);
     Fn(F->Bound);
-    forEachExpr(*F->Body, Fn);
+    walkExprs<StmtT>(*F->Body, Fn);
     return;
   }
   case StmtKind::If: {
     auto *I = cast<IfStmt>(&S);
     Fn(I->Cond);
-    forEachExpr(*I->Then, Fn);
+    walkExprs<StmtT>(*I->Then, Fn);
     if (I->Else)
-      forEachExpr(*I->Else, Fn);
+      walkExprs<StmtT>(*I->Else, Fn);
     return;
   }
   case StmtKind::Assign: {
@@ -567,26 +573,46 @@ void forEachExpr(Stmt &S, const std::function<void(ExprPtr &)> &Fn) {
   }
 }
 
-void forEachStmt(Stmt &S, const std::function<void(Stmt &)> &Fn) {
+template <typename StmtT, typename FnT>
+void walkStmts(StmtT &S, const FnT &Fn) {
   Fn(S);
   switch (S.kind()) {
   case StmtKind::Block:
     for (auto &Sub : cast<Block>(&S)->Stmts)
-      forEachStmt(*Sub, Fn);
+      walkStmts<StmtT>(*Sub, Fn);
     return;
   case StmtKind::For:
-    forEachStmt(*cast<ForStmt>(&S)->Body, Fn);
+    walkStmts<StmtT>(*cast<ForStmt>(&S)->Body, Fn);
     return;
   case StmtKind::If: {
     auto *I = cast<IfStmt>(&S);
-    forEachStmt(*I->Then, Fn);
+    walkStmts<StmtT>(*I->Then, Fn);
     if (I->Else)
-      forEachStmt(*I->Else, Fn);
+      walkStmts<StmtT>(*I->Else, Fn);
     return;
   }
   default:
     return;
   }
+}
+
+} // namespace
+
+void forEachExpr(Stmt &S, const std::function<void(ExprPtr &)> &Fn) {
+  walkExprs(S, Fn);
+}
+
+void forEachExpr(const Stmt &S,
+                 const std::function<void(const ExprPtr &)> &Fn) {
+  walkExprs(S, Fn);
+}
+
+void forEachStmt(Stmt &S, const std::function<void(Stmt &)> &Fn) {
+  walkStmts(S, Fn);
+}
+
+void forEachStmt(const Stmt &S, const std::function<void(const Stmt &)> &Fn) {
+  walkStmts(S, Fn);
 }
 
 uint64_t hashRegion(const Block &Region) {

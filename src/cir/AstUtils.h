@@ -115,11 +115,15 @@ void collectOuterLoops(const Block &B, std::vector<const ForStmt *> &Out);
 /// descending through blocks, loop bodies and both if branches.
 void collectAllLoops(const Block &B, std::vector<const ForStmt *> &Out);
 
-/// Visits every expression in a statement subtree (mutable access).
+/// Visits the top-level expression of every statement in a subtree (loop
+/// init and bound, if condition, assignment sides, declaration initializer,
+/// call statement), in source order; subexpressions are not visited.
 void forEachExpr(Stmt &S, const std::function<void(ExprPtr &)> &Fn);
+void forEachExpr(const Stmt &S, const std::function<void(const ExprPtr &)> &Fn);
 
 /// Visits every statement in the subtree, preorder.
 void forEachStmt(Stmt &S, const std::function<void(Stmt &)> &Fn);
+void forEachStmt(const Stmt &S, const std::function<void(const Stmt &)> &Fn);
 
 /// Stable hash of a code region's unparsed text; Section II uses this key to
 /// warn when the source drifted under a saved optimization program.

@@ -265,7 +265,8 @@ public:
 
 private:
   TextOut &line(int Indent) {
-    Out.Text.append(static_cast<size_t>(std::max(0, Indent * Opts.IndentWidth)),
+    constexpr int IndentWidth = 2; // spaces per nesting level
+    Out.Text.append(static_cast<size_t>(std::max(0, Indent * IndentWidth)),
                     ' ');
     return Out;
   }

@@ -20,8 +20,6 @@ namespace cir {
 struct PrintOptions {
   /// Re-emit "#pragma @Locus ..." region markers around region blocks.
   bool EmitRegionPragmas = true;
-  /// Indentation width in spaces.
-  int IndentWidth = 2;
 };
 
 /// Renders an expression as C source.

@@ -5,7 +5,6 @@
 #include "src/locus/Optimizer.h"
 
 #include "src/analysis/LegalityOracle.h"
-#include "src/analysis/TransformPlan.h"
 #include "src/cir/AstUtils.h"
 #include "src/cir/Printer.h"
 #include "src/search/Journal.h"
@@ -21,6 +20,27 @@
 
 namespace locus {
 namespace driver {
+
+namespace {
+
+/// The transformation context every Locus program run against \p Target
+/// shares: extraction, the optimizer's query pre-execution and each point's
+/// materialization. \p VerifyEach is off for the runs that apply no
+/// transformation.
+transform::TransformContext transformContext(const OrchestratorOptions &Opts,
+                                             cir::Program &Target,
+                                             bool VerifyEach) {
+  transform::TransformContext TCtx;
+  TCtx.RequireDeps = Opts.RequireDeps;
+  TCtx.Prog = &Target;
+  TCtx.Snippets = Opts.Snippets;
+  TCtx.VerifyEach = VerifyEach;
+  TCtx.TrustParallel = Opts.TrustParallel;
+  TCtx.AllowSnippetFiles = Opts.AllowSnippetFiles;
+  return TCtx;
+}
+
+} // namespace
 
 Orchestrator::Orchestrator(const lang::LocusProgram &LProg,
                            const cir::Program &Baseline,
@@ -54,12 +74,7 @@ Expected<eval::RunResult> Orchestrator::evaluateBaseline() {
 const lang::LocusProgram &Orchestrator::program() {
   if (!OptimizedProg) {
     std::unique_ptr<cir::Program> Clone = Baseline.clone();
-    transform::TransformContext TCtx;
-    TCtx.RequireDeps = Opts.RequireDeps;
-    TCtx.Prog = Clone.get();
-    TCtx.Snippets = Opts.Snippets;
-    TCtx.TrustParallel = Opts.TrustParallel;
-    TCtx.AllowSnippetFiles = Opts.AllowSnippetFiles;
+    transform::TransformContext TCtx = transformContext(Opts, *Clone, false);
     OptimizedProg =
         lang::optimizeLocusProgram(LProg, *Clone, Registry, TCtx);
   }
@@ -81,14 +96,8 @@ Expected<DirectResult> Orchestrator::runDirect() {
 Expected<DirectResult> Orchestrator::runPoint(const search::Point &Point) {
   DirectResult Result;
   Result.Variant = Baseline.clone();
-  transform::TransformContext TCtx;
-  TCtx.RequireDeps = Opts.RequireDeps;
-  TCtx.Prog = Result.Variant.get();
-  TCtx.Snippets = Opts.Snippets;
-  TCtx.VerifyEach = Opts.VerifyEach;
-  TCtx.TrustParallel = Opts.TrustParallel;
-  TCtx.AllowSnippetFiles = Opts.AllowSnippetFiles;
-
+  transform::TransformContext TCtx =
+      transformContext(Opts, *Result.Variant, Opts.VerifyEach);
   lang::LocusInterpreter Interp(program(), Registry);
   Result.Exec = Interp.applyPoint(*Result.Variant, Point, TCtx);
   if (!Result.Exec.Ok)
@@ -130,13 +139,8 @@ public:
     using search::EvalOutcome;
     using search::FailureKind;
     std::unique_ptr<cir::Program> Variant = Baseline.clone();
-    transform::TransformContext TCtx;
-    TCtx.RequireDeps = Opts.RequireDeps;
-    TCtx.Prog = Variant.get();
-    TCtx.Snippets = Opts.Snippets;
-    TCtx.VerifyEach = Opts.VerifyEach;
-    TCtx.TrustParallel = Opts.TrustParallel;
-    TCtx.AllowSnippetFiles = Opts.AllowSnippetFiles;
+    transform::TransformContext TCtx =
+        transformContext(Opts, *Variant, Opts.VerifyEach);
     lang::LocusInterpreter Interp(LProg, Registry);
     lang::ExecOutcome Exec = Interp.applyPoint(*Variant, P, TCtx);
     if (!Exec.Ok)
@@ -250,29 +254,6 @@ private:
   search::VariantOutcomeCache *Cache;
 };
 
-/// Converts a fully resolved PlanArg back into a module-call Value for
-/// oracle replay. Params never reach the invoker (the oracle resolves them
-/// against the point first).
-lang::Value planArgToValue(const analysis::PlanArg &A) {
-  using analysis::PlanArg;
-  switch (A.K) {
-  case PlanArg::Kind::Int:
-    return lang::Value(A.Int);
-  case PlanArg::Kind::Float:
-    return lang::Value(A.Float);
-  case PlanArg::Kind::Str:
-    return lang::Value(A.Str);
-  case PlanArg::Kind::List: {
-    std::vector<lang::Value> Items;
-    for (const PlanArg &I : A.List)
-      Items.push_back(planArgToValue(I));
-    return lang::Value::list(std::move(Items));
-  }
-  default:
-    return lang::Value::none();
-  }
-}
-
 } // namespace
 
 struct Orchestrator::PreparedSearch {
@@ -297,12 +278,8 @@ Orchestrator::prepareSearch() {
 
   // Convert the optimization space (Section IV-B).
   std::unique_ptr<cir::Program> ExtractTarget = Baseline.clone();
-  transform::TransformContext TCtx;
-  TCtx.RequireDeps = Opts.RequireDeps;
-  TCtx.Prog = ExtractTarget.get();
-  TCtx.Snippets = Opts.Snippets;
-  TCtx.TrustParallel = Opts.TrustParallel;
-  TCtx.AllowSnippetFiles = Opts.AllowSnippetFiles;
+  transform::TransformContext TCtx =
+      transformContext(Opts, *ExtractTarget, false);
   lang::LocusInterpreter Interp(program(), Registry);
   lang::ExecOutcome Extract =
       Interp.extractSpace(*ExtractTarget, Prep->Space, TCtx,
@@ -450,38 +427,13 @@ Expected<SearchWorkflowResult> Orchestrator::runSearch() {
                    : Opts.Jobs;
   SOpts.StopFlag = Opts.StopFlag;
 
-  // Static legality oracle: classify points against the recorded plan
-  // before a variant is materialized. Replay goes through the same module
-  // registry the interpreter uses, so a replayed Illegal is exactly the
-  // failure the concrete run would have produced.
+  // Static legality oracle: prune points whose dependent ranges the
+  // recorded plan proves violated, before a variant is materialized. Every
+  // other failure, an illegal module call included, is found once, by the
+  // objective's applyPoint.
   std::optional<analysis::LegalityOracle> Oracle;
   if (Opts.StaticPrune) {
-    analysis::ModuleInvoker Invoker =
-        [this](const std::string &Module, const std::string &Member,
-               const std::map<std::string, analysis::PlanArg> &Args,
-               cir::Block &Region,
-               cir::Program &Prog) -> transform::TransformResult {
-      const lang::ModuleMember *M = Registry.find(Module, Member);
-      if (!M)
-        return transform::TransformResult::error("unknown module member " +
-                                                 Module + "." + Member);
-      transform::TransformContext ReplayCtx;
-      ReplayCtx.RequireDeps = Opts.RequireDeps;
-      ReplayCtx.Prog = &Prog;
-      ReplayCtx.Snippets = Opts.Snippets;
-      // Must match the concrete-interpretation context exactly: a replayed
-      // classification that diverges from the concrete run would change the
-      // search trajectory.
-      ReplayCtx.TrustParallel = Opts.TrustParallel;
-      ReplayCtx.AllowSnippetFiles = Opts.AllowSnippetFiles;
-      lang::ModuleArgs MArgs;
-      for (const auto &[Key, Arg] : Args)
-        MArgs[Key] = planArgToValue(Arg);
-      lang::ModuleCallContext Ctx{&Region, &Prog, &ReplayCtx};
-      return M->Fn(MArgs, Ctx).Result;
-    };
-    Oracle.emplace(Baseline, Result.Space, std::move(Prep.Plan),
-                   std::move(Invoker));
+    Oracle.emplace(Baseline, Result.Space, std::move(Prep.Plan));
     SOpts.StaticFilter = [&Oracle](const search::Point &P) {
       return Oracle->classify(P);
     };

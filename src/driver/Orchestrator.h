@@ -126,10 +126,11 @@ struct OrchestratorOptions {
   /// finishes the remaining budget exactly as the uninterrupted run would.
   bool ResumeFromJournal = false;
   /// Classify points against the static legality oracle before materializing
-  /// a variant: provably-invalid points (dependent-range violations,
-  /// replayed-illegal transformations) are counted in
-  /// SearchResult::PrunedStatic and never reach the evaluator. Never changes
-  /// which best point a search finds, only how much it costs.
+  /// a variant: points that provably violate a dependent range are counted
+  /// in SearchResult::PrunedStatic and never reach the evaluator. Illegal
+  /// transformations are not pruned; applyPoint reports them when it
+  /// materializes the point. Never changes which best point a search finds,
+  /// only how much it costs.
   bool StaticPrune = true;
   /// Run the CIR verifier after every applied transformation during concrete
   /// interpretation; a variant that fails verification is rejected as an

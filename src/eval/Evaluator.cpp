@@ -440,7 +440,7 @@ struct CompiledProgram {
     //  - an unanalyzable loop vectorizes only when the programmer asserts
     //    independence with ivdep / vector always.
     bool HasInnerLoop = false;
-    forEachStmt(*const_cast<Block *>(For.Body.get()), [&](Stmt &S) {
+    forEachStmt(*For.Body, [&](const Stmt &S) {
       if (isa<ForStmt>(&S))
         HasInnerLoop = true;
     });
@@ -457,8 +457,8 @@ struct CompiledProgram {
       return; // unprovable and no ivdep: the compiler stays scalar
     }
     bool AllUnitStride = true;
-    forEachStmt(*const_cast<Block *>(For.Body.get()), [&](Stmt &S) {
-      forEachExpr(S, [&](ExprPtr &E) {
+    forEachStmt(*For.Body, [&](const Stmt &S) {
+      forEachExpr(S, [&](const ExprPtr &E) {
         const std::function<void(const Expr &)> Scan = [&](const Expr &Sub) {
           if (const auto *A = dyn_cast<ArrayRef>(&Sub)) {
             for (size_t I = 0; I < A->Indices.size(); ++I) {
@@ -659,7 +659,7 @@ struct CompiledProgram {
   std::vector<LoopScope> Scopes;
 
   static void collectAssigned(const Stmt &S, std::set<std::string> &Out) {
-    forEachStmt(const_cast<Stmt &>(S), [&](Stmt &Sub) {
+    forEachStmt(S, [&](const Stmt &Sub) {
       if (const auto *F = dyn_cast<ForStmt>(&Sub))
         Out.insert(F->Var);
       else if (const auto *D = dyn_cast<DeclStmt>(&Sub))

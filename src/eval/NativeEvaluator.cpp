@@ -390,7 +390,8 @@ NativeResult evaluateNative(const Program &P, const NativeOptions &Opts) {
     Build.Argv.push_back(Flag);
   Build.Argv.insert(Build.Argv.end(), {"-o", Bin, CFile});
   Build.WorkDir = Work.path();
-  Build.Limits.WallClockSeconds = Opts.CompileTimeoutSeconds;
+  constexpr double CompileTimeoutSeconds = 60.0;
+  Build.Limits.WallClockSeconds = CompileTimeoutSeconds;
   Build.Limits.MaxCaptureBytes = Opts.MaxCaptureBytes;
   support::SubprocessResult BuildRes = runSubprocess(Build);
   if (!BuildRes.ok()) {
@@ -422,7 +423,8 @@ NativeResult evaluateNative(const Program &P, const NativeOptions &Opts) {
       if (Opts.RunTimeoutSeconds > 0)
         Run.Limits.CpuSeconds =
             static_cast<long>(Opts.RunTimeoutSeconds) + 1;
-      Run.Limits.AddressSpaceBytes = Opts.MemoryLimitBytes;
+      constexpr long MemoryLimitBytes = 1L << 31; // 2 GiB RLIMIT_AS
+      Run.Limits.AddressSpaceBytes = MemoryLimitBytes;
       Run.Limits.FileSizeBytes = 1L << 26; // a variant has no business writing
       NativeResult Attempt = classifyNativeRun(runSubprocess(Run));
       if (!Attempt.Ok)
@@ -453,14 +455,16 @@ NativeResult evaluateNative(const Program &P, const NativeOptions &Opts) {
   // a deterministic backoff schedule. Seeding from the variant's source
   // keeps the schedule a pure function of the variant: --jobs N workers and
   // separate processes retry identically, preserving trajectory parity.
+  constexpr double RetryBackoffBaseSeconds = 0.05;
+  constexpr double RetryBackoffCapSeconds = 1.0;
   return Finish(retryUnstable(
       RunPhase,
       [](double Secs) {
         if (Secs > 0)
           std::this_thread::sleep_for(std::chrono::duration<double>(Secs));
       },
-      fnv1a(Source), Opts.MaxUnstableRetries, Opts.RetryBackoffBaseSeconds,
-      Opts.RetryBackoffCapSeconds));
+      fnv1a(Source), Opts.MaxUnstableRetries, RetryBackoffBaseSeconds,
+      RetryBackoffCapSeconds));
 }
 
 } // namespace eval

@@ -51,14 +51,10 @@ struct NativeOptions {
   std::string WorkDir = "";
   /// Timing repetitions; the minimum is reported.
   int Repeats = 3;
-  /// Wall-clock deadline for the compiler invocation.
-  double CompileTimeoutSeconds = 60.0;
   /// Wall-clock deadline per run of the variant binary; <= 0 disables.
   /// The orchestrator derives this from the baseline's native time the same
   /// way simulator variants get iteration deadlines.
   double RunTimeoutSeconds = 10.0;
-  /// RLIMIT_AS for the variant binary (not the compiler); <= 0 disables.
-  long MemoryLimitBytes = 1L << 31; // 2 GiB
   /// Per-stream stdout/stderr capture cap for both phases.
   size_t MaxCaptureBytes = 1 << 16;
   /// Keep the working directory (sources, binary, outputs) on disk and
@@ -69,14 +65,10 @@ struct NativeOptions {
   /// transient failure mode of a loaded host. Other failures (crash,
   /// deadline, compile error) are never retried. 0 disables.
   int MaxUnstableRetries = 2;
-  /// Capped exponential backoff between those retries: attempt K sleeps
-  /// roughly Base * 2^K seconds, scaled by a jitter factor derived purely
-  /// from (seed, attempt) — deterministic, so --jobs 1 and --jobs N runs
-  /// retry on an identical schedule. <= 0 disables the sleep (retries still
-  /// happen back to back).
-  double RetryBackoffBaseSeconds = 0.05;
-  /// Ceiling on a single backoff sleep.
-  double RetryBackoffCapSeconds = 1.0;
+  /// Between those retries sleeps a capped exponential backoff (0.05 s
+  /// doubling per attempt, at most 1 s) scaled by a jitter factor derived
+  /// purely from (seed, attempt) — deterministic, so --jobs 1 and --jobs N
+  /// runs retry on an identical schedule.
 };
 
 struct NativeResult {

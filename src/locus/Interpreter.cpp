@@ -28,7 +28,7 @@ bool preservesInstanceCounts(const std::string &Member) {
 }
 
 /// Converts a Locus value into a symbolic plan argument; Unknown for value
-/// kinds the oracle cannot replay (dicts, None).
+/// kinds the oracle cannot resolve (dicts, None).
 analysis::PlanArg planArgFromValue(const Value &V) {
   using analysis::PlanArg;
   switch (V.kind()) {
@@ -1049,8 +1049,6 @@ private:
     ModuleArgs Args;
     bool HasParamArg = false;
     bool AnyArgDiverges = false;
-    std::vector<std::string> Keys(E.Args.size());
-    std::map<std::string, bool> ArgDiverges;
     for (size_t I = 0; I < E.Args.size(); ++I) {
       const LArg &A = E.Args[I];
       std::pair<bool, bool> Saved;
@@ -1058,12 +1056,8 @@ private:
         Saved = beginTaintScope();
       Value V = evalExpr(*A.Expr, Env);
       std::string Key = A.Keyword.empty() ? "arg" + std::to_string(I) : A.Keyword;
-      Keys[I] = Key;
-      if (Track) {
-        bool D = endTaintScope(Saved);
-        ArgDiverges[Key] = D;
-        AnyArgDiverges = AnyArgDiverges || D;
-      }
+      if (Track && endTaintScope(Saved))
+        AnyArgDiverges = true;
       if (halted())
         return Value::none();
       if (V.containsParam())
@@ -1088,7 +1082,7 @@ private:
         return O.Ret;
       }
       // Transformations are not applied while the space is being defined;
-      // record them (symbolically) so the oracle can replay them.
+      // record where they happen (--lint reads the plan's module calls).
       if (Track && !M2->IsQuery) {
         if (!PlanBarrier) {
           analysis::PlanEntry PE;
@@ -1099,11 +1093,6 @@ private:
           PE.Member = Member;
           PE.Region = CurCodeReg;
           PE.Line = E.Line;
-          for (size_t I = 0; I < E.Args.size(); ++I)
-            PE.Args[Keys[I]] = ArgDiverges[Keys[I]]
-                                   ? analysis::PlanArg::unknown()
-                                   : resolvePlanArg(*E.Args[I].Expr,
-                                                    Args[Keys[I]]);
           Plan->Entries.push_back(std::move(PE));
         }
         AnyMutationRecorded = true;

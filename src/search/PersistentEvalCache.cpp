@@ -76,7 +76,10 @@ PersistentEvalCache::PersistentEvalCache(PersistentCacheOptions Opts,
   } else {
     support::RecordLogOptions LogOpts;
     LogOpts.Header = StoreHeader;
-    LogOpts.FsyncEachRecord = this->Opts.FsyncEachRecord;
+    // No fsync per appended entry: a lost cache entry costs one
+    // re-evaluation, so kernel-level durability is the right trade.
+    constexpr bool FsyncEachCacheEntry = false;
+    LogOpts.FsyncEachRecord = FsyncEachCacheEntry;
     Expected<support::RecordLog> L =
         support::RecordLog::open(Path, LogOpts, &Scan);
     if (!L.ok()) {

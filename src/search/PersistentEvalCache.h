@@ -46,9 +46,6 @@ struct PersistentCacheOptions {
   /// Load and serve entries but never write: for tenants that may consume
   /// a shared store but not grow it (the CLI's --cache-readonly).
   bool ReadOnly = false;
-  /// fsync per appended entry. Off by default: a lost cache entry costs one
-  /// re-evaluation, so kernel-level durability is the right trade.
-  bool FsyncEachRecord = false;
 };
 
 struct PersistentCacheStats {

@@ -48,7 +48,6 @@ Status Coordinator::init() {
   TaskQueueOptions QOpts;
   QOpts.Dir = Opts.QueueDir;
   QOpts.Header = {Opts.SpaceFingerprint, Opts.ConfigDigest};
-  QOpts.FsyncEachRecord = Opts.FsyncEachRecord;
   auto Q = TaskQueue::open(QOpts);
   if (!Q.ok())
     return Status::error(Q.message());
@@ -327,11 +326,11 @@ void Coordinator::superviseSlots(double Now) {
       if (S.ConsecutiveDeaths > Opts.MaxRespawnsPerSlot) {
         S.Retired = true;
       } else {
+        constexpr double RespawnBackoffCapSeconds = 4.0;
         double Backoff = Opts.RespawnBackoffSeconds *
                          static_cast<double>(1u << std::min(
                              S.ConsecutiveDeaths - 1, 16));
-        S.NextSpawnAt =
-            Now + std::min(Backoff, Opts.RespawnBackoffCapSeconds);
+        S.NextSpawnAt = Now + std::min(Backoff, RespawnBackoffCapSeconds);
       }
     }
     if (!S.Spawned && !S.Retired && Now >= S.NextSpawnAt && Opts.WorkerArgv &&

@@ -90,9 +90,8 @@ struct CoordinatorOptions {
   int PoisonWorkerDeaths = 3;
   /// Consecutive deaths after which a slot is retired for good.
   int MaxRespawnsPerSlot = 4;
-  /// Respawn backoff: Base * 2^(consecutive deaths - 1), capped.
+  /// Respawn backoff: Base * 2^(consecutive deaths - 1), capped at 4 s.
   double RespawnBackoffSeconds = 0.25;
-  double RespawnBackoffCapSeconds = 4.0;
   /// With no live or respawnable managed worker and no external queue
   /// activity for this long, degrade to in-process evaluation; negative
   /// uses LeaseTimeoutSeconds.
@@ -100,8 +99,6 @@ struct CoordinatorOptions {
   /// Cooperative stop (support::shutdownFlag()): waiting assessments fall
   /// back to local evaluation so a Ctrl-C never hangs on a dead fleet.
   const std::atomic<bool> *StopFlag = nullptr;
-  /// fsync the queue per append (see TaskQueueOptions::FsyncEachRecord).
-  bool FsyncEachRecord = false;
 };
 
 /// Counters surfaced into SearchWorkflowResult and the CLI summary.

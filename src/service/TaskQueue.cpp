@@ -191,7 +191,12 @@ Expected<TaskQueue> TaskQueue::open(const TaskQueueOptions &Opts) {
   LOpts.Header = search::encodeRunHeader(QueueTag, Opts.Header);
   // Compared structurally below for located diagnostics, not byte-wise.
   LOpts.RequireHeaderMatch = false;
-  LOpts.FsyncEachRecord = Opts.FsyncEachRecord;
+  // No fsync per append. The queue is coordination state — a *machine*
+  // crash may lose tail records, which only costs re-evaluation time — so
+  // it trades durability for heartbeat latency. The journal, which owns
+  // history, keeps its own Full sync.
+  constexpr bool FsyncEachQueueRecord = false;
+  LOpts.FsyncEachRecord = FsyncEachQueueRecord;
   support::RecordLogScan Recovery;
   auto Log = support::RecordLog::open(Q.Path, LOpts, &Recovery);
   if (!Log.ok())

@@ -135,11 +135,6 @@ struct TaskQueueOptions {
   /// with false and compare the space themselves. A file that is not a
   /// queue of this version is refused either way.
   bool RequireHeaderMatch = true;
-  /// fsync per append. The queue is coordination state — a *machine* crash
-  /// may lose tail records, which only costs re-evaluation time — so the
-  /// default trades durability for heartbeat latency. The journal, which
-  /// owns history, keeps its own Full sync.
-  bool FsyncEachRecord = false;
 };
 
 /// Shared handle on the queue log: append typed records, re-fold on poll.

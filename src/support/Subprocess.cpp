@@ -394,13 +394,16 @@ Expected<ChildProcess> ChildProcess::spawn(const ChildProcessOptions &Opts) {
       _exit(127);
     };
 #ifdef __linux__
-    if (Opts.KillOnParentDeath) {
-      prctl(PR_SET_PDEATHSIG, SIGKILL);
-      // Close the fork/prctl race: if the parent died before the death
-      // signal was armed, the child has been reparented already.
-      if (getppid() != ParentPid)
-        Die(ESRCH);
-    }
+    // Arm PR_SET_PDEATHSIG so the kernel SIGKILLs the child the moment
+    // this process dies. Workers run in their own process groups (so a
+    // watchdog group-kill cannot miss their descendants), which also means
+    // a SIGKILLed coordinator would orphan them — the death signal is what
+    // guarantees the crash-torture suite never leaks a worker fleet.
+    prctl(PR_SET_PDEATHSIG, SIGKILL);
+    // Close the fork/prctl race: if the parent died before the death
+    // signal was armed, the child has been reparented already.
+    if (getppid() != ParentPid)
+      Die(ESRCH);
 #else
     (void)ParentPid;
 #endif

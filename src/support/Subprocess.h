@@ -111,12 +111,6 @@ struct ChildProcessOptions {
   /// of the same worker slot share one log); empty inherits the parent's
   /// streams.
   std::string OutputPath;
-  /// Linux: arm PR_SET_PDEATHSIG so the kernel SIGKILLs the child the
-  /// moment this process dies. Workers run in their own process groups (so
-  /// a watchdog group-kill cannot miss their descendants), which also means
-  /// a SIGKILLed coordinator would orphan them — the death signal is what
-  /// guarantees the crash-torture suite never leaks a worker fleet.
-  bool KillOnParentDeath = true;
 };
 
 /// A long-lived supervised child, the asynchronous sibling of

@@ -11,12 +11,12 @@ namespace transform {
 
 std::string freshName(const cir::Block &Scope, const std::string &Base) {
   std::set<std::string> Used;
-  cir::forEachStmt(const_cast<cir::Block &>(Scope), [&](cir::Stmt &S) {
+  cir::forEachStmt(Scope, [&](const cir::Stmt &S) {
     if (auto *For = cir::dyn_cast<cir::ForStmt>(&S))
       Used.insert(For->Var);
     if (auto *Decl = cir::dyn_cast<cir::DeclStmt>(&S))
       Used.insert(Decl->Name);
-    cir::forEachExpr(S, [&](cir::ExprPtr &E) {
+    cir::forEachExpr(S, [&](const cir::ExprPtr &E) {
       std::set<std::string> Vars;
       cir::collectVars(*E, Vars);
       Used.insert(Vars.begin(), Vars.end());
@@ -38,11 +38,10 @@ std::map<std::string, cir::ElemType> collectDeclTypes(const cir::Program &P) {
   std::map<std::string, cir::ElemType> Types;
   for (const auto &G : P.Globals)
     Types[G->Name] = G->Elem;
-  cir::forEachStmt(*const_cast<cir::Block *>(P.Body.get()),
-                   [&](cir::Stmt &S) {
-                     if (auto *D = cir::dyn_cast<cir::DeclStmt>(&S))
-                       Types[D->Name] = D->Elem;
-                   });
+  cir::forEachStmt(*P.Body, [&](const cir::Stmt &S) {
+    if (auto *D = cir::dyn_cast<cir::DeclStmt>(&S))
+      Types[D->Name] = D->Elem;
+  });
   return Types;
 }
 

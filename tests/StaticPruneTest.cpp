@@ -4,7 +4,9 @@
 /// Exercises the pre-evaluation pruning pipeline: plan extraction during
 /// extractSpace, LegalityOracle classification inside the search loop, and
 /// the invariant the oracle must uphold — pruning changes how much a search
-/// costs, never what it finds.
+/// costs, never what it finds. Illegal transformations are not pruned: the
+/// objective reports them when applyPoint materializes the point, before
+/// any simulation.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -95,10 +97,9 @@ TEST(StaticPrune, Fig7PrunesWithoutChangingTheOutcome) {
 }
 
 /// A permutation parameter fed to Interchange over a loop nest with a (<,>)
-/// dependence: the swapped order is illegal, and the oracle proves it by
-/// replaying the module call on a private copy of the region — no variant
-/// is materialized, no evaluator runs.
-TEST(StaticPrune, ReplayPrunesIllegalInterchange) {
+/// dependence: the swapped order is illegal. applyPoint reports it with the
+/// module's diagnostic, and the evaluator never runs the swapped variant.
+TEST(StaticPrune, IllegalInterchangeFailsBeforeSimulation) {
   auto CP = parseCOrDie(R"(
 double A[64][64];
 int main() {
@@ -126,13 +127,16 @@ CodeReg nest {
   auto R = Orch.runSearch();
   ASSERT_TRUE(R.ok()) << R.message();
 
-  // Two points exist: identity (legal, NoOp) and the swap (illegal).
+  // Two points exist: identity (legal, NoOp) and the swap (illegal). Only
+  // the identity reached the evaluator (the one cache miss); the swap
+  // failed while it was materialized.
   EXPECT_EQ(R->Search.Evaluations, 2);
-  EXPECT_EQ(R->Search.PrunedStatic, 1);
+  EXPECT_EQ(R->Search.PrunedStatic, 0);
   EXPECT_EQ(R->Search.failures(search::FailureKind::TransformIllegal), 1);
+  EXPECT_EQ(R->Search.CacheMisses, 1u);
   EXPECT_TRUE(R->Search.Found);
 
-  // The pruned record carries the module's located illegality diagnostic.
+  // The failed record carries the module's located illegality diagnostic.
   bool SawDetail = false;
   for (const auto &Rec : R->Search.History)
     if (!Rec.Valid &&
@@ -172,8 +176,68 @@ CodeReg matmul {
   EXPECT_TRUE(R->Search.Found);
 }
 
+/// A range check recorded after a module call assumes the call applied.
+/// Here the interchange is illegal at every point, so the concrete run
+/// fails each point at the interchange, while the oracle proves the six
+/// points with tf > tile invalid from the later range check. The oracle
+/// does not replay the module, so those six records name the range
+/// violation instead of the interchange (DESIGN.md, static legality
+/// oracle). Validity, metrics and the trajectory stay identical.
+TEST(StaticPrune, RangePruneAfterAFailingModuleKeepsTheTrajectory) {
+  auto run = [&](bool StaticPrune) {
+    auto CP = parseCOrDie(R"(
+double A[64][64];
+int main() {
+  int i, j;
+#pragma @Locus loop=nest
+  for (i = 1; i < 64; i++)
+    for (j = 0; j < 63; j++)
+      A[i][j] = A[i-1][j+1] + 1.0;
+}
+)");
+    auto LP = parseLocusOrDie(R"(
+Search {
+  buildcmd = "make";
+  runcmd = "./nest";
+}
+
+CodeReg nest {
+  RoseLocus.Interchange(order=[1, 0]);
+  tile = poweroftwo(2..16);
+  tf = poweroftwo(2..tile);
+  RoseLocus.Tiling(loop="0", factor=tile);
+}
+)");
+    OrchestratorOptions Opts = tinyOptions();
+    Opts.SearcherName = "exhaustive";
+    Opts.StaticPrune = StaticPrune;
+    Orchestrator Orch(*LP, *CP, Opts);
+    auto R = Orch.runSearch();
+    if (!R.ok()) {
+      ADD_FAILURE() << R.message();
+      return search::SearchResult{};
+    }
+    return std::move(R->Search);
+  };
+  search::SearchResult On = run(true);
+  search::SearchResult Off = run(false);
+  EXPECT_EQ(On.PrunedStatic, 6);
+  EXPECT_EQ(Off.PrunedStatic, 0);
+  EXPECT_EQ(On.InvalidPoints, 16);
+  EXPECT_EQ(Off.InvalidPoints, 16);
+  EXPECT_EQ(Off.failures(search::FailureKind::TransformIllegal), 16);
+  EXPECT_EQ(On.CacheMisses + Off.CacheMisses, 0u); // nothing simulated
+  ASSERT_EQ(On.History.size(), Off.History.size());
+  for (size_t I = 0; I < On.History.size(); ++I) {
+    EXPECT_EQ(On.History[I].P.key(), Off.History[I].P.key());
+    EXPECT_EQ(On.History[I].Valid, Off.History[I].Valid);
+  }
+  EXPECT_FALSE(On.Found);
+  EXPECT_FALSE(Off.Found);
+}
+
 //===----------------------------------------------------------------------===//
-// Racy parallelizations prune statically
+// Racy parallelizations fail before simulation
 //===----------------------------------------------------------------------===//
 
 /// Region with one provably-safe loop ("0") and one provably-racy loop
@@ -209,11 +273,11 @@ CodeReg pair {
 )";
 }
 
-/// The race detector feeds the legality oracle: a point that parallelizes
-/// the racy loop is classified PrunedStatic and never reaches the
-/// evaluator, and the search lands on the exact same best point as a
-/// search over the hand-pruned space (racy choice deleted by hand).
-TEST(StaticPrune, RacyParallelizationIsPrunedNotEvaluated) {
+/// The race detector gates Pragma.OMPFor: a point that parallelizes the
+/// racy loop fails as TransformIllegal while it is materialized and never
+/// reaches the evaluator, and the search lands on the exact same best point
+/// as a search over the hand-pruned space (racy choice deleted by hand).
+TEST(StaticPrune, RacyParallelizationFailsBeforeSimulation) {
   OrchestratorOptions Opts = tinyOptions();
   Opts.SearcherName = "exhaustive";
 
@@ -223,13 +287,15 @@ TEST(StaticPrune, RacyParallelizationIsPrunedNotEvaluated) {
   auto RFull = Full.runSearch();
   ASSERT_TRUE(RFull.ok()) << RFull.message();
 
-  // Two points; exactly the racy one is pruned, before evaluation.
+  // Two points; exactly the racy one fails, before evaluation: only the
+  // safe point is simulated (the one cache miss).
   EXPECT_EQ(RFull->Search.Evaluations, 2);
-  EXPECT_EQ(RFull->Search.PrunedStatic, 1);
+  EXPECT_EQ(RFull->Search.PrunedStatic, 0);
   EXPECT_EQ(RFull->Search.failures(search::FailureKind::TransformIllegal), 1);
+  EXPECT_EQ(RFull->Search.CacheMisses, 1u);
   EXPECT_TRUE(RFull->Search.Found);
 
-  // The pruned record carries the race witness.
+  // The failed record carries the race witness.
   bool SawWitness = false;
   for (const auto &Rec : RFull->Search.History)
     if (!Rec.Valid && Rec.Detail.find("racy") != std::string::npos &&
@@ -251,9 +317,10 @@ TEST(StaticPrune, RacyParallelizationIsPrunedNotEvaluated) {
   EXPECT_DOUBLE_EQ(RFull->Search.BestMetric, RHand->Search.BestMetric);
 }
 
-/// Disabling the oracle must not change what the search finds: the racy
-/// point then reaches variant materialization, where the applyOmpFor gate
-/// rejects it as an evaluated failure — same trajectory, same winner.
+/// Disabling the oracle must not change what the search finds: either way
+/// the racy point reaches variant materialization, where the applyOmpFor
+/// gate rejects it before simulation — same trajectory, same failure, same
+/// winner.
 TEST(StaticPrune, RacePruneDoesNotChangeTheTrajectory) {
   auto run = [&](bool StaticPrune) {
     auto CP = parseCOrDie(TwoLoopSrc);
@@ -271,14 +338,26 @@ TEST(StaticPrune, RacePruneDoesNotChangeTheTrajectory) {
   };
   driver::SearchWorkflowResult On = run(true);
   driver::SearchWorkflowResult Off = run(false);
-  EXPECT_EQ(On.Search.PrunedStatic, 1);
-  EXPECT_EQ(Off.Search.PrunedStatic, 0);
+  for (const driver::SearchWorkflowResult *R : {&On, &Off}) {
+    EXPECT_EQ(R->Search.PrunedStatic, 0);
+    EXPECT_EQ(R->Search.failures(search::FailureKind::TransformIllegal), 1);
+    EXPECT_EQ(R->Search.CacheMisses, 1u); // only the safe point simulated
+  }
   EXPECT_EQ(On.Search.Evaluations, Off.Search.Evaluations);
   ASSERT_EQ(On.Search.History.size(), Off.Search.History.size());
+  bool SawWitness = false;
   for (size_t I = 0; I < On.Search.History.size(); ++I) {
-    EXPECT_EQ(On.Search.History[I].P.key(), Off.Search.History[I].P.key());
-    EXPECT_EQ(On.Search.History[I].Valid, Off.Search.History[I].Valid);
+    const search::EvalRecord &A = On.Search.History[I];
+    const search::EvalRecord &B = Off.Search.History[I];
+    EXPECT_EQ(A.P.key(), B.P.key());
+    EXPECT_EQ(A.Valid, B.Valid);
+    EXPECT_EQ(A.Failure, B.Failure);
+    EXPECT_EQ(A.Detail, B.Detail);
+    SawWitness |= A.Failure == search::FailureKind::TransformIllegal &&
+                  A.Detail.find("racy") != std::string::npos &&
+                  A.Detail.find("'V'") != std::string::npos;
   }
+  EXPECT_TRUE(SawWitness);
   EXPECT_EQ(search::serializePoint(On.Search.Best),
             search::serializePoint(Off.Search.Best));
   EXPECT_DOUBLE_EQ(On.Search.BestMetric, Off.Search.BestMetric);
