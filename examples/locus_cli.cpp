@@ -524,11 +524,6 @@ void printSearchSummary(const driver::SearchWorkflowResult &R,
       std::printf(" (degraded to in-memory)");
     std::printf("\n");
   }
-  if (R.Guard.UnstableRetries || R.Guard.QuarantinedPoints)
-    std::printf("guards: %d unstable retries (%d recovered), %d points "
-                "quarantined (%d rejects)\n",
-                R.Guard.UnstableRetries, R.Guard.UnstableRecovered,
-                R.Guard.QuarantinedPoints, R.Guard.QuarantineRejects);
   if (R.Served) {
     const service::ServiceStats &SS = R.Service;
     std::printf("service: %llu task(s) (%llu from workers, %llu recovered, "

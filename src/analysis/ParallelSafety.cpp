@@ -378,60 +378,13 @@ struct BodyFacts {
   }
 };
 
-/// True when any expression of \p S (or an inner loop header writing it)
-/// mentions \p Name.
-bool stmtMentions(const Stmt &S, const std::string &Name) {
-  switch (S.kind()) {
-  case StmtKind::Block: {
-    for (const auto &C : cast<Block>(&S)->Stmts)
-      if (stmtMentions(*C, Name))
-        return true;
-    return false;
-  }
-  case StmtKind::For: {
-    const auto &F = *cast<ForStmt>(&S);
-    if (F.Var == Name || referencesVar(*F.Init, Name) ||
-        referencesVar(*F.Bound, Name))
-      return true;
-    for (const auto &C : F.Body->Stmts)
-      if (stmtMentions(*C, Name))
-        return true;
-    return false;
-  }
-  case StmtKind::If: {
-    const auto &I = *cast<IfStmt>(&S);
-    if (referencesVar(*I.Cond, Name))
-      return true;
-    for (const auto &C : I.Then->Stmts)
-      if (stmtMentions(*C, Name))
-        return true;
-    if (I.Else)
-      for (const auto &C : I.Else->Stmts)
-        if (stmtMentions(*C, Name))
-          return true;
-    return false;
-  }
-  case StmtKind::Assign: {
-    const auto &A = *cast<AssignStmt>(&S);
-    return referencesVar(*A.Lhs, Name) || referencesVar(*A.Rhs, Name);
-  }
-  case StmtKind::Decl: {
-    const auto &D = *cast<DeclStmt>(&S);
-    return D.Name == Name || (D.Init && referencesVar(*D.Init, Name));
-  }
-  case StmtKind::CallStmt:
-    return referencesVar(*cast<CallStmt>(&S)->Call, Name);
-  }
-  return false;
-}
-
 /// True when scalar \p Name is certainly written before any read in every
 /// iteration: the first top-level body statement mentioning it is a plain
 /// assignment `Name = e` with e not reading Name. (A nested first access
 /// under an if or inner loop may not execute, so it does not qualify.)
 bool writtenBeforeRead(const ForStmt &For, const std::string &Name) {
   for (const auto &S : For.Body->Stmts) {
-    if (!stmtMentions(*S, Name))
+    if (!stmtReferencesVar(*S, Name))
       continue;
     const auto *A = dyn_cast<AssignStmt>(S.get());
     if (!A)
@@ -517,28 +470,6 @@ std::string ParallelSafetyReport::clauses() const {
     Out += std::string(Out.empty() ? "" : " ") + "reduction(" + Op + ":" +
            Join(Names) + ")";
   return Out;
-}
-
-void ParallelSafetyReport::toDiags(support::DiagEngine &Diags,
-                                   const std::string &Region) const {
-  switch (Verdict) {
-  case ParallelVerdict::Safe:
-    Diags.note(LoopLoc, Region,
-               "loop '" + LoopVar + "' is safe to parallelize" +
-                   (clauses().empty() ? "" : " with " + clauses()));
-    return;
-  case ParallelVerdict::Unknown:
-    Diags.warning(LoopLoc, Region,
-                  "cannot prove loop '" + LoopVar +
-                      "' safe to parallelize: " + WhyUnknown);
-    return;
-  case ParallelVerdict::Racy:
-    Diags.warning(LoopLoc, Region,
-                  "parallelizing loop '" + LoopVar + "' is racy");
-    for (const RaceWitness &W : Witnesses)
-      Diags.note(W.SrcLoc.valid() ? W.SrcLoc : LoopLoc, Region, W.render());
-    return;
-  }
 }
 
 //===----------------------------------------------------------------------===//
@@ -664,8 +595,8 @@ ParallelSafetyReport analyzeParallelLoop(const ForStmt &For) {
             ReadElsewhere = true;
           return;
         }
-        if (stmtMentions(S, Name) && !isa<Block>(&S) && !isa<ForStmt>(&S) &&
-            !isa<IfStmt>(&S)) {
+        if (stmtReferencesVar(S, Name) && !isa<Block>(&S) &&
+            !isa<ForStmt>(&S) && !isa<IfStmt>(&S)) {
           ReadElsewhere = true;
           return;
         }

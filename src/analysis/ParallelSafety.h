@@ -104,8 +104,6 @@ struct ParallelSafetyReport {
   /// "private(j,k) firstprivate(alpha) reduction(+:s)"; empty when nothing
   /// needs a clause or the loop is not proven safe.
   std::string clauses() const;
-  /// Reports the verdict and witnesses as located diagnostics.
-  void toDiags(support::DiagEngine &Diags, const std::string &Region) const;
 };
 
 /// True when pragma text \p Text (as stored on cir::Stmt::Pragmas, without

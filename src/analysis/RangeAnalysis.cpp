@@ -174,6 +174,32 @@ Interval rangeMax(const Interval &A, const Interval &B) {
 // Expression evaluation
 //===----------------------------------------------------------------------===//
 
+namespace {
+
+/// When \p Sum is `X + ((Y - X) / F) * F` with a literal F > 0 and the two
+/// X's structurally equal, returns Y; otherwise null. The value then lies
+/// between X and Y, since the truncated quotient times F lies between 0 and
+/// Y - X. Unroll emits this remainder start, and interval arithmetic alone
+/// loses the X-Y correlation: with F = 4, X = [0, 8] and Y = [4, 16] it
+/// gives [-4, 24], the rule [0, 16].
+const Expr *alignedStepToward(const BinaryExpr &Sum) {
+  const auto *Mul = dyn_cast<BinaryExpr>(Sum.Rhs.get());
+  if (!Mul || Mul->Op != BinOp::Mul)
+    return nullptr;
+  const auto *Div = dyn_cast<BinaryExpr>(Mul->Lhs.get());
+  const auto *F = dyn_cast<IntLit>(Mul->Rhs.get());
+  if (!Div || Div->Op != BinOp::Div || !F || F->Value <= 0)
+    return nullptr;
+  const auto *DivF = dyn_cast<IntLit>(Div->Rhs.get());
+  const auto *Span = dyn_cast<BinaryExpr>(Div->Lhs.get());
+  if (!DivF || DivF->Value != F->Value || !Span || Span->Op != BinOp::Sub ||
+      !exprEquals(*Span->Rhs, *Sum.Lhs))
+    return nullptr;
+  return Span->Lhs.get();
+}
+
+} // namespace
+
 Interval evalRange(const Expr &E, const RangeEnv &Env) {
   switch (E.kind()) {
   case ExprKind::IntLit:
@@ -198,6 +224,8 @@ Interval evalRange(const Expr &E, const RangeEnv &Env) {
     Interval R = evalRange(*B->Rhs, Env);
     switch (B->Op) {
     case BinOp::Add:
+      if (const Expr *Y = alignedStepToward(*B))
+        return meet(rangeAdd(L, R), join(L, evalRange(*Y, Env)));
       return rangeAdd(L, R);
     case BinOp::Sub:
       return rangeSub(L, R);

@@ -6,7 +6,7 @@
 /// INT64_MAX act as -inf / +inf sentinels), joined at control-flow merges and
 /// widened at loop heads so the fixpoint terminates on symbolic bounds.
 ///
-/// Four consumers:
+/// Three consumers:
 ///  - checkBounds(): the static array-bounds verifier behind
 ///    `locus_cli --bounds-check` and the `--lint` fold-in. Every subscript of
 ///    every array access is proven within its declared extent, or reported
@@ -16,9 +16,6 @@
 ///    (e.g. `for (i = 0; i < n; ...)` with `int n = 40;` in scope).
 ///  - iterationBox() + envAtBlock(): the post-transform iteration-space
 ///    containment cross-check run by verifyAfterTransform().
-///  - interval evaluation of recorded dependent-range checks over whole
-///    parameter boxes (LegalityOracle), so provably-pass checks are elided
-///    and provably-fail sub-boxes prune before materialization.
 ///
 /// Everything here is conservative: saturated endpoints mean "unknown in that
 /// direction", and all verdicts degrade toward "cannot prove", never toward a
@@ -138,7 +135,8 @@ using RangeEnv = std::map<std::string, Interval>;
 
 /// Evaluates \p E over \p Env. min/max intrinsic calls are interpreted;
 /// comparisons and logical operators yield [0, 1]; array loads, float
-/// literals and unknown calls yield full().
+/// literals and unknown calls yield full(). Unroll's remainder start
+/// `X + ((Y - X) / F) * F` (literal F > 0) is kept within join(X, Y).
 Interval evalRange(const cir::Expr &E, const RangeEnv &Env);
 
 //===----------------------------------------------------------------------===//

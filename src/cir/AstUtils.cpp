@@ -323,16 +323,17 @@ bool referencesVar(const Expr &E, const std::string &Name) {
 
 bool stmtReferencesVar(const Stmt &S, const std::string &Name) {
   bool Found = false;
+  forEachExpr(S, [&](const ExprPtr &E) {
+    if (!Found && referencesVar(*E, Name))
+      Found = true;
+  });
+  if (Found)
+    return true;
   forEachStmt(S, [&](const Stmt &Sub) {
-    if (Found)
-      return;
-    forEachExpr(Sub, [&](const ExprPtr &E) {
-      if (!Found && referencesVar(*E, Name))
-        Found = true;
-    });
-    if (auto *For = dyn_cast<ForStmt>(&Sub))
-      if (For->Var == Name)
-        Found = true;
+    if (const auto *For = dyn_cast<ForStmt>(&Sub))
+      Found = Found || For->Var == Name;
+    else if (const auto *D = dyn_cast<DeclStmt>(&Sub))
+      Found = Found || D->Name == Name;
   });
   return Found;
 }

@@ -69,7 +69,8 @@ void collectArrays(const Expr &E, std::set<std::string> &Out);
 /// Returns true if expression \p E references variable \p Name.
 bool referencesVar(const Expr &E, const std::string &Name);
 
-/// Returns true if any expression in the statement subtree references \p Name.
+/// Returns true if the statement subtree mentions \p Name: an expression
+/// references it, a loop header writes it, or a declaration declares it.
 bool stmtReferencesVar(const Stmt &S, const std::string &Name);
 
 /// The one integer constant evaluator. Folds literals, names bound in \p Env

@@ -163,8 +163,8 @@ public:
     }
 
     EvalOutcome Out = evaluateVariant(*Variant);
-    // MetricUnstable is never cached: the guard's bounded retries must
-    // re-measure, not be served the same flaky reading back.
+    // MetricUnstable is never cached: another point that materializes the
+    // same variant must re-measure, not be served the flaky reading back.
     if (Cache && Out.Failure != FailureKind::MetricUnstable)
       Cache->insert(VariantKey, P.key(), Out);
     return Out;
@@ -329,7 +329,7 @@ Orchestrator::prepareSearch() {
     Prep->BaselineCycles = std::numeric_limits<double>::infinity();
   }
 
-  // Per-variant deadline derived from the baseline run (guard 1).
+  // Per-variant deadline derived from the baseline run.
   if (!Opts.NativeMetric && Prep->BaselineRunnable && BaseRun.ok() &&
       Opts.VariantDeadlineFactor > 0 && BaseRun->LoopIterations > 0) {
     double Budget = Opts.VariantDeadlineFactor *
@@ -410,12 +410,8 @@ Expected<SearchWorkflowResult> Orchestrator::runSearch() {
                                                            *Prep.Objective);
     Result.Served = true;
   }
-  search::Objective &Inner = Dist ? static_cast<search::Objective &>(*Dist)
-                                  : *Prep.Objective;
-  // Guards 2+3: bounded retry of unstable metrics, quarantine of repeat
-  // offenders. Wrapping the *distributed* objective keeps guard decisions
-  // on the coordinator, fed by the same outcomes the local run would see.
-  search::GuardedObjective Guarded(Inner, Opts.Guard);
+  search::Objective &Obj = Dist ? static_cast<search::Objective &>(*Dist)
+                                : *Prep.Objective;
   search::SearchOptions SOpts;
   SOpts.MaxEvaluations = Opts.MaxEvaluations;
   SOpts.Seed = Opts.Seed;
@@ -472,8 +468,7 @@ Expected<SearchWorkflowResult> Orchestrator::runSearch() {
     };
   }
 
-  Result.Search = Searcher->search(Result.Space, Guarded, SOpts);
-  Result.Guard = Guarded.stats();
+  Result.Search = Searcher->search(Result.Space, Obj, SOpts);
   if (Oracle)
     Result.Search.PrunedStaticByRange = Oracle->rangePrunedCount();
   if (Coord) {

@@ -108,8 +108,8 @@ struct OrchestratorOptions {
   /// Relative tolerance for checksum validation of a variant against the
   /// baseline reference (simulator or native); the CLI's --checksum-rtol.
   double ChecksumRtol = 1e-6;
-  /// Guard policy: bounded retries for unstable metrics and quarantining of
-  /// repeat-offender points.
+  /// Empty; read only by perfbench's rebuilt pipeline. Goes with the
+  /// telemetry item of ROADMAP.md.
   search::GuardOptions Guard;
   /// Path of the crash-safe search journal (CRC-framed records with a
   /// space-fingerprint header; see search::SearchJournal); empty disables
@@ -169,7 +169,8 @@ struct SearchWorkflowResult {
   bool BaselineChosen = false;
   std::unique_ptr<cir::Program> BestProgram;
   eval::RunResult BestRun;
-  /// Guard activity during the search (retries, quarantines).
+  /// Empty; written only by perfbench's rebuilt pipeline. Goes with the
+  /// telemetry item of ROADMAP.md.
   search::GuardStats Guard;
   /// Tuning-service activity (valid when Served).
   service::ServiceStats Service;

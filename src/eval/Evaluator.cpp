@@ -1612,19 +1612,6 @@ Status ProgramEvaluator::setIntArray(const std::string &Name,
   return Status::success();
 }
 
-Status ProgramEvaluator::setScalar(const std::string &Name, double Value) {
-  assert(Compiled && "prepare() must run first");
-  auto It = Compiled->ScalarSlots.find(Name);
-  if (It == Compiled->ScalarSlots.end())
-    return Status::error("unknown scalar: " + Name);
-  size_t Slot = static_cast<size_t>(It->second);
-  if (Compiled->SlotTypes[Slot] == cir::ElemType::Double)
-    Compiled->InitScalarD[Slot] = Value;
-  else
-    Compiled->InitScalarI[Slot] = static_cast<int64_t>(Value);
-  return Status::success();
-}
-
 RunResult ProgramEvaluator::run() {
   assert(Compiled && "prepare() must run first");
   return Compiled->run();

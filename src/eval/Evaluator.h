@@ -84,9 +84,6 @@ public:
   Status setDoubleArray(const std::string &Name, std::vector<double> Values);
   Status setIntArray(const std::string &Name, std::vector<int64_t> Values);
 
-  /// Overrides a scalar's initial value.
-  Status setScalar(const std::string &Name, double Value);
-
   /// Executes the program from its initial state.
   RunResult run();
 

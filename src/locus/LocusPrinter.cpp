@@ -252,12 +252,6 @@ private:
 
 } // namespace
 
-std::string printLocusExpr(const LExpr &E) {
-  Printer P;
-  P.expr(E);
-  return P.take();
-}
-
 std::string printLocusProgram(const LocusProgram &Prog) {
   Printer P;
   for (const std::string &Import : Prog.Imports)

@@ -25,9 +25,6 @@ namespace lang {
 /// Renders the program as Locus source text (parseable round trip).
 std::string printLocusProgram(const LocusProgram &Prog);
 
-/// Renders one expression.
-std::string printLocusExpr(const LExpr &E);
-
 /// Pins every search construct of \p Prog to \p Point (whose keys use the
 /// extractor's path#NodeId identities) and returns the resulting direct
 /// program. Constructs inside OptSeqs invoked from several call sites keep

@@ -60,7 +60,6 @@ public:
   }
 
   Kind kind() const;
-  bool isNone() const { return kind() == Kind::None; }
   bool isInt() const { return kind() == Kind::Int; }
   bool isFloat() const { return kind() == Kind::Float; }
   bool isNumber() const { return isInt() || isFloat(); }

@@ -4,9 +4,6 @@
 
 #include "src/support/Hashing.h"
 
-#include <cmath>
-#include <limits>
-
 namespace locus {
 namespace search {
 
@@ -51,25 +48,8 @@ FailureKind FaultInjectingObjective::classify(const Point &P) const {
 
 EvalOutcome FaultInjectingObjective::assess(const Point &P) {
   FailureKind K = classify(P);
-  if (K == FailureKind::None) {
-    ++Clean;
+  if (K == FailureKind::None)
     return Inner.assess(P);
-  }
-  if (K == FailureKind::MetricUnstable && Opts.UnstableAttempts > 0) {
-    int &SeenCount = UnstableSeen[P.key()];
-    if (SeenCount >= Opts.UnstableAttempts) {
-      // The measurement has stabilized; pass through.
-      ++Clean;
-      return Inner.assess(P);
-    }
-    ++SeenCount;
-    ++Injected[static_cast<size_t>(K)];
-    EvalOutcome O =
-        EvalOutcome::fail(K, "injected unstable metric");
-    O.Metric = std::numeric_limits<double>::quiet_NaN();
-    return O;
-  }
-  ++Injected[static_cast<size_t>(K)];
   return EvalOutcome::fail(K, std::string("injected ") + failureKindName(K));
 }
 

@@ -6,12 +6,10 @@
 /// decision is a pure function of (point key, seed), so the clean subspace
 /// is stable across runs and across independently-constructed injectors —
 /// tests can compute the known-best clean point exactly and assert the
-/// searchers still find it while a third of the space is on fire.
-///
-/// MetricUnstable is special: it models flakiness, not a broken variant, so
-/// an unstable point recovers (returns the clean metric) after
-/// UnstableAttempts failed assessments. This is what the retry guard in
-/// GuardedObjective is tested against.
+/// searchers still find it while a third of the space is on fire. Every
+/// injected kind, MetricUnstable included, is permanent for its point: the
+/// searchers assess each point at most once, so a "flaky once" model would
+/// never be observed.
 ///
 //===----------------------------------------------------------------------===//
 #ifndef LOCUS_SEARCH_FAULTINJECTION_H
@@ -19,7 +17,6 @@
 
 #include "src/search/Search.h"
 
-#include <map>
 #include <utility>
 #include <vector>
 
@@ -34,9 +31,6 @@ struct FaultInjectionOptions {
   /// Relative weights of the injected kinds; empty means an equal mix of
   /// all seven failure kinds. Entries with kind None are ignored.
   std::vector<std::pair<FailureKind, double>> KindMix;
-  /// Injected MetricUnstable failures clear after this many assessments of
-  /// the point (the measurement "stabilizes"); <= 0 makes them permanent.
-  int UnstableAttempts = 1;
 };
 
 class FaultInjectingObjective : public Objective {
@@ -49,21 +43,11 @@ public:
 
   EvalOutcome assess(const Point &P) override;
 
-  /// Per-kind counts of failures actually injected.
-  const std::array<int, NumFailureKinds> &injectedCounts() const {
-    return Injected;
-  }
-  /// Number of assessments passed through to the inner objective.
-  int cleanCalls() const { return Clean; }
-
 private:
   Objective &Inner;
   FaultInjectionOptions Opts;
   std::vector<std::pair<FailureKind, double>> Mix; ///< normalized KindMix
   double TotalWeight = 0;
-  std::map<std::string, int> UnstableSeen;
-  std::array<int, NumFailureKinds> Injected{};
-  int Clean = 0;
 };
 
 } // namespace search

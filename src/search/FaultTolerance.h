@@ -1,18 +1,21 @@
-//===- FaultTolerance.h - Evaluation guards ---------------------*- C++ -*-===//
+//===- FaultTolerance.h - Pass-through evaluation guard ---------*- C++ -*-===//
 ///
 /// \file
-/// Guard policy around an Objective. Empirical tuning objectives misbehave
-/// in two ways the searchers themselves should not have to know about:
+/// A stateless forwarder kept only so perfbench's rebuilt pipeline still
+/// compiles; the product passes its objective to the searcher unwrapped.
+/// Nothing here retries or quarantines:
 ///
-///  - flaky measurements (MetricUnstable): worth a bounded number of
-///    retries before the point is written off;
-///  - repeat offenders: a point that keeps failing is quarantined so no
-///    future proposal spends evaluator time on it again.
+///  - each point reaches the objective at most once per search, because
+///    the searchers' evaluation driver serves repeated keys from its memo;
+///  - the one retry of a MetricUnstable measurement is NativeEvaluator's
+///    (NativeOptions::MaxUnstableRetries), in the one evaluator whose
+///    measurements can be flaky.
 ///
-/// GuardedObjective decorates any Objective with both policies and keeps
-/// counters for reporting. Per-variant deadlines — the third guard — live
-/// in the driver's VariantObjective, which derives an iteration budget from
-/// the baseline run (see OrchestratorOptions::VariantDeadlineFactor).
+/// Per-variant deadlines live in the driver's VariantObjective, which
+/// derives an iteration budget from the baseline run (see
+/// OrchestratorOptions::VariantDeadlineFactor). The forwarder and its two
+/// empty structs go with the telemetry item of ROADMAP.md, which deletes
+/// perfbench's rebuilt pipeline.
 ///
 //===----------------------------------------------------------------------===//
 #ifndef LOCUS_SEARCH_FAULTTOLERANCE_H
@@ -20,63 +23,25 @@
 
 #include "src/search/Search.h"
 
-#include <map>
-#include <mutex>
-#include <set>
-#include <string>
-
 namespace locus {
 namespace search {
 
-struct GuardOptions {
-  /// Extra assessments attempted when a result is MetricUnstable before the
-  /// failure is accepted.
-  int MaxUnstableRetries = 2;
-  /// Number of failed assessments of the same point before it is
-  /// quarantined (served a cached failure without re-evaluating); 0
-  /// disables quarantining.
-  int QuarantineThreshold = 3;
-};
+struct GuardOptions {};
 
-struct GuardStats {
-  int UnstableRetries = 0;   ///< retry attempts issued
-  int UnstableRecovered = 0; ///< retries that produced a clean result
-  int QuarantinedPoints = 0; ///< distinct points placed in quarantine
-  int QuarantineRejects = 0; ///< assessments served from quarantine
-};
+struct GuardStats {};
 
-/// Guard state (streaks, quarantine, counters) is protected by an internal
-/// mutex, so the guard is safe under the evaluation pool's concurrent
-/// assessments as long as the inner objective is; the inner objective runs
-/// outside the lock. Concurrency-safety is forwarded from the inner
-/// objective, making the guard transparent to the pool.
 class GuardedObjective : public Objective {
 public:
-  explicit GuardedObjective(Objective &Inner, GuardOptions Opts = {})
-      : Inner(Inner), Opts(Opts) {}
+  explicit GuardedObjective(Objective &Inner, GuardOptions = {})
+      : Inner(Inner) {}
 
-  EvalOutcome assess(const Point &P) override;
+  EvalOutcome assess(const Point &P) override { return Inner.assess(P); }
   bool concurrencySafe() const override { return Inner.concurrencySafe(); }
 
-  GuardStats stats() const {
-    std::lock_guard<std::mutex> L(M);
-    return Stats;
-  }
-  bool isQuarantined(const Point &P) const {
-    std::lock_guard<std::mutex> L(M);
-    return Quarantined.count(P.key()) != 0;
-  }
+  GuardStats stats() const { return {}; }
 
 private:
   Objective &Inner;
-  GuardOptions Opts;
-  mutable std::mutex M; ///< guards every member below
-  GuardStats Stats;
-  /// Failure streak per point key; cleared on success.
-  std::map<std::string, int> FailStreak;
-  /// Quarantined point keys with the failure that put them there.
-  std::map<std::string, EvalOutcome> QuarantineReason;
-  std::set<std::string> Quarantined;
 };
 
 } // namespace search

@@ -161,9 +161,9 @@ PersistentEvalCache::lookup(const CacheKey &Key, const std::string &PointKey) {
 void PersistentEvalCache::insert(const CacheKey &Key,
                                  const std::string &PointKey,
                                  const EvalOutcome &Outcome) {
-  // Unstable measurements are never cached anywhere: the guard's bounded
-  // retries must re-measure, and a persisted flaky reading would poison
-  // every future tenant.
+  // Unstable measurements are never cached anywhere: a later lookup of the
+  // same variant must re-measure, and a persisted flaky reading would
+  // poison every future tenant.
   if (Outcome.Failure == FailureKind::MetricUnstable)
     return;
   if (!Mem.insertIfAbsent(Key, PointKey, Outcome))

@@ -206,9 +206,9 @@ private:
 
 /// The search-side adapter: a concurrency-safe BatchObjective whose assess
 /// dispatches to the coordinator, with the in-process objective as the
-/// degradation fallback. Wrap it in GuardedObjective exactly like the local
-/// objective — identical outcomes mean identical guard decisions, which is
-/// the whole determinism argument.
+/// degradation fallback. The searcher takes it exactly where it would take
+/// the local objective: identical outcomes mean identical trajectories,
+/// which is the whole determinism argument.
 class DistributedObjective : public search::BatchObjective {
 public:
   DistributedObjective(Coordinator &C, search::Objective &Fallback)

@@ -33,13 +33,5 @@ void installShutdownFlag() {
 
 const std::atomic<bool> *shutdownFlag() { return &ShutdownFlag; }
 
-bool shutdownRequested() {
-  return ShutdownFlag.load(std::memory_order_relaxed);
-}
-
-void requestShutdown() {
-  ShutdownFlag.store(true, std::memory_order_relaxed);
-}
-
 } // namespace support
 } // namespace locus

@@ -33,12 +33,6 @@ void installShutdownFlag();
 /// CoordinatorOptions::StopFlag.
 const std::atomic<bool> *shutdownFlag();
 
-/// True once SIGTERM or SIGINT was delivered (or requestShutdown ran).
-bool shutdownRequested();
-
-/// Sets the flag programmatically (tests, embedders).
-void requestShutdown();
-
 } // namespace support
 } // namespace locus
 

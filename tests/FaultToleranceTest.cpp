@@ -1,7 +1,6 @@
-//===- FaultToleranceTest.cpp - Failure taxonomy, guards, fault injection -===//
+//===- FaultToleranceTest.cpp - Failure taxonomy and fault injection ------===//
 
 #include "src/search/FaultInjection.h"
-#include "src/search/FaultTolerance.h"
 #include "src/search/Search.h"
 
 #include <gtest/gtest.h>
@@ -117,14 +116,13 @@ TEST_P(SearcherFaultSurvival, SurvivesMixedInjectedFailures) {
   FOpts.FailureProbability = 0.3;
   FOpts.Seed = 1234;
   FaultInjectingObjective Faulty(Inner, FOpts);
-  GuardedObjective Guarded(Faulty);
 
   SearchOptions Opts;
   Opts.MaxEvaluations = 150;
   Opts.Seed = 7;
   auto Searcher = makeSearcher(GetParam());
   ASSERT_NE(Searcher, nullptr);
-  SearchResult R = Searcher->search(S, Guarded, Opts);
+  SearchResult R = Searcher->search(S, Faulty, Opts);
 
   // The searcher completed its budget without corrupting its state: counts
   // are consistent and the per-kind breakdown sums to the invalid total.
@@ -135,17 +133,15 @@ TEST_P(SearcherFaultSurvival, SurvivesMixedInjectedFailures) {
   // The clean subspace is 70% of the space; a valid best must exist.
   ASSERT_TRUE(R.Found) << GetParam();
   EXPECT_TRUE(std::isfinite(R.BestMetric)) << GetParam();
-  // The winning point itself is clean (or was flaky and recovered under the
-  // retry guard; permanent failures can never win).
+  // The winning point itself is clean: injected failures are permanent, so
+  // a failed point can never win.
   FailureKind BestKind = Faulty.classify(R.Best);
-  EXPECT_TRUE(BestKind == FailureKind::None ||
-              BestKind == FailureKind::MetricUnstable)
+  EXPECT_EQ(BestKind, FailureKind::None)
       << GetParam() << ": " << failureKindName(BestKind);
 
   // Determinism survives injection: a second identical run agrees.
   FaultInjectingObjective Faulty2(Inner, FOpts);
-  GuardedObjective Guarded2(Faulty2);
-  SearchResult R2 = makeSearcher(GetParam())->search(S, Guarded2, Opts);
+  SearchResult R2 = makeSearcher(GetParam())->search(S, Faulty2, Opts);
   EXPECT_EQ(R.Best.key(), R2.Best.key()) << GetParam();
   EXPECT_EQ(R.Evaluations, R2.Evaluations) << GetParam();
   EXPECT_EQ(R.FailureCounts, R2.FailureCounts) << GetParam();
@@ -192,8 +188,7 @@ TEST(FaultInjection, BanditAndTpeConvergeOnCleanSubspace) {
   FOpts.Seed = 99;
   FaultInjectingObjective Probe(Inner, FOpts); // classification only
 
-  // The clean subspace: points the injector never fails, plus unstable
-  // points (they recover under the retry guard).
+  // The clean subspace: points the injector never fails.
   double CleanBest = std::numeric_limits<double>::infinity();
   std::string CleanBestKey;
   for (const PointValue &AV : enumerateValues(S.Params[0]))
@@ -201,8 +196,7 @@ TEST(FaultInjection, BanditAndTpeConvergeOnCleanSubspace) {
       Point P;
       P.Values["a"] = AV;
       P.Values["b"] = BV;
-      FailureKind K = Probe.classify(P);
-      if (K != FailureKind::None && K != FailureKind::MetricUnstable)
+      if (Probe.classify(P) != FailureKind::None)
         continue;
       if (Metric(P) < CleanBest) {
         CleanBest = Metric(P);
@@ -213,11 +207,10 @@ TEST(FaultInjection, BanditAndTpeConvergeOnCleanSubspace) {
 
   for (const char *Name : {"bandit", "tpe"}) {
     FaultInjectingObjective Faulty(Inner, FOpts);
-    GuardedObjective Guarded(Faulty);
     SearchOptions Opts;
     Opts.MaxEvaluations = 300;
     Opts.Seed = 5;
-    SearchResult R = makeSearcher(Name)->search(S, Guarded, Opts);
+    SearchResult R = makeSearcher(Name)->search(S, Faulty, Opts);
     ASSERT_TRUE(R.Found) << Name;
     EXPECT_EQ(R.BestMetric, CleanBest) << Name;
     EXPECT_EQ(R.Best.key(), CleanBestKey) << Name;
@@ -271,116 +264,6 @@ TEST(FaultInjection, KindMixIsRespected) {
                 K == FailureKind::ChecksumMismatch)
         << failureKindName(K);
   }
-}
-
-//===----------------------------------------------------------------------===//
-// Guards
-//===----------------------------------------------------------------------===//
-
-TEST(Guards, RetryRecoversUnstableMetric) {
-  Space S = mixedSpace();
-  LambdaObjective Inner(synthetic);
-  FaultInjectionOptions FOpts;
-  FOpts.FailureProbability = 1.0;
-  FOpts.KindMix = {{FailureKind::MetricUnstable, 1.0}};
-  FOpts.UnstableAttempts = 1; // flaky once, then stable
-  FaultInjectingObjective Faulty(Inner, FOpts);
-  GuardOptions GOpts;
-  GOpts.MaxUnstableRetries = 2;
-  GuardedObjective Guarded(Faulty, GOpts);
-
-  Rng R(5);
-  Point P = samplePoint(S, R);
-  EvalOutcome Out = Guarded.assess(P);
-  ASSERT_TRUE(Out.ok()) << Out.Detail;
-  EXPECT_EQ(Out.Metric, synthetic(P).Metric);
-  EXPECT_EQ(Guarded.stats().UnstableRetries, 1);
-  EXPECT_EQ(Guarded.stats().UnstableRecovered, 1);
-}
-
-TEST(Guards, RetryBudgetIsBounded) {
-  LambdaObjective Inner(LambdaObjective::OutcomeFn([](const Point &) {
-    return EvalOutcome::fail(FailureKind::MetricUnstable, "always flaky");
-  }));
-  GuardOptions GOpts;
-  GOpts.MaxUnstableRetries = 2;
-  GOpts.QuarantineThreshold = 0;
-  GuardedObjective Guarded(Inner, GOpts);
-  Point P;
-  P.Values["a"] = int64_t(1);
-  EvalOutcome Out = Guarded.assess(P);
-  EXPECT_EQ(Out.Failure, FailureKind::MetricUnstable);
-  EXPECT_EQ(Guarded.stats().UnstableRetries, 2);
-  EXPECT_EQ(Guarded.stats().UnstableRecovered, 0);
-}
-
-TEST(Guards, QuarantineAfterRepeatedFailures) {
-  int InnerCalls = 0;
-  LambdaObjective Inner(LambdaObjective::OutcomeFn([&](const Point &) {
-    ++InnerCalls;
-    return EvalOutcome::fail(FailureKind::RuntimeTrap, "boom");
-  }));
-  GuardOptions GOpts;
-  GOpts.QuarantineThreshold = 2;
-  GuardedObjective Guarded(Inner, GOpts);
-  Point P;
-  P.Values["a"] = int64_t(1);
-
-  EXPECT_EQ(Guarded.assess(P).Failure, FailureKind::RuntimeTrap);
-  EXPECT_FALSE(Guarded.isQuarantined(P));
-  EXPECT_EQ(Guarded.assess(P).Failure, FailureKind::RuntimeTrap);
-  EXPECT_TRUE(Guarded.isQuarantined(P));
-  int CallsBefore = InnerCalls;
-  // Quarantined: the cached failure is served without re-evaluating.
-  EvalOutcome Out = Guarded.assess(P);
-  EXPECT_EQ(Out.Failure, FailureKind::RuntimeTrap);
-  EXPECT_NE(Out.Detail.find("quarantined"), std::string::npos);
-  EXPECT_EQ(InnerCalls, CallsBefore);
-  EXPECT_EQ(Guarded.stats().QuarantineRejects, 1);
-  EXPECT_EQ(Guarded.stats().QuarantinedPoints, 1);
-}
-
-TEST(Guards, QuarantineKeepsNearbyFloatPointsApart) {
-  // Two float values that agree to six significant digits are distinct
-  // points: quarantining one must not reject the other.
-  const double Bad = 0.12345671, Good = 0.12345674;
-  LambdaObjective Inner(LambdaObjective::OutcomeFn([&](const Point &P) {
-    return P.getFloat("f") == Bad
-               ? EvalOutcome::fail(FailureKind::RuntimeTrap, "boom")
-               : EvalOutcome::success(1.0);
-  }));
-  GuardOptions GOpts;
-  GOpts.QuarantineThreshold = 1;
-  GuardedObjective Guarded(Inner, GOpts);
-  Point BadP, GoodP;
-  BadP.Values["f"] = Bad;
-  GoodP.Values["f"] = Good;
-
-  EXPECT_FALSE(Guarded.assess(BadP).ok());
-  EXPECT_TRUE(Guarded.isQuarantined(BadP));
-  EXPECT_FALSE(Guarded.isQuarantined(GoodP));
-  EXPECT_TRUE(Guarded.assess(GoodP).ok());
-  EXPECT_EQ(Guarded.stats().QuarantineRejects, 0);
-}
-
-TEST(Guards, SuccessClearsFailureStreak) {
-  int Calls = 0;
-  LambdaObjective Inner(LambdaObjective::OutcomeFn([&](const Point &) {
-    ++Calls;
-    // Fail, succeed, fail, succeed...: the streak never reaches 2.
-    if (Calls % 2 == 1)
-      return EvalOutcome::fail(FailureKind::RuntimeTrap, "boom");
-    return EvalOutcome::success(1.0);
-  }));
-  GuardOptions GOpts;
-  GOpts.QuarantineThreshold = 2;
-  GuardedObjective Guarded(Inner, GOpts);
-  Point P;
-  P.Values["a"] = int64_t(1);
-  for (int I = 0; I < 6; ++I)
-    Guarded.assess(P);
-  EXPECT_FALSE(Guarded.isQuarantined(P));
-  EXPECT_EQ(Guarded.stats().QuarantinedPoints, 0);
 }
 
 } // namespace

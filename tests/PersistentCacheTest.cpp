@@ -104,8 +104,8 @@ TEST(PersistentCache, MetricUnstableIsNeverPersisted) {
     PersistentEvalCache C = F.make();
     C.insert(key(7), "pt",
              EvalOutcome::fail(FailureKind::MetricUnstable, "noisy host"));
-    // Not cached at all — a flaky reading must be re-measured (the guard
-    // layer owns within-run retries), never served again.
+    // Not cached at all — a flaky reading must be re-measured (the native
+    // evaluator owns within-run retries), never served again.
     EXPECT_FALSE(C.lookup(key(7), "pt").has_value());
     EXPECT_EQ(C.persistentStats().AppendedEntries, 0u);
   }

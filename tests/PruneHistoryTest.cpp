@@ -10,7 +10,10 @@
 //     hottest nest, and the Fig. 13 generic program, tuned by bandit and de;
 //   - the Fig. 7 dgemm program on dgemm 32^3, tuned by bandit and de;
 //
-// and asserts it with pruning on and off, at --jobs 1 and --jobs 4. The
+// and asserts it with pruning on and off, at --jobs 1 and --jobs 4, and
+// once more with --verify-each: the verifier must accept every variant the
+// unverified pipeline measures (a correct unroll of a tiled loop included),
+// so verifying changes no history. The
 // illegal interchanges, tilings and unroll-and-jams the generic program
 // proposes are the points whose failure moved from a pruning pass into
 // the objective; the Fig. 7 dependent tile ranges are the points the range
@@ -128,7 +131,8 @@ std::vector<Case> buildCorpus() {
 }
 
 /// Every golden line of every case, in corpus order.
-std::vector<std::string> runCorpus(int Jobs, bool StaticPrune) {
+std::vector<std::string> runCorpus(int Jobs, bool StaticPrune,
+                                   bool VerifyEach) {
   std::vector<std::string> Lines;
   for (const Case &K : buildCorpus()) {
     OrchestratorOptions Opts;
@@ -138,10 +142,9 @@ std::vector<std::string> runCorpus(int Jobs, bool StaticPrune) {
     Opts.Seed = K.Seed;
     Opts.Jobs = Jobs;
     Opts.StaticPrune = StaticPrune;
-    // The golden holds the default pipeline. --verify-each (on under the
-    // asan test preset) rejects some unrolled variants as illegal and so
-    // changes the histories.
-    Opts.VerifyEach = false;
+    // Pinned either way: LOCUS_VERIFY_EACH (set by the asan test preset)
+    // would otherwise turn it on for every case.
+    Opts.VerifyEach = VerifyEach;
     Orchestrator Orch(*K.Locus, *K.Target, Opts);
     auto R = Orch.runSearch();
     if (!R.ok()) {
@@ -169,9 +172,9 @@ std::vector<std::string> loadGolden() {
   return Lines;
 }
 
-void expectGolden(int Jobs, bool StaticPrune) {
+void expectGolden(int Jobs, bool StaticPrune, bool VerifyEach = false) {
   std::vector<std::string> Golden = loadGolden();
-  std::vector<std::string> Got = runCorpus(Jobs, StaticPrune);
+  std::vector<std::string> Got = runCorpus(Jobs, StaticPrune, VerifyEach);
   EXPECT_EQ(Got.size(), Golden.size());
   int Mismatches = 0;
   for (size_t I = 0; I < std::min(Got.size(), Golden.size()); ++I)
@@ -183,7 +186,7 @@ void expectGolden(int Jobs, bool StaticPrune) {
 
 TEST(PruneHistory, SerialUnpruned) {
   if (const char *Out = std::getenv("LOCUS_WRITE_GOLDEN")) {
-    std::vector<std::string> Lines = runCorpus(1, false);
+    std::vector<std::string> Lines = runCorpus(1, false, false);
     std::ofstream F(Out);
     F << "# Search histories of tests/PruneHistoryTest.cpp's corpus; see "
          "the header of that file.\n";
@@ -200,6 +203,10 @@ TEST(PruneHistory, SerialPruned) { expectGolden(1, true); }
 TEST(PruneHistory, PooledUnpruned) { expectGolden(4, false); }
 
 TEST(PruneHistory, PooledPruned) { expectGolden(4, true); }
+
+TEST(PruneHistory, PooledPrunedVerifyEach) {
+  expectGolden(4, true, /*VerifyEach=*/true);
+}
 
 } // namespace
 } // namespace locus

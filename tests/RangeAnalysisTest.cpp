@@ -4,13 +4,11 @@
 /// Unit tests for the saturating interval lattice (INT64 extremes, empty
 /// intervals, widening) and end-to-end tests for its consumers: the static
 /// bounds verifier over the shipped kernel corpus, the seeded off-by-one
-/// tile-bound mutation it must catch with a located witness, trip-count
-/// refinement in region discovery, and the parameter-interval helpers the
-/// legality oracle builds on.
+/// tile-bound mutation it must catch with a located witness, and trip-count
+/// refinement in region discovery.
 ///
 //===----------------------------------------------------------------------===//
 
-#include "src/analysis/LegalityOracle.h"
 #include "src/analysis/RangeAnalysis.h"
 #include "src/analysis/RegionDiscovery.h"
 #include "src/cir/Parser.h"
@@ -143,6 +141,47 @@ TEST(Interval, StrRendersSentinelsAndEmpty) {
   EXPECT_EQ(Interval::full().str(), "[-inf, +inf]");
   EXPECT_EQ(Interval::make(3, INT64_MAX).str(), "[3, +inf]");
   EXPECT_EQ(Interval::none().str(), "[]");
+}
+
+//===----------------------------------------------------------------------===//
+// Expression evaluation
+//===----------------------------------------------------------------------===//
+
+/// `X + ((Y - X) / F) * F`, the remainder start Unroll emits.
+cir::ExprPtr alignedStep(cir::ExprPtr X1, cir::ExprPtr Y, cir::ExprPtr X2,
+                         int64_t F) {
+  using cir::BinOp;
+  using cir::makeBin;
+  return makeBin(
+      BinOp::Add, std::move(X1),
+      makeBin(BinOp::Mul,
+              makeBin(BinOp::Div, makeBin(BinOp::Sub, std::move(Y),
+                                          std::move(X2)),
+                      cir::makeInt(F)),
+              cir::makeInt(F)));
+}
+
+TEST(EvalRange, UnrollRemainderStartStaysBetweenItsEnds) {
+  RangeEnv Env{{"x", Interval::make(0, 8)}, {"y", Interval::make(4, 16)}};
+  cir::ExprPtr E =
+      alignedStep(cir::makeVar("x"), cir::makeVar("y"), cir::makeVar("x"), 4);
+  EXPECT_EQ(evalRange(*E, Env), Interval::make(0, 16));
+  // A compound X matches structurally.
+  auto XPlus1 = [] {
+    return cir::makeBin(cir::BinOp::Add, cir::makeVar("x"), cir::makeInt(1));
+  };
+  cir::ExprPtr C = alignedStep(XPlus1(), cir::makeVar("y"), XPlus1(), 4);
+  EXPECT_EQ(evalRange(*C, Env), Interval::make(1, 16));
+}
+
+TEST(EvalRange, DifferentStartsKeepThePlainInterval) {
+  RangeEnv Env{{"x", Interval::make(0, 8)},
+               {"z", Interval::make(0, 8)},
+               {"y", Interval::make(4, 16)}};
+  // x + ((y - z) / 4) * 4: the rule does not apply, plain arithmetic does.
+  cir::ExprPtr E =
+      alignedStep(cir::makeVar("x"), cir::makeVar("y"), cir::makeVar("z"), 4);
+  EXPECT_EQ(evalRange(*E, Env), Interval::make(-4, 24));
 }
 
 //===----------------------------------------------------------------------===//
@@ -429,7 +468,7 @@ TEST(RangeEnv, LoopBoundRangesCoverEveryLoop) {
 }
 
 //===----------------------------------------------------------------------===//
-// Consumer 3: trip-count refinement in region discovery
+// Consumer: trip-count refinement in region discovery
 //===----------------------------------------------------------------------===//
 
 TEST(TripRefinement, SingletonScalarBoundGivesExactTrips) {
@@ -477,35 +516,6 @@ TEST(TripRefinement, TriangularBoundGivesABoundedEstimate) {
   EXPECT_LE(C.TripProduct, 15u * 16u * 15u);
   EXPECT_GT(C.TripProduct, 0u);
   EXPECT_FALSE(C.TripExact);
-}
-
-//===----------------------------------------------------------------------===//
-// Oracle helpers: parameter value intervals
-//===----------------------------------------------------------------------===//
-
-search::ParamDef makeParam(search::ParamKind K, int64_t Min, int64_t Max) {
-  search::ParamDef P;
-  P.Id = "p";
-  P.Label = "p";
-  P.Kind = K;
-  P.Min = Min;
-  P.Max = Max;
-  return P;
-}
-
-TEST(ParamInterval, CoversIntegerKinds) {
-  EXPECT_EQ(paramValueInterval(makeParam(search::ParamKind::IntRange, 3, 9)),
-            Interval::make(3, 9));
-  EXPECT_EQ(paramValueInterval(makeParam(search::ParamKind::Pow2, 2, 64)),
-            Interval::make(2, 64));
-  EXPECT_EQ(paramValueInterval(makeParam(search::ParamKind::Bool, 0, 1)),
-            Interval::make(0, 1));
-}
-
-TEST(ParamInterval, Pow2ValuesAreAllPow2) {
-  EXPECT_TRUE(paramValuesAllPow2(makeParam(search::ParamKind::Pow2, 2, 64)));
-  EXPECT_FALSE(
-      paramValuesAllPow2(makeParam(search::ParamKind::IntRange, 2, 5)));
 }
 
 } // namespace

@@ -1,10 +1,10 @@
 //===- RangePruneTest.cpp - Range-driven pre-materialization pruning -----===//
 ///
 /// \file
-/// End-to-end tests of the legality oracle's symbolic dependent-range
-/// resolution: on a space with a dependent range (tf = poweroftwo(2..tile))
-/// the oracle proves sub-boxes invalid from the parameter intervals alone,
-/// counts them in PrunedStaticByRange — and, the invariant everything hangs
+/// End-to-end tests of the legality oracle's dependent-range checks: on a
+/// space with a dependent range (tf = poweroftwo(2..tile)) the oracle
+/// proves points invalid before materialization, counts them in
+/// PrunedStaticByRange — and, the invariant everything hangs
 /// on, changes nothing observable about the search: per-step trajectory,
 /// best point, metrics, and the on-disk journal are bit-identical to a
 /// prune-off run, for every built-in searcher.
