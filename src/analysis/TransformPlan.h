@@ -132,10 +132,6 @@ struct TransformPlan {
   /// Typed option values of each enum parameter (ParamDef::Options only
   /// keeps the stringified rendering).
   std::map<std::string, std::vector<PlanArg>> EnumValues;
-
-  /// Base item list of each permutation parameter (the concrete point only
-  /// stores the index permutation).
-  std::map<std::string, std::vector<PlanArg>> PermItems;
 };
 
 } // namespace analysis

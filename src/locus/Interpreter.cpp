@@ -746,12 +746,7 @@ private:
     }
 
     case SearchKind::Permutation: {
-      bool Track = Plan && M == Mode::Extract;
-      std::pair<bool, bool> Saved;
-      if (Track)
-        Saved = beginTaintScope();
       Value Arg = evalExpr(*E.Args[0].Expr, Env);
-      bool ArgDiverges = Track && endTaintScope(Saved);
       if (halted())
         return Value::none();
       std::vector<Value> Items;
@@ -770,13 +765,6 @@ private:
         Def.Kind = search::ParamKind::Permutation;
         Def.PermSize = static_cast<int>(Items.size());
         registerParam(std::move(Def));
-        if (Track && !ArgDiverges) {
-          // The concrete point only stores the index permutation; the
-          // oracle needs the base items to reconstruct the permuted list.
-          analysis::PlanArg A = resolvePlanArg(*E.Args[0].Expr, Arg);
-          if (A.resolvable() && A.K == analysis::PlanArg::Kind::List)
-            Plan->PermItems[Id] = std::move(A.List);
-        }
         return Value::param(Id);
       }
       auto It = Point->Values.find(Id);

@@ -11,6 +11,8 @@
 #include <cstdlib>
 #include <cstring>
 
+#include <utility>
+
 #include <dirent.h>
 #include <fcntl.h>
 #include <poll.h>
@@ -19,11 +21,10 @@
 #include <sys/stat.h>
 #ifdef __linux__
 #include <sys/prctl.h>
+#include <sys/syscall.h>
 #endif
-#include <sys/time.h>
 #include <sys/types.h>
 #include <sys/wait.h>
-#include <time.h>
 #include <unistd.h>
 
 namespace locus {
@@ -82,13 +83,6 @@ void setNonBlocking(int Fd) {
     fcntl(Fd, F_SETFL, Flags | O_NONBLOCK);
 }
 
-/// Signals the child's whole process group (falling back to the child alone
-/// if the group is already gone).
-void signalGroup(pid_t Pid, int Sig) {
-  if (kill(-Pid, Sig) != 0)
-    kill(Pid, Sig);
-}
-
 } // namespace
 
 std::string signalName(int Sig) {
@@ -137,89 +131,54 @@ std::string SubprocessResult::describe() const {
   return "unknown";
 }
 
+namespace {
+
+/// Poll period for a running child when pidfd_open is refused (ENOSYS on
+/// old kernels, EPERM under some seccomp filters): the one place either
+/// wait still ticks instead of being woken by the exit.
+constexpr int ExitTickMs = 5;
+
+/// Milliseconds from Now until At, rounded up and at least 1; -1 (no
+/// timeout) when At is 0.
+int msUntil(double At, double Now) {
+  if (At <= 0)
+    return -1;
+  return static_cast<int>(std::clamp(std::ceil((At - Now) * 1000), 1.0, 1e9));
+}
+
+} // namespace
+
 SubprocessResult runSubprocess(const SubprocessOptions &Opts) {
   SubprocessResult Res;
-  if (Opts.Argv.empty()) {
-    Res.SpawnError = "empty argv";
+  int OutPipe[2] = {-1, -1}, ErrPipe[2] = {-1, -1};
+  if (pipe2(OutPipe, O_CLOEXEC) != 0 || pipe2(ErrPipe, O_CLOEXEC) != 0) {
+    Res.SpawnError = std::string("pipe: ") + std::strerror(errno);
+    for (int Fd : {OutPipe[0], OutPipe[1], ErrPipe[0], ErrPipe[1]})
+      closeQuietly(Fd);
     return Res;
   }
 
-  int OutPipe[2], ErrPipe[2], StatusPipe[2];
-  if (pipe(OutPipe) != 0) {
-    Res.SpawnError = std::string("pipe: ") + std::strerror(errno);
-    return Res;
-  }
-  if (pipe(ErrPipe) != 0) {
-    Res.SpawnError = std::string("pipe: ") + std::strerror(errno);
-    close(OutPipe[0]); close(OutPipe[1]);
-    return Res;
-  }
-  // exec-failure reporting channel: CLOEXEC, so a successful exec closes it
-  // silently and a failed exec writes errno through it.
-  if (pipe(StatusPipe) != 0 ||
-      fcntl(StatusPipe[1], F_SETFD, FD_CLOEXEC) != 0) {
-    Res.SpawnError = std::string("pipe: ") + std::strerror(errno);
-    close(OutPipe[0]); close(OutPipe[1]);
-    close(ErrPipe[0]); close(ErrPipe[1]);
-    return Res;
-  }
-
-  // argv built before fork: only async-signal-safe calls after it.
-  std::vector<char *> Argv;
-  Argv.reserve(Opts.Argv.size() + 1);
-  for (const std::string &A : Opts.Argv)
-    Argv.push_back(const_cast<char *>(A.c_str()));
-  Argv.push_back(nullptr);
-
+  ChildProcessOptions ChildOpts;
+  ChildOpts.Argv = Opts.Argv;
+  ChildOpts.WorkDir = Opts.WorkDir;
   double Start = monotonicSeconds();
-  pid_t Pid = fork();
-  if (Pid < 0) {
-    Res.SpawnError = std::string("fork: ") + std::strerror(errno);
-    for (int Fd : {OutPipe[0], OutPipe[1], ErrPipe[0], ErrPipe[1],
-                   StatusPipe[0], StatusPipe[1]})
-      close(Fd);
+  Expected<ChildProcess> Spawned =
+      ChildProcess::start(ChildOpts, &Opts.Limits, OutPipe[1], ErrPipe[1]);
+  // The child has its own copies of the write ends; ours must go, or the
+  // pipes never reach EOF.
+  closeQuietly(OutPipe[1]);
+  closeQuietly(ErrPipe[1]);
+  if (!Spawned) {
+    closeQuietly(OutPipe[0]);
+    closeQuietly(ErrPipe[0]);
+    Res.SpawnError = Spawned.message();
     return Res;
   }
+  ChildProcess &Child = *Spawned;
 
-  if (Pid == 0) {
-    // Child. Own process group, so the watchdog's group-kill reaps every
-    // descendant (compiler cc1/ld children, forked variant children).
-    setpgid(0, 0);
-    applyLimits(Opts.Limits);
-    int DevNull = open("/dev/null", O_RDONLY);
-    if (DevNull >= 0)
-      dup2(DevNull, STDIN_FILENO);
-    dup2(OutPipe[1], STDOUT_FILENO);
-    dup2(ErrPipe[1], STDERR_FILENO);
-    close(OutPipe[0]); close(OutPipe[1]);
-    close(ErrPipe[0]); close(ErrPipe[1]);
-    close(StatusPipe[0]);
-    if (!Opts.WorkDir.empty() && chdir(Opts.WorkDir.c_str()) != 0) {
-      int Err = errno;
-      ssize_t Ignored = write(StatusPipe[1], &Err, sizeof(Err));
-      (void)Ignored;
-      _exit(127);
-    }
-    execvp(Argv[0], Argv.data());
-    int Err = errno;
-    ssize_t Ignored = write(StatusPipe[1], &Err, sizeof(Err));
-    (void)Ignored;
-    _exit(127);
-  }
-
-  // Parent. Mirror the child's setpgid to close the fork/exec race: until
-  // one of the two calls lands, a group-kill could miss the child.
-  setpgid(Pid, Pid);
-  close(OutPipe[1]);
-  close(ErrPipe[1]);
-  close(StatusPipe[1]);
-  setNonBlocking(OutPipe[0]);
-  setNonBlocking(ErrPipe[0]);
-
-  bool OutOpen = true, ErrOpen = true;
-  bool Reaped = false;
-  int WaitStatus = 0;
-  enum { Running, TermSent, KillSent } Watchdog = Running;
+  int Pipes[2] = {OutPipe[0], ErrPipe[0]}; // -1 once drained to EOF
+  setNonBlocking(Pipes[0]);
+  setNonBlocking(Pipes[1]);
   double Deadline = Opts.Limits.WallClockSeconds > 0
                         ? Start + Opts.Limits.WallClockSeconds
                         : 0;
@@ -227,108 +186,73 @@ SubprocessResult runSubprocess(const SubprocessOptions &Opts) {
   double ReapedAt = 0;
   bool TimedOut = false;
 
-  while (OutOpen || ErrOpen || !Reaped) {
+  for (;;) {
     double Now = monotonicSeconds();
+    bool Alive = Child.running();
+    if (!Alive && ReapedAt == 0)
+      ReapedAt = Now;
+    if (!Alive && Pipes[0] < 0 && Pipes[1] < 0)
+      break;
 
-    if (!Reaped) {
-      pid_t W = waitpid(Pid, &WaitStatus, WNOHANG);
-      if (W == Pid) {
-        Reaped = true;
-        ReapedAt = Now;
+    double WakeAt = 0; // the next watchdog step; 0 for none
+    if (!Alive) {
+      // A grandchild that escaped its group can hold the pipes open after
+      // the child is gone; don't wait on it forever.
+      WakeAt = ReapedAt + 1.0;
+      if (Now >= WakeAt)
+        break;
+    } else if (Deadline > 0) {
+      // Watchdog: deadline -> SIGTERM the group; grace -> SIGKILL.
+      if (!TimedOut && Now >= Deadline) {
+        TimedOut = true;
+        Child.signalGroup(SIGTERM);
+        Escalation = Now + std::max(0.0, Opts.Limits.TermGraceSeconds);
       }
+      if (TimedOut && !Res.TermEscalated && Now >= Escalation) {
+        Child.signalGroup(SIGKILL);
+        Res.TermEscalated = true;
+      }
+      WakeAt = !TimedOut ? Deadline : Res.TermEscalated ? 0 : Escalation;
     }
-    if (Reaped && !OutOpen && !ErrOpen)
+
+    // Pipes first, then the pidfd: the child's exit wakes the poll at once.
+    pollfd Fds[3];
+    nfds_t NPipes = 0;
+    for (int Fd : Pipes)
+      if (Fd >= 0)
+        Fds[NPipes++] = {Fd, POLLIN, 0};
+    nfds_t N = NPipes;
+    int TimeoutMs = Child.watchExit(Fds, N, msUntil(WakeAt, Now));
+    if (retryPoll(Fds, N, TimeoutMs) < 0)
       break;
-
-    // Watchdog: deadline -> SIGTERM the group; grace -> SIGKILL.
-    if (!Reaped && Deadline > 0 && Watchdog == Running && Now >= Deadline) {
-      TimedOut = true;
-      signalGroup(Pid, SIGTERM);
-      Watchdog = TermSent;
-      Escalation = Now + std::max(0.0, Opts.Limits.TermGraceSeconds);
-    }
-    if (!Reaped && Watchdog == TermSent && Now >= Escalation) {
-      signalGroup(Pid, SIGKILL);
-      Res.TermEscalated = true;
-      Watchdog = KillSent;
-    }
-    // A grandchild that escaped its group can hold the pipes open after the
-    // child is gone; don't wait on it forever.
-    if (Reaped && Now - ReapedAt > 1.0)
-      break;
-
-    pollfd Fds[2];
-    nfds_t N = 0;
-    if (OutOpen)
-      Fds[N++] = {OutPipe[0], POLLIN, 0};
-    if (ErrOpen)
-      Fds[N++] = {ErrPipe[0], POLLIN, 0};
-
-    int TimeoutMs = 50;
-    if (!Reaped && Watchdog == Running && Deadline > 0)
-      TimeoutMs = std::min(TimeoutMs,
-                           std::max(1, static_cast<int>((Deadline - Now) * 1000)));
-    else if (!Reaped && Watchdog == TermSent)
-      TimeoutMs = std::min(TimeoutMs,
-                           std::max(1, static_cast<int>((Escalation - Now) * 1000)));
-
-    if (N == 0) {
-      // Pipes closed, child alive: just wait for it (bounded by watchdog).
-      struct timespec Ts = {0, TimeoutMs * 1000000};
-      nanosleep(&Ts, nullptr);
-      continue;
-    }
-    int PollRet = retryPoll(Fds, N, TimeoutMs);
-    if (PollRet < 0)
-      break;
-    for (nfds_t I = 0; I < N; ++I) {
+    for (nfds_t I = 0; I < NPipes; ++I) {
       if (!(Fds[I].revents & (POLLIN | POLLHUP | POLLERR)))
         continue;
-      bool IsOut = Fds[I].fd == OutPipe[0];
-      bool Alive = drainPipe(Fds[I].fd, IsOut ? Res.Stdout : Res.Stderr,
-                             Opts.Limits.MaxCaptureBytes,
-                             IsOut ? Res.StdoutTruncated : Res.StderrTruncated);
-      if (!Alive) {
-        close(Fds[I].fd);
-        (IsOut ? OutOpen : ErrOpen) = false;
+      bool IsOut = Fds[I].fd == Pipes[0];
+      int &Fd = Pipes[IsOut ? 0 : 1];
+      if (!drainPipe(Fd, IsOut ? Res.Stdout : Res.Stderr,
+                     Opts.Limits.MaxCaptureBytes,
+                     IsOut ? Res.StdoutTruncated : Res.StderrTruncated)) {
+        closeQuietly(Fd);
+        Fd = -1;
       }
     }
   }
-  if (OutOpen)
-    close(OutPipe[0]);
-  if (ErrOpen)
-    close(ErrPipe[0]);
-  if (!Reaped) {
-    // Loop exited abnormally (poll error): make sure the child dies. The
-    // EINTR-safe wait matters here — a signal landing mid-reap would leave
-    // the child a zombie and WaitStatus uninitialized.
-    signalGroup(Pid, SIGKILL);
-    retryWaitpid(Pid, &WaitStatus, 0);
-  }
-  // Sweep stragglers: any group member still alive after the child was
-  // reaped (killed-but-lingering descendants on the timeout path, or
-  // children the variant forked and never waited for). ESRCH when the
-  // group is already empty — the common case — is harmless.
-  kill(-Pid, SIGKILL);
-
+  closeQuietly(Pipes[0]);
+  closeQuietly(Pipes[1]);
+  // Reaps the child if the poll failed first, then sweeps stragglers: any
+  // group member still alive after the child was reaped (killed-but-
+  // lingering descendants on the timeout path, or children the variant
+  // forked and never waited for).
+  Child.kill();
   Res.ElapsedSeconds = monotonicSeconds() - Start;
 
-  // Spawn failure takes priority: errno arrives through the CLOEXEC pipe.
-  int ExecErr = 0;
-  ssize_t StatusN = retryRead(StatusPipe[0], &ExecErr, sizeof(ExecErr));
-  close(StatusPipe[0]);
-  if (StatusN == static_cast<ssize_t>(sizeof(ExecErr))) {
-    Res.Exit = SpawnExit::SpawnFailed;
-    Res.SpawnError = Opts.Argv[0] + ": " + std::strerror(ExecErr);
-    return Res;
-  }
-
-  if (WIFEXITED(WaitStatus)) {
-    Res.Exit = SpawnExit::Exited;
-    Res.ExitCode = WEXITSTATUS(WaitStatus);
-  } else if (WIFSIGNALED(WaitStatus)) {
+  if (int Sig = Child.signal()) {
     Res.Exit = SpawnExit::Signaled;
-    Res.Signal = WTERMSIG(WaitStatus);
+    Res.Signal = Sig;
+  } else {
+    Res.Exit = SpawnExit::Exited;
+    Res.ExitCode = Child.exitCode();
   }
   if (TimedOut)
     Res.Exit = SpawnExit::TimedOut; // deadline classification wins
@@ -342,31 +266,39 @@ SubprocessResult runSubprocess(const SubprocessOptions &Opts) {
 ChildProcess::~ChildProcess() { kill(); }
 
 ChildProcess::ChildProcess(ChildProcess &&Other) noexcept
-    : Pid(Other.Pid), Reaped(Other.Reaped), WaitStatus(Other.WaitStatus) {
-  Other.Pid = -1;
-}
+    : Pid(std::exchange(Other.Pid, -1)), PidFd(std::exchange(Other.PidFd, -1)),
+      Reaped(Other.Reaped), WaitStatus(Other.WaitStatus) {}
 
 ChildProcess &ChildProcess::operator=(ChildProcess &&Other) noexcept {
   if (this != &Other) {
     kill();
-    Pid = Other.Pid;
+    Pid = std::exchange(Other.Pid, -1);
+    PidFd = std::exchange(Other.PidFd, -1);
     Reaped = Other.Reaped;
     WaitStatus = Other.WaitStatus;
-    Other.Pid = -1;
   }
   return *this;
 }
 
 Expected<ChildProcess> ChildProcess::spawn(const ChildProcessOptions &Opts) {
+  return start(Opts, nullptr, -1, -1);
+}
+
+Expected<ChildProcess> ChildProcess::start(const ChildProcessOptions &Opts,
+                                           const SubprocessLimits *Limits,
+                                           int OutFd, int ErrFd) {
   if (Opts.Argv.empty())
     return Expected<ChildProcess>::error("empty argv");
 
+  // exec-failure reporting channel: a successful exec closes it silently
+  // and a failed one writes errno through it. O_CLOEXEC like every pipe
+  // here, so a child another thread forks meanwhile cannot hold it open.
   int StatusPipe[2];
-  if (pipe(StatusPipe) != 0 ||
-      fcntl(StatusPipe[1], F_SETFD, FD_CLOEXEC) != 0)
+  if (pipe2(StatusPipe, O_CLOEXEC) != 0)
     return Expected<ChildProcess>::error(std::string("pipe: ") +
                                          std::strerror(errno));
 
+  // argv built before fork: only async-signal-safe calls after it.
   std::vector<char *> Argv;
   Argv.reserve(Opts.Argv.size() + 1);
   for (const std::string &A : Opts.Argv)
@@ -377,28 +309,27 @@ Expected<ChildProcess> ChildProcess::spawn(const ChildProcessOptions &Opts) {
   pid_t Pid = fork();
   if (Pid < 0) {
     int Err = errno;
-    close(StatusPipe[0]);
-    close(StatusPipe[1]);
+    closeQuietly(StatusPipe[0]);
+    closeQuietly(StatusPipe[1]);
     return Expected<ChildProcess>::error(std::string("fork: ") +
                                          std::strerror(Err));
   }
 
   if (Pid == 0) {
-    // Child: own group (group-kill supervision), then bind its lifetime to
-    // the parent's so a SIGKILLed supervisor cannot orphan it.
+    // Child. Own process group, so a group kill reaches every descendant
+    // (compiler cc1/ld children, forked variant children).
     setpgid(0, 0);
-    close(StatusPipe[0]);
     auto Die = [&](int Err) {
       ssize_t Ignored = write(StatusPipe[1], &Err, sizeof(Err));
       (void)Ignored;
       _exit(127);
     };
 #ifdef __linux__
-    // Arm PR_SET_PDEATHSIG so the kernel SIGKILLs the child the moment
-    // this process dies. Workers run in their own process groups (so a
-    // watchdog group-kill cannot miss their descendants), which also means
-    // a SIGKILLed coordinator would orphan them — the death signal is what
-    // guarantees the crash-torture suite never leaks a worker fleet.
+    // Arm PR_SET_PDEATHSIG so the kernel SIGKILLs the child the moment the
+    // forking thread dies. Own process groups also mean a SIGKILLed
+    // supervisor would orphan its children; the death signal is what
+    // guarantees the crash-torture suite never leaks a worker fleet. It is
+    // tied to that thread, which runSubprocess blocks until the reap.
     prctl(PR_SET_PDEATHSIG, SIGKILL);
     // Close the fork/prctl race: if the parent died before the death
     // signal was armed, the child has been reparented already.
@@ -407,17 +338,21 @@ Expected<ChildProcess> ChildProcess::spawn(const ChildProcessOptions &Opts) {
 #else
     (void)ParentPid;
 #endif
-    int DevNull = open("/dev/null", O_RDONLY);
+    if (Limits)
+      applyLimits(*Limits);
+    int DevNull = open("/dev/null", O_RDONLY | O_CLOEXEC);
     if (DevNull >= 0)
       dup2(DevNull, STDIN_FILENO);
-    if (!Opts.OutputPath.empty()) {
+    if (OutFd >= 0) {
+      dup2(OutFd, STDOUT_FILENO);
+      dup2(ErrFd, STDERR_FILENO);
+    } else if (!Opts.OutputPath.empty()) {
       int Out = open(Opts.OutputPath.c_str(),
                      O_WRONLY | O_CREAT | O_APPEND | O_CLOEXEC, 0644);
       if (Out < 0)
         Die(errno);
       dup2(Out, STDOUT_FILENO);
       dup2(Out, STDERR_FILENO);
-      close(Out);
     }
     if (!Opts.WorkDir.empty() && chdir(Opts.WorkDir.c_str()) != 0)
       Die(errno);
@@ -425,30 +360,33 @@ Expected<ChildProcess> ChildProcess::spawn(const ChildProcessOptions &Opts) {
     Die(errno);
   }
 
-  // Parent: mirror setpgid (same race as runSubprocess), then block on the
-  // status pipe — EOF means the exec succeeded.
+  // Parent. Mirror the child's setpgid to close the fork/exec race: until
+  // one of the two calls lands, a group kill could miss the child.
   setpgid(Pid, Pid);
-  close(StatusPipe[1]);
-  int ExecErr = 0;
-  ssize_t StatusN = retryRead(StatusPipe[0], &ExecErr, sizeof(ExecErr));
-  close(StatusPipe[0]);
-  if (StatusN == static_cast<ssize_t>(sizeof(ExecErr))) {
-    int IgnoredStatus = 0;
-    retryWaitpid(Pid, &IgnoredStatus, 0); // reap the _exit(127) child
-    return Expected<ChildProcess>::error(Opts.Argv[0] + ": " +
-                                         std::strerror(ExecErr));
-  }
-
+  closeQuietly(StatusPipe[1]);
   ChildProcess CP;
   CP.Pid = Pid;
-  return CP;
+#ifdef __linux__
+  // -1 where pidfd_open is refused: the waits then tick at ExitTickMs.
+  CP.PidFd = static_cast<int>(::syscall(SYS_pidfd_open, Pid, 0));
+#endif
+  // Block on the status pipe: EOF means the exec succeeded.
+  int ExecErr = 0;
+  ssize_t StatusN = retryRead(StatusPipe[0], &ExecErr, sizeof(ExecErr));
+  closeQuietly(StatusPipe[0]);
+  if (StatusN == static_cast<ssize_t>(sizeof(ExecErr)))
+    return Expected<ChildProcess>::error(Opts.Argv[0] + ": " +
+                                         std::strerror(ExecErr));
+  return CP; // (on the error path above, CP reaps the _exit(127) child)
 }
 
 bool ChildProcess::running() {
   if (Pid <= 0)
     return false;
-  if (!Reaped && retryWaitpid(Pid, &WaitStatus, WNOHANG) == Pid)
+  if (!Reaped && retryWaitpid(Pid, &WaitStatus, WNOHANG) == Pid) {
     Reaped = true;
+    closeQuietly(std::exchange(PidFd, -1)); // readable forever from here on
+  }
   return !Reaped;
 }
 
@@ -477,45 +415,40 @@ void ChildProcess::signalGroup(int Sig) {
     ::kill(Pid, Sig);
 }
 
+int ChildProcess::watchExit(pollfd *Fds, nfds_t &N, int TimeoutMs) const {
+  if (Reaped)
+    return TimeoutMs;
+  if (PidFd >= 0) {
+    Fds[N++] = {PidFd, POLLIN, 0};
+    return TimeoutMs;
+  }
+  return TimeoutMs < 0 ? ExitTickMs : std::min(TimeoutMs, ExitTickMs);
+}
+
 bool ChildProcess::waitExit(double TimeoutSeconds) {
   double Deadline = monotonicSeconds() + TimeoutSeconds;
-  // A pidfd turns readable the moment the child exits, so the wait ends
-  // there rather than at the next 5 ms tick. Kernels or sandboxes without
-  // pidfd_open (ENOSYS, EPERM) keep the sleep loop.
-  int PidFd = -1;
-#ifdef SYS_pidfd_open
-  if (running())
-    PidFd = static_cast<int>(::syscall(SYS_pidfd_open, Pid, 0));
-#endif
-  bool Exited = true;
   while (running()) {
-    double Left = Deadline - monotonicSeconds();
-    if (Left <= 0) {
-      Exited = false;
-      break;
-    }
-    struct pollfd P = {PidFd, POLLIN, 0};
-    int WaitMs = static_cast<int>(std::min(std::ceil(Left * 1000), 1e9));
-    if (PidFd >= 0 && retryPoll(&P, 1, WaitMs) >= 0)
-      continue;
-    closeQuietly(PidFd); // no pidfd, or poll refused it: sleep instead
-    PidFd = -1;
-    struct timespec Ts = {0, 5 * 1000000};
-    nanosleep(&Ts, nullptr);
+    double Now = monotonicSeconds();
+    if (Now >= Deadline)
+      return false;
+    pollfd P;
+    nfds_t N = 0;
+    int TimeoutMs = watchExit(&P, N, msUntil(Deadline, Now));
+    if (retryPoll(&P, N, TimeoutMs) < 0)
+      closeQuietly(std::exchange(PidFd, -1)); // poll refused it: tick instead
   }
-  closeQuietly(PidFd);
-  return Exited && Pid > 0;
+  return Pid > 0;
 }
 
 void ChildProcess::kill() {
   if (Pid <= 0)
     return;
   if (!Reaped) {
-    if (::kill(-Pid, SIGKILL) != 0)
-      ::kill(Pid, SIGKILL);
+    signalGroup(SIGKILL);
     retryWaitpid(Pid, &WaitStatus, 0);
     Reaped = true;
   }
+  closeQuietly(std::exchange(PidFd, -1));
   // Sweep group stragglers the child never waited for.
   ::kill(-Pid, SIGKILL);
 }

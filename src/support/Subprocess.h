@@ -31,6 +31,7 @@
 #include "src/support/Error.h"
 
 #include <cstdint>
+#include <poll.h>
 #include <string>
 #include <sys/types.h>
 #include <vector>
@@ -155,7 +156,21 @@ public:
   void kill();
 
 private:
+  friend SubprocessResult runSubprocess(const SubprocessOptions &Opts);
+
+  /// The one fork/exec sequence behind spawn() and runSubprocess(). Limits,
+  /// when given, are applied in the child; OutFd/ErrFd >= 0 become its
+  /// stdout/stderr in place of Opts.OutputPath.
+  static Expected<ChildProcess> start(const ChildProcessOptions &Opts,
+                                      const SubprocessLimits *Limits,
+                                      int OutFd, int ErrFd);
+  /// Adds the pidfd to a poll set while the child runs, so its exit wakes
+  /// the poll; returns TimeoutMs (negative: none), cut to the fallback tick
+  /// when there is no pidfd.
+  int watchExit(pollfd *Fds, nfds_t &N, int TimeoutMs) const;
+
   pid_t Pid = -1;
+  int PidFd = -1; ///< readable once the child exits; closed when reaped
   bool Reaped = false;
   int WaitStatus = 0;
 };

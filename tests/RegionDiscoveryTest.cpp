@@ -585,8 +585,9 @@ void expectIdenticalTrajectories(const TuneResult &Hand,
     EXPECT_EQ(H.History[I].Valid, A.History[I].Valid) << Tag;
     EXPECT_EQ(H.History[I].Failure, A.History[I].Failure) << Tag;
     EXPECT_EQ(H.History[I].Detail, A.History[I].Detail) << Tag;
-    if (H.History[I].Valid)
+    if (H.History[I].Valid) {
       EXPECT_DOUBLE_EQ(H.History[I].Metric, A.History[I].Metric) << Tag;
+    }
   }
   EXPECT_EQ(search::serializePoint(H.Best), search::serializePoint(A.Best))
       << Tag;
@@ -602,8 +603,7 @@ void expectIdenticalTrajectories(const TuneResult &Hand,
 /// sequence, metrics, best point and journal bytes.
 TEST(RegionDiscovery, TrajectoryMatchesHandAnnotatedPerSearcher) {
   const std::string Src = workloads::dgemmSource(16, 16, 16);
-  for (const std::string &Searcher :
-       {"bandit", "tpe", "random", "hillclimb", "de"}) {
+  for (std::string Searcher : {"bandit", "tpe", "random", "hillclimb", "de"}) {
     auto Hand = tuneHand(Src, "matmul", Searcher, 12);
     auto Auto = tuneDiscovered(Src, "matmul", Searcher, 12);
     ASSERT_TRUE(Hand.ok()) << Searcher << ": " << Hand.message();

@@ -142,10 +142,11 @@ TEST(ServiceTorture, CoordinatorKilledMidAppendResumesToTheExactResult) {
   // budget without a single new task.
   std::string Svc = summaryLine(Final.Stdout, "SERVICE");
   ASSERT_FALSE(Svc.empty());
-  if (serviceField(Svc, "submitted") > 0)
+  if (serviceField(Svc, "submitted") > 0) {
     EXPECT_GT(serviceField(Svc, "recovered") + serviceField(Svc, "worker") +
                   serviceField(Svc, "local"),
               0u);
+  }
 
   // The crashed runs really did commit evaluation results into the queue
   // before dying — the recovered-result store the resumes fed from is

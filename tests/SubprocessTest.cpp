@@ -17,6 +17,7 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <array>
 #include <chrono>
 #include <cmath>
@@ -157,6 +158,40 @@ TEST(Subprocess, ProcessGroupKillReapsGrandchildren) {
   }
   EXPECT_TRUE(Gone) << "grandchild " << ChildPid
                     << " survived the group kill";
+}
+
+double median(std::vector<double> V) {
+  std::nth_element(V.begin(), V.begin() + V.size() / 2, V.end());
+  return V[V.size() / 2];
+}
+
+TEST(Subprocess, ChildExitEndsTheRunPromptly) {
+  // The child's exit wakes the watchdog's poll; nothing waits out a sleep
+  // tick after the pipes close.
+  std::vector<double> Secs;
+  for (int I = 0; I < 9; ++I) {
+    SubprocessResult R = runSubprocess(victim({"exit", "0"}));
+    ASSERT_TRUE(R.ok()) << R.describe();
+    Secs.push_back(R.ElapsedSeconds);
+  }
+  EXPECT_LT(median(Secs), 0.025);
+}
+
+TEST(SubprocessChild, WaitExitReturnsAtTheExit) {
+  std::vector<double> Secs;
+  for (int I = 0; I < 9; ++I) {
+    support::ChildProcessOptions Opts;
+    Opts.Argv = {victimPath(), "exit", "0"};
+    auto CP = support::ChildProcess::spawn(Opts);
+    ASSERT_TRUE(CP.ok()) << CP.message();
+    auto T0 = std::chrono::steady_clock::now();
+    ASSERT_TRUE(CP->waitExit(5)) << CP->describeExit();
+    Secs.push_back(std::chrono::duration<double>(
+                       std::chrono::steady_clock::now() - T0)
+                       .count());
+    EXPECT_EQ(CP->exitCode(), 0) << CP->describeExit();
+  }
+  EXPECT_LT(median(Secs), 0.0025);
 }
 
 TEST(Subprocess, NoDeadlineMeansNoTimeout) {
