@@ -24,6 +24,10 @@
 //    first and last iteration in bounds, which by affinity covers every
 //    iteration; when the proof fails the access checks each index as usual
 //    and traps at the first out-of-bounds iteration.
+//  - Execution. exec() has one handler per opcode and threaded dispatch;
+//    its per-access helpers are forced inline and L1 hits are served from
+//    a CacheSim::Cursor in its frame, so its state stays in registers.
+//    scripts/check-hot-inlining.sh (ctest HotLoop) guards the inlining.
 //
 // Results match a direct walk of the source tree bit for bit
 // (tests/EvalParityTest.cpp) because every side effect runs in source
@@ -51,6 +55,7 @@
 #include <optional>
 #include <queue>
 #include <set>
+#include <type_traits>
 
 namespace locus {
 namespace eval {
@@ -58,6 +63,10 @@ namespace eval {
 using namespace cir;
 
 namespace detail {
+
+/// For the helpers of the interpreter loop: their inlining must not depend
+/// on GCC's heuristics, which unrelated edits to this file move.
+#define LOCUS_ALWAYS_INLINE __attribute__((always_inline))
 
 //===----------------------------------------------------------------------===//
 // Flat code
@@ -69,38 +78,44 @@ union Cell {
   double D;
 };
 
+/// The opcodes, in one list: it defines the enum and exec()'s dispatch
+/// table, so the two cannot disagree on the order. Every opcode has its own
+/// handler, which knows its operation without decoding the instruction.
+#define LOCUS_OPCODES(X)                                                       \
+  /* Int arithmetic and comparison: Dst = A op B, charging one int op. */     \
+  X(AddI) X(SubI) X(MulI) X(DivI) X(ModI) X(MinI) X(MaxI)                      \
+  X(LtI) X(LeI) X(GtI) X(GeI) X(EqI) X(NeI)                                    \
+  /* Double arithmetic and comparison: counts a flop, charges a double op. */ \
+  X(AddD) X(SubD) X(MulD) X(DivD) X(MinD) X(MaxD)                              \
+  X(LtD) X(LeD) X(GtD) X(GeD) X(EqD) X(NeD)                                    \
+  /* The same four ops with a double array element (access Aux) as the    */ \
+  /* right operand: the load, then the op.                                */ \
+  X(AddLoadD) X(SubLoadD) X(MulLoadD) X(DivLoadD)                              \
+  /* No charge of their own. */                                                \
+  X(NegI) X(NegD) X(NotI) X(CvtID) X(NeZ) X(Mov)                               \
+  /* A negation's charge, made before its operand is evaluated. */            \
+  X(ChargeI) X(ChargeD)                                                        \
+  /* Compound scalar assignment: Dst op= A, charging one op. */               \
+  X(AccAddI) X(AccSubI) X(AccMulI) X(AccAddD) X(AccSubD) X(AccMulD)            \
+  /* Memory, through Access descriptor Aux. Loads: Dst = element.         */ \
+  /* CheckIndex bounds-checks register A as dimension B. IndexFlat: Dst = */ \
+  /* the checked flat index of a store's target. Stores: element[A] (op)= */ \
+  /* B, one opcode per AssignOp, in its order.                            */ \
+  X(LoadI) X(LoadD) X(CheckIndex) X(IndexFlat)                                 \
+  X(StoreSetI) X(StoreAddI) X(StoreSubI) X(StoreMulI)                          \
+  X(StoreSetD) X(StoreAddD) X(StoreSubD) X(StoreMulD)                          \
+  /* Control. Jump: to Aux. JumpIfZero: to Aux when A == 0. AndJump: when */ \
+  /* A == 0, Dst = 0 and jump to Aux. OrJump: when A != 0, Dst = 1 and    */ \
+  /* jump to Aux. LoopEnter: loop Aux from A to B (exclusive). ParEnter   */ \
+  /* and ParNext: the same for a loop whose OpenMP speedup is modeled.    */ \
+  /* Fail: runtime error Messages[Aux].                                   */ \
+  X(Jump) X(JumpIfZero) X(AndJump) X(OrJump)                                   \
+  X(LoopEnter) X(LoopNext) X(ParEnter) X(ParNext) X(Fail) X(Halt)
+
 enum class Op : uint8_t {
-  // Int arithmetic and comparison: Dst = A op B, charging one int op.
-  AddI, SubI, MulI, DivI, ModI, MinI, MaxI,
-  LtI, LeI, GtI, GeI, EqI, NeI,
-  // Double arithmetic and comparison: counts a flop, charges a double op.
-  AddD, SubD, MulD, DivD, MinD, MaxD,
-  LtD, LeD, GtD, GeD, EqD, NeD,
-  // The same four ops with a double array element (access Aux) as the
-  // right operand: the load, then the op.
-  AddLoadD, SubLoadD, MulLoadD, DivLoadD,
-  // No charge of their own.
-  NegI, NegD, NotI, CvtID, NeZ, MovI, MovD,
-  // A negation's charge, made before its operand is evaluated.
-  ChargeI, ChargeD,
-  // Compound scalar assignment: Dst op= A, charging one op.
-  AccAddI, AccSubI, AccMulI, AccAddD, AccSubD, AccMulD,
-  // Memory, through Access descriptor Aux.
-  LoadI, LoadD,     ///< Dst = element
-  CheckIndex,       ///< bounds-check register A as dimension B
-  IndexFlat,        ///< Dst = checked flat index (a store's target)
-  StoreI, StoreD,   ///< element[A] (op)= B; Dst holds the AssignOp
-  // Control.
-  Jump,       ///< to Aux
-  JumpIfZero, ///< to Aux when A == 0
-  AndJump,    ///< when A == 0: Dst = 0, jump to Aux
-  OrJump,     ///< when A != 0: Dst = 1, jump to Aux
-  LoopEnter,  ///< loop Aux from A to B (exclusive)
-  LoopNext,
-  ParEnter,   ///< the same for a loop whose OpenMP speedup is modeled
-  ParNext,
-  Fail,       ///< runtime error Messages[Aux]
-  Halt,
+#define LOCUS_ENUM(N) N,
+  LOCUS_OPCODES(LOCUS_ENUM)
+#undef LOCUS_ENUM
 };
 
 struct Insn {
@@ -638,6 +653,13 @@ struct CompiledProgram {
     return Max;
   }
 
+  /// The modeled time of a modeled-parallel loop whose iterations just ran
+  /// sequentially, costing IterCosts.
+  double parallelTime(const LoopModel &M) {
+    return scheduleTime(IterCosts, M.Par, M.Chunk) +
+           Opts.Machine.ParallelSpawnOverhead;
+  }
+
   //===--------------------------------------------------------------------===//
   // Pass 2: lowering to flat code, in execution order
   //===--------------------------------------------------------------------===//
@@ -755,7 +777,7 @@ struct CompiledProgram {
   Val place(Val V, int32_t Dst) {
     if (Dst < 0 || Dst == V.Reg)
       return V;
-    emit(V.Double ? Op::MovD : Op::MovI, Dst, V.Reg);
+    emit(Op::Mov, Dst, V.Reg);
     return {Dst, V.Double};
   }
 
@@ -976,8 +998,8 @@ struct CompiledProgram {
     Val V = lowerExpr(Rhs);
     if (TargetDouble)
       V = toDouble(V);
-    static const Op AccI[] = {Op::MovI, Op::AccAddI, Op::AccSubI, Op::AccMulI};
-    static const Op AccD[] = {Op::MovD, Op::AccAddD, Op::AccSubD, Op::AccMulD};
+    static const Op AccI[] = {Op::Mov, Op::AccAddI, Op::AccSubI, Op::AccMulI};
+    static const Op AccD[] = {Op::Mov, Op::AccAddD, Op::AccSubD, Op::AccMulD};
     size_t Index = static_cast<size_t>(AOp);
     emit(TargetDouble ? AccD[Index] : AccI[Index], Slot, V.Reg, 0, 0,
          TargetDouble ? doubleCharge() : intCharge());
@@ -999,8 +1021,13 @@ struct CompiledProgram {
     Val V = lowerExpr(Rhs);
     if (TargetDouble)
       V = toDouble(V);
-    emit(TargetDouble ? Op::StoreD : Op::StoreI, static_cast<int32_t>(AOp),
-         Flat, V.Reg, Acc, TargetDouble ? doubleCharge() : intCharge());
+    static const Op StoreI[] = {Op::StoreSetI, Op::StoreAddI, Op::StoreSubI,
+                                Op::StoreMulI};
+    static const Op StoreD[] = {Op::StoreSetD, Op::StoreAddD, Op::StoreSubD,
+                                Op::StoreMulD};
+    size_t Index = static_cast<size_t>(AOp);
+    emit(TargetDouble ? StoreD[Index] : StoreI[Index], 0, Flat, V.Reg, Acc,
+         TargetDouble ? doubleCharge() : intCharge());
   }
 
   void lowerLoop(const ForStmt &F) {
@@ -1128,63 +1155,89 @@ struct CompiledProgram {
   // Execution
   //===--------------------------------------------------------------------===//
 
-  void runtimeFail(const std::string &Message) {
+  /// Takes a view, so that exec() destroys no object: see CacheSim::Cursor.
+  [[gnu::cold]] void runtimeFail(std::string_view Message) {
     Failed = true;
     RunError = Message;
   }
 
-  void outOfBounds(const Access &Ac, uint32_t Dim, int64_t Idx) {
-    const ArrayInfo &A = Arrays[static_cast<size_t>(Ac.Array)];
+  [[gnu::cold]] void outOfBounds(int32_t Array, uint32_t Dim, int64_t Idx) {
+    const ArrayInfo &A = Arrays[static_cast<size_t>(Array)];
     runtimeFail("index " + std::to_string(Idx) + " out of bounds for " +
                 A.Name + " dim " + std::to_string(Dim) + " (size " +
                 std::to_string(A.Dims[Dim]) + ")");
   }
 
-  /// On entry to \p L, iterating from \p First to \p Last: strength-reduces
-  /// each of its accesses whose indices are in bounds at both ends.
-  void enterReduced(const Loop &L, const Cell *R, int64_t First,
-                    int64_t Last) {
-    for (int32_t Id : L.Reduced) {
+  /// On entry to a loop iterating from \p First to \p Last: strength-reduces
+  /// each of its accesses \p Reduced whose indices are in bounds at both
+  /// ends. It runs once per loop entry, not per instruction, and is kept out
+  /// of exec(): inlined, its loops push the handlers' state (the instruction
+  /// pointer, the cycle total) out of registers.
+  [[gnu::noinline]] void enterReduced(const std::vector<int32_t> &Reduced,
+                                      const Cell *R, int64_t First,
+                                      int64_t Last) {
+    for (int32_t Id : Reduced) {
       Access &Ac = Accesses[static_cast<size_t>(Id)];
-      Ac.Hoisted = true;
-      __int128 FlatFirst = 0;
-      for (uint32_t D = Ac.DimBegin; D < Ac.DimEnd && Ac.Hoisted; ++D) {
+      // An index whose arithmetic overflows is left unproven: the access
+      // then checks every iteration, which gives the same result.
+      bool InBounds = true;
+      int64_t FlatFirst = 0;
+      for (uint32_t D = Ac.DimBegin; D < Ac.DimEnd && InBounds; ++D) {
         const DimForm &F = Dims[D];
-        __int128 AtFirst = F.Const, AtLast = F.Const;
+        int64_t AtFirst = F.Const, VarCoeff = 0, Product;
         for (uint32_t T = F.TermBegin; T < F.TermEnd; ++T) {
           const Term &X = Terms[T];
           bool IsVar = X.Reg == Ac.LoopVar;
-          AtFirst += static_cast<__int128>(X.Coeff) *
-                     (IsVar ? First : R[X.Reg].I);
-          AtLast += static_cast<__int128>(X.Coeff) *
-                    (IsVar ? Last : R[X.Reg].I);
+          if (IsVar)
+            VarCoeff = X.Coeff;
+          InBounds &= !__builtin_mul_overflow(
+                          X.Coeff, IsVar ? First : R[X.Reg].I, &Product) &&
+                      !__builtin_add_overflow(AtFirst, Product, &AtFirst);
         }
-        Ac.Hoisted = AtFirst >= 0 && AtFirst < F.Extent && AtLast >= 0 &&
-                     AtLast < F.Extent;
+        int64_t Span, AtLast;
+        InBounds &= !__builtin_sub_overflow(Last, First, &Span) &&
+                    !__builtin_mul_overflow(VarCoeff, Span, &Product) &&
+                    !__builtin_add_overflow(AtFirst, Product, &AtLast) &&
+                    AtFirst >= 0 && AtFirst < F.Extent && AtLast >= 0 &&
+                    AtLast < F.Extent;
         FlatFirst += AtFirst * F.Stride;
       }
-      if (Ac.Hoisted)
-        Ac.FlatBase = static_cast<uint64_t>(static_cast<int64_t>(FlatFirst)) -
+      Ac.Hoisted = InBounds;
+      if (InBounds)
+        Ac.FlatBase = static_cast<uint64_t>(FlatFirst) -
                       static_cast<uint64_t>(Ac.Delta) *
                           static_cast<uint64_t>(First);
     }
   }
 
-  /// The interpreter loop. The counters live in locals (registers) and are
-  /// published on every exit.
+  /// The interpreter loop. Each opcode has its own handler, and each handler
+  /// jumps straight to the next one's (threaded dispatch). The per-access and
+  /// per-iteration helpers are forced inline and call no other lambda, and
+  /// exec destroys no object (see CacheSim::Cursor), so the counters and the
+  /// cache cursor stay in locals (registers) and are published on every exit.
   template <bool Cost> void exec() {
     Cell *R = Regs.data();
     const Insn *Base = Code.data();
-    const Insn *PC = Base;
+    const Insn *I = Base;
+    Access *AccessP = Accesses.data();
+    const Loop *LoopsP = Loops.data();
     const DimForm *DimsP = Dims.data();
     const Term *TermsP = Terms.data();
-    machine::CacheSim *Sim = Cache;
     const int L1 = L1HitLatency;
     const uint64_t MaxIterations = Opts.MaxIterations;
     double Cyc = 0, ParStart = 0, IterMark = 0;
     uint64_t Iter = 0, Ops = 0, Reads = 0, Writes = 0;
+    // The L1 fast path in locals; exec<false> simulates no cache.
+    [[maybe_unused]] auto Cur = [this]() LOCUS_ALWAYS_INLINE {
+      if constexpr (Cost)
+        return machine::CacheSim::Cursor(*Cache);
+      else
+        return nullptr;
+    }();
 
-    auto Done = [&] {
+    auto Done = [&]() LOCUS_ALWAYS_INLINE {
+      if constexpr (Cost)
+        Cur.writeBack();
       Cycles = Cyc;
       Iterations = Iter;
       ArithOps = Ops;
@@ -1192,8 +1245,9 @@ struct CompiledProgram {
       MemWrites = Writes;
     };
     // Forms and checks an access's flat element index.
-    auto Index = [&](const Access &Ac, int64_t &Flat) {
-      if (Ac.Hoisted) {
+    auto Index = [&](const Access &Ac,
+                     int64_t &Flat) LOCUS_ALWAYS_INLINE -> bool {
+      if (Ac.Hoisted) [[likely]] {
         Flat = static_cast<int64_t>(
             Ac.FlatBase + static_cast<uint64_t>(Ac.Delta) *
                               static_cast<uint64_t>(R[Ac.LoopVar].I));
@@ -1204,8 +1258,8 @@ struct CompiledProgram {
           int64_t Idx = F.Const;
           for (uint32_t T = F.TermBegin; T < F.TermEnd; ++T)
             Idx += TermsP[T].Coeff * R[TermsP[T].Reg].I;
-          if (Idx < 0 || Idx >= F.Extent) {
-            outOfBounds(Ac, D - Ac.DimBegin, Idx);
+          if (Idx < 0 || Idx >= F.Extent) [[unlikely]] {
+            outOfBounds(Ac.Array, D - Ac.DimBegin, Idx);
             return false;
           }
           Sum += Idx * F.Stride;
@@ -1217,19 +1271,22 @@ struct CompiledProgram {
           Cyc += Ac.IndexCharge;
       return true;
     };
-    auto Memory = [&](const Access &Ac, int64_t Flat, bool IsWrite) {
-      int Latency =
-          Sim->access(Ac.Base + static_cast<uint64_t>(Flat) * 8, IsWrite);
-      // Vectorization hides latency only for cache-resident data.
-      if (Latency <= L1)
-        Cyc += Latency * Ac.Scale;
-      else
-        Cyc += Latency;
+    // Charges the latency of an access to element Flat (cost mode only).
+    auto Memory = [&](const Access &Ac, int64_t Flat) LOCUS_ALWAYS_INLINE {
+      if constexpr (Cost) {
+        int Latency = Cur.access(Ac.Base + static_cast<uint64_t>(Flat) * 8);
+        // Vectorization hides latency only for cache-resident data.
+        if (Latency <= L1)
+          Cyc += Latency * Ac.Scale;
+        else
+          Cyc += Latency;
+      }
     };
     // Starts an iteration with value V; false when the budget is spent.
-    auto Begin = [&](const Loop &L, int64_t V, bool Parallel) {
+    auto Begin = [&](const Loop &L, int64_t V,
+                     bool Parallel) LOCUS_ALWAYS_INLINE -> bool {
       R[L.Var].I = V;
-      if (++Iter > MaxIterations) {
+      if (++Iter > MaxIterations) [[unlikely]] {
         runtimeFail("iteration budget exceeded");
         return false;
       }
@@ -1239,272 +1296,289 @@ struct CompiledProgram {
         Cyc += L.Overhead;
       return true;
     };
-    // Rewinds the clock from the sequential run of a modeled-parallel loop
-    // to its modeled parallel time.
-    auto FinishParallel = [&](const Loop &L) {
-      double ParTime = scheduleTime(IterCosts, L.Model.Par, L.Model.Chunk) +
-                       Opts.Machine.ParallelSpawnOverhead;
-      Cyc = ParStart + ParTime;
+    static const void *const Handlers[] = {
+#define LOCUS_LABEL(N) &&H_##N,
+        LOCUS_OPCODES(LOCUS_LABEL)
+#undef LOCUS_LABEL
     };
-
-    for (;;) {
-      const Insn &I = *PC++;
-      switch (I.Code) {
+#define LOCUS_DISPATCH() goto *Handlers[static_cast<size_t>(I->Code)]
+#define LOCUS_NEXT()                                                           \
+  do {                                                                         \
+    ++I;                                                                       \
+    LOCUS_DISPATCH();                                                          \
+  } while (0)
 #define LOCUS_INT_OP(NAME, EXPR)                                               \
-  case Op::NAME: {                                                             \
-    int64_t L = R[I.A].I, Rv = R[I.B].I;                                       \
-    R[I.Dst].I = (EXPR);                                                       \
+  H_##NAME : {                                                                 \
+    int64_t L = R[I->A].I, Rv = R[I->B].I;                                     \
+    R[I->Dst].I = (EXPR);                                                      \
     if constexpr (Cost)                                                        \
-      Cyc += I.K;                                                              \
-    break;                                                                     \
+      Cyc += I->K;                                                             \
+    LOCUS_NEXT();                                                              \
   }
 #define LOCUS_DOUBLE_OP(NAME, TYPE, EXPR)                                      \
-  case Op::NAME: {                                                             \
-    double L = R[I.A].D, Rv = R[I.B].D;                                        \
-    R[I.Dst].TYPE = (EXPR);                                                    \
+  H_##NAME : {                                                                 \
+    double L = R[I->A].D, Rv = R[I->B].D;                                      \
+    R[I->Dst].TYPE = (EXPR);                                                   \
     ++Ops;                                                                     \
     if constexpr (Cost)                                                        \
-      Cyc += I.K;                                                              \
-    break;                                                                     \
+      Cyc += I->K;                                                             \
+    LOCUS_NEXT();                                                              \
   }
-        LOCUS_INT_OP(AddI, L + Rv)
-        LOCUS_INT_OP(SubI, L - Rv)
-        LOCUS_INT_OP(MulI, L * Rv)
-        LOCUS_INT_OP(MinI, std::min(L, Rv))
-        LOCUS_INT_OP(MaxI, std::max(L, Rv))
-        LOCUS_INT_OP(LtI, L < Rv)
-        LOCUS_INT_OP(LeI, L <= Rv)
-        LOCUS_INT_OP(GtI, L > Rv)
-        LOCUS_INT_OP(GeI, L >= Rv)
-        LOCUS_INT_OP(EqI, L == Rv)
-        LOCUS_INT_OP(NeI, L != Rv)
-        LOCUS_DOUBLE_OP(AddD, D, L + Rv)
-        LOCUS_DOUBLE_OP(SubD, D, L - Rv)
-        LOCUS_DOUBLE_OP(MulD, D, L * Rv)
-        LOCUS_DOUBLE_OP(DivD, D, L / Rv)
-        LOCUS_DOUBLE_OP(MinD, D, std::min(L, Rv))
-        LOCUS_DOUBLE_OP(MaxD, D, std::max(L, Rv))
-        LOCUS_DOUBLE_OP(LtD, I, L < Rv)
-        LOCUS_DOUBLE_OP(LeD, I, L <= Rv)
-        LOCUS_DOUBLE_OP(GtD, I, L > Rv)
-        LOCUS_DOUBLE_OP(GeD, I, L >= Rv)
-        LOCUS_DOUBLE_OP(EqD, I, L == Rv)
-        LOCUS_DOUBLE_OP(NeD, I, L != Rv)
-#undef LOCUS_INT_OP
-#undef LOCUS_DOUBLE_OP
-      case Op::DivI:
-      case Op::ModI: {
-        int64_t L = R[I.A].I, Rv = R[I.B].I;
-        if constexpr (Cost)
-          Cyc += I.K;
-        if (Rv == 0) {
-          runtimeFail(I.Code == Op::DivI ? "integer division by zero"
-                                         : "integer modulo by zero");
-          return Done();
-        }
-        R[I.Dst].I = I.Code == Op::DivI ? L / Rv : L % Rv;
-        break;
-      }
-      case Op::NegI:
-        R[I.Dst].I = -R[I.A].I;
-        break;
-      case Op::NegD:
-        R[I.Dst].D = -R[I.A].D;
-        break;
-      case Op::NotI:
-        R[I.Dst].I = R[I.A].I == 0;
-        break;
-      case Op::CvtID:
-        R[I.Dst].D = static_cast<double>(R[I.A].I);
-        break;
-      case Op::NeZ:
-        R[I.Dst].I = R[I.A].I != 0;
-        break;
-      case Op::MovI:
-      case Op::MovD:
-        R[I.Dst] = R[I.A];
-        break;
-      case Op::ChargeD:
-        ++Ops;
-        [[fallthrough]];
-      case Op::ChargeI:
-        if constexpr (Cost)
-          Cyc += I.K;
-        break;
-      case Op::AccAddI:
-      case Op::AccSubI:
-      case Op::AccMulI: {
-        if constexpr (Cost)
-          Cyc += I.K;
-        int64_t &T = R[I.Dst].I, V = R[I.A].I;
-        T = I.Code == Op::AccAddI ? T + V
-            : I.Code == Op::AccSubI ? T - V
-                                    : T * V;
-        break;
-      }
-      case Op::AccAddD:
-      case Op::AccSubD:
-      case Op::AccMulD: {
-        ++Ops;
-        if constexpr (Cost)
-          Cyc += I.K;
-        double &T = R[I.Dst].D, V = R[I.A].D;
-        T = I.Code == Op::AccAddD ? T + V
-            : I.Code == Op::AccSubD ? T - V
-                                    : T * V;
-        break;
-      }
-      case Op::AddLoadD:
-      case Op::SubLoadD:
-      case Op::MulLoadD:
-      case Op::DivLoadD: {
-        const Access &Ac = Accesses[static_cast<size_t>(I.Aux)];
-        int64_t Flat;
-        if (!Index(Ac, Flat))
-          return Done();
-        ++Reads;
-        if constexpr (Cost)
-          Memory(Ac, Flat, /*IsWrite=*/false);
-        double L = R[I.A].D, Rv = Ac.D[Flat];
-        R[I.Dst].D = I.Code == Op::AddLoadD   ? L + Rv
-                     : I.Code == Op::SubLoadD ? L - Rv
-                     : I.Code == Op::MulLoadD ? L * Rv
-                                              : L / Rv;
-        ++Ops;
-        if constexpr (Cost)
-          Cyc += I.K;
-        break;
-      }
-      case Op::LoadI:
-      case Op::LoadD: {
-        const Access &Ac = Accesses[static_cast<size_t>(I.Aux)];
-        int64_t Flat;
-        if (!Index(Ac, Flat))
-          return Done();
-        ++Reads;
-        if constexpr (Cost)
-          Memory(Ac, Flat, /*IsWrite=*/false);
-        if (I.Code == Op::LoadD)
-          R[I.Dst].D = Ac.D[Flat];
-        else
-          R[I.Dst].I = Ac.I[Flat];
-        break;
-      }
-      case Op::CheckIndex: {
-        const Access &Ac = Accesses[static_cast<size_t>(I.Aux)];
-        int64_t Idx = R[I.A].I;
-        uint32_t Dim = static_cast<uint32_t>(I.B);
-        if (Idx < 0 || Idx >= DimsP[Ac.DimBegin + Dim].Extent) {
-          outOfBounds(Ac, Dim, Idx);
-          return Done();
-        }
-        break;
-      }
-      case Op::IndexFlat: {
-        int64_t Flat;
-        if (!Index(Accesses[static_cast<size_t>(I.Aux)], Flat))
-          return Done();
-        R[I.Dst].I = Flat;
-        break;
-      }
-      case Op::StoreD:
-      case Op::StoreI: {
-        const Access &Ac = Accesses[static_cast<size_t>(I.Aux)];
-        int64_t Flat = R[I.A].I;
-        auto AOp = static_cast<AssignOp>(I.Dst);
-        bool Double = I.Code == Op::StoreD;
-        if (AOp != AssignOp::Set) {
-          ++Reads;
-          if constexpr (Cost)
-            Memory(Ac, Flat, /*IsWrite=*/false);
-          if (Double)
-            ++Ops;
-          if constexpr (Cost)
-            Cyc += I.K;
-        }
-        if (Double)
-          applyAssign(Ac.D[Flat], AOp, R[I.B].D);
-        else
-          applyAssign(Ac.I[Flat], AOp, R[I.B].I);
-        ++Writes;
-        if constexpr (Cost)
-          Memory(Ac, Flat, /*IsWrite=*/true);
-        break;
-      }
-      case Op::Jump:
-        PC = Base + I.Aux;
-        break;
-      case Op::JumpIfZero:
-        if (R[I.A].I == 0)
-          PC = Base + I.Aux;
-        break;
-      case Op::AndJump:
-        if (R[I.A].I == 0) {
-          R[I.Dst].I = 0;
-          PC = Base + I.Aux;
-        }
-        break;
-      case Op::OrJump:
-        if (R[I.A].I != 0) {
-          R[I.Dst].I = 1;
-          PC = Base + I.Aux;
-        }
-        break;
-      case Op::LoopEnter:
-      case Op::ParEnter: {
-        const Loop &L = Loops[static_cast<size_t>(I.Aux)];
-        bool Parallel = I.Code == Op::ParEnter;
-        int64_t Lo = R[I.A].I, Hi = R[I.B].I;
-        R[L.Hi].I = Hi;
-        if (Parallel) {
-          ParStart = Cyc;
-          IterCosts.clear();
-        }
-        if (!(Lo < Hi)) {
-          if (Parallel)
-            FinishParallel(L);
-          PC = Base + L.Exit;
-          break;
-        }
-        R[L.Ctr].I = Lo;
-        if (!L.Reduced.empty()) {
-          uint64_t Span = static_cast<uint64_t>(Hi) - static_cast<uint64_t>(Lo);
-          uint64_t Step = static_cast<uint64_t>(L.Step);
-          enterReduced(L, R, Lo,
-                       static_cast<int64_t>(static_cast<uint64_t>(Lo) +
-                                            (Span - 1) / Step * Step));
-        }
-        if (!Begin(L, Lo, Parallel))
-          return Done();
-        break;
-      }
-      case Op::LoopNext:
-      case Op::ParNext: {
-        const Loop &L = Loops[static_cast<size_t>(I.Aux)];
-        bool Parallel = I.Code == Op::ParNext;
-        if (Parallel)
-          IterCosts.push_back(Cyc - IterMark);
-        int64_t V = R[L.Ctr].I + L.Step;
-        if (V < R[L.Hi].I) {
-          R[L.Ctr].I = V;
-          if (!Begin(L, V, Parallel))
-            return Done();
-          PC = Base + L.Body;
-        } else if (Parallel) {
-          FinishParallel(L);
-        }
-        break;
-      }
-      case Op::Fail:
-        runtimeFail(Messages[static_cast<size_t>(I.Aux)]);
-        return Done();
-      case Op::Halt:
-        return Done();
-      }
-    }
+#define LOCUS_INT_DIV(NAME, OP, MESSAGE)                                       \
+  H_##NAME : {                                                                 \
+    int64_t L = R[I->A].I, Rv = R[I->B].I;                                     \
+    if constexpr (Cost)                                                        \
+      Cyc += I->K;                                                             \
+    if (Rv == 0) {                                                             \
+      runtimeFail(MESSAGE);                                                    \
+      return Done();                                                           \
+    }                                                                          \
+    R[I->Dst].I = L OP Rv;                                                     \
+    LOCUS_NEXT();                                                              \
+  }
+#define LOCUS_ACC(NAME, FIELD, OP)                                             \
+  H_##NAME : {                                                                 \
+    if constexpr (std::is_same_v<decltype(R->FIELD), double>)                  \
+      ++Ops;                                                                   \
+    if constexpr (Cost)                                                        \
+      Cyc += I->K;                                                             \
+    R[I->Dst].FIELD = R[I->Dst].FIELD OP R[I->A].FIELD;                        \
+    LOCUS_NEXT();                                                              \
+  }
+#define LOCUS_LOAD_OP(NAME, OP)                                                \
+  H_##NAME : {                                                                 \
+    const Access &Ac = AccessP[I->Aux];                                        \
+    int64_t Flat;                                                              \
+    if (!Index(Ac, Flat))                                                      \
+      return Done();                                                           \
+    ++Reads;                                                                   \
+    Memory(Ac, Flat);                                                          \
+    R[I->Dst].D = R[I->A].D OP Ac.D[Flat];                                     \
+    ++Ops;                                                                     \
+    if constexpr (Cost)                                                        \
+      Cyc += I->K;                                                             \
+    LOCUS_NEXT();                                                              \
+  }
+#define LOCUS_STORE(NAME, FIELD, AOP)                                          \
+  H_##NAME : {                                                                 \
+    const Access &Ac = AccessP[I->Aux];                                        \
+    int64_t Flat = R[I->A].I;                                                  \
+    if (AOP != AssignOp::Set) {                                                \
+      ++Reads;                                                                 \
+      Memory(Ac, Flat);                                                        \
+      if constexpr (std::is_same_v<decltype(R->FIELD), double>)                \
+        ++Ops;                                                                 \
+      if constexpr (Cost)                                                      \
+        Cyc += I->K;                                                           \
+    }                                                                          \
+    applyAssign(Ac.FIELD[Flat], AOP, R[I->B].FIELD);                           \
+    ++Writes;                                                                  \
+    Memory(Ac, Flat);                                                          \
+    LOCUS_NEXT();                                                              \
+  }
+// A modeled-parallel loop runs sequentially, recording each iteration's
+// cycles, then rewinds the clock to the loop's modeled parallel time.
+#define LOCUS_LOOP_ENTER(NAME, PARALLEL)                                       \
+  H_##NAME : {                                                                 \
+    const Loop &L = LoopsP[I->Aux];                                            \
+    int64_t Lo = R[I->A].I, Hi = R[I->B].I;                                    \
+    R[L.Hi].I = Hi;                                                            \
+    if constexpr (PARALLEL) {                                                  \
+      ParStart = Cyc;                                                          \
+      IterCosts.clear();                                                       \
+    }                                                                          \
+    if (!(Lo < Hi)) {                                                          \
+      if constexpr (PARALLEL)                                                  \
+        Cyc = ParStart + parallelTime(L.Model);                                \
+      I = Base + L.Exit;                                                       \
+      LOCUS_DISPATCH();                                                        \
+    }                                                                          \
+    R[L.Ctr].I = Lo;                                                           \
+    if (!L.Reduced.empty()) {                                                  \
+      uint64_t Span = static_cast<uint64_t>(Hi) - static_cast<uint64_t>(Lo);   \
+      uint64_t Step = static_cast<uint64_t>(L.Step);                           \
+      enterReduced(L.Reduced, R, Lo,                                           \
+                   static_cast<int64_t>(static_cast<uint64_t>(Lo) +            \
+                                        (Span - 1) / Step * Step));            \
+    }                                                                          \
+    if (!Begin(L, Lo, PARALLEL))                                               \
+      return Done();                                                           \
+    LOCUS_NEXT();                                                              \
+  }
+#define LOCUS_LOOP_NEXT(NAME, PARALLEL)                                        \
+  H_##NAME : {                                                                 \
+    const Loop &L = LoopsP[I->Aux];                                            \
+    if constexpr (PARALLEL)                                                    \
+      IterCosts.push_back(Cyc - IterMark);                                     \
+    int64_t V = R[L.Ctr].I + L.Step;                                           \
+    if (V < R[L.Hi].I) {                                                       \
+      R[L.Ctr].I = V;                                                          \
+      if (!Begin(L, V, PARALLEL))                                              \
+        return Done();                                                         \
+      I = Base + L.Body;                                                       \
+      LOCUS_DISPATCH();                                                        \
+    }                                                                          \
+    if constexpr (PARALLEL)                                                    \
+      Cyc = ParStart + parallelTime(L.Model);                                  \
+    LOCUS_NEXT();                                                              \
   }
 
-  template <typename T> static void applyAssign(T &Elem, AssignOp Op, T V) {
+    LOCUS_DISPATCH();
+
+    LOCUS_INT_OP(AddI, L + Rv)
+    LOCUS_INT_OP(SubI, L - Rv)
+    LOCUS_INT_OP(MulI, L * Rv)
+    LOCUS_INT_DIV(DivI, /, "integer division by zero")
+    LOCUS_INT_DIV(ModI, %, "integer modulo by zero")
+    LOCUS_INT_OP(MinI, std::min(L, Rv))
+    LOCUS_INT_OP(MaxI, std::max(L, Rv))
+    LOCUS_INT_OP(LtI, L < Rv)
+    LOCUS_INT_OP(LeI, L <= Rv)
+    LOCUS_INT_OP(GtI, L > Rv)
+    LOCUS_INT_OP(GeI, L >= Rv)
+    LOCUS_INT_OP(EqI, L == Rv)
+    LOCUS_INT_OP(NeI, L != Rv)
+    LOCUS_DOUBLE_OP(AddD, D, L + Rv)
+    LOCUS_DOUBLE_OP(SubD, D, L - Rv)
+    LOCUS_DOUBLE_OP(MulD, D, L * Rv)
+    LOCUS_DOUBLE_OP(DivD, D, L / Rv)
+    LOCUS_DOUBLE_OP(MinD, D, std::min(L, Rv))
+    LOCUS_DOUBLE_OP(MaxD, D, std::max(L, Rv))
+    LOCUS_DOUBLE_OP(LtD, I, L < Rv)
+    LOCUS_DOUBLE_OP(LeD, I, L <= Rv)
+    LOCUS_DOUBLE_OP(GtD, I, L > Rv)
+    LOCUS_DOUBLE_OP(GeD, I, L >= Rv)
+    LOCUS_DOUBLE_OP(EqD, I, L == Rv)
+    LOCUS_DOUBLE_OP(NeD, I, L != Rv)
+    LOCUS_LOAD_OP(AddLoadD, +)
+    LOCUS_LOAD_OP(SubLoadD, -)
+    LOCUS_LOAD_OP(MulLoadD, *)
+    LOCUS_LOAD_OP(DivLoadD, /)
+    LOCUS_ACC(AccAddI, I, +)
+    LOCUS_ACC(AccSubI, I, -)
+    LOCUS_ACC(AccMulI, I, *)
+    LOCUS_ACC(AccAddD, D, +)
+    LOCUS_ACC(AccSubD, D, -)
+    LOCUS_ACC(AccMulD, D, *)
+    LOCUS_STORE(StoreSetI, I, AssignOp::Set)
+    LOCUS_STORE(StoreAddI, I, AssignOp::Add)
+    LOCUS_STORE(StoreSubI, I, AssignOp::Sub)
+    LOCUS_STORE(StoreMulI, I, AssignOp::Mul)
+    LOCUS_STORE(StoreSetD, D, AssignOp::Set)
+    LOCUS_STORE(StoreAddD, D, AssignOp::Add)
+    LOCUS_STORE(StoreSubD, D, AssignOp::Sub)
+    LOCUS_STORE(StoreMulD, D, AssignOp::Mul)
+    LOCUS_LOOP_ENTER(LoopEnter, false)
+    LOCUS_LOOP_ENTER(ParEnter, true)
+    LOCUS_LOOP_NEXT(LoopNext, false)
+    LOCUS_LOOP_NEXT(ParNext, true)
+#undef LOCUS_INT_OP
+#undef LOCUS_DOUBLE_OP
+#undef LOCUS_INT_DIV
+#undef LOCUS_ACC
+#undef LOCUS_LOAD_OP
+#undef LOCUS_STORE
+#undef LOCUS_LOOP_ENTER
+#undef LOCUS_LOOP_NEXT
+
+  H_NegI:
+    R[I->Dst].I = -R[I->A].I;
+    LOCUS_NEXT();
+  H_NegD:
+    R[I->Dst].D = -R[I->A].D;
+    LOCUS_NEXT();
+  H_NotI:
+    R[I->Dst].I = R[I->A].I == 0;
+    LOCUS_NEXT();
+  H_CvtID:
+    R[I->Dst].D = static_cast<double>(R[I->A].I);
+    LOCUS_NEXT();
+  H_NeZ:
+    R[I->Dst].I = R[I->A].I != 0;
+    LOCUS_NEXT();
+  H_Mov:
+    R[I->Dst] = R[I->A];
+    LOCUS_NEXT();
+  H_ChargeI:
+    if constexpr (Cost)
+      Cyc += I->K;
+    LOCUS_NEXT();
+  H_ChargeD:
+    ++Ops;
+    if constexpr (Cost)
+      Cyc += I->K;
+    LOCUS_NEXT();
+  H_LoadI : {
+    const Access &Ac = AccessP[I->Aux];
+    int64_t Flat;
+    if (!Index(Ac, Flat))
+      return Done();
+    ++Reads;
+    Memory(Ac, Flat);
+    R[I->Dst].I = Ac.I[Flat];
+    LOCUS_NEXT();
+  }
+  H_LoadD : {
+    const Access &Ac = AccessP[I->Aux];
+    int64_t Flat;
+    if (!Index(Ac, Flat))
+      return Done();
+    ++Reads;
+    Memory(Ac, Flat);
+    R[I->Dst].D = Ac.D[Flat];
+    LOCUS_NEXT();
+  }
+  H_CheckIndex : {
+    const Access &Ac = AccessP[I->Aux];
+    int64_t Idx = R[I->A].I;
+    uint32_t Dim = static_cast<uint32_t>(I->B);
+    if (Idx < 0 || Idx >= DimsP[Ac.DimBegin + Dim].Extent) {
+      outOfBounds(Ac.Array, Dim, Idx);
+      return Done();
+    }
+    LOCUS_NEXT();
+  }
+  H_IndexFlat : {
+    int64_t Flat;
+    if (!Index(AccessP[I->Aux], Flat))
+      return Done();
+    R[I->Dst].I = Flat;
+    LOCUS_NEXT();
+  }
+  H_Jump:
+    I = Base + I->Aux;
+    LOCUS_DISPATCH();
+  H_JumpIfZero:
+    if (R[I->A].I == 0) {
+      I = Base + I->Aux;
+      LOCUS_DISPATCH();
+    }
+    LOCUS_NEXT();
+  H_AndJump:
+    if (R[I->A].I == 0) {
+      R[I->Dst].I = 0;
+      I = Base + I->Aux;
+      LOCUS_DISPATCH();
+    }
+    LOCUS_NEXT();
+  H_OrJump:
+    if (R[I->A].I != 0) {
+      R[I->Dst].I = 1;
+      I = Base + I->Aux;
+      LOCUS_DISPATCH();
+    }
+    LOCUS_NEXT();
+  H_Fail:
+    runtimeFail(Messages[static_cast<size_t>(I->Aux)]);
+    return Done();
+  H_Halt:
+    return Done();
+#undef LOCUS_DISPATCH
+#undef LOCUS_NEXT
+  }
+
+  template <typename T>
+  LOCUS_ALWAYS_INLINE static void applyAssign(T &Elem, AssignOp Op, T V) {
     switch (Op) {
     case AssignOp::Set:
       Elem = V;

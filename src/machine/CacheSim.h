@@ -82,25 +82,11 @@ public:
   /// rebuilt when the shape changes; it lives until the thread exits.
   static CacheSim &forThread(const MachineConfig &Config);
 
+  class Cursor;
+
   /// Simulates one access; returns its latency in cycles. An L1 hit in the
   /// set's most recently used way returns without the associative scan.
-  int access(uint64_t Address, bool IsWrite) {
-    (void)IsWrite; // write-allocate, write-back: same path as reads
-    if (!Levels.empty()) {
-      Level &L = Levels[0];
-      uint64_t Line = Address >> L.LineShift;
-      uint64_t Set = Line & L.SetMask;
-      if (L.Epochs[Set] == Epoch) {
-        uint64_t Idx = Set * L.Assoc + L.Mru[Set];
-        if (L.Tags[Idx] == Line + 1) {
-          L.Stamps[Idx] = ++Clock;
-          ++Stats[0].Hits;
-          return L.HitLatency;
-        }
-      }
-    }
-    return accessSlow(Address);
-  }
+  int access(uint64_t Address, bool IsWrite);
 
   /// Drops all cached lines and statistics.
   void reset();
@@ -142,6 +128,95 @@ private:
   void *Map = nullptr;
   size_t MapBytes = 0;
 };
+
+/// A caller-held view of a simulator's first level, for a run of accesses.
+/// It copies the level-0 geometry, the epoch, the clock and the L1 hit count
+/// into its own members, so a caller that keeps it in a local variable keeps
+/// them in registers. An L1 hit in its set's most recently used way is served
+/// from those copies; every other access goes through CacheSim::accessSlow.
+///
+/// Write-back invariant: the cursor writes the clock and the hits it counted
+/// back to the simulator before each accessSlow, and its owner calls
+/// writeBack() at every exit; the cursor reads the clock again after
+/// accessSlow. So accessSlow always sees the current clock, and stats()
+/// sees every access after the last writeBack(). At most one cursor is in
+/// use on a simulator at a time, and reset() is called only between uses.
+/// The cursor has no destructor on purpose: an object with one would give
+/// every call in the owner's loop an exception landing pad, and GCC keeps
+/// no value that is live across such a call in a call-clobbered register,
+/// which is every SSE register.
+class CacheSim::Cursor {
+public:
+  [[gnu::always_inline]] explicit Cursor(CacheSim &Sim)
+      : Sim(Sim), Clock(Sim.Clock), Epoch(Sim.Epoch) {
+    if (Sim.Levels.empty())
+      return; // Epochs stays at a set that is never current: no fast path
+    const Level &L = Sim.Levels[0];
+    LineShift = L.LineShift;
+    SetMask = L.SetMask;
+    Assoc = L.Assoc;
+    HitLatency = L.HitLatency;
+    Tags = L.Tags;
+    Stamps = L.Stamps;
+    Epochs = L.Epochs;
+    Mru = L.Mru;
+  }
+  Cursor(const Cursor &) = delete;
+  Cursor &operator=(const Cursor &) = delete;
+
+  /// CacheSim::access through this cursor.
+  [[gnu::always_inline]] int access(uint64_t Address) {
+    uint64_t Line = Address >> LineShift;
+    uint64_t Set = Line & SetMask;
+    if (Epochs[Set] == Epoch) [[likely]] {
+      uint64_t Idx = Set * Assoc + Mru[Set];
+      if (Tags[Idx] == Line + 1) [[likely]] {
+        Stamps[Idx] = ++Clock;
+        ++Hits;
+        return HitLatency;
+      }
+    }
+    writeBack();
+    int Latency = Sim.accessSlow(Address);
+    Clock = Sim.Clock;
+    return Latency;
+  }
+
+  /// Publishes the clock and the hits counted since the last write-back.
+  [[gnu::always_inline]] void writeBack() {
+    Sim.Clock = Clock;
+    if (Hits) {
+      Sim.Stats[0].Hits += Hits;
+      Hits = 0;
+    }
+  }
+
+private:
+  /// Epochs start at 1, so a set reading 0 is never current.
+  static constexpr uint16_t NeverCurrent = 0;
+
+  CacheSim &Sim;
+  uint64_t Clock;
+  /// L1 hits served here since the last write-back.
+  uint64_t Hits = 0;
+  uint16_t Epoch;
+  int LineShift = 0;
+  uint64_t SetMask = 0;
+  uint64_t Assoc = 0;
+  int HitLatency = 0;
+  uint64_t *Tags = nullptr;
+  uint64_t *Stamps = nullptr;
+  const uint16_t *Epochs = &NeverCurrent;
+  uint32_t *Mru = nullptr;
+};
+
+inline int CacheSim::access(uint64_t Address, bool IsWrite) {
+  (void)IsWrite; // write-allocate, write-back: same path as reads
+  Cursor C(*this);
+  int Latency = C.access(Address);
+  C.writeBack();
+  return Latency;
+}
 
 } // namespace machine
 } // namespace locus

@@ -6,9 +6,10 @@
 // a fill pushes to the front and evicts from the back. Seeded random and
 // strided streams must give the same latency on every access and the same
 // per-level hits and misses, on the paper's machines, a direct-mapped
-// hierarchy and one whose set counts are not powers of two (both models
-// round them down), across many reset()s and across the epoch counter's
-// wraparound.
+// hierarchy, one whose set counts are not powers of two (both models round
+// them down) and one with no cache, across many reset()s and across the
+// epoch counter's wraparound. So must the CacheSim::Cursor fast path the
+// evaluator uses.
 //
 //===----------------------------------------------------------------------===//
 
@@ -20,6 +21,7 @@
 #include <algorithm>
 #include <deque>
 #include <functional>
+#include <memory>
 
 namespace locus {
 namespace {
@@ -108,13 +110,21 @@ MachineConfig oddSets() {
   return M;
 }
 
+/// No cache at all: every access pays the memory latency.
+MachineConfig memoryOnly() {
+  MachineConfig M = MachineConfig::tiny();
+  M.Levels.clear();
+  return M;
+}
+
 const std::vector<std::pair<std::string, MachineConfig>> &configs() {
   static const std::vector<std::pair<std::string, MachineConfig>> C = {
       {"tiny", MachineConfig::tiny()},
       {"xeon", MachineConfig::xeonE5v3()},
       {"xeon8", MachineConfig::xeonE5v3Scaled(8)},
       {"direct", directMapped()},
-      {"oddsets", oddSets()}};
+      {"oddsets", oddSets()},
+      {"memory-only", memoryOnly()}};
   return C;
 }
 
@@ -146,6 +156,16 @@ std::vector<std::pair<std::string, Stream>> streams(uint64_t Seed) {
   };
 }
 
+void expectSameStats(const std::vector<machine::CacheLevelStats> &Got,
+                     const std::vector<machine::CacheLevelStats> &Want,
+                     const std::string &Context) {
+  ASSERT_EQ(Got.size(), Want.size()) << Context;
+  for (size_t L = 0; L < Want.size(); ++L) {
+    EXPECT_EQ(Got[L].Hits, Want[L].Hits) << Context << " L" << L;
+    EXPECT_EQ(Got[L].Misses, Want[L].Misses) << Context << " L" << L;
+  }
+}
+
 /// Runs \p Count accesses of \p S through both models, comparing each
 /// latency and the final statistics.
 void expectSameRun(CacheSim &Sim, ReferenceHierarchy &Ref, const Stream &S,
@@ -157,12 +177,7 @@ void expectSameRun(CacheSim &Sim, ReferenceHierarchy &Ref, const Stream &S,
     ASSERT_EQ(Got, Want) << Context << " access " << I << " address "
                          << Address;
   }
-  ASSERT_EQ(Sim.stats().size(), Ref.Stats.size()) << Context;
-  for (size_t L = 0; L < Ref.Stats.size(); ++L) {
-    EXPECT_EQ(Sim.stats()[L].Hits, Ref.Stats[L].Hits) << Context << " L" << L;
-    EXPECT_EQ(Sim.stats()[L].Misses, Ref.Stats[L].Misses)
-        << Context << " L" << L;
-  }
+  expectSameStats(Sim.stats(), Ref.Stats, Context);
 }
 
 TEST(CacheSim, HitsAfterFill) {
@@ -210,6 +225,41 @@ TEST(CacheSim, MatchesReferenceModelOnEveryStream) {
       CacheSim Sim(M);
       ReferenceHierarchy Ref(M);
       expectSameRun(Sim, Ref, S, 20000, Name + "/" + StreamName);
+    }
+}
+
+TEST(CacheSim, CursorMatchesAccessAndReference) {
+  // The evaluator serves L1 hits from a CacheSim::Cursor. Every stream runs
+  // through a cursor, through plain access() on a second simulator and
+  // through the reference, with one reset() of all three halfway; each
+  // latency and the statistics before the reset and at the end must agree.
+  for (const auto &[Name, M] : configs())
+    for (const auto &[StreamName, S] : streams(17)) {
+      const std::string Context = Name + "/" + StreamName;
+      const uint64_t Count = 20000, ResetAt = Count / 2 + 7;
+      CacheSim Plain(M), Sim(M);
+      ReferenceHierarchy Ref(M);
+      auto Cur = std::make_unique<CacheSim::Cursor>(Sim);
+      for (uint64_t I = 0; I < Count; ++I) {
+        if (I == ResetAt) {
+          Cur->writeBack();
+          expectSameStats(Sim.stats(), Ref.Stats, Context + " before reset");
+          expectSameStats(Plain.stats(), Ref.Stats, Context + " before reset");
+          Sim.reset();
+          Plain.reset();
+          Ref = ReferenceHierarchy(M);
+          Cur = std::make_unique<CacheSim::Cursor>(Sim);
+        }
+        uint64_t Address = S(I);
+        int Want = Ref.access(Address);
+        ASSERT_EQ(Plain.access(Address, I % 4 == 3), Want)
+            << Context << " plain access " << I;
+        ASSERT_EQ(Cur->access(Address), Want)
+            << Context << " cursor access " << I << " address " << Address;
+      }
+      Cur->writeBack();
+      expectSameStats(Sim.stats(), Ref.Stats, Context);
+      expectSameStats(Plain.stats(), Ref.Stats, Context);
     }
 }
 

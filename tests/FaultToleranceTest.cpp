@@ -1,7 +1,7 @@
 //===- FaultToleranceTest.cpp - Failure taxonomy and fault injection ------===//
 
-#include "src/search/FaultInjection.h"
 #include "src/search/Search.h"
+#include "tests/helpers/FaultInjection.h"
 
 #include <gtest/gtest.h>
 

@@ -1,6 +1,6 @@
 //===- FaultInjection.cpp - Fault-injection harness -----------------------===//
 
-#include "src/search/FaultInjection.h"
+#include "tests/helpers/FaultInjection.h"
 
 #include "src/support/Hashing.h"
 

@@ -1,7 +1,7 @@
 //===- FaultInjection.h - Fault-injection harness ---------------*- C++ -*-===//
 ///
 /// \file
-/// A decorator that injects classified failures into an Objective with a
+/// A test decorator that injects classified failures into an Objective with a
 /// configurable probability, kind mix, and deterministic seed. The fault
 /// decision is a pure function of (point key, seed), so the clean subspace
 /// is stable across runs and across independently-constructed injectors —
@@ -12,8 +12,8 @@
 /// never be observed.
 ///
 //===----------------------------------------------------------------------===//
-#ifndef LOCUS_SEARCH_FAULTINJECTION_H
-#define LOCUS_SEARCH_FAULTINJECTION_H
+#ifndef LOCUS_TESTS_HELPERS_FAULTINJECTION_H
+#define LOCUS_TESTS_HELPERS_FAULTINJECTION_H
 
 #include "src/search/Search.h"
 
@@ -53,4 +53,4 @@ private:
 } // namespace search
 } // namespace locus
 
-#endif // LOCUS_SEARCH_FAULTINJECTION_H
+#endif // LOCUS_TESTS_HELPERS_FAULTINJECTION_H
