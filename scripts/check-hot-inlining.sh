@@ -12,8 +12,10 @@
 #   - nested in exec<true>() or exec<false>() (one of its lambdas),
 #   - a member of CacheSim::Cursor, or
 #   - a member of CompiledProgram that takes an Access or a Loop.
-# Work done once per loop entry or on an error (enterReduced, outOfBounds,
-# runtimeFail, parallelTime) takes none of these and stays out of line.
+# Work done once per loop entry or on an error takes none of these and stays
+# out of line: enterReduced takes the loop's EntryPlan (its prepared
+# subscript checks), not the Loop; outOfBounds takes an array id, not an
+# Access; runtimeFail and parallelTime take neither.
 #
 # Usage: check-hot-inlining.sh NM LIBRARY
 #   NM       the nm program

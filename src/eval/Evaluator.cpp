@@ -152,8 +152,9 @@ struct Access {
   double *D = nullptr; ///< this run's element storage
   int64_t *I = nullptr;
   /// Strength reduction in the innermost enclosing loop (LoopVar is its
-  /// variable's slot): entering the loop sets Hoisted when both end
-  /// iterations are in bounds, and FlatBase for this entry.
+  /// variable's slot): the loop's EntryPlan sets Hoisted when every
+  /// iteration of this entry is in bounds, and FlatBase, the flat index
+  /// less Delta * LoopVar.
   int32_t LoopVar = -1;
   int64_t Delta = 0;
   bool Hoisted = false;
@@ -170,6 +171,37 @@ struct LoopModel {
   double VecScale = 1.0; ///< <1 when a SIMD pragma applies
 };
 
+/// What entering a loop does for the accesses strength-reduced in it. The
+/// subscripts of those accesses are grouped by extent, loop-variable
+/// coefficient and outer terms (Term registers other than the loop
+/// variable), so each distinct subscript, and each run of constants such as
+/// unrolled copies, is one Check proven once per entry. A plan is a range of
+/// CompiledProgram's PlanChecks and one of its PlanTargets; both index their
+/// terms in CompiledProgram::Terms.
+struct EntryPlan {
+  /// Subscripts K + VarCoeff * var + sum(Terms), for K from KLo to KHi.
+  struct Check {
+    int64_t Extent = 0;
+    int64_t VarCoeff = 0;
+    int64_t KLo = 0, KHi = 0;
+    uint32_t TermBegin = 0, TermEnd = 0;
+  };
+  /// One reduced access: bit C of Needs stands for the plan's check C, and
+  /// Const + sum(Terms) (wrapping) is its flat index less the loop
+  /// variable's part.
+  struct Target {
+    int32_t Access = 0;
+    uint64_t Needs = 0;
+    uint64_t Const = 0;
+    uint32_t TermBegin = 0, TermEnd = 0;
+  };
+  /// One bit of Needs per check. An access that would need a further
+  /// check is left out of the plan, so it checks every iteration.
+  static constexpr uint32_t MaxChecks = 64;
+  uint32_t CheckBegin = 0, CheckEnd = 0;
+  uint32_t TargetBegin = 0, TargetEnd = 0;
+};
+
 struct Loop {
   int32_t Var = 0;     ///< the loop variable's slot
   int32_t Ctr = 0;     ///< register: the iteration value
@@ -179,7 +211,7 @@ struct Loop {
   uint32_t Exit = 0;   ///< first instruction after the loop
   double Overhead = 0; ///< LoopOverhead * ArithScale
   LoopModel Model;
-  std::vector<int32_t> Reduced; ///< accesses strength-reduced in this loop
+  EntryPlan Plan; ///< for the accesses strength-reduced in this loop
 };
 
 struct ArrayInfo {
@@ -216,6 +248,8 @@ struct CompiledProgram {
   std::vector<Access> Accesses;
   std::vector<DimForm> Dims;
   std::vector<Term> Terms;
+  std::vector<EntryPlan::Check> PlanChecks;
+  std::vector<EntryPlan::Target> PlanTargets;
   std::vector<Loop> Loops;
   std::vector<std::string> Messages;
   std::vector<Cell> InitRegs; ///< constants set, everything else zero
@@ -677,6 +711,7 @@ struct CompiledProgram {
     int32_t Id;
     const ForStmt *For;
     std::set<std::string> Assigned;
+    std::vector<int32_t> Reduced; ///< accesses strength-reduced here
   };
   std::vector<LoopScope> Scopes;
 
@@ -834,7 +869,7 @@ struct CompiledProgram {
     }
     Ac.DimEnd = static_cast<uint32_t>(Dims.size());
     if (AllAffine && !Scopes.empty() && Scopes.back().For->Step > 0) {
-      const LoopScope &L = Scopes.back();
+      LoopScope &L = Scopes.back();
       bool Invariant = !L.Assigned.count(L.For->Var);
       for (const auto &F : Forms)
         for (const auto &[Name, Coeff] : F->coeffs()) {
@@ -845,7 +880,7 @@ struct CompiledProgram {
         }
       if (Invariant) {
         Ac.LoopVar = ScalarSlots.at(L.For->Var);
-        Loops[static_cast<size_t>(L.Id)].Reduced.push_back(AccId);
+        L.Reduced.push_back(AccId);
       }
     }
     Accesses[static_cast<size_t>(AccId)] = Ac;
@@ -1030,6 +1065,99 @@ struct CompiledProgram {
          TargetDouble ? doubleCharge() : intCharge());
   }
 
+  /// Whether Terms[B, E) are \p F's terms without \p Var's.
+  bool sameOuterTerms(uint32_t B, uint32_t E, const DimForm &F,
+                      int32_t Var) const {
+    for (uint32_t X = F.TermBegin; X < F.TermEnd; ++X) {
+      if (Terms[X].Reg == Var)
+        continue;
+      if (B == E || Terms[B].Reg != Terms[X].Reg ||
+          Terms[B].Coeff != Terms[X].Coeff)
+        return false;
+      ++B;
+    }
+    return B == E;
+  }
+
+  /// The entry plan of a loop whose body strength-reduced \p Reduced. A
+  /// linear scan over the plan's checks so far finds each subscript's group.
+  EntryPlan planEntry(const std::vector<int32_t> &Reduced) {
+    EntryPlan P;
+    P.CheckBegin = static_cast<uint32_t>(PlanChecks.size());
+    P.TargetBegin = static_cast<uint32_t>(PlanTargets.size());
+    auto Own = PlanChecks.begin() + P.CheckBegin;
+    for (int32_t Id : Reduced) {
+      const Access &Ac = Accesses[static_cast<size_t>(Id)];
+      EntryPlan::Target T;
+      T.Access = Id;
+      bool Planned = true;
+      for (uint32_t D = Ac.DimBegin; D < Ac.DimEnd; ++D) {
+        const DimForm &F = Dims[D];
+        int64_t VarCoeff = 0;
+        for (uint32_t X = F.TermBegin; X < F.TermEnd; ++X)
+          if (Terms[X].Reg == Ac.LoopVar)
+            VarCoeff = Terms[X].Coeff;
+        auto Group = std::find_if(Own, PlanChecks.end(),
+                                  [&](const EntryPlan::Check &C) {
+                                    return C.Extent == F.Extent &&
+                                           C.VarCoeff == VarCoeff &&
+                                           sameOuterTerms(C.TermBegin,
+                                                          C.TermEnd, F,
+                                                          Ac.LoopVar);
+                                  });
+        if (Group != PlanChecks.end()) {
+          Group->KLo = std::min(Group->KLo, F.Const);
+          Group->KHi = std::max(Group->KHi, F.Const);
+        } else if (PlanChecks.end() - Own < EntryPlan::MaxChecks) {
+          EntryPlan::Check C;
+          C.Extent = F.Extent;
+          C.VarCoeff = VarCoeff;
+          C.KLo = C.KHi = F.Const;
+          C.TermBegin = static_cast<uint32_t>(Terms.size());
+          for (uint32_t X = F.TermBegin; X < F.TermEnd; ++X)
+            if (Terms[X].Reg != Ac.LoopVar)
+              Terms.push_back(Terms[X]);
+          C.TermEnd = static_cast<uint32_t>(Terms.size());
+          Group = PlanChecks.insert(PlanChecks.end(), C);
+          Own = PlanChecks.begin() + P.CheckBegin;
+        } else {
+          Planned = false;
+          break;
+        }
+        T.Needs |= uint64_t{1} << (Group - Own);
+      }
+      if (!Planned)
+        continue;
+      // The flat index's terms, one per register, in wrapping uint64_t.
+      T.TermBegin = static_cast<uint32_t>(Terms.size());
+      for (uint32_t D = Ac.DimBegin; D < Ac.DimEnd; ++D) {
+        const DimForm &F = Dims[D];
+        T.Const +=
+            static_cast<uint64_t>(F.Const) * static_cast<uint64_t>(F.Stride);
+        for (uint32_t X = F.TermBegin; X < F.TermEnd; ++X) {
+          Term Y = Terms[X];
+          if (Y.Reg == Ac.LoopVar)
+            continue;
+          uint64_t Scaled =
+              static_cast<uint64_t>(Y.Coeff) * static_cast<uint64_t>(F.Stride);
+          auto Same = std::find_if(
+              Terms.begin() + T.TermBegin, Terms.end(),
+              [&](const Term &Z) { return Z.Reg == Y.Reg; });
+          if (Same == Terms.end())
+            Terms.push_back({Y.Reg, static_cast<int64_t>(Scaled)});
+          else
+            Same->Coeff = static_cast<int64_t>(
+                static_cast<uint64_t>(Same->Coeff) + Scaled);
+        }
+      }
+      T.TermEnd = static_cast<uint32_t>(Terms.size());
+      PlanTargets.push_back(T);
+    }
+    P.CheckEnd = static_cast<uint32_t>(PlanChecks.size());
+    P.TargetEnd = static_cast<uint32_t>(PlanTargets.size());
+    return P;
+  }
+
   void lowerLoop(const ForStmt &F) {
     LoopModel M;
     compileLoopPragmas(F, M);
@@ -1059,10 +1187,11 @@ struct CompiledProgram {
     Loops[static_cast<size_t>(Id)].Body = static_cast<uint32_t>(Code.size());
     bool SavedParallel = InModeledParallel;
     InModeledParallel = InModeledParallel || Parallel;
-    Scopes.push_back({Id, &F, {}});
+    Scopes.push_back({Id, &F, {}, {}});
     collectAssigned(*F.Body, Scopes.back().Assigned);
     for (const auto &Sub : F.Body->Stmts)
       lowerStmt(*Sub);
+    Loops[static_cast<size_t>(Id)].Plan = planEntry(Scopes.back().Reduced);
     Scopes.pop_back();
     InModeledParallel = SavedParallel;
     Scale = SavedScale;
@@ -1168,45 +1297,45 @@ struct CompiledProgram {
                 std::to_string(A.Dims[Dim]) + ")");
   }
 
-  /// On entry to a loop iterating from \p First to \p Last: strength-reduces
-  /// each of its accesses \p Reduced whose indices are in bounds at both
-  /// ends. It runs once per loop entry, not per instruction, and is kept out
-  /// of exec(): inlined, its loops push the handlers' state (the instruction
-  /// pointer, the cycle total) out of registers.
-  [[gnu::noinline]] void enterReduced(const std::vector<int32_t> &Reduced,
-                                      const Cell *R, int64_t First,
-                                      int64_t Last) {
-    for (int32_t Id : Reduced) {
-      Access &Ac = Accesses[static_cast<size_t>(Id)];
-      // An index whose arithmetic overflows is left unproven: the access
-      // then checks every iteration, which gives the same result.
-      bool InBounds = true;
-      int64_t FlatFirst = 0;
-      for (uint32_t D = Ac.DimBegin; D < Ac.DimEnd && InBounds; ++D) {
-        const DimForm &F = Dims[D];
-        int64_t AtFirst = F.Const, VarCoeff = 0, Product;
-        for (uint32_t T = F.TermBegin; T < F.TermEnd; ++T) {
-          const Term &X = Terms[T];
-          bool IsVar = X.Reg == Ac.LoopVar;
-          if (IsVar)
-            VarCoeff = X.Coeff;
-          InBounds &= !__builtin_mul_overflow(
-                          X.Coeff, IsVar ? First : R[X.Reg].I, &Product) &&
-                      !__builtin_add_overflow(AtFirst, Product, &AtFirst);
-        }
-        int64_t Span, AtLast;
-        InBounds &= !__builtin_sub_overflow(Last, First, &Span) &&
-                    !__builtin_mul_overflow(VarCoeff, Span, &Product) &&
-                    !__builtin_add_overflow(AtFirst, Product, &AtLast) &&
-                    AtFirst >= 0 && AtFirst < F.Extent && AtLast >= 0 &&
-                    AtLast < F.Extent;
-        FlatFirst += AtFirst * F.Stride;
+  /// On entry to a loop iterating from \p First to \p Last: runs the loop's
+  /// entry plan \p P. Each check is proven once, then each planned access
+  /// is strength-reduced when all the checks it needs hold. It runs once per
+  /// loop entry, not per instruction, and is kept out of exec(): inlined,
+  /// its loops push the handlers' state (the instruction pointer, the cycle
+  /// total) out of registers.
+  [[gnu::noinline]] void enterReduced(const EntryPlan &P, const Cell *R,
+                                      int64_t First, int64_t Last) {
+    // A check whose arithmetic overflows fails: its accesses then check
+    // every iteration, which gives the same result.
+    int64_t Span, Product;
+    uint64_t Failed =
+        __builtin_sub_overflow(Last, First, &Span) ? ~uint64_t{0} : 0;
+    for (uint32_t C = P.CheckBegin; C < P.CheckEnd; ++C) {
+      const EntryPlan::Check &K = PlanChecks[C];
+      int64_t AtFirst, AtLast, Low, High;
+      bool Ok = !__builtin_mul_overflow(K.VarCoeff, First, &AtFirst);
+      for (uint32_t T = K.TermBegin; T < K.TermEnd; ++T) {
+        const Term &X = Terms[T];
+        Ok = Ok && !__builtin_mul_overflow(X.Coeff, R[X.Reg].I, &Product) &&
+             !__builtin_add_overflow(AtFirst, Product, &AtFirst);
       }
-      Ac.Hoisted = InBounds;
-      if (InBounds)
-        Ac.FlatBase = static_cast<uint64_t>(FlatFirst) -
-                      static_cast<uint64_t>(Ac.Delta) *
-                          static_cast<uint64_t>(First);
+      Ok = Ok && !__builtin_mul_overflow(K.VarCoeff, Span, &Product) &&
+           !__builtin_add_overflow(AtFirst, Product, &AtLast) &&
+           !__builtin_add_overflow(std::min(AtFirst, AtLast), K.KLo, &Low) &&
+           !__builtin_add_overflow(std::max(AtFirst, AtLast), K.KHi, &High) &&
+           Low >= 0 && High < K.Extent;
+      Failed |= static_cast<uint64_t>(!Ok) << (C - P.CheckBegin);
+    }
+    // Wrapping arithmetic: exact whenever the access's checks hold.
+    for (uint32_t I = P.TargetBegin; I < P.TargetEnd; ++I) {
+      const EntryPlan::Target &T = PlanTargets[I];
+      uint64_t Flat = T.Const;
+      for (uint32_t X = T.TermBegin; X < T.TermEnd; ++X)
+        Flat += static_cast<uint64_t>(Terms[X].Coeff) *
+                static_cast<uint64_t>(R[Terms[X].Reg].I);
+      Access &Ac = Accesses[static_cast<size_t>(T.Access)];
+      Ac.Hoisted = (T.Needs & Failed) == 0;
+      Ac.FlatBase = Flat;
     }
   }
 
@@ -1394,10 +1523,10 @@ struct CompiledProgram {
       LOCUS_DISPATCH();                                                        \
     }                                                                          \
     R[L.Ctr].I = Lo;                                                           \
-    if (!L.Reduced.empty()) {                                                  \
+    if (L.Plan.TargetBegin != L.Plan.TargetEnd) {                              \
       uint64_t Span = static_cast<uint64_t>(Hi) - static_cast<uint64_t>(Lo);   \
       uint64_t Step = static_cast<uint64_t>(L.Step);                           \
-      enterReduced(L.Reduced, R, Lo,                                           \
+      enterReduced(L.Plan, R, Lo,                                              \
                    static_cast<int64_t>(static_cast<uint64_t>(Lo) +            \
                                         (Span - 1) / Step * Step));            \
     }                                                                          \
