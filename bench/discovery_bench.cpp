@@ -3,17 +3,14 @@
 // Times the pragma-free region-discovery pipeline over the unannotated
 // PolyBench-style kernels and then tunes the hottest discovered region of
 // one kernel end-to-end (discover -> annotate -> generic Fig. 13 program ->
-// bandit search), producing the per-PR perf snapshot BENCH_discovery.json.
+// bandit search).
 //
-// The snapshot captures, per kernel: nests scanned, verdict counts, the top
-// candidate's hotness, and the discovery wall time; plus the search's point
-// count, assessments, baseline/best cycles and wall time. Re-run after
-// changes that touch analysis/ or the orchestrator and diff the JSON.
+// The table shows, per kernel: nests scanned, verdict counts, the top
+// candidate's hotness, and the discovery wall time; then the search's point
+// count, assessments, baseline/best cycles and wall time.
 //
 // Knobs: LOCUS_BENCH_SIZE   (problem size N, default 40),
-//        LOCUS_BENCH_BUDGET (search assessments, default 24),
-//        LOCUS_BENCH_JSON   (output path, default BENCH_discovery.json;
-//                            empty string disables the JSON write).
+//        LOCUS_BENCH_BUDGET (search assessments, default 24).
 //
 //===----------------------------------------------------------------------===//
 
@@ -65,54 +62,13 @@ int countVerdict(const analysis::DiscoveryReport &R,
   return N;
 }
 
-void writeJson(const std::string &Path, int N, int Budget,
-               const std::vector<KernelRow> &Rows, const SearchRow &S) {
-  if (Path.empty())
-    return;
-  std::FILE *F = std::fopen(Path.c_str(), "w");
-  if (!F) {
-    std::fprintf(stderr, "warning: cannot write %s\n", Path.c_str());
-    return;
-  }
-  std::fprintf(F, "{\n  \"bench\": \"discovery\",\n");
-  std::fprintf(F, "  \"machine\": \"simulated xeonE5v3\",\n");
-  std::fprintf(F, "  \"problem_size\": %d,\n  \"search_budget\": %d,\n", N,
-               Budget);
-  std::fprintf(F, "  \"kernels\": [\n");
-  for (size_t I = 0; I < Rows.size(); ++I) {
-    const KernelRow &R = Rows[I];
-    std::fprintf(F,
-                 "    {\"name\": \"%s\", \"nests_scanned\": %d, "
-                 "\"selected\": %d, \"demoted\": %d, \"rejected\": %d, "
-                 "\"top_hotness\": %.6g, \"discover_ms\": %.3f}%s\n",
-                 R.Name.c_str(), R.Scanned, R.Selected, R.Demoted, R.Rejected,
-                 R.TopHotness, R.DiscoverMs,
-                 I + 1 < Rows.size() ? "," : "");
-  }
-  std::fprintf(F, "  ],\n");
-  std::fprintf(F,
-               "  \"search\": {\"kernel\": \"%s\", \"region\": \"%s\", "
-               "\"searcher\": \"%s\", \"points\": %llu, \"assessed\": %d, "
-               "\"baseline_cycles\": %.0f, \"best_cycles\": %.0f, "
-               "\"speedup\": %.4f, \"search_ms\": %.3f}\n",
-               S.Kernel.c_str(), S.Region.c_str(), S.Searcher.c_str(),
-               S.Points, S.Assessed, S.BaselineCycles, S.BestCycles, S.Speedup,
-               S.SearchMs);
-  std::fprintf(F, "}\n");
-  std::fclose(F);
-  std::printf("\nwrote %s\n", Path.c_str());
-}
-
 void runDiscoveryBench() {
   int N = bench::envInt("LOCUS_BENCH_SIZE", 40);
   int Budget = bench::envInt("LOCUS_BENCH_BUDGET", 24);
-  const char *JsonEnv = std::getenv("LOCUS_BENCH_JSON");
-  std::string JsonPath = JsonEnv ? JsonEnv : "BENCH_discovery.json";
 
   banner("Region discovery: PolyBench scan + one discovered-region search");
   std::printf("problem size %d, search budget %d\n\n", N, Budget);
 
-  std::vector<KernelRow> Rows;
   std::printf("%-8s %8s %9s %8s %9s %12s %12s\n", "kernel", "scanned",
               "selected", "demoted", "rejected", "top hotness", "discover ms");
   for (const std::string &Name : workloads::polybenchKernels()) {
@@ -128,7 +84,6 @@ void runDiscoveryBench() {
     Row.Rejected = countVerdict(R, analysis::CandidateVerdict::Rejected);
     if (!R.Candidates.empty())
       Row.TopHotness = R.Candidates.front().Hotness;
-    Rows.push_back(Row);
     std::printf("%-8s %8d %9d %8d %9d %12.4g %12.3f\n", Name.c_str(),
                 Row.Scanned, Row.Selected, Row.Demoted, Row.Rejected,
                 Row.TopHotness, Row.DiscoverMs);
@@ -179,8 +134,6 @@ void runDiscoveryBench() {
               S.Kernel.c_str(), S.Region.c_str(), S.Searcher.c_str(), S.Points,
               S.Assessed, S.BaselineCycles, S.BestCycles, S.Speedup,
               S.SearchMs);
-
-  writeJson(JsonPath, N, Budget, Rows, S);
 }
 
 /// Microbenchmark: cost of one discovery pass over a PolyBench kernel.

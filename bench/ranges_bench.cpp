@@ -4,12 +4,10 @@
 // per PolyBench kernel) and measures what range-driven pruning buys a
 // dependent-range search: the same dgemm tile search run with the legality
 // oracle on and off, comparing objective invocations and wall time under an
-// identical trajectory. Produces the per-PR perf snapshot BENCH_ranges.json.
+// identical trajectory.
 //
 // Knobs: LOCUS_BENCH_SIZE   (problem size N, default 40),
-//        LOCUS_BENCH_BUDGET (search assessments, default 48),
-//        LOCUS_BENCH_JSON   (output path, default BENCH_ranges.json;
-//                            empty string disables the JSON write).
+//        LOCUS_BENCH_BUDGET (search assessments, default 48).
 //
 //===----------------------------------------------------------------------===//
 
@@ -57,47 +55,6 @@ struct PruneRow {
   double SearchMsOff = 0;
 };
 
-void writeJson(const std::string &Path, int N, int Budget,
-               const std::vector<KernelRow> &Rows,
-               const std::vector<PruneRow> &Prunes) {
-  if (Path.empty())
-    return;
-  std::FILE *F = std::fopen(Path.c_str(), "w");
-  if (!F) {
-    std::fprintf(stderr, "warning: cannot write %s\n", Path.c_str());
-    return;
-  }
-  std::fprintf(F, "{\n  \"bench\": \"ranges\",\n");
-  std::fprintf(F, "  \"problem_size\": %d,\n  \"search_budget\": %d,\n", N,
-               Budget);
-  std::fprintf(F, "  \"bounds_proofs\": [\n");
-  for (size_t I = 0; I < Rows.size(); ++I) {
-    const KernelRow &R = Rows[I];
-    std::fprintf(F,
-                 "    {\"kernel\": \"%s\", \"subscripts\": %d, "
-                 "\"proven\": %d, \"violations\": %d, \"unproven\": %d, "
-                 "\"check_ms\": %.3f}%s\n",
-                 R.Name.c_str(), R.Checked, R.Proven, R.Violations, R.Unproven,
-                 R.CheckMs, I + 1 < Rows.size() ? "," : "");
-  }
-  std::fprintf(F, "  ],\n");
-  std::fprintf(F, "  \"range_prune\": [\n");
-  for (size_t I = 0; I < Prunes.size(); ++I) {
-    const PruneRow &P = Prunes[I];
-    std::fprintf(F,
-                 "    {\"searcher\": \"%s\", \"evaluations\": %d, "
-                 "\"pruned_by_range\": %d, \"objective_calls_on\": %d, "
-                 "\"objective_calls_off\": %d, \"search_ms_on\": %.3f, "
-                 "\"search_ms_off\": %.3f}%s\n",
-                 P.Searcher.c_str(), P.Evaluations, P.PrunedByRange,
-                 P.ObjectiveCallsOn, P.ObjectiveCallsOff, P.SearchMsOn,
-                 P.SearchMsOff, I + 1 < Prunes.size() ? "," : "");
-  }
-  std::fprintf(F, "  ]\n}\n");
-  std::fclose(F);
-  std::printf("\nwrote %s\n", Path.c_str());
-}
-
 const char *DependentRangeProgram = R"(
 Search {
   buildcmd = "make";
@@ -140,13 +97,10 @@ driver::SearchWorkflowResult runTileSearch(const std::string &Searcher,
 void runRangesBench() {
   int N = bench::envInt("LOCUS_BENCH_SIZE", 40);
   int Budget = bench::envInt("LOCUS_BENCH_BUDGET", 48);
-  const char *JsonEnv = std::getenv("LOCUS_BENCH_JSON");
-  std::string JsonPath = JsonEnv ? JsonEnv : "BENCH_ranges.json";
 
   banner("Range analysis: corpus bounds proofs + range-driven pruning");
   std::printf("problem size %d, search budget %d\n\n", N, Budget);
 
-  std::vector<KernelRow> Rows;
   std::printf("%-8s %10s %8s %10s %9s %9s\n", "kernel", "subscripts", "proven",
               "violations", "unproven", "check ms");
   for (const std::string &Name : workloads::polybenchKernels()) {
@@ -160,14 +114,12 @@ void runRangesBench() {
     Row.Proven = R.Proven;
     Row.Violations = R.violations();
     Row.Unproven = R.unproven();
-    Rows.push_back(Row);
     std::printf("%-8s %10d %8d %10d %9d %9.3f\n", Name.c_str(), Row.Checked,
                 Row.Proven, Row.Violations, Row.Unproven, Row.CheckMs);
   }
 
   // Range-driven pruning on the dependent-range dgemm tile space: identical
   // trajectory by construction, fewer objective invocations, less time.
-  std::vector<PruneRow> Prunes;
   std::printf("\n%-10s %6s %9s %8s %9s %8s %9s\n", "searcher", "evals",
               "by-range", "obj(on)", "obj(off)", "ms(on)", "ms(off)");
   for (const char *Searcher : {"exhaustive", "random", "bandit", "tpe"}) {
@@ -181,13 +133,10 @@ void runRangesBench() {
     Row.PrunedByRange = On.Search.PrunedStaticByRange;
     Row.ObjectiveCallsOn = On.Search.Evaluations - On.Search.PrunedStatic;
     Row.ObjectiveCallsOff = Off.Search.Evaluations - Off.Search.PrunedStatic;
-    Prunes.push_back(Row);
     std::printf("%-10s %6d %9d %8d %9d %8.1f %9.1f\n", Searcher,
                 Row.Evaluations, Row.PrunedByRange, Row.ObjectiveCallsOn,
                 Row.ObjectiveCallsOff, Row.SearchMsOn, Row.SearchMsOff);
   }
-
-  writeJson(JsonPath, N, Budget, Rows, Prunes);
 }
 
 /// Microbenchmark: cost of one whole-program bounds scan.

@@ -4,20 +4,18 @@
 // baseline on the Fig. 5 DGEMM search (tiny machine, simulated metric): one
 // `--jobs 1` reference run, then coordinator + worker-fleet runs at 1, 2 and
 // 4 workers, each verifying the determinism anchor (identical best cycles)
-// along the way. The snapshot lands in BENCH_service.json.
+// along the way.
 //
 // On this workload a simulated evaluation costs ~1 ms, so the numbers mostly
 // price the service's *overhead* — queue round-trips, worker spawn and
 // supervision. The service pays off when an evaluation costs seconds (native
 // compile-and-run); the overhead being bounded and visible here is the point
-// of checking the snapshot in.
+// of the table.
 //
 // The binary re-execs itself as the worker fleet (argv: --service-worker
 // <queue-dir>), the same pattern locus_cli --serve uses.
 //
-// Knobs: LOCUS_BENCH_BUDGET (assessments per run, default 24),
-//        LOCUS_BENCH_JSON   (output path, default BENCH_service.json;
-//                            empty string disables the JSON write).
+// Knobs: LOCUS_BENCH_BUDGET (assessments per run, default 24).
 //
 //===----------------------------------------------------------------------===//
 
@@ -137,40 +135,8 @@ RunRow runOnce(const Workload &W, int Budget, int Workers,
   return Row;
 }
 
-void writeJson(const std::string &Path, int Budget,
-               const std::vector<RunRow> &Rows) {
-  if (Path.empty())
-    return;
-  std::FILE *F = std::fopen(Path.c_str(), "w");
-  if (!F) {
-    std::fprintf(stderr, "warning: cannot write %s\n", Path.c_str());
-    return;
-  }
-  std::fprintf(F, "{\n  \"bench\": \"service\",\n");
-  std::fprintf(F, "  \"workload\": \"dgemm 24x24x24, de, tiny machine\",\n");
-  std::fprintf(F, "  \"search_budget\": %d,\n  \"runs\": [\n", Budget);
-  for (size_t I = 0; I < Rows.size(); ++I) {
-    const RunRow &R = Rows[I];
-    std::fprintf(F,
-                 "    {\"mode\": \"%s\", \"workers\": %d, \"wall_ms\": %.1f, "
-                 "\"evals_per_sec\": %.1f, \"worker_results\": %llu, "
-                 "\"local_fallback\": %llu, \"spawned\": %d, "
-                 "\"best_cycles\": %.0f, \"matches_local\": %s}%s\n",
-                 R.Workers == 0 ? "local" : "serve", R.Workers, R.Ms,
-                 R.EvalsPerSec, (unsigned long long)R.WorkerResults,
-                 (unsigned long long)R.LocalFallback, R.Spawned, R.BestCycles,
-                 R.MatchesLocal ? "true" : "false",
-                 I + 1 < Rows.size() ? "," : "");
-  }
-  std::fprintf(F, "  ]\n}\n");
-  std::fclose(F);
-  std::printf("\nwrote %s\n", Path.c_str());
-}
-
 void runServiceBench(const char *Argv0) {
   int Budget = bench::envInt("LOCUS_BENCH_BUDGET", 24);
-  const char *JsonEnv = std::getenv("LOCUS_BENCH_JSON");
-  std::string JsonPath = JsonEnv ? JsonEnv : "BENCH_service.json";
   std::string Exe = selfExe(Argv0);
 
   banner("Tuning service: eval throughput vs the in-process baseline");
@@ -179,9 +145,7 @@ void runServiceBench(const char *Argv0) {
               "wall ms", "evals/sec", "worker results", "spawned", "match");
 
   Workload W = mustLoadDgemm();
-  std::vector<RunRow> Rows;
   RunRow Local = runOnce(W, Budget, 0, Exe, "");
-  Rows.push_back(Local);
   std::printf("%-7s %8d %10.1f %13.1f %14llu %8d %8s\n", "local", 0, Local.Ms,
               Local.EvalsPerSec, 0ull, 0, "-");
 
@@ -190,7 +154,6 @@ void runServiceBench(const char *Argv0) {
     RunRow Row = runOnce(W, Budget, Workers, Exe,
                          Dir.path() + "/q" + std::to_string(Workers));
     Row.MatchesLocal = Row.BestCycles == Local.BestCycles;
-    Rows.push_back(Row);
     std::printf("%-7s %8d %10.1f %13.1f %14llu %8d %8s\n", "serve", Workers,
                 Row.Ms, Row.EvalsPerSec,
                 (unsigned long long)Row.WorkerResults, Row.Spawned,
@@ -201,7 +164,6 @@ void runServiceBench(const char *Argv0) {
                    "trajectory: best %.0f != %.0f\n",
                    Workers, Row.BestCycles, Local.BestCycles);
   }
-  writeJson(JsonPath, Budget, Rows);
 }
 
 /// Microbenchmark: one full queue round-trip (announce -> claim -> result ->

@@ -15,14 +15,11 @@
 //     constant bounds and a positive step: status, message and an FNV-1a
 //     hash plus the length of the printed program.
 //
-// Regenerating the golden file (only when a change to these facts is
-// intended):
-//
-//   LOCUS_WRITE_GOLDEN=tests/data/const_golden.txt build/tests/locus_tests
-//       --gtest_filter=ConstParity.MatchesGolden
+// tests/Golden.h says how to regenerate the golden file.
 //
 //===----------------------------------------------------------------------===//
 
+#include "Golden.h"
 #include "TestFiles.h"
 
 #include "src/analysis/Dependence.h"
@@ -39,9 +36,6 @@
 #include <gtest/gtest.h>
 
 #include <cstdio>
-#include <cstdlib>
-#include <fstream>
-#include <map>
 #include <sstream>
 #include <string>
 #include <utility>
@@ -51,21 +45,6 @@ namespace locus {
 namespace {
 
 using Lines = std::vector<std::pair<std::string, std::string>>;
-
-std::string escape(const std::string &S) {
-  std::string Out;
-  for (char C : S) {
-    if (C == '\n')
-      Out += "\\n";
-    else if (C == '\t')
-      Out += "\\t";
-    else if (C == '\\')
-      Out += "\\\\";
-    else
-      Out += C;
-  }
-  return Out;
-}
 
 std::string hexBits(double D) {
   char Buf[32];
@@ -102,7 +81,7 @@ void recordDiscovery(const std::string &Key, const cir::Program &P,
          << C.FootprintBytes << " hotness " << hexBits(C.Hotness) << " why "
          << (C.Why.Message.empty() ? std::string("-") : C.Why.render());
     Out.emplace_back(Key + "/discover/" + std::to_string(I),
-                     escape(Line.str()));
+                     test::escapeField(Line.str()));
   }
   Out.emplace_back(Key + "/discover/scanned",
                    std::to_string(R.NumScanned) + " annotated " +
@@ -125,7 +104,7 @@ void recordDependences(const std::string &Key, cir::Program &P, Lines &Out) {
         Line << ";";
       }
     }
-    Out.emplace_back(Key + "/deps/" + L.Path, escape(Line.str()));
+    Out.emplace_back(Key + "/deps/" + L.Path, test::escapeField(Line.str()));
   }
 }
 
@@ -156,7 +135,7 @@ void recordUnrolls(const std::string &Key, const cir::Program &P, Lines &Out) {
         Out.emplace_back(Key + (Jam ? "/uaj/" : "/unroll/") + L.Path + "/f" +
                              std::to_string(Factor),
                          std::string(statusName(R.Status)) + " " +
-                             escape(R.Message) + " " +
+                             test::escapeField(R.Message) + " " +
                              std::to_string(fnv1a(Text)) + " " +
                              std::to_string(Text.size()));
       }
@@ -173,7 +152,8 @@ void recordProgram(const std::string &Key, const std::string &Source,
   auto Bare = cir::parseProgram(analysis::stripLocusRegionPragmas(Source));
   ASSERT_TRUE(Bare.ok()) << Key << ": " << Bare.message();
   recordDiscovery(Key, **Bare, Out);
-  Out.emplace_back(Key + "/bounds", escape(analysis::checkBounds(P).render()));
+  Out.emplace_back(Key + "/bounds",
+                   test::escapeField(analysis::checkBounds(P).render()));
   recordDependences(Key, P, Out);
   recordUnrolls(Key, P, Out);
 }
@@ -193,44 +173,13 @@ Lines buildLines() {
   return Out;
 }
 
-std::string goldenPath() { return LOCUS_TEST_DATA_DIR "/const_golden.txt"; }
-
 TEST(ConstParity, MatchesGolden) {
   Lines Got = buildLines();
   ASSERT_GT(Got.size(), 1000u);
-  if (const char *Path = std::getenv("LOCUS_WRITE_GOLDEN")) {
-    std::ofstream F(Path);
-    F << "# Constant-bound facts of tests/ConstParityTest.cpp's corpus; see "
-         "the header of that file.\n";
-    for (const auto &[Key, Value] : Got)
-      F << Key << "\t" << Value << "\n";
-    ASSERT_TRUE(F.good()) << Path;
-    GTEST_SKIP() << "wrote " << Got.size() << " golden lines to " << Path;
-  }
-  std::ifstream In(goldenPath());
-  ASSERT_TRUE(In.good()) << goldenPath();
-  std::map<std::string, std::string> Golden;
-  std::string Line;
-  while (std::getline(In, Line)) {
-    if (Line.empty() || Line[0] == '#')
-      continue;
-    size_t Tab = Line.find('\t');
-    ASSERT_NE(Tab, std::string::npos) << Line;
-    Golden[Line.substr(0, Tab)] = Line.substr(Tab + 1);
-  }
-  EXPECT_EQ(Golden.size(), Got.size());
-  int Mismatches = 0;
-  for (const auto &[Key, Value] : Got) {
-    auto It = Golden.find(Key);
-    if (It == Golden.end()) {
-      ADD_FAILURE() << "no golden line for " << Key;
-      continue;
-    }
-    if (Value != It->second && ++Mismatches <= 20)
-      ADD_FAILURE() << Key << "\n  golden: " << It->second
-                    << "\n  got:    " << Value;
-  }
-  EXPECT_EQ(Mismatches, 0);
+  std::vector<std::string> Text;
+  for (const auto &[Key, Value] : Got)
+    Text.push_back(Key + "\t" + Value);
+  test::expectGolden("const_golden.txt", Text);
 }
 
 } // namespace

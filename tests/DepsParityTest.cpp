@@ -17,14 +17,11 @@
 // It also pins makeCacheKey(printProgram(V)) for a few seeded variants, so
 // a printer change that moves a byte invalidates no locus-evalcache store.
 //
-// Regenerating the golden file (only when a change to these facts is
-// intended):
-//
-//   LOCUS_WRITE_GOLDEN=tests/data/deps_golden.txt build/tests/locus_tests
-//       --gtest_filter=DepsParity.MatchesGolden
+// tests/Golden.h says how to regenerate the golden file.
 //
 //===----------------------------------------------------------------------===//
 
+#include "Golden.h"
 #include "TestFiles.h"
 
 #include "src/analysis/Dependence.h"
@@ -48,8 +45,6 @@
 #include <algorithm>
 #include <cinttypes>
 #include <cstdio>
-#include <cstdlib>
-#include <fstream>
 #include <map>
 #include <memory>
 #include <set>
@@ -65,21 +60,6 @@ using Lines = std::vector<std::pair<std::string, std::string>>;
 
 /// Lists longer than this are recorded by hash only.
 constexpr size_t MaxListedDeps = 600;
-
-std::string escape(const std::string &S) {
-  std::string Out;
-  for (char C : S) {
-    if (C == '\n')
-      Out += "\\n";
-    else if (C == '\t')
-      Out += "\\t";
-    else if (C == '\\')
-      Out += "\\\\";
-    else
-      Out += C;
-  }
-  return Out;
-}
 
 std::unique_ptr<cir::Program> parse(const std::string &Key,
                                     const std::string &Src) {
@@ -136,7 +116,7 @@ void recordLoops(const std::string &Key, cir::Program &P, Lines &Out) {
       Witnesses += " | " + W.render();
     Line << " | witnesses " << Rep.Witnesses.size() << list(Witnesses)
          << " | clauses " << Rep.clauses();
-    Out.emplace_back(Key + "/" + L.Path, escape(Line.str()));
+    Out.emplace_back(Key + "/" + L.Path, test::escapeField(Line.str()));
   }
 }
 
@@ -230,44 +210,13 @@ Lines buildLines() {
   return Out;
 }
 
-std::string goldenPath() { return LOCUS_TEST_DATA_DIR "/deps_golden.txt"; }
-
 TEST(DepsParity, MatchesGolden) {
   Lines Got = buildLines();
   ASSERT_GT(Got.size(), 500u);
-  if (const char *Path = std::getenv("LOCUS_WRITE_GOLDEN")) {
-    std::ofstream F(Path);
-    F << "# Dependence facts of tests/DepsParityTest.cpp's corpus; see the "
-         "header of that file.\n";
-    for (const auto &[Key, Value] : Got)
-      F << Key << "\t" << Value << "\n";
-    ASSERT_TRUE(F.good()) << Path;
-    GTEST_SKIP() << "wrote " << Got.size() << " golden lines to " << Path;
-  }
-  std::ifstream In(goldenPath());
-  ASSERT_TRUE(In.good()) << goldenPath();
-  std::map<std::string, std::string> Golden;
-  std::string Line;
-  while (std::getline(In, Line)) {
-    if (Line.empty() || Line[0] == '#')
-      continue;
-    size_t Tab = Line.find('\t');
-    ASSERT_NE(Tab, std::string::npos) << Line;
-    Golden[Line.substr(0, Tab)] = Line.substr(Tab + 1);
-  }
-  EXPECT_EQ(Golden.size(), Got.size());
-  int Mismatches = 0;
-  for (const auto &[Key, Value] : Got) {
-    auto It = Golden.find(Key);
-    if (It == Golden.end()) {
-      ADD_FAILURE() << "no golden line for " << Key;
-      continue;
-    }
-    if (Value != It->second && ++Mismatches <= 20)
-      ADD_FAILURE() << Key << "\n  golden: " << It->second
-                    << "\n  got:    " << Value;
-  }
-  EXPECT_EQ(Mismatches, 0);
+  std::vector<std::string> Text;
+  for (const auto &[Key, Value] : Got)
+    Text.push_back(Key + "\t" + Value);
+  test::expectGolden("deps_golden.txt", Text);
 }
 
 std::string hexKey(const cir::Program &V) {

@@ -11,13 +11,11 @@
 // misses and the warnings of a successful run, and Ok plus Error of a
 // failed one.
 //
-// Regenerating the golden file (only when a change to the numbers is
-// intended):
-//
-//   LOCUS_WRITE_GOLDEN=tests/data/eval_golden.txt build/tests/locus_tests
-//       --gtest_filter=EvaluatorParity.MatchesGoldenRunResults
+// tests/Golden.h says how to regenerate the golden file.
 //
 //===----------------------------------------------------------------------===//
+
+#include "Golden.h"
 
 #include "src/analysis/RangeAnalysis.h"
 #include "src/cir/Parser.h"
@@ -34,9 +32,7 @@
 
 #include <algorithm>
 #include <cinttypes>
-#include <cstdlib>
 #include <cstring>
-#include <fstream>
 #include <functional>
 #include <map>
 #include <memory>
@@ -701,17 +697,11 @@ Corpus buildCorpus() {
   return C;
 }
 
-std::string goldenPath() { return LOCUS_TEST_DATA_DIR "/eval_golden.txt"; }
-
 /// Case name -> described RunResult, from the golden file.
 std::map<std::string, std::string> loadGolden() {
   std::map<std::string, std::string> Golden;
-  std::ifstream In(goldenPath());
-  EXPECT_TRUE(In.good()) << goldenPath();
-  std::string Line;
-  while (std::getline(In, Line)) {
-    if (Line.empty() || Line[0] == '#')
-      continue;
+  test::Golden File("eval_golden.txt");
+  for (const std::string &Line : File.records()) {
     size_t Tab = Line.find('\t');
     EXPECT_NE(Tab, std::string::npos) << Line;
     if (Tab != std::string::npos)
@@ -723,31 +713,10 @@ std::map<std::string, std::string> loadGolden() {
 TEST(EvaluatorParity, MatchesGoldenRunResults) {
   Corpus C = buildCorpus();
   ASSERT_GT(C.Cases.size(), 500u);
-  if (const char *Out = std::getenv("LOCUS_WRITE_GOLDEN")) {
-    std::ofstream F(Out);
-    F << "# RunResults of tests/EvalParityTest.cpp's corpus; see the header "
-         "of that file.\n";
-    for (const Case &K : C.Cases)
-      F << K.Name << "\t" << describe(runCase(K)) << "\n";
-    ASSERT_TRUE(F.good()) << Out;
-    GTEST_SKIP() << "wrote " << C.Cases.size() << " golden results to "
-                 << Out;
-  }
-  std::map<std::string, std::string> Golden = loadGolden();
-  EXPECT_EQ(Golden.size(), C.Cases.size());
-  int Mismatches = 0;
-  for (const Case &K : C.Cases) {
-    auto It = Golden.find(K.Name);
-    if (It == Golden.end()) {
-      ADD_FAILURE() << "no golden result for " << K.Name;
-      continue;
-    }
-    std::string Got = describe(runCase(K));
-    if (Got != It->second && ++Mismatches <= 20)
-      ADD_FAILURE() << K.Name << "\n  golden: " << It->second
-                    << "\n  got:    " << Got;
-  }
-  EXPECT_EQ(Mismatches, 0);
+  std::vector<std::string> Got;
+  for (const Case &K : C.Cases)
+    Got.push_back(K.Name + "\t" + describe(runCase(K)));
+  test::expectGolden("eval_golden.txt", Got);
 }
 
 /// Each thread keeps one simulator and rebuilds it only when the machine

@@ -553,59 +553,8 @@ INSTANTIATE_TEST_SUITE_P(Searchers, KillAndResume,
                          });
 
 //===----------------------------------------------------------------------===//
-// Kill-and-resume through the Orchestrator
+// Resume through the Orchestrator
 //===----------------------------------------------------------------------===//
-
-TEST(Journal, OrchestratorResumesInterruptedSearch) {
-  auto LP = lang::parseLocusProgram(workloads::dgemmLocusFig5());
-  ASSERT_TRUE(LP.ok()) << LP.message();
-  auto CP = cir::parseProgram(workloads::dgemmSource(24, 24, 24));
-  ASSERT_TRUE(CP.ok()) << CP.message();
-
-  driver::OrchestratorOptions Opts;
-  Opts.Eval.Machine = machine::MachineConfig::tiny();
-  Opts.Seed = 5;
-  Opts.SearcherName = "bandit";
-  Opts.MaxEvaluations = 24;
-
-  // Uninterrupted reference.
-  driver::Orchestrator Ref(**LP, **CP, Opts);
-  auto RefR = Ref.runSearch();
-  ASSERT_TRUE(RefR.ok()) << RefR.message();
-
-  // Interrupted at 9 evaluations, journaled.
-  TempFile F("orch_resume.jsonl");
-  {
-    driver::OrchestratorOptions Part = Opts;
-    Part.MaxEvaluations = 9;
-    Part.JournalPath = F.Path;
-    driver::Orchestrator Orch(**LP, **CP, Part);
-    auto R = Orch.runSearch();
-    ASSERT_TRUE(R.ok()) << R.message();
-    EXPECT_LE(R->Search.Evaluations, 9);
-  }
-
-  // Resumed with the full budget.
-  driver::OrchestratorOptions Res = Opts;
-  Res.JournalPath = F.Path;
-  Res.ResumeFromJournal = true;
-  driver::Orchestrator Orch(**LP, **CP, Res);
-  auto R = Orch.runSearch();
-  ASSERT_TRUE(R.ok()) << R.message();
-  EXPECT_EQ(R->Search.ReplayedEvaluations, 9);
-  EXPECT_EQ(R->Search.Evaluations, RefR->Search.Evaluations);
-  EXPECT_EQ(R->Search.Best.key(), RefR->Search.Best.key());
-  EXPECT_DOUBLE_EQ(R->BestCycles, RefR->BestCycles);
-  EXPECT_EQ(R->BaselineChosen, RefR->BaselineChosen);
-
-  // The journal now holds the full history and resuming again replays all
-  // of it without fresh evaluations.
-  driver::Orchestrator Again(**LP, **CP, Res);
-  auto R2 = Again.runSearch();
-  ASSERT_TRUE(R2.ok()) << R2.message();
-  EXPECT_EQ(R2->Search.ReplayedEvaluations, R2->Search.Evaluations);
-  EXPECT_EQ(R2->Search.Best.key(), RefR->Search.Best.key());
-}
 
 TEST(Journal, OrchestratorRejectsForeignJournal) {
   auto LP = lang::parseLocusProgram(workloads::dgemmLocusFig5());

@@ -4,14 +4,12 @@
 /// Exercises the discovery pipeline end to end: structural identification of
 /// candidate nests on the unannotated PolyBench kernels, located rejection
 /// and demotion reasons for every bail-out path, the hotness ranking and its
-/// footprint refinement, annotation round-trips through the unparser/parser
-/// pair — and the determinism anchor: tuning an auto-discovered region
-/// replays to the bit-identical trajectory (same history, best point, metric
-/// and journal bytes) as tuning the hand-annotated original, per searcher.
+/// footprint refinement and annotation round-trips through the
+/// unparser/parser pair. That tuning a discovered region replays the
+/// trajectory of tuning the hand-annotated original is a row of the
+/// Anchors suite.
 ///
 //===----------------------------------------------------------------------===//
-
-#include "TestFiles.h"
 
 #include "src/analysis/RegionDiscovery.h"
 #include "src/cir/AstUtils.h"
@@ -19,7 +17,6 @@
 #include "src/cir/Printer.h"
 #include "src/driver/Orchestrator.h"
 #include "src/locus/LocusParser.h"
-#include "src/search/PointCodec.h"
 #include "src/workloads/Workloads.h"
 
 #include <map>
@@ -54,9 +51,6 @@ OrchestratorOptions tinyOptions() {
   Opts.Seed = 5;
   return Opts;
 }
-
-using test::slurp;
-using test::TempFile;
 
 int countVerdict(const DiscoveryReport &R, CandidateVerdict V) {
   int N = 0;
@@ -515,124 +509,6 @@ TEST(RegionDiscovery, StripKeepsForeignPragmas) {
   std::string Out = analysis::stripLocusRegionPragmas(Src);
   EXPECT_NE(Out.find("#pragma omp parallel for"), std::string::npos);
   EXPECT_EQ(Out.find("@Locus"), std::string::npos);
-}
-
-//===----------------------------------------------------------------------===//
-// The determinism anchor
-//===----------------------------------------------------------------------===//
-
-struct TuneResult {
-  driver::SearchWorkflowResult R;
-  std::string JournalBytes;
-};
-
-Expected<TuneResult> tuneProgram(std::unique_ptr<cir::Program> CP,
-                                 const std::string &RegionName,
-                                 const std::string &Searcher, int Budget,
-                                 const std::string &JournalName) {
-  TempFile Journal(JournalName);
-  auto LP = parseLocusOrDie(analysis::genericLocusProgram(RegionName));
-  if (!LP || !CP)
-    return Expected<TuneResult>::error("unparseable program or source");
-  OrchestratorOptions Opts = tinyOptions();
-  Opts.SearcherName = Searcher;
-  Opts.MaxEvaluations = Budget;
-  Opts.JournalPath = Journal.Path;
-  Orchestrator Orch(*LP, *CP, Opts);
-  auto R = Orch.runSearch();
-  if (!R.ok())
-    return Expected<TuneResult>::error(R.message());
-  return TuneResult{std::move(*R), slurp(Journal.Path)};
-}
-
-/// Tunes the hand-annotated source as-is.
-Expected<TuneResult> tuneHand(const std::string &Src,
-                              const std::string &RegionName,
-                              const std::string &Searcher, int Budget) {
-  return tuneProgram(parseCOrDie(Src), RegionName, Searcher, Budget,
-                     "discovery_hand.rlog");
-}
-
-/// Strips the annotations, rediscovers the nest, renames it to the hand
-/// label, annotates, and tunes the result.
-Expected<TuneResult> tuneDiscovered(const std::string &Src,
-                                    const std::string &RegionName,
-                                    const std::string &Searcher, int Budget) {
-  auto CP = parseCOrDie(analysis::stripLocusRegionPragmas(Src));
-  if (!CP)
-    return Expected<TuneResult>::error("unparseable stripped source");
-  DiscoveryReport R = analysis::discoverRegions(*CP);
-  EXPECT_EQ(R.annotatable().size(), 1u);
-  for (NestCandidate &C : R.Candidates)
-    if (C.Verdict != CandidateVerdict::Rejected)
-      C.Name = RegionName;
-  auto Injected = analysis::annotateRegions(*CP, R);
-  if (!Injected.ok())
-    return Expected<TuneResult>::error(Injected.message());
-  return tuneProgram(std::move(CP), RegionName, Searcher, Budget,
-                     "discovery_auto.rlog");
-}
-
-void expectIdenticalTrajectories(const TuneResult &Hand,
-                                 const TuneResult &Auto,
-                                 const std::string &Tag) {
-  const search::SearchResult &H = Hand.R.Search, &A = Auto.R.Search;
-  EXPECT_EQ(H.Evaluations, A.Evaluations) << Tag;
-  ASSERT_EQ(H.History.size(), A.History.size()) << Tag;
-  for (size_t I = 0; I < H.History.size(); ++I) {
-    EXPECT_EQ(H.History[I].P.key(), A.History[I].P.key())
-        << Tag << ": trajectory diverged at step " << I;
-    EXPECT_EQ(H.History[I].Valid, A.History[I].Valid) << Tag;
-    EXPECT_EQ(H.History[I].Failure, A.History[I].Failure) << Tag;
-    EXPECT_EQ(H.History[I].Detail, A.History[I].Detail) << Tag;
-    if (H.History[I].Valid) {
-      EXPECT_DOUBLE_EQ(H.History[I].Metric, A.History[I].Metric) << Tag;
-    }
-  }
-  EXPECT_EQ(search::serializePoint(H.Best), search::serializePoint(A.Best))
-      << Tag;
-  EXPECT_DOUBLE_EQ(H.BestMetric, A.BestMetric) << Tag;
-  EXPECT_DOUBLE_EQ(Hand.R.BestCycles, Auto.R.BestCycles) << Tag;
-  EXPECT_FALSE(Hand.JournalBytes.empty()) << Tag;
-  EXPECT_EQ(Hand.JournalBytes, Auto.JournalBytes)
-      << Tag << ": journal record sequences must be byte-identical";
-}
-
-/// Per searcher: tuning the auto-discovered DGEMM region replays to the
-/// bit-identical trajectory of tuning the hand-annotated one — same point
-/// sequence, metrics, best point and journal bytes.
-TEST(RegionDiscovery, TrajectoryMatchesHandAnnotatedPerSearcher) {
-  const std::string Src = workloads::dgemmSource(16, 16, 16);
-  for (std::string Searcher : {"bandit", "tpe", "random", "hillclimb", "de"}) {
-    auto Hand = tuneHand(Src, "matmul", Searcher, 12);
-    auto Auto = tuneDiscovered(Src, "matmul", Searcher, 12);
-    ASSERT_TRUE(Hand.ok()) << Searcher << ": " << Hand.message();
-    ASSERT_TRUE(Auto.ok()) << Searcher << ": " << Auto.message();
-    expectIdenticalTrajectories(*Hand, *Auto, "searcher=" + Searcher);
-  }
-}
-
-/// Per seed workload: every hand-annotated kernel (DGEMM plus all six
-/// stencils — whose modulo buffer-flip subscripts demote their candidate,
-/// exercising the Demoted tuning path) anchors to the identical trajectory.
-TEST(RegionDiscovery, TrajectoryMatchesHandAnnotatedPerWorkload) {
-  std::vector<std::pair<std::string, std::string>> Workloads;
-  Workloads.emplace_back(workloads::dgemmSource(16, 16, 16), "matmul");
-  for (workloads::StencilKind K :
-       {workloads::StencilKind::Jacobi1D, workloads::StencilKind::Heat1D,
-        workloads::StencilKind::Seidel1D, workloads::StencilKind::Jacobi2D,
-        workloads::StencilKind::Heat2D, workloads::StencilKind::Seidel2D}) {
-    Workloads.emplace_back(workloads::stencilSource(K, 4, 12), "stencil");
-  }
-  for (size_t I = 0; I < Workloads.size(); ++I) {
-    const auto &[Src, Region] = Workloads[I];
-    auto Hand = tuneHand(Src, Region, "bandit", 8);
-    auto Auto = tuneDiscovered(Src, Region, "bandit", 8);
-    ASSERT_TRUE(Hand.ok()) << "workload #" << I << ": " << Hand.message();
-    ASSERT_TRUE(Auto.ok()) << "workload #" << I << ": " << Auto.message();
-    expectIdenticalTrajectories(*Hand, *Auto,
-                                "workload #" + std::to_string(I));
-  }
 }
 
 } // namespace

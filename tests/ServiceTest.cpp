@@ -4,11 +4,9 @@
 // the first-writer-wins fold (leases, epochs, stale results, quarantine),
 // TaskQueue durability across reopen, the coordinator's recovered-result
 // store, lease expiry + reassignment with a revived zombie's stale result
-// discarded, the one-coordinator-per-queue-dir flock, graceful degradation
-// to in-process evaluation, and — the acceptance anchor — a per-searcher
-// proof that `--serve --workers N` replays the bit-identical trajectory
-// (BEST, METRIC, journal bytes) of the single-process run, using real
-// spawned victim processes on the Fig. 5 DGEMM search.
+// discarded, the one-coordinator-per-queue-dir flock and graceful
+// degradation to in-process evaluation. That `--serve` replays the
+// single-process trajectory is a row of the Anchors suite.
 //
 //===----------------------------------------------------------------------===//
 
@@ -17,13 +15,11 @@
 #include "src/service/TaskQueue.h"
 #include "src/service/Worker.h"
 #include "src/support/RecordLog.h"
-#include "src/support/Subprocess.h"
 
 #include <gtest/gtest.h>
 
 #include <atomic>
 #include <chrono>
-#include <sstream>
 #include <string>
 #include <thread>
 #include <vector>
@@ -702,76 +698,6 @@ TEST(Worker, EmptyIdIsRefused) {
   auto R = runWorker(S, Obj, WOpts);
   ASSERT_FALSE(R.ok());
   EXPECT_NE(R.message().find("worker id"), std::string::npos) << R.message();
-}
-
-//===----------------------------------------------------------------------===//
-// The determinism anchor: serve mode replays the --jobs 1 trajectory,
-// asserted for every searcher on the real DGEMM search (spawned victims).
-//===----------------------------------------------------------------------===//
-
-std::string summaryLine(const std::string &Stdout, const std::string &Tag) {
-  std::istringstream In(Stdout);
-  std::string Line;
-  while (std::getline(In, Line))
-    if (Line.compare(0, Tag.size() + 1, Tag + " ") == 0)
-      return Line.substr(Tag.size() + 1);
-  return "";
-}
-
-support::SubprocessResult runVictim(std::vector<std::string> Args) {
-  support::SubprocessOptions Opts;
-  Opts.Argv.push_back(LOCUS_SEARCH_VICTIM);
-  for (std::string &A : Args)
-    Opts.Argv.push_back(std::move(A));
-  Opts.Limits.WallClockSeconds = 240;
-  return support::runSubprocess(Opts);
-}
-
-TEST(ServiceDeterminism, ServeModeReplaysTheLocalTrajectoryForEverySearcher) {
-  support::TempDir Dir("locus-svc-det-");
-  ASSERT_TRUE(Dir.valid());
-
-  const char *Searchers[] = {"exhaustive", "random", "hillclimb",
-                             "de",         "bandit", "tpe"};
-  for (const char *Name : Searchers) {
-    SCOPED_TRACE(Name);
-    std::string Local = Dir.path() + "/" + Name + "-local.rlog";
-    std::string Served = Dir.path() + "/" + Name + "-served.rlog";
-
-    support::SubprocessResult Ref = runVictim(
-        {"--searcher", Name, "--journal", Local, "--budget", "8", "--seed",
-         "5"});
-    ASSERT_TRUE(Ref.ok()) << Ref.describe() << "\n" << Ref.Stderr;
-
-    support::SubprocessResult Srv = runVictim(
-        {"--searcher", Name, "--journal", Served, "--budget", "8", "--seed",
-         "5", "--serve", "2", "--queue-dir", Dir.path() + "/" + Name + "-q"});
-    ASSERT_TRUE(Srv.ok()) << Srv.describe() << "\n" << Srv.Stderr;
-
-    // Identical trajectory: same best point, same metric, same evaluation
-    // counts...
-    EXPECT_EQ(summaryLine(Srv.Stdout, "BEST"), summaryLine(Ref.Stdout, "BEST"));
-    EXPECT_EQ(summaryLine(Srv.Stdout, "METRIC"),
-              summaryLine(Ref.Stdout, "METRIC"));
-    EXPECT_EQ(summaryLine(Srv.Stdout, "EVALS"),
-              summaryLine(Ref.Stdout, "EVALS"));
-    ASSERT_FALSE(summaryLine(Srv.Stdout, "BEST").empty());
-
-    // ...and bit-identical journal records (the full evaluation history in
-    // commit order, not just the endpoint).
-    auto RefScan = support::RecordLog::scan(Local);
-    auto SrvScan = support::RecordLog::scan(Served);
-    ASSERT_TRUE(RefScan.ok()) << RefScan.message();
-    ASSERT_TRUE(SrvScan.ok()) << SrvScan.message();
-    EXPECT_FALSE(RefScan->Records.empty());
-    EXPECT_EQ(RefScan->Records, SrvScan->Records);
-    EXPECT_EQ(RefScan->Header, SrvScan->Header);
-
-    // The work actually went through the fleet.
-    std::string Svc = summaryLine(Srv.Stdout, "SERVICE");
-    ASSERT_FALSE(Svc.empty());
-    EXPECT_EQ(Svc.find("worker=0 "), std::string::npos) << Svc;
-  }
 }
 
 } // namespace

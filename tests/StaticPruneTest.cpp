@@ -10,6 +10,8 @@
 ///
 //===----------------------------------------------------------------------===//
 
+#include "TestPrograms.h"
+
 #include "src/cir/Parser.h"
 #include "src/driver/Orchestrator.h"
 #include "src/locus/LocusParser.h"
@@ -62,7 +64,8 @@ driver::SearchWorkflowResult runFig7(bool StaticPrune) {
 /// The Fig. 7 program has dependent ranges (tileI_2 = poweroftwo(2..tileI))
 /// whose static extremes exceed the dependent bound for most outer values,
 /// so the samplers regularly propose provably-invalid points. The oracle
-/// must prune some of them — and must not change the search trajectory.
+/// must prune some of them, sparing the objective those calls, and must not
+/// change the search trajectory.
 TEST(StaticPrune, Fig7PrunesWithoutChangingTheOutcome) {
   driver::SearchWorkflowResult On = runFig7(true);
   driver::SearchWorkflowResult Off = runFig7(false);
@@ -151,18 +154,7 @@ CodeReg nest {
 /// recorded range check alone.
 TEST(StaticPrune, DependentRangeViolationsPruneWithoutReplay) {
   auto CP = parseCOrDie(workloads::dgemmSource(16, 16, 16));
-  auto LP = parseLocusOrDie(R"(
-Search {
-  buildcmd = "make";
-  runcmd = "./matmul";
-}
-
-CodeReg matmul {
-  tile = poweroftwo(2..8);
-  tf = poweroftwo(2..tile);
-  RoseLocus.Tiling(loop="0", factor=tile);
-}
-)");
+  auto LP = parseLocusOrDie(test::DependentRangeLocus);
   OrchestratorOptions Opts = tinyOptions();
   Opts.SearcherName = "exhaustive";
   Orchestrator Orch(*LP, *CP, Opts);
@@ -240,39 +232,6 @@ CodeReg nest {
 // Racy parallelizations fail before simulation
 //===----------------------------------------------------------------------===//
 
-/// Region with one provably-safe loop ("0") and one provably-racy loop
-/// ("1", an in-place prefix scan).
-const char *TwoLoopSrc = R"(
-#define N 48
-double A[N];
-double B[N];
-double V[N];
-int main() {
-  int i, j;
-#pragma @Locus block=pair
-  for (i = 0; i < N; i++)
-    B[i] = A[i] * 2.0 + 1.0;
-  for (j = 1; j < N; j++)
-    V[j] = V[j - 1] + B[j];
-#pragma @Locus endblock
-}
-)";
-
-std::string ompForChoice(const std::string &Loops) {
-  return std::string(R"(
-Search {
-  buildcmd = "make";
-  runcmd = "./pair";
-}
-
-CodeReg pair {
-  which = enum()") +
-         Loops + R"();
-  Pragma.OMPFor(loop=which);
-}
-)";
-}
-
 /// The race detector gates Pragma.OMPFor: a point that parallelizes the
 /// racy loop fails as TransformIllegal while it is materialized and never
 /// reaches the evaluator, and the search lands on the exact same best point
@@ -281,8 +240,8 @@ TEST(StaticPrune, RacyParallelizationFailsBeforeSimulation) {
   OrchestratorOptions Opts = tinyOptions();
   Opts.SearcherName = "exhaustive";
 
-  auto CP1 = parseCOrDie(TwoLoopSrc);
-  auto LP1 = parseLocusOrDie(ompForChoice("\"0\", \"1\""));
+  auto CP1 = parseCOrDie(test::TwoLoopSource);
+  auto LP1 = parseLocusOrDie(test::ompForChoice("\"0\", \"1\""));
   Orchestrator Full(*LP1, *CP1, Opts);
   auto RFull = Full.runSearch();
   ASSERT_TRUE(RFull.ok()) << RFull.message();
@@ -305,8 +264,8 @@ TEST(StaticPrune, RacyParallelizationFailsBeforeSimulation) {
 
   // Hand-pruned space: the racy choice removed from the enum. Identical
   // best point, identical best metric.
-  auto CP2 = parseCOrDie(TwoLoopSrc);
-  auto LP2 = parseLocusOrDie(ompForChoice("\"0\""));
+  auto CP2 = parseCOrDie(test::TwoLoopSource);
+  auto LP2 = parseLocusOrDie(test::ompForChoice("\"0\""));
   Orchestrator Hand(*LP2, *CP2, Opts);
   auto RHand = Hand.runSearch();
   ASSERT_TRUE(RHand.ok()) << RHand.message();
@@ -317,58 +276,12 @@ TEST(StaticPrune, RacyParallelizationFailsBeforeSimulation) {
   EXPECT_DOUBLE_EQ(RFull->Search.BestMetric, RHand->Search.BestMetric);
 }
 
-/// Disabling the oracle must not change what the search finds: either way
-/// the racy point reaches variant materialization, where the applyOmpFor
-/// gate rejects it before simulation — same trajectory, same failure, same
-/// winner.
-TEST(StaticPrune, RacePruneDoesNotChangeTheTrajectory) {
-  auto run = [&](bool StaticPrune) {
-    auto CP = parseCOrDie(TwoLoopSrc);
-    auto LP = parseLocusOrDie(ompForChoice("\"0\", \"1\""));
-    OrchestratorOptions Opts = tinyOptions();
-    Opts.SearcherName = "exhaustive";
-    Opts.StaticPrune = StaticPrune;
-    Orchestrator Orch(*LP, *CP, Opts);
-    auto R = Orch.runSearch();
-    if (!R.ok()) {
-      ADD_FAILURE() << R.message();
-      return driver::SearchWorkflowResult{};
-    }
-    return std::move(*R);
-  };
-  driver::SearchWorkflowResult On = run(true);
-  driver::SearchWorkflowResult Off = run(false);
-  for (const driver::SearchWorkflowResult *R : {&On, &Off}) {
-    EXPECT_EQ(R->Search.PrunedStatic, 0);
-    EXPECT_EQ(R->Search.failures(search::FailureKind::TransformIllegal), 1);
-    EXPECT_EQ(R->Search.CacheMisses, 1u); // only the safe point simulated
-  }
-  EXPECT_EQ(On.Search.Evaluations, Off.Search.Evaluations);
-  ASSERT_EQ(On.Search.History.size(), Off.Search.History.size());
-  bool SawWitness = false;
-  for (size_t I = 0; I < On.Search.History.size(); ++I) {
-    const search::EvalRecord &A = On.Search.History[I];
-    const search::EvalRecord &B = Off.Search.History[I];
-    EXPECT_EQ(A.P.key(), B.P.key());
-    EXPECT_EQ(A.Valid, B.Valid);
-    EXPECT_EQ(A.Failure, B.Failure);
-    EXPECT_EQ(A.Detail, B.Detail);
-    SawWitness |= A.Failure == search::FailureKind::TransformIllegal &&
-                  A.Detail.find("racy") != std::string::npos &&
-                  A.Detail.find("'V'") != std::string::npos;
-  }
-  EXPECT_TRUE(SawWitness);
-  EXPECT_EQ(search::serializePoint(On.Search.Best),
-            search::serializePoint(Off.Search.Best));
-  EXPECT_DOUBLE_EQ(On.Search.BestMetric, Off.Search.BestMetric);
-}
-
 /// TrustParallel threads end to end: with the override the racy point is
 /// materialized (simulator still executes it sequentially, so the search
 /// simply sees a second valid-but-unimproved variant).
 TEST(StaticPrune, TrustParallelDisablesTheRaceGate) {
-  auto CP = parseCOrDie(TwoLoopSrc);
-  auto LP = parseLocusOrDie(ompForChoice("\"0\", \"1\""));
+  auto CP = parseCOrDie(test::TwoLoopSource);
+  auto LP = parseLocusOrDie(test::ompForChoice("\"0\", \"1\""));
   OrchestratorOptions Opts = tinyOptions();
   Opts.SearcherName = "exhaustive";
   Opts.TrustParallel = true;

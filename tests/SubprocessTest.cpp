@@ -49,8 +49,20 @@ SubprocessOptions victim(std::initializer_list<std::string> Args) {
   return Opts;
 }
 
+/// Whether \p Pid still runs. A zombie counts as gone: it has exited and
+/// only waits for a reaper this test does not control (an orphaned
+/// grandchild's is PID 1, which may take a second or more).
 bool processAlive(pid_t Pid) {
-  return kill(Pid, 0) == 0 || errno != ESRCH;
+  if (kill(Pid, 0) != 0 && errno == ESRCH)
+    return false;
+  // The state letter follows the parenthesized command name.
+  std::ifstream Stat("/proc/" + std::to_string(Pid) + "/stat");
+  std::string Line;
+  if (!std::getline(Stat, Line))
+    return true;
+  size_t Close = Line.rfind(')');
+  return Close == std::string::npos || Close + 2 >= Line.size() ||
+         Line[Close + 2] != 'Z';
 }
 
 bool fileExists(const std::string &Path) {

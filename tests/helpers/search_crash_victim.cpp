@@ -1,12 +1,14 @@
 //===- search_crash_victim.cpp - Real search run for crash torture ------------===//
 //
-// A minimal orchestrator driver spawned by CrashTortureTest and
-// ServiceTortureTest: runs the Fig. 5 DGEMM search on the tiny machine with
-// a journal (and optionally a persistent cache directory or the tuning
-// service), printing a machine-parsable summary the parent compares across
-// crashed/resumed/uninterrupted runs.
+// A minimal orchestrator driver spawned by CrashTortureTest,
+// ServiceTortureTest and AnchorsTest: runs the Fig. 5 DGEMM search (or the
+// Locus program and MiniC source of --locus and --source) on the tiny
+// machine with a journal (and optionally a persistent cache directory or
+// the tuning service), printing a machine-parsable summary the parent
+// compares across crashed/resumed/uninterrupted runs.
 //
-//   search_crash_victim --journal FILE [--resume] [--cache-dir DIR]
+//   search_crash_victim [--locus FILE --source FILE [--annotate-hottest]]
+//                       --journal FILE [--resume] [--cache-dir DIR]
 //                       [--cache-readonly] [--budget N] [--seed N]
 //                       [--searcher NAME] [--crash-at SPEC]
 //                       [--serve N --queue-dir DIR [--lease-timeout S]
@@ -16,6 +18,10 @@
 //                        [--poll S]]
 //                       [--worker --queue-dir DIR [--worker-id ID]
 //                        [--heartbeat S] [--max-heartbeats N] [--poll S]]
+//
+// --annotate-hottest annotates the hottest nest region discovery finds in
+// the source (ranked on the tiny machine), for a source that names no
+// region.
 //
 // --poll S sets the fallback wake period of the coordinator and of every
 // worker it spawns (or of this worker); a large value leaves the queue's
@@ -44,6 +50,9 @@
 //
 //===----------------------------------------------------------------------===//
 
+#include "../TestFiles.h"
+
+#include "src/analysis/RegionDiscovery.h"
 #include "src/cir/Parser.h"
 #include "src/driver/Orchestrator.h"
 #include "src/locus/LocusParser.h"
@@ -82,13 +91,24 @@ int main(int argc, char **argv) {
   double Heartbeat = 0.25;
   int MaxHeartbeats = -1;
   std::string Poll;
+  std::string LocusSrc = workloads::dgemmLocusFig5();
+  std::string CSrc = workloads::dgemmSource(24, 24, 24);
+  bool AnnotateHottest = false;
 
   for (int I = 1; I < argc; ++I) {
     std::string Arg = argv[I];
     auto Next = [&]() -> const char * {
       return I + 1 < argc ? argv[++I] : nullptr;
     };
-    if (Arg == "--journal") {
+    if (Arg == "--locus") {
+      if (const char *V = Next())
+        LocusSrc = test::slurp(V);
+    } else if (Arg == "--source") {
+      if (const char *V = Next())
+        CSrc = test::slurp(V);
+    } else if (Arg == "--annotate-hottest") {
+      AnnotateHottest = true;
+    } else if (Arg == "--journal") {
       if (const char *V = Next())
         Opts.JournalPath = V;
     } else if (Arg == "--resume") {
@@ -172,15 +192,24 @@ int main(int argc, char **argv) {
   support::installShutdownFlag();
   Opts.StopFlag = support::shutdownFlag();
 
-  auto LP = lang::parseLocusProgram(workloads::dgemmLocusFig5());
+  auto LP = lang::parseLocusProgram(LocusSrc);
   if (!LP.ok()) {
     std::fprintf(stderr, "locus parse failed: %s\n", LP.message().c_str());
     return 1;
   }
-  auto CP = cir::parseProgram(workloads::dgemmSource(24, 24, 24));
+  auto CP = cir::parseProgram(CSrc);
   if (!CP.ok()) {
     std::fprintf(stderr, "C parse failed: %s\n", CP.message().c_str());
     return 1;
+  }
+  if (AnnotateHottest) {
+    analysis::DiscoveryOptions DOpts;
+    DOpts.Machine = machine::MachineConfig::tiny();
+    analysis::DiscoveryReport Report = analysis::discoverRegions(**CP, DOpts);
+    if (auto N = analysis::annotateRegions(**CP, Report, 1); !N.ok()) {
+      std::fprintf(stderr, "annotation failed: %s\n", N.message().c_str());
+      return 1;
+    }
   }
 
   driver::Orchestrator Orch(**LP, **CP, Opts);
