@@ -406,10 +406,12 @@ int runDiscover(const cir::Program &Baseline, driver::OrchestratorOptions Opts,
       ++Failures;
       continue;
     }
-    std::printf("candidate %s (%s, depth %d): %llu points, assessed %d, "
-                "baseline %.0f -> best %.0f cycles, speedup %.2fx%s\n",
+    std::printf("candidate %s (%s, depth %d): %llu points, assessed %d "
+                "(%llu projection hits), baseline %.0f -> best %.0f cycles, "
+                "speedup %.2fx%s\n",
                 C->Name.c_str(), C->Loc.str().c_str(), C->Depth,
                 (unsigned long long)R->Space.fullSize(), R->Search.Evaluations,
+                (unsigned long long)R->Search.ProjectionHits,
                 R->BaselineCycles, R->BestCycles, R->Speedup,
                 R->BaselineChosen ? " (baseline kept)" : "");
   }
@@ -510,10 +512,11 @@ void printSearchSummary(const driver::SearchWorkflowResult &R,
                 S.Evaluations);
   if (S.CacheHits || S.CacheMisses)
     std::printf("eval cache: %llu hits / %llu misses, %llu cross-point "
-                "dedup saves\n",
+                "dedup saves, %llu projection hits\n",
                 (unsigned long long)S.CacheHits,
                 (unsigned long long)S.CacheMisses,
-                (unsigned long long)S.CacheDedupSaves);
+                (unsigned long long)S.CacheDedupSaves,
+                (unsigned long long)S.ProjectionHits);
   if (!Opts.CacheDir.empty()) {
     std::printf("persistent cache: %llu loaded, %llu appended",
                 (unsigned long long)S.CacheLoadedPersistent,

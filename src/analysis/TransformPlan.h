@@ -19,6 +19,8 @@
 #ifndef LOCUS_ANALYSIS_TRANSFORMPLAN_H
 #define LOCUS_ANALYSIS_TRANSFORMPLAN_H
 
+#include "src/search/Space.h"
+
 #include <cstdint>
 #include <map>
 #include <string>
@@ -82,11 +84,8 @@ struct PlanArg {
 
 /// An entry executes only when every guarding selector parameter (an OR
 /// block/expression alternative or an optional statement) is pinned to the
-/// recorded alternative.
-struct PlanGuard {
-  std::string ParamId;
-  int64_t Alt = 0;
-};
+/// recorded alternative: the same guards a ParamDef carries.
+using PlanGuard = search::ParamGuard;
 
 /// One step of the recorded plan, in execution order.
 struct PlanEntry {

@@ -158,11 +158,21 @@ private:
     return Id;
   }
 
+  /// Adds Def to the space, guarded by the selector arms being walked. A
+  /// parameter reached again under other guards keeps only the guards the
+  /// two paths share, so it stays active wherever either path runs.
   search::ParamDef *registerParam(search::ParamDef Def) {
     assert(SpaceOut && "registerParam outside extract mode");
     for (search::ParamDef &P : SpaceOut->Params)
-      if (P.Id == Def.Id)
+      if (P.Id == Def.Id) {
+        size_t Shared = 0;
+        while (Shared < P.Guards.size() && Shared < GuardStack.size() &&
+               P.Guards[Shared] == GuardStack[Shared])
+          ++Shared;
+        P.Guards.resize(Shared);
         return &P;
+      }
+    Def.Guards = GuardStack;
     SpaceOut->Params.push_back(std::move(Def));
     return &SpaceOut->Params.back();
   }
@@ -1188,11 +1198,7 @@ private:
     const VarInfo &V = It->second;
     if (V.Unusable || V.Guards.size() > GuardStack.size())
       return false;
-    for (size_t I = 0; I < V.Guards.size(); ++I)
-      if (V.Guards[I].ParamId != GuardStack[I].ParamId ||
-          V.Guards[I].Alt != GuardStack[I].Alt)
-        return false;
-    return true;
+    return std::equal(V.Guards.begin(), V.Guards.end(), GuardStack.begin());
   }
 
   /// Symbolic form of an evaluated expression. Purely structural: dynamic

@@ -208,6 +208,10 @@ struct SearchResult {
   uint64_t CacheMisses = 0;
   uint64_t CacheDedupSaves = 0; ///< distinct points that materialized to an
                                 ///< already-evaluated variant
+  /// Assessments the driver served without materializing, because a point
+  /// with the same active projection (Point::activeKey) was already
+  /// assessed. Those served from the eval cache also count in CacheHits.
+  uint64_t ProjectionHits = 0;
 
   // Persistent-cache counters (filled by the driver when --cache-dir is
   // set; see search::PersistentEvalCache).

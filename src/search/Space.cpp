@@ -6,6 +6,7 @@
 #include "src/support/Hashing.h"
 #include "src/support/StringUtils.h"
 
+#include <algorithm>
 #include <cassert>
 #include <limits>
 #include <sstream>
@@ -37,6 +38,25 @@ int log2FloorPositive(int64_t X) {
     ++L;
   }
   return L;
+}
+
+/// Appends "Id=value;" in the canonical form Point::key() uses.
+void appendEntry(std::string &Out, const std::string &Id, const PointValue &V) {
+  Out += Id;
+  Out += '=';
+  if (const auto *I = std::get_if<int64_t>(&V))
+    Out += std::to_string(*I);
+  else if (const auto *D = std::get_if<double>(&V))
+    Out += formatDouble(*D);
+  else if (const auto *S = std::get_if<std::string>(&V))
+    Out += *S;
+  else if (const auto *P = std::get_if<std::vector<int>>(&V)) {
+    for (int X : *P) {
+      Out += std::to_string(X);
+      Out += ',';
+    }
+  }
+  Out += ';';
 }
 
 } // namespace
@@ -99,22 +119,27 @@ const std::vector<int> &Point::getPerm(const std::string &Id) const {
 }
 
 std::string Point::key() const {
-  std::ostringstream Out;
+  std::string Out;
+  for (const auto &[Id, V] : Values)
+    appendEntry(Out, Id, V);
+  return Out;
+}
+
+std::string Point::activeKey(const Space &S) const {
+  auto Satisfied = [this](const ParamGuard &G) {
+    auto It = Values.find(G.ParamId);
+    const int64_t *Arm =
+        It == Values.end() ? nullptr : std::get_if<int64_t>(&It->second);
+    return Arm && *Arm == G.Alt;
+  };
+  std::string Out;
   for (const auto &[Id, V] : Values) {
-    Out << Id << '=';
-    if (const auto *I = std::get_if<int64_t>(&V))
-      Out << *I;
-    else if (const auto *D = std::get_if<double>(&V))
-      Out << formatDouble(*D);
-    else if (const auto *S = std::get_if<std::string>(&V))
-      Out << *S;
-    else if (const auto *P = std::get_if<std::vector<int>>(&V)) {
-      for (int X : *P)
-        Out << X << ',';
-    }
-    Out << ';';
+    const ParamDef *D = S.find(Id);
+    if (D && !std::all_of(D->Guards.begin(), D->Guards.end(), Satisfied))
+      continue;
+    appendEntry(Out, Id, V);
   }
-  return Out.str();
+  return Out;
 }
 
 const ParamDef *Space::find(const std::string &Id) const {

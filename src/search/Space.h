@@ -11,6 +11,11 @@
 /// dynamic constraint are invalidated at evaluation time, exactly as
 /// described for the OpenTuner integration.
 ///
+/// The space is a tree (Section IV-B): a parameter defined inside an OR
+/// alternative or an optional statement carries that selector arm as a
+/// guard, and a point that does not select the arm never reads it.
+/// Point::activeKey projects a point onto the parameters it reads.
+///
 //===----------------------------------------------------------------------===//
 #ifndef LOCUS_SEARCH_SPACE_H
 #define LOCUS_SEARCH_SPACE_H
@@ -35,6 +40,15 @@ enum class ParamKind {
   Permutation, ///< permutation of 0..N-1
 };
 
+/// An enabling condition of a parameter: the selector parameter ParamId (an
+/// OR block, an OR expression or an optional statement) pinned to arm Alt
+/// (1 for an optional statement that runs).
+struct ParamGuard {
+  std::string ParamId;
+  int64_t Alt = 0;
+  bool operator==(const ParamGuard &) const = default;
+};
+
 /// One dimension of the optimization space.
 struct ParamDef {
   std::string Id;    ///< stable identity across extraction and execution
@@ -51,6 +65,13 @@ struct ParamDef {
   std::string DependsOnMaxParam;
   std::string DependsOnMinParam;
 
+  /// The selector arms, outermost first, on whose path the parameter's
+  /// defining search construct sits; empty when it always executes. Its
+  /// value is read only when that construct executes, so a point that does
+  /// not satisfy every guard never reads it. Derived from the program text
+  /// like Id, so it is not part of Space::fingerprint().
+  std::vector<ParamGuard> Guards;
+
   /// Number of distinct values (1 for empty/degenerate, saturates at
   /// INT64_MAX). Float ranges report a nominal discretization of 1000.
   uint64_t cardinality() const;
@@ -58,6 +79,8 @@ struct ParamDef {
 
 /// A concrete value assigned to one parameter.
 using PointValue = std::variant<int64_t, double, std::string, std::vector<int>>;
+
+struct Space;
 
 /// A point in the space: every parameter pinned to a value.
 struct Point {
@@ -70,6 +93,12 @@ struct Point {
 
   /// Canonical text form, used for deduplicating evaluated variants.
   std::string key() const;
+
+  /// key() restricted to the parameters of \p S whose guards this point
+  /// satisfies (and to any value \p S does not define). Two points with the
+  /// same active key read the same values, so they materialize the same
+  /// variant; any other difference gives different keys.
+  std::string activeKey(const Space &S) const;
 };
 
 /// The whole space.

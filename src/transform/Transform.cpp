@@ -10,20 +10,18 @@ namespace locus {
 namespace transform {
 
 std::string freshName(const cir::Block &Scope, const std::string &Base) {
+  // Loop variables and declarations, then every name an expression reads;
+  // forEachExpr already visits the whole subtree once.
   std::set<std::string> Used;
   cir::forEachStmt(Scope, [&](const cir::Stmt &S) {
     if (auto *For = cir::dyn_cast<cir::ForStmt>(&S))
       Used.insert(For->Var);
     if (auto *Decl = cir::dyn_cast<cir::DeclStmt>(&S))
       Used.insert(Decl->Name);
-    cir::forEachExpr(S, [&](const cir::ExprPtr &E) {
-      std::set<std::string> Vars;
-      cir::collectVars(*E, Vars);
-      Used.insert(Vars.begin(), Vars.end());
-      std::set<std::string> Arrays;
-      cir::collectArrays(*E, Arrays);
-      Used.insert(Arrays.begin(), Arrays.end());
-    });
+  });
+  cir::forEachExpr(Scope, [&](const cir::ExprPtr &E) {
+    cir::collectVars(*E, Used);
+    cir::collectArrays(*E, Used);
   });
   if (!Used.count(Base))
     return Base;

@@ -238,6 +238,34 @@ TEST(Tiling, TwoLevelHierarchicalTiling) {
       "hierarchical tiling");
 }
 
+TEST(Tiling, DoublyTiledNestGetsFreshNames) {
+  // Each tiling names its tile loops with freshName: the second level must
+  // step around the first level's loop variables, and a name that only
+  // appears inside an expression (an array, a scalar) is taken too.
+  std::unique_ptr<Program> Variant = parseOrDie(Matmul);
+  ASSERT_NE(Variant, nullptr);
+  Block *Region = Variant->findRegions("matmul")[0];
+  TransformContext Ctx;
+  Ctx.Prog = Variant.get();
+  TilingArgs L1;
+  L1.Factors = {6, 6, 6};
+  ASSERT_TRUE(applyTiling(*Region, L1, Ctx).succeeded());
+  TilingArgs L2;
+  L2.LoopPath = "0.0.0.0";
+  L2.Factors = {2, 3, 2};
+  ASSERT_TRUE(applyTiling(*Region, L2, Ctx).succeeded());
+
+  std::vector<std::string> Vars;
+  for (const LoopEntry &L : listLoops(*Region))
+    Vars.push_back(L.Loop->Var);
+  EXPECT_EQ(Vars, (std::vector<std::string>{"it", "jt", "kt", "it_2", "jt_2",
+                                            "kt_2", "i", "j", "k"}));
+  EXPECT_EQ(freshName(*Region, "it"), "it_3");
+  EXPECT_EQ(freshName(*Region, "C"), "C_2");
+  EXPECT_EQ(freshName(*Region, "alpha"), "alpha_2");
+  EXPECT_EQ(freshName(*Region, "lt"), "lt");
+}
+
 TEST(Tiling, SingleLoopFormHoistsTileLoop) {
   TilingArgs Args;
   Args.SingleLoopDepth = 3;
