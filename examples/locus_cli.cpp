@@ -492,6 +492,9 @@ void printSearchSummary(const driver::SearchWorkflowResult &R,
   std::printf("%s", R.Space.describe().c_str());
   std::printf("assessed %d variants (%d invalid, %d duplicates",
               S.Evaluations, S.InvalidPoints, S.DuplicateHits);
+  if (S.ProjectionHits > 0)
+    std::printf(", %llu projection hits",
+                (unsigned long long)S.ProjectionHits);
   if (S.ReplayedEvaluations > 0)
     std::printf(", %d replayed from journal", S.ReplayedEvaluations);
   if (S.PrunedStatic > 0) {
@@ -512,11 +515,10 @@ void printSearchSummary(const driver::SearchWorkflowResult &R,
                 S.Evaluations);
   if (S.CacheHits || S.CacheMisses)
     std::printf("eval cache: %llu hits / %llu misses, %llu cross-point "
-                "dedup saves, %llu projection hits\n",
+                "dedup saves\n",
                 (unsigned long long)S.CacheHits,
                 (unsigned long long)S.CacheMisses,
-                (unsigned long long)S.CacheDedupSaves,
-                (unsigned long long)S.ProjectionHits);
+                (unsigned long long)S.CacheDedupSaves);
   if (!Opts.CacheDir.empty()) {
     std::printf("persistent cache: %llu loaded, %llu appended",
                 (unsigned long long)S.CacheLoadedPersistent,

@@ -49,40 +49,16 @@ bool isIntrinsicCall(const std::string &Callee) {
   return Callee == "min" || Callee == "max";
 }
 
-//===----------------------------------------------------------------------===//
-// Expression traversal: every subexpression, not only the top-level ones
-// cir::forEachExpr visits.
-//===----------------------------------------------------------------------===//
-
-void visitExpr(const Expr &E, const std::function<void(const Expr &)> &Fn) {
-  Fn(E);
-  switch (E.kind()) {
-  case cir::ExprKind::ArrayRef:
-    for (const auto &I : cast<ArrayRef>(&E)->Indices)
-      visitExpr(*I, Fn);
-    break;
-  case cir::ExprKind::Binary: {
-    const auto *B = cast<cir::BinaryExpr>(&E);
-    visitExpr(*B->Lhs, Fn);
-    visitExpr(*B->Rhs, Fn);
-    break;
-  }
-  case cir::ExprKind::Unary:
-    visitExpr(*cast<cir::UnaryExpr>(&E)->Operand, Fn);
-    break;
-  case cir::ExprKind::Call:
-    for (const auto &A : cast<CallExpr>(&E)->Args)
-      visitExpr(*A, Fn);
-    break;
-  default:
-    break;
-  }
-}
-
-/// Visits every expression in the subtree, including loop bounds and
-/// if conditions.
+/// Visits every expression in the subtree, subexpressions included (the
+/// ones cir::forEachExpr reaches and all they contain): loop bounds and if
+/// conditions too.
 void visitAllExprs(const Stmt &S, const std::function<void(const Expr &)> &Fn) {
-  cir::forEachExpr(S, [&](const cir::ExprPtr &E) { visitExpr(*E, Fn); });
+  cir::forEachExpr(S, [&](const cir::ExprPtr &E) {
+    cir::forEachSubExpr(*E, [&](const Expr &Sub) {
+      Fn(Sub);
+      return true;
+    });
+  });
 }
 
 //===----------------------------------------------------------------------===//

@@ -50,37 +50,26 @@ void orderForLocality(Block &Region, const LoopEntry &Outer,
     double Score = 0;
     forEachStmt(*Nest.back()->Body, [&](Stmt &S) {
       forEachExpr(S, [&](ExprPtr &E) {
-        const std::function<void(const Expr &)> Scan = [&](const Expr &Sub) {
-          if (const auto *A = dyn_cast<ArrayRef>(&Sub)) {
-            bool UsesVar = false;
-            for (size_t I = 0; I < A->Indices.size(); ++I) {
-              std::optional<analysis::AffineExpr> Aff =
-                  analysis::toAffine(*A->Indices[I]);
-              int64_t Coeff = Aff ? Aff->coeff(Var) : 0;
-              if (Coeff != 0)
-                UsesVar = true;
-              if (I + 1 == A->Indices.size() && Coeff == 1)
-                Score += 2; // unit stride
-              else if (Coeff != 0)
-                Score -= 1; // strided
-            }
-            if (!UsesVar)
-              Score += 1; // register-resident across the loop
-            for (const auto &I : A->Indices)
-              Scan(*I);
-            return;
+        forEachSubExpr(*E, [&](const Expr &Sub) {
+          const auto *A = dyn_cast<ArrayRef>(&Sub);
+          if (!A)
+            return true;
+          bool UsesVar = false;
+          for (size_t I = 0; I < A->Indices.size(); ++I) {
+            std::optional<analysis::AffineExpr> Aff =
+                analysis::toAffine(*A->Indices[I]);
+            int64_t Coeff = Aff ? Aff->coeff(Var) : 0;
+            if (Coeff != 0)
+              UsesVar = true;
+            if (I + 1 == A->Indices.size() && Coeff == 1)
+              Score += 2; // unit stride
+            else if (Coeff != 0)
+              Score -= 1; // strided
           }
-          if (const auto *B = dyn_cast<BinaryExpr>(&Sub)) {
-            Scan(*B->Lhs);
-            Scan(*B->Rhs);
-          } else if (const auto *U = dyn_cast<UnaryExpr>(&Sub)) {
-            Scan(*U->Operand);
-          } else if (const auto *C = dyn_cast<CallExpr>(&Sub)) {
-            for (const auto &Arg : C->Args)
-              Scan(*Arg);
-          }
-        };
-        Scan(*E);
+          if (!UsesVar)
+            Score += 1; // register-resident across the loop
+          return true;
+        });
       });
     });
     return Score;

@@ -529,6 +529,31 @@ void collectAllLoops(const Block &B, std::vector<const ForStmt *> &Out) {
   }
 }
 
+void forEachSubExpr(const Expr &E,
+                    const std::function<bool(const Expr &)> &Fn) {
+  if (!Fn(E))
+    return;
+  switch (E.kind()) {
+  case ExprKind::ArrayRef:
+    for (const auto &I : cast<ArrayRef>(&E)->Indices)
+      forEachSubExpr(*I, Fn);
+    return;
+  case ExprKind::Binary:
+    forEachSubExpr(*cast<BinaryExpr>(&E)->Lhs, Fn);
+    forEachSubExpr(*cast<BinaryExpr>(&E)->Rhs, Fn);
+    return;
+  case ExprKind::Unary:
+    forEachSubExpr(*cast<UnaryExpr>(&E)->Operand, Fn);
+    return;
+  case ExprKind::Call:
+    for (const auto &A : cast<CallExpr>(&E)->Args)
+      forEachSubExpr(*A, Fn);
+    return;
+  default:
+    return;
+  }
+}
+
 namespace {
 
 // One body for the mutable and the const walks: \p StmtT is Stmt or

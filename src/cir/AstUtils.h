@@ -116,6 +116,12 @@ void collectOuterLoops(const Block &B, std::vector<const ForStmt *> &Out);
 /// descending through blocks, loop bodies and both if branches.
 void collectAllLoops(const Block &B, std::vector<const ForStmt *> &Out);
 
+/// Visits \p E and its subexpressions in pre-order: array subscripts,
+/// unary and binary operands, call arguments. When \p Fn returns false for
+/// an expression, its subexpressions are skipped.
+void forEachSubExpr(const Expr &E,
+                    const std::function<bool(const Expr &)> &Fn);
+
 /// Visits the top-level expression of every statement in a subtree (loop
 /// init and bound, if condition, assignment sides, declaration initializer,
 /// call statement), in source order; subexpressions are not visited.

@@ -13,13 +13,10 @@
 #include "src/support/Hashing.h"
 #include "src/support/StringUtils.h"
 
-#include <atomic>
 #include <cmath>
 #include <cstdio>
 #include <limits>
-#include <mutex>
 #include <optional>
-#include <unordered_map>
 
 namespace locus {
 namespace driver {
@@ -122,92 +119,55 @@ namespace {
 /// mode so the searchers can count them per kind.
 ///
 /// A BatchObjective: every call builds its own variant clone, interpreter
-/// and evaluator, and otherwise touches only the thread-safe EvalCache, the
-/// projection memo (under its mutex) and an atomic counter, so the
-/// evaluation pool may assess distinct points concurrently.
+/// and evaluator, and otherwise touches only the thread-safe EvalCache, so
+/// the evaluation pool may assess distinct points concurrently. A point
+/// whose active projection was already assessed never gets here: the
+/// search layer's evaluation driver serves it.
 class VariantObjective : public search::BatchObjective {
 public:
   VariantObjective(const lang::LocusProgram &LProg,
                    const lang::ModuleRegistry &Registry,
-                   const cir::Program &Baseline, const search::Space &Space,
+                   const cir::Program &Baseline,
                    const OrchestratorOptions &Opts, double BaselineChecksum,
                    uint64_t DeadlineIterations, double NativeTimeoutSeconds,
                    search::VariantOutcomeCache *Cache)
-      : LProg(LProg), Registry(Registry), Baseline(Baseline), Space(Space),
-        Opts(Opts), BaselineChecksum(BaselineChecksum),
+      : LProg(LProg), Registry(Registry), Baseline(Baseline), Opts(Opts),
+        BaselineChecksum(BaselineChecksum),
         DeadlineIterations(DeadlineIterations),
         NativeTimeoutSeconds(NativeTimeoutSeconds), Cache(Cache) {}
 
   search::EvalOutcome assess(const search::Point &P) override {
     using search::EvalOutcome;
     using search::FailureKind;
-    // Projection memo: a point reads only the parameters of the arms it
-    // selects, so one whose active projection was already assessed
-    // materializes the same variant. It is served what that assessment
-    // found, before anything is materialized: the eval-cache entry of its
-    // variant (looked up as its own materialization would be, so the cache
-    // counters read as before), or applyPoint's failure. It rides on the
-    // eval cache, so a run without one re-assesses every point.
-    std::string Active;
-    if (Cache) {
-      Active = P.activeKey(Space);
-      if (std::optional<Projected> Known = findProjected(Active)) {
-        std::optional<EvalOutcome> Served =
-            Known->Variant ? Cache->lookup(*Known->Variant, P.key())
-                           : std::optional<EvalOutcome>(Known->Failure);
-        if (Served) {
-          ProjectionHits.fetch_add(1, std::memory_order_relaxed);
-          return *Served;
-        }
-      }
-    }
-
     std::unique_ptr<cir::Program> Variant = Baseline.clone();
     transform::TransformContext TCtx =
         transformContext(Opts, *Variant, Opts.VerifyEach);
     lang::LocusInterpreter Interp(LProg, Registry);
     lang::ExecOutcome Exec = Interp.applyPoint(*Variant, P, TCtx);
-    std::optional<EvalOutcome> Failed;
     if (!Exec.Ok)
-      Failed = EvalOutcome::fail(FailureKind::TransformIllegal, Exec.Error);
-    else if (Exec.InvalidPoint)
-      Failed = EvalOutcome::fail(Exec.IllegalTransform
-                                     ? FailureKind::TransformIllegal
-                                     : FailureKind::InvalidPoint,
-                                 Exec.InvalidReason);
-    if (Failed) {
-      if (Cache)
-        recordProjected(std::move(Active), {std::nullopt, *Failed});
-      return *Failed;
-    }
+      return EvalOutcome::fail(FailureKind::TransformIllegal, Exec.Error);
+    if (Exec.InvalidPoint)
+      return EvalOutcome::fail(Exec.IllegalTransform
+                                   ? FailureKind::TransformIllegal
+                                   : FailureKind::InvalidPoint,
+                               Exec.InvalidReason);
 
-    // Content-addressed cache: distinct points frequently materialize to
-    // the same transformed program (clamped tile sizes, no-op unrolls);
-    // the simulator metric of a variant is deterministic, so one
-    // evaluation serves every structurally-identical materialization.
+    // Content-addressed cache: distinct points may materialize to the
+    // same transformed program (unroll factors past the trip count); the
+    // simulator metric of a variant is deterministic, so one evaluation
+    // serves every structurally-identical materialization.
     if (!Cache)
       return evaluateVariant(*Variant);
     search::CacheKey VariantKey =
         search::makeCacheKey(cir::printProgram(*Variant));
-    EvalOutcome Out;
-    if (std::optional<EvalOutcome> Hit = Cache->lookup(VariantKey, P.key())) {
-      Out = std::move(*Hit);
-    } else {
-      Out = evaluateVariant(*Variant);
-      // MetricUnstable is never cached: another point that materializes
-      // the same variant must re-measure, not be served the flaky reading
-      // back.
-      if (Out.Failure == FailureKind::MetricUnstable)
-        return Out;
+    if (std::optional<EvalOutcome> Hit = Cache->lookup(VariantKey, P.key()))
+      return std::move(*Hit);
+    EvalOutcome Out = evaluateVariant(*Variant);
+    // MetricUnstable is never cached: another point that materializes the
+    // same variant must re-measure, not be served the flaky reading back.
+    if (Out.Failure != FailureKind::MetricUnstable)
       Cache->insert(VariantKey, P.key(), Out);
-    }
-    recordProjected(std::move(Active), {VariantKey, {}});
     return Out;
-  }
-
-  /// Assessments the projection memo served.
-  uint64_t projectionHits() const {
-    return ProjectionHits.load(std::memory_order_relaxed);
   }
 
 private:
@@ -240,20 +200,7 @@ private:
     if (!std::isfinite(Run.Cycles))
       return EvalOutcome::fail(FailureKind::MetricUnstable,
                                "non-finite cycle metric");
-    // A variant that computes different results is an illegal rewrite the
-    // legality machinery missed (or a forced transformation); reject it so
-    // the search cannot exploit broken code. Skipped when the baseline is a
-    // non-executable skeleton (NaN reference).
-    if (!std::isnan(BaselineChecksum)) {
-      double Tol = Opts.ChecksumRtol * std::max(1.0, std::abs(BaselineChecksum));
-      if (std::isnan(Run.Checksum) ||
-          std::abs(Run.Checksum - BaselineChecksum) > Tol)
-        return EvalOutcome::fail(FailureKind::ChecksumMismatch,
-                                 "checksum " + std::to_string(Run.Checksum) +
-                                     " vs baseline " +
-                                     std::to_string(BaselineChecksum));
-    }
-    return EvalOutcome::success(Run.Cycles);
+    return checked(Run.Checksum, Run.Cycles, "checksum");
   }
 
   /// The paper's buildcmd/runcmd loop, sandboxed: unparse, compile and run
@@ -269,45 +216,31 @@ private:
     eval::NativeResult NR = eval::evaluateNative(Variant, NOpts);
     if (!NR.Ok)
       return eval::toEvalOutcome(NR);
+    return checked(NR.Checksum, NR.Seconds, "native checksum");
+  }
+
+  /// A variant that computes different results is an illegal rewrite the
+  /// legality machinery missed (or a forced transformation): \p Metric
+  /// stands only when \p Checksum matches the baseline's within
+  /// ChecksumRtol, so the search cannot exploit broken code. Skipped when
+  /// the baseline is a non-executable skeleton (NaN reference). \p What
+  /// names the checksum in the mismatch detail.
+  search::EvalOutcome checked(double Checksum, double Metric,
+                              const char *What) const {
     if (!std::isnan(BaselineChecksum)) {
       double Tol = Opts.ChecksumRtol * std::max(1.0, std::abs(BaselineChecksum));
-      if (std::isnan(NR.Checksum) ||
-          std::abs(NR.Checksum - BaselineChecksum) > Tol)
-        return EvalOutcome::fail(FailureKind::ChecksumMismatch,
-                                 "native checksum " +
-                                     std::to_string(NR.Checksum) +
-                                     " vs baseline " +
-                                     std::to_string(BaselineChecksum));
+      if (std::isnan(Checksum) || std::abs(Checksum - BaselineChecksum) > Tol)
+        return search::EvalOutcome::fail(
+            search::FailureKind::ChecksumMismatch,
+            std::string(What) + " " + std::to_string(Checksum) +
+                " vs baseline " + std::to_string(BaselineChecksum));
     }
-    return EvalOutcome::success(NR.Seconds);
-  }
-
-  /// What the assessment of one active projection found: the eval-cache
-  /// key of its variant, or, when applyPoint rejected the point, that
-  /// failure.
-  struct Projected {
-    std::optional<search::CacheKey> Variant;
-    search::EvalOutcome Failure;
-  };
-
-  std::optional<Projected> findProjected(const std::string &Active) const {
-    std::lock_guard<std::mutex> L(MemoMutex);
-    auto It = Memo.find(Active);
-    if (It == Memo.end())
-      return std::nullopt;
-    return It->second;
-  }
-
-  /// The first writer wins, as in the eval cache.
-  void recordProjected(std::string Active, Projected Entry) {
-    std::lock_guard<std::mutex> L(MemoMutex);
-    Memo.try_emplace(std::move(Active), std::move(Entry));
+    return search::EvalOutcome::success(Metric);
   }
 
   const lang::LocusProgram &LProg;
   const lang::ModuleRegistry &Registry;
   const cir::Program &Baseline;
-  const search::Space &Space;
   const OrchestratorOptions &Opts;
   double BaselineChecksum;
   uint64_t DeadlineIterations;
@@ -315,9 +248,6 @@ private:
   /// baseline's native time); 0 keeps the configured default.
   double NativeTimeoutSeconds;
   search::VariantOutcomeCache *Cache;
-  mutable std::mutex MemoMutex;
-  std::unordered_map<std::string, Projected> Memo;
-  std::atomic<uint64_t> ProjectionHits{0};
 };
 
 } // namespace
@@ -422,7 +352,7 @@ Orchestrator::prepareSearch() {
     }
   }
   Prep->Objective = std::make_unique<VariantObjective>(
-      program(), Registry, Baseline, Prep->Space, Opts, Prep->BaselineChecksum,
+      program(), Registry, Baseline, Opts, Prep->BaselineChecksum,
       Prep->DeadlineIterations, Prep->NativeTimeoutSeconds, Prep->Cache);
   return Prep;
 }
@@ -548,7 +478,6 @@ Expected<SearchWorkflowResult> Orchestrator::runSearch() {
     Result.Search.CacheHits = CStats.Hits;
     Result.Search.CacheMisses = CStats.Misses;
     Result.Search.CacheDedupSaves = CStats.DedupSaves;
-    Result.Search.ProjectionHits = Prep.Objective->projectionHits();
   }
   if (Prep.DiskCache) {
     search::PersistentCacheStats PStats = Prep.DiskCache->persistentStats();

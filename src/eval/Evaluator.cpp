@@ -508,32 +508,27 @@ struct CompiledProgram {
     bool AllUnitStride = true;
     forEachStmt(*For.Body, [&](const Stmt &S) {
       forEachExpr(S, [&](const ExprPtr &E) {
-        const std::function<void(const Expr &)> Scan = [&](const Expr &Sub) {
-          if (const auto *A = dyn_cast<ArrayRef>(&Sub)) {
-            for (size_t I = 0; I < A->Indices.size(); ++I) {
-              std::optional<analysis::AffineExpr> Aff =
-                  analysis::toAffine(*A->Indices[I]);
-              int64_t Coeff = Aff ? Aff->coeff(For.Var) : 1;
-              if (!Aff && referencesVar(*A->Indices[I], For.Var))
+        // An array reference's subscripts are judged as a whole; the
+        // references nested in them are not scanned.
+        forEachSubExpr(*E, [&](const Expr &Sub) {
+          const auto *A = dyn_cast<ArrayRef>(&Sub);
+          if (!A)
+            return true;
+          for (size_t I = 0; I < A->Indices.size(); ++I) {
+            std::optional<analysis::AffineExpr> Aff =
+                analysis::toAffine(*A->Indices[I]);
+            int64_t Coeff = Aff ? Aff->coeff(For.Var) : 1;
+            if (!Aff && referencesVar(*A->Indices[I], For.Var))
+              AllUnitStride = false;
+            else if (I + 1 == A->Indices.size()) {
+              if (Coeff != 0 && Coeff != 1)
                 AllUnitStride = false;
-              else if (I + 1 == A->Indices.size()) {
-                if (Coeff != 0 && Coeff != 1)
-                  AllUnitStride = false;
-              } else if (Coeff != 0) {
-                AllUnitStride = false;
-              }
+            } else if (Coeff != 0) {
+              AllUnitStride = false;
             }
-          } else if (const auto *B = dyn_cast<BinaryExpr>(&Sub)) {
-            Scan(*B->Lhs);
-            Scan(*B->Rhs);
-          } else if (const auto *U = dyn_cast<UnaryExpr>(&Sub)) {
-            Scan(*U->Operand);
-          } else if (const auto *C = dyn_cast<CallExpr>(&Sub)) {
-            for (const auto &Arg : C->Args)
-              Scan(*Arg);
           }
-        };
-        Scan(*E);
+          return false;
+        });
       });
     });
     double W = static_cast<double>(Opts.Machine.VectorWidthDoubles);

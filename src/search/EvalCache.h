@@ -2,16 +2,18 @@
 ///
 /// \file
 /// A thread-safe cache of evaluation outcomes keyed by the content hash of
-/// the *transformed* variant, not by the proposed point. Distinct points
-/// frequently materialize to the same variant — a tile size clamped to the
-/// loop extent, an unroll factor that degenerates to a no-op, an OR arm
-/// whose parameters are dead in the chosen branch — and the simulator metric
-/// of a given variant is deterministic, so evaluating the variant once and
-/// serving every later structurally-identical materialization from the
-/// cache changes nothing about the search trajectory while skipping the
-/// most expensive stage (compile + simulate). Point-level duplicate
-/// memoization falls out for free: a duplicate point hashes to the same
-/// variant by construction.
+/// the *transformed* variant, not by the proposed point. The evaluation
+/// driver already serves a point whose active projection was assessed (an
+/// OR arm's parameters are dead in the other branch), so what reaches the
+/// cache are distinct configurations; some still materialize to one
+/// variant (every unroll factor from the trip count up unrolls fully; a
+/// tile size past the loop extent does not, its factor stays in the
+/// bounds). The simulator metric of a given variant is deterministic, so
+/// evaluating the variant once and serving every later
+/// structurally-identical materialization from the cache changes nothing
+/// about the search trajectory while skipping the most expensive stage
+/// (compile + simulate). A point seen again across runs (a persistent
+/// store, a respawned worker) hashes to the same variant by construction.
 ///
 /// Keys are 128 bits — two independently-seeded FNV-1a halves, the second
 /// additionally mixed with the program-text length. A single 64-bit hash is

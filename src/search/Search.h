@@ -208,9 +208,11 @@ struct SearchResult {
   uint64_t CacheMisses = 0;
   uint64_t CacheDedupSaves = 0; ///< distinct points that materialized to an
                                 ///< already-evaluated variant
-  /// Assessments the driver served without materializing, because a point
-  /// with the same active projection (Point::activeKey) was already
-  /// assessed. Those served from the eval cache also count in CacheHits.
+  /// Of Evaluations, those the evaluation driver served without calling the
+  /// objective, because a point with the same active projection
+  /// (Point::activeKey) was already assessed or replayed. A function of the
+  /// History alone (and of which points were pruned or replayed), so it
+  /// reads the same under any Jobs, serve mode or eval-cache setting.
   uint64_t ProjectionHits = 0;
 
   // Persistent-cache counters (filled by the driver when --cache-dir is

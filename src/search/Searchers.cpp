@@ -8,6 +8,7 @@
 #include <cmath>
 #include <map>
 #include <set>
+#include <unordered_map>
 
 namespace locus {
 namespace search {
@@ -161,8 +162,8 @@ Point samplePoint(const Space &S, Rng &R) {
 namespace {
 
 //===----------------------------------------------------------------------===//
-// Shared evaluation driver: deduplication, replay, static pruning, and the
-// parallel evaluation pool
+// Shared evaluation driver: deduplication, replay, static pruning, projection
+// reuse, and the parallel evaluation pool
 //===----------------------------------------------------------------------===//
 
 /// Fixed speculative batch width for searchers whose proposal stream does
@@ -178,9 +179,9 @@ constexpr size_t SpeculativeBatch = 8;
 struct BatchItem {
   double Metric = std::numeric_limits<double>::infinity();
   bool Valid = false;
-  /// A (fresh, replayed, or pruned) evaluation happened for this proposal;
-  /// false for duplicates served from the memo and for proposals dropped at
-  /// the budget boundary.
+  /// A (fresh, replayed, pruned or projection-served) evaluation happened
+  /// for this proposal; false for duplicates served from the memo and for
+  /// proposals dropped at the budget boundary.
   bool Fresh = false;
   /// The proposal produced a usable outcome (evaluated or served from the
   /// memo); false only for budget-dropped tail entries.
@@ -189,8 +190,9 @@ struct BatchItem {
 
 class EvalDriver {
 public:
-  EvalDriver(Objective &Obj, const SearchOptions &Opts, SearchResult &Result)
-      : Obj(Obj), Opts(Opts), Result(Result),
+  EvalDriver(const Space &S, Objective &Obj, const SearchOptions &Opts,
+             SearchResult &Result)
+      : Sp(S), Obj(Obj), Opts(Opts), Result(Result),
         Pool(Obj.concurrencySafe() ? Opts.Jobs : 1) {
     for (const EvalRecord &R : Opts.Replay)
       ReplayCache.emplace(R.P.key(), R);
@@ -208,28 +210,37 @@ public:
     return Result.Evaluations < Opts.MaxEvaluations;
   }
 
-  /// Evaluates a batch of proposals. Duplicates (of earlier evaluations or
-  /// of earlier entries in the same batch) are served from the memo;
-  /// journal-replayed and statically-pruned points consume their cached /
-  /// proven outcome; everything else is dispatched to the objective — in
-  /// parallel across the pool's workers when it has more than one. Results
-  /// are committed back in proposal order, so the searcher (and the
-  /// journal) observe exactly the serial trajectory. Proposals past the
-  /// evaluation budget are dropped (Assessed = false).
+  /// Evaluates a batch of proposals. Each is classified, in proposal order
+  /// on the search thread, as the first of these that applies:
+  ///
+  ///   1. an exact duplicate (of an earlier evaluation or an earlier entry
+  ///      of the batch): served from the memo, no budget;
+  ///   2. past the evaluation budget: dropped (Assessed = false);
+  ///   3. journal-replayed: consumes its recorded outcome;
+  ///   4. statically pruned: consumes the StaticFilter's proven failure;
+  ///   5. a repeat of an active projection (Point::activeKey) that the
+  ///      objective or the journal already assessed, or that a pending
+  ///      proposal of this batch carries: served that outcome, without
+  ///      calling the objective;
+  ///   6. pending: assessed by the objective, in parallel across the pool.
+  ///
+  /// A point reads only the parameters of the arms it selects, so two
+  /// points with one projection materialize one variant: the outcome of
+  /// the first serves the rest. A MetricUnstable outcome serves nothing;
+  /// a repeat of a pending proposal that came back unstable is assessed
+  /// itself, in a second pool pass. Every proposal that got an outcome
+  /// (3-6) commits the same way, in proposal order: History, journal,
+  /// best point, budget. So the searcher (and the journal) observe exactly
+  /// the serial trajectory, whatever the pool width or the objective.
   std::vector<BatchItem> evaluateBatch(const std::vector<Point> &Batch) {
-    enum class Kind : uint8_t { Dup, Replay, Pruned, Pending, Dropped };
-    struct Slot {
-      std::string Key;
-      Kind K = Kind::Dropped;
-      EvalOutcome Out;
-    };
     std::vector<Slot> Slots(Batch.size());
     std::vector<size_t> Pending;
     std::set<std::string> BatchKeys;
+    std::map<std::string, size_t> BatchLeaders;
     int BudgetUsed = 0;
 
-    // Classification pass, in proposal order on the search thread (replay
-    // consumption and StaticFilter calls keep their serial order).
+    // Classification pass (replay consumption and StaticFilter calls keep
+    // their serial order).
     for (size_t I = 0; I < Batch.size(); ++I) {
       Slot &S = Slots[I];
       S.Key = Batch[I].key();
@@ -243,6 +254,7 @@ public:
       }
       ++BudgetUsed;
       BatchKeys.insert(S.Key);
+      S.Active = Batch[I].activeKey(Sp);
       auto RIt = ReplayCache.find(S.Key);
       if (RIt != ReplayCache.end()) {
         S.K = Kind::Replay;
@@ -250,6 +262,7 @@ public:
         S.Out.Failure = RIt->second.Failure;
         S.Out.Detail = RIt->second.Detail;
         ReplayCache.erase(RIt);
+        recordProjection(S.Active, S.Out);
         continue;
       }
       if (Opts.StaticFilter) {
@@ -259,20 +272,37 @@ public:
           continue;
         }
       }
+      if (auto It = Projections.find(S.Active); It != Projections.end()) {
+        S.K = Kind::Projected;
+        S.Out = It->second;
+        continue;
+      }
+      if (auto [It, First] = BatchLeaders.try_emplace(S.Active, I); !First) {
+        S.K = Kind::Projected;
+        S.Leader = It->second;
+        continue;
+      }
       S.K = Kind::Pending;
       Pending.push_back(I);
     }
 
-    // Concurrent assessment of the fresh points.
-    if (!Pending.empty()) {
-      ++Result.Batches;
-      Result.MaxBatch = std::max(Result.MaxBatch, static_cast<int>(Pending.size()));
-      if (Pending.size() > 1 && Pool.jobs() > 1)
-        Result.PooledEvaluations += static_cast<int>(Pending.size());
-      Pool.run(Pending.size(), [&](size_t J) {
-        Slots[Pending[J]].Out = Obj.assess(Batch[Pending[J]]);
-      });
+    assess(Batch, Slots, Pending);
+    // A repeat takes its leader's outcome, or is assessed itself when that
+    // outcome is unstable.
+    std::vector<size_t> Retry;
+    for (size_t I = 0; I < Batch.size(); ++I) {
+      Slot &S = Slots[I];
+      if (!S.Leader)
+        continue;
+      const EvalOutcome &Led = Slots[*S.Leader].Out;
+      if (Led.Failure != FailureKind::MetricUnstable) {
+        S.Out = Led;
+      } else {
+        S.K = Kind::Pending;
+        Retry.push_back(I);
+      }
     }
+    assess(Batch, Slots, Retry);
 
     // Commit pass, in proposal order.
     std::vector<BatchItem> Items(Batch.size());
@@ -292,12 +322,17 @@ public:
         break;
       case Kind::Replay:
       case Kind::Pruned:
+      case Kind::Projected:
       case Kind::Pending: {
         bool Replayed = S.K == Kind::Replay;
         if (Replayed)
           ++Result.ReplayedEvaluations;
         if (S.K == Kind::Pruned)
           ++Result.PrunedStatic;
+        if (S.K == Kind::Projected)
+          ++Result.ProjectionHits;
+        if (S.K == Kind::Pending)
+          recordProjection(S.Active, S.Out);
         ++Result.Evaluations;
         Item.Valid = S.Out.ok();
         Item.Metric = Item.Valid ? S.Out.Metric
@@ -332,7 +367,7 @@ public:
   }
 
   /// Single-point convenience wrapper (the sequential searchers' path);
-  /// returns true when a (fresh, replayed, or pruned) evaluation happened.
+  /// returns true when an evaluation (not a duplicate) happened.
   bool evaluate(const Point &P, double &Metric, bool &Valid) {
     std::vector<BatchItem> Items = evaluateBatch({P});
     Metric = Items[0].Metric;
@@ -347,12 +382,53 @@ public:
   }
 
 private:
+  enum class Kind : uint8_t {
+    Dup,
+    Replay,
+    Pruned,
+    Projected,
+    Pending,
+    Dropped
+  };
+  /// One proposal of a batch, as classified.
+  struct Slot {
+    std::string Key, Active;
+    Kind K = Kind::Dropped;
+    EvalOutcome Out;
+    /// A Projected slot that repeats a pending slot of this batch.
+    std::optional<size_t> Leader;
+  };
+
+  /// Assesses the proposals at \p Indices concurrently, into their slots.
+  void assess(const std::vector<Point> &Batch, std::vector<Slot> &Slots,
+              const std::vector<size_t> &Indices) {
+    if (Indices.empty())
+      return;
+    ++Result.Batches;
+    Result.MaxBatch =
+        std::max(Result.MaxBatch, static_cast<int>(Indices.size()));
+    if (Indices.size() > 1 && Pool.jobs() > 1)
+      Result.PooledEvaluations += static_cast<int>(Indices.size());
+    Pool.run(Indices.size(), [&](size_t J) {
+      Slots[Indices[J]].Out = Obj.assess(Batch[Indices[J]]);
+    });
+  }
+
+  /// The first outcome of a projection serves its later repeats; an
+  /// unstable reading serves none.
+  void recordProjection(const std::string &Active, const EvalOutcome &Out) {
+    if (Out.Failure != FailureKind::MetricUnstable)
+      Projections.try_emplace(Active, Out);
+  }
+
+  const Space &Sp;
   Objective &Obj;
   const SearchOptions &Opts;
   SearchResult &Result;
   EvalPool Pool;
   std::map<std::string, std::pair<double, bool>> Seen;
   std::map<std::string, EvalRecord> ReplayCache;
+  std::unordered_map<std::string, EvalOutcome> Projections;
   bool Improved = false;
 };
 
@@ -416,7 +492,7 @@ public:
   SearchResult search(const Space &S, Objective &Obj,
                       const SearchOptions &Opts) override {
     SearchResult Result;
-    EvalDriver Driver(Obj, Opts, Result);
+    EvalDriver Driver(S, Obj, Opts, Result);
     std::vector<std::vector<PointValue>> ValueLists;
     for (const ParamDef &P : S.Params)
       ValueLists.push_back(enumerateValues(P));
@@ -459,7 +535,7 @@ public:
   SearchResult search(const Space &S, Objective &Obj,
                       const SearchOptions &Opts) override {
     SearchResult Result;
-    EvalDriver Driver(Obj, Opts, Result);
+    EvalDriver Driver(S, Obj, Opts, Result);
     Rng R(Opts.Seed);
     // Sampling is outcome-independent: draw the next stretch up front and
     // evaluate it as one concurrent batch. The Rng consumption order equals
@@ -491,7 +567,7 @@ public:
   SearchResult search(const Space &S, Objective &Obj,
                       const SearchOptions &Opts) override {
     SearchResult Result;
-    EvalDriver Driver(Obj, Opts, Result);
+    EvalDriver Driver(S, Obj, Opts, Result);
     Rng R(Opts.Seed);
 
     Point Current = samplePoint(S, R);
@@ -534,7 +610,7 @@ public:
   SearchResult search(const Space &S, Objective &Obj,
                       const SearchOptions &Opts) override {
     SearchResult Result;
-    EvalDriver Driver(Obj, Opts, Result);
+    EvalDriver Driver(S, Obj, Opts, Result);
     Rng R(Opts.Seed);
 
     // The initial population is one outcome-independent batch.
@@ -643,7 +719,7 @@ public:
   SearchResult search(const Space &S, Objective &Obj,
                       const SearchOptions &Opts) override {
     SearchResult Result;
-    EvalDriver Driver(Obj, Opts, Result);
+    EvalDriver Driver(S, Obj, Opts, Result);
     Rng R(Opts.Seed);
 
     // Move generators: random, greedy mutation of the best, and a
@@ -775,7 +851,7 @@ public:
   SearchResult search(const Space &S, Objective &Obj,
                       const SearchOptions &Opts) override {
     SearchResult Result;
-    EvalDriver Driver(Obj, Opts, Result);
+    EvalDriver Driver(S, Obj, Opts, Result);
     Rng R(Opts.Seed);
 
     std::vector<std::pair<double, Point>> History;

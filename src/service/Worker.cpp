@@ -5,6 +5,7 @@
 #include "src/search/PointCodec.h"
 #include "src/support/Posix.h"
 
+#include <algorithm>
 #include <chrono>
 #include <condition_variable>
 #include <mutex>
@@ -76,15 +77,19 @@ Expected<WorkerStats> runWorker(const search::Space &Space,
     return Ret::error("worker requires a non-empty worker id");
 
   // The coordinator creates the log; wait for it rather than racing to
-  // write a header of our own.
+  // write a header of our own. There is no doorbell to wait on before the
+  // queue exists, so the wait backs off from 1 ms to the poll period: a
+  // worker started alongside its coordinator sees the log as it lands, one
+  // started long before polls no faster than PollSeconds.
   std::string LogPath = TaskQueue::queueFilePath(Opts.QueueDir);
-  for (;;) {
+  for (double Wait = std::min(0.001, Opts.PollSeconds);;
+       Wait = std::min(2 * Wait, Opts.PollSeconds)) {
     struct stat St;
     if (::stat(LogPath.c_str(), &St) == 0)
       break;
     if (stopRequested(Opts))
       return Ret::error("worker stopped before queue " + LogPath + " existed");
-    sleepSeconds(Opts.PollSeconds);
+    sleepSeconds(Wait);
   }
 
   TaskQueueOptions QOpts;

@@ -51,23 +51,12 @@ struct LoopVariance {
         return false;
     // Unknown calls are not movable.
     bool HasUnknownCall = false;
-    const std::function<void(const Expr &)> Scan = [&](const Expr &Sub) {
-      if (const auto *C = dyn_cast<CallExpr>(&Sub)) {
+    forEachSubExpr(E, [&](const Expr &Sub) {
+      if (const auto *C = dyn_cast<CallExpr>(&Sub))
         if (C->Callee != "min" && C->Callee != "max")
           HasUnknownCall = true;
-        for (const auto &Arg : C->Args)
-          Scan(*Arg);
-      } else if (const auto *B = dyn_cast<BinaryExpr>(&Sub)) {
-        Scan(*B->Lhs);
-        Scan(*B->Rhs);
-      } else if (const auto *U = dyn_cast<UnaryExpr>(&Sub)) {
-        Scan(*U->Operand);
-      } else if (const auto *Arr = dyn_cast<ArrayRef>(&Sub)) {
-        for (const auto &I : Arr->Indices)
-          Scan(*I);
-      }
-    };
-    Scan(E);
+      return true;
+    });
     return !HasUnknownCall;
   }
 };
@@ -162,24 +151,13 @@ int hoistFromLoop(Block &Region, ForStmt &Loop, int MinOps,
   std::vector<ExprPtr> Candidates;
   auto HasUnsafeDiv = [](const Expr &E) {
     bool Unsafe = false;
-    const std::function<void(const Expr &)> Scan = [&](const Expr &Sub) {
-      if (const auto *B = dyn_cast<BinaryExpr>(&Sub)) {
+    forEachSubExpr(E, [&](const Expr &Sub) {
+      if (const auto *B = dyn_cast<BinaryExpr>(&Sub))
         if ((B->Op == BinOp::Div || B->Op == BinOp::Mod) &&
             !evalConstInt(*B->Rhs))
           Unsafe = true;
-        Scan(*B->Lhs);
-        Scan(*B->Rhs);
-      } else if (const auto *U = dyn_cast<UnaryExpr>(&Sub)) {
-        Scan(*U->Operand);
-      } else if (const auto *C = dyn_cast<CallExpr>(&Sub)) {
-        for (const auto &A : C->Args)
-          Scan(*A);
-      } else if (const auto *A = dyn_cast<ArrayRef>(&Sub)) {
-        for (const auto &I : A->Indices)
-          Scan(*I);
-      }
-    };
-    Scan(E);
+      return true;
+    });
     return Unsafe;
   };
   auto Consider = [&](const Expr &E) {
@@ -196,29 +174,10 @@ int hoistFromLoop(Block &Region, ForStmt &Loop, int MinOps,
     Candidates.push_back(E.clone());
     return true;
   };
-  // Find maximal invariant subtrees.
-  const std::function<void(const Expr &)> Scan = [&](const Expr &E) {
-    if (Consider(E))
-      return; // maximal: do not descend
-    switch (E.kind()) {
-    case ExprKind::Binary:
-      Scan(*cast<BinaryExpr>(&E)->Lhs);
-      Scan(*cast<BinaryExpr>(&E)->Rhs);
-      return;
-    case ExprKind::Unary:
-      Scan(*cast<UnaryExpr>(&E)->Operand);
-      return;
-    case ExprKind::Call:
-      for (const auto &A : cast<CallExpr>(&E)->Args)
-        Scan(*A);
-      return;
-    case ExprKind::ArrayRef:
-      for (const auto &I : cast<ArrayRef>(&E)->Indices)
-        Scan(*I);
-      return;
-    default:
-      return;
-    }
+  // Find maximal invariant subtrees: a candidate's own subexpressions are
+  // not scanned.
+  auto Scan = [&](const Expr &E) {
+    forEachSubExpr(E, [&](const Expr &Sub) { return !Consider(Sub); });
   };
   forEachStmt(*Loop.Body, [&](Stmt &S) {
     // Loop headers of nested loops are scanned too (their bounds repeat).

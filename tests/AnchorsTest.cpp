@@ -258,10 +258,6 @@ Expected<driver::SearchWorkflowResult> search(const Case &K, const Mode &M,
   // results) is stopped after a minute, so the row fails on a short
   // History instead of hanging.
   Opts.Serve.DegradeGraceSeconds = 3600;
-  // Served tasks here often wait out part of the 20 ms fallback poll
-  // instead of being woken by the queue's doorbell, which would make the
-  // fallback most of a served search's time.
-  Opts.Serve.PollSeconds = 0.001;
   std::atomic<bool> Stop{false};
   Opts.StopFlag = &Stop;
   std::mutex WatchM;
@@ -281,7 +277,6 @@ Expected<driver::SearchWorkflowResult> search(const Case &K, const Mode &M,
         W.QueueDir = Queue;
         W.WorkerId = "thread" + std::to_string(I);
         W.StopFlag = &Stop;
-        W.PollSeconds = Opts.Serve.PollSeconds;
         auto R = Orchestrator(*K.Locus, Target, options(K, M)).runWorker(W);
         EXPECT_TRUE(R.ok()) << R.message();
       });
@@ -294,9 +289,8 @@ Expected<driver::SearchWorkflowResult> search(const Case &K, const Mode &M,
     writeFile(LocusFile, K.LocusSource);
     writeFile(SourceFile, K.Source);
     std::vector<std::string> Argv = {
-        LOCUS_SEARCH_VICTIM, "--worker",   "--queue-dir", Queue,
-        "--locus",           LocusFile,    "--source",    SourceFile,
-        "--poll",            "0.001"};
+        LOCUS_SEARCH_VICTIM, "--worker", "--queue-dir", Queue,
+        "--locus",           LocusFile,  "--source",    SourceFile};
     if (K.AnnotateHottest)
       Argv.push_back("--annotate-hottest");
     Opts.Serve.Workers = 2;
@@ -475,6 +469,18 @@ void runFirst(CaseRun &C, const Mode &M, const test::Golden &G,
   auto Scan = support::RecordLog::scan(Opts.JournalPath);
   if (Scan.ok())
     C.Scan = std::move(*Scan);
+
+  // Projection reuse is decided on the search thread, from the History
+  // alone: every row serves exactly the points its pruning's serial row
+  // serves, whatever its pool, service or cache.
+  Mode Serial{.Name = "serial", .Prune = M.Prune};
+  auto Ref =
+      Orchestrator(*K.Locus, *K.Annotated, options(K, Serial)).runSearch();
+  if (Ref.ok()) {
+    EXPECT_EQ(R->Search.ProjectionHits, Ref->Search.ProjectionHits) << C.What;
+  } else {
+    ADD_FAILURE() << C.What << " serial: " << Ref.message();
+  }
 
   C.RangePruned = R->Search.PrunedStaticByRange;
   C.CacheMisses = R->Search.CacheMisses;

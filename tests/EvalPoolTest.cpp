@@ -384,16 +384,25 @@ TEST(DriverPool, ParallelMatmulSearchMatchesSerial) {
 }
 
 TEST(DriverPool, CacheCountsCrossPointDedupSaves) {
-  // Tile sizes larger than the 24-iteration loops clamp to the same
-  // materialized variant, so a searcher that proposes several of them gets
-  // cross-point dedup saves.
+  // Unroll factors of 1..40 on the 24-iteration innermost loop: every
+  // factor from 24 on unrolls it fully, to one shared variant. The one
+  // parameter is always active, so these are content-addressed saves, not
+  // projection repeats.
   MatmulFixture F;
+  auto L = lang::parseLocusProgram(R"(
+import "RoseLocus";
+CodeReg matmul {
+  RoseLocus.Unroll(loop=innermost, factor=integer(1..40));
+}
+)");
+  ASSERT_TRUE(L.ok()) << L.message();
   driver::OrchestratorOptions Opts = F.options("random");
   Opts.MaxEvaluations = 40;
-  driver::Orchestrator Orch(*F.LP, *F.CP, Opts);
+  driver::Orchestrator Orch(**L, *F.CP, Opts);
   auto R = Orch.runSearch();
   ASSERT_TRUE(R.ok()) << R.message();
   EXPECT_GT(R->Search.CacheMisses, 0u);
+  EXPECT_EQ(R->Search.ProjectionHits, 0u);
   EXPECT_GT(R->Search.CacheDedupSaves, 0u)
       << "expected distinct points to materialize to shared variants";
 }

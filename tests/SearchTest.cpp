@@ -4,6 +4,7 @@
 
 #include <gtest/gtest.h>
 
+#include <atomic>
 #include <cmath>
 #include <ostream>
 
@@ -300,6 +301,85 @@ TEST(Search, StaticFilterShortCircuitsTheObjective) {
     ASSERT_TRUE(Off.Found) << Name;
     EXPECT_EQ(On.Best.key(), Off.Best.key()) << Name;
     EXPECT_DOUBLE_EQ(On.BestMetric, Off.BestMetric) << Name;
+  }
+}
+
+/// Two arms of a selector `sel`: `x` is read only under arm 0, so the four
+/// points that select arm 1 share one active projection.
+Space guardedSpace() {
+  Space S;
+  ParamDef Sel;
+  Sel.Id = "sel";
+  Sel.Label = "or:sel";
+  Sel.Kind = ParamKind::Enum;
+  Sel.Options = {"a", "b"};
+  ParamDef X;
+  X.Id = "x";
+  X.Label = "x";
+  X.Kind = ParamKind::IntRange;
+  X.Min = 1;
+  X.Max = 4;
+  X.Guards = {{"sel", 0}};
+  S.Params = {Sel, X};
+  return S;
+}
+
+TEST(Search, ProjectionRepeatsAreServedUnlessUnstable) {
+  // Exhaustive proposes all eight points as one batch, `sel` varying
+  // fastest: the first arm-1 point is assessed, and its three repeats take
+  // its outcome at commit, or are assessed themselves when it came back
+  // MetricUnstable. A replayed arm-1 record serves them the same way.
+  Space S = guardedSpace();
+  for (int Jobs : {1, 4}) {
+    for (bool Unstable : {false, true}) {
+      for (bool Replayed : {false, true}) {
+        std::string What = "jobs " + std::to_string(Jobs) +
+                           (Unstable ? " unstable" : " stable") +
+                           (Replayed ? " replayed" : "");
+        EvalOutcome ArmB =
+            Unstable ? EvalOutcome::fail(FailureKind::MetricUnstable, "flaky")
+                     : EvalOutcome::success(100);
+        std::atomic<int> Calls{0};
+        LambdaObjective Obj(
+            [&](const Point &P) {
+              ++Calls;
+              return P.getInt("sel") == 1
+                         ? ArmB
+                         : EvalOutcome::success(
+                               static_cast<double>(P.getInt("x")));
+            },
+            /*ThreadSafe=*/true);
+        SearchOptions Opts;
+        Opts.MaxEvaluations = 8;
+        Opts.Jobs = Jobs;
+        if (Replayed) {
+          EvalRecord Rec;
+          Rec.P.Values = {{"sel", int64_t{1}}, {"x", int64_t{1}}};
+          Rec.Metric = ArmB.Metric;
+          Rec.Valid = ArmB.ok();
+          Rec.Failure = ArmB.Failure;
+          Rec.Detail = ArmB.Detail;
+          Opts.Replay = {Rec};
+        }
+        SearchResult R = makeSearcher("exhaustive")->search(S, Obj, Opts);
+
+        ASSERT_EQ(R.History.size(), 8u) << What;
+        EXPECT_EQ(R.Evaluations, 8) << What;
+        EXPECT_EQ(R.ProjectionHits, Unstable ? 0u : 3u) << What;
+        int Assessed = (Unstable ? 8 : 5) - (Replayed ? 1 : 0);
+        EXPECT_EQ(Calls.load(), Assessed) << What;
+        for (const EvalRecord &Rec : R.History) {
+          if (Rec.P.getInt("sel") != 1)
+            continue;
+          EXPECT_EQ(Rec.Failure, ArmB.Failure) << What;
+          EXPECT_EQ(Rec.Detail, ArmB.Detail) << What;
+          EXPECT_EQ(Rec.Valid, ArmB.ok()) << What;
+        }
+        ASSERT_TRUE(R.Found) << What;
+        EXPECT_EQ(R.Best.getInt("sel"), 0) << What;
+        EXPECT_EQ(R.Best.getInt("x"), 1) << What;
+      }
+    }
   }
 }
 

@@ -99,7 +99,7 @@ TEST(ServiceTorture, CoordinatorKilledMidAppendResumesToTheExactResult) {
   // already committed to the queue survives.
   std::string Journal = Dir.path() + "/svc.rlog";
   std::string QueueDir = Dir.path() + "/q";
-  const char *CrashAt[] = {"3", "8:1", "13"};
+  const char *CrashAt[] = {"3", "8:1", "10"};
   bool First = true;
   for (const char *Spec : CrashAt) {
     std::vector<std::string> Args = {"--searcher", "de",      "--budget", "12",
