@@ -512,7 +512,7 @@ void printSearchSummary(const driver::SearchWorkflowResult &R,
     std::printf("pool: %d workers, %d batches (widest %d), %d of %d "
                 "assessments dispatched in parallel\n",
                 S.PoolJobs, S.Batches, S.MaxBatch, S.PooledEvaluations,
-                S.Evaluations);
+                S.ObjectiveCalls);
   if (S.CacheHits || S.CacheMisses)
     std::printf("eval cache: %llu hits / %llu misses, %llu cross-point "
                 "dedup saves\n",

@@ -8,12 +8,28 @@ namespace locus {
 namespace analysis {
 
 AffineExpr AffineExpr::operator+(const AffineExpr &Other) const {
-  AffineExpr Result = *this;
-  Result.Overflowed |= Other.Overflowed;
+  AffineExpr Result;
+  Result.Overflowed = Overflowed || Other.Overflowed;
   Result.Overflowed |=
       __builtin_add_overflow(Constant, Other.Constant, &Result.Constant);
-  for (const auto &[Name, Coeff] : Other.Coeffs)
-    Result.addTerm(Name, Coeff);
+  // Merge the two name-sorted term lists; a sum that cancels to 0 drops.
+  Result.Coeffs.reserve(Coeffs.size() + Other.Coeffs.size());
+  auto L = Coeffs.begin(), LEnd = Coeffs.end();
+  auto R = Other.Coeffs.begin(), REnd = Other.Coeffs.end();
+  while (L != LEnd || R != REnd) {
+    if (R == REnd || (L != LEnd && L->first < R->first)) {
+      Result.Coeffs.push_back(*L++);
+    } else if (L == LEnd || R->first < L->first) {
+      Result.Coeffs.push_back(*R++);
+    } else {
+      int64_t Sum;
+      Result.Overflowed |= __builtin_add_overflow(L->second, R->second, &Sum);
+      if (Sum != 0)
+        Result.Coeffs.emplace_back(L->first, Sum);
+      ++L;
+      ++R;
+    }
+  }
   return Result;
 }
 
@@ -28,9 +44,9 @@ AffineExpr AffineExpr::scaled(int64_t Factor) const {
     return Result;
   Result.Overflowed |=
       __builtin_mul_overflow(Constant, Factor, &Result.Constant);
-  for (const auto &[Name, Coeff] : Coeffs)
-    Result.Overflowed |=
-        __builtin_mul_overflow(Coeff, Factor, &Result.Coeffs[Name]);
+  Result.Coeffs = Coeffs;
+  for (Term &T : Result.Coeffs)
+    Result.Overflowed |= __builtin_mul_overflow(T.second, Factor, &T.second);
   return Result;
 }
 

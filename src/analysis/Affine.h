@@ -15,10 +15,10 @@
 #include "src/cir/Ast.h"
 
 #include <cstdint>
-#include <map>
 #include <optional>
-#include <set>
 #include <string>
+#include <utility>
+#include <vector>
 
 namespace locus {
 namespace analysis {
@@ -28,23 +28,29 @@ namespace analysis {
 /// caller distinguishes them by name.
 class AffineExpr {
 public:
+  /// One (name, coefficient) term; coeffs() keeps them sorted by name.
+  using Term = std::pair<std::string, int64_t>;
+
   AffineExpr() = default;
   explicit AffineExpr(int64_t Constant) : Constant(Constant) {}
 
   static AffineExpr variable(const std::string &Name, int64_t Coeff = 1) {
     AffineExpr E;
     if (Coeff != 0)
-      E.Coeffs[Name] = Coeff;
+      E.Coeffs.emplace_back(Name, Coeff);
     return E;
   }
 
   int64_t constant() const { return Constant; }
-  const std::map<std::string, int64_t> &coeffs() const { return Coeffs; }
+  /// The non-zero terms, sorted by name.
+  const std::vector<Term> &coeffs() const { return Coeffs; }
 
   /// Coefficient of \p Name (0 when absent).
   int64_t coeff(const std::string &Name) const {
-    auto It = Coeffs.find(Name);
-    return It == Coeffs.end() ? 0 : It->second;
+    for (const Term &T : Coeffs)
+      if (T.first == Name)
+        return T.second;
+    return 0;
   }
 
   bool isConstant() const { return Coeffs.empty(); }
@@ -65,15 +71,10 @@ public:
   std::string str() const;
 
 private:
-  void addTerm(const std::string &Name, int64_t Coeff) {
-    int64_t &Slot = Coeffs[Name];
-    Overflowed |= __builtin_add_overflow(Slot, Coeff, &Slot);
-    if (Slot == 0)
-      Coeffs.erase(Name);
-  }
-
   int64_t Constant = 0;
-  std::map<std::string, int64_t> Coeffs;
+  /// A flat vector: subscripts have a few terms, and a vector allocates
+  /// once where a map allocates per term.
+  std::vector<Term> Coeffs;
   bool Overflowed = false;
 };
 

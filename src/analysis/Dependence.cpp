@@ -8,8 +8,6 @@
 #include <algorithm>
 #include <cstdint>
 #include <functional>
-#include <map>
-#include <set>
 
 namespace locus {
 namespace analysis {
@@ -130,25 +128,43 @@ std::vector<std::vector<char>> Dependence::plausibleVectors() const {
   return Result;
 }
 
-/// Walks a nest collecting leaf statements and their accesses; also checks
-/// that everything needed for dependence testing is affine.
+/// Walks a nest collecting leaf statements and their accesses, checks that
+/// everything needed for dependence testing is affine, and tests every pair
+/// of accesses that may touch the same memory. compute() records each
+/// plausible dependence; carriedByRoot() (VerdictOnly) records none and
+/// stops at the first one the root loop carries.
 ///
-/// Names are resolved once per nest: every subscript variable and array gets
-/// an integer id, and every subscript term records the depth of the
-/// outermost enclosing loop of its access driven by that variable. The pair
-/// tests then classify a term for a pair with C common loops by comparing
-/// that depth with C: a common loop variable below C, another loop's
-/// variable at or past it, a parameter when no loop drives it. Loops are
-/// matched by variable name, so a name reused by nested loops classifies
+/// Names are interned as the walk meets them: every subscript variable and
+/// array gets an integer id, and every subscript term records the depth of
+/// the outermost enclosing loop of its access driven by that variable. The
+/// pair tests then classify a term for a pair with C common loops by
+/// comparing that depth with C: a common loop variable below C, another
+/// loop's variable at or past it, a parameter when no loop drives it. Loops
+/// are matched by variable name, so a name reused by nested loops classifies
 /// by its outermost loop, as comparing names would.
 struct DependenceBuilder {
+  bool VerdictOnly = false;
+  bool Carried = false; ///< VerdictOnly: a dependence the root carries
   bool Affine = true;
   support::Diag *WhyNot = nullptr;
-  std::vector<const ForStmt *> LoopStack;
-  std::set<std::string> LoopVars;
-  std::set<std::string> WrittenScalars;
   DependenceInfo Info;
 
+  /// One interned name.
+  struct Name {
+    std::string Text;
+    bool Written = false; ///< a scalar assigned or declared in the nest
+    bool LoopVar = false; ///< the variable of a loop the walk is inside
+  };
+  /// One loop of the nest. Its chain, Chains[Chain, Chain + Depth], lists
+  /// the loops enclosing it (outer first, itself last): every access of the
+  /// loop's body shares it.
+  struct Loop {
+    const ForStmt *For = nullptr;
+    int Var = 0;
+    size_t Chain = 0;
+    size_t Depth = 0;
+    std::optional<ConstLoop> Range; ///< constLoop(*For)
+  };
   /// One variable of an affine subscript, resolved.
   struct Term {
     int Var = 0;             ///< interned name
@@ -161,24 +177,36 @@ struct DependenceBuilder {
     size_t End = 0;
     int64_t Constant = 0;
   };
-  /// The resolved twin of Info.Accesses[I].
-  struct Resolved {
-    int Array = 0;
-    size_t FirstSub = 0;      ///< into Subs
-    std::vector<int> LoopVar; ///< interned Var of each enclosing loop
+  /// One array (or scalar) access inside the nest.
+  struct Access {
+    int Array = 0; ///< interned; scalars use their own name
+    bool IsWrite = false;
+    int LeafStmt = 0;    ///< index of the owning leaf statement (preorder)
+    size_t Loop = 0;     ///< innermost enclosing loop
+    size_t FirstSub = 0; ///< Subs[FirstSub, FirstSub + NumSubs)
+    size_t NumSubs = 0;  ///< 0 for scalars
   };
-  std::map<std::string, int> Names;
+  std::vector<Name> Names;
+  std::vector<Loop> Loops;
+  std::vector<size_t> Chains;
+  std::vector<size_t> LoopStack; ///< indices into Loops, outer first
+  std::vector<Access> Accesses;
   std::vector<Term> Terms;
   std::vector<Subscript> Subs;
-  std::vector<Resolved> Res;
-  /// Every loop of the nest with its constant range.
-  std::vector<std::pair<const ForStmt *, std::optional<ConstLoop>>> Ranges;
   std::vector<char> Dirs; ///< the pair under test's direction vector
 
-  int intern(const std::string &Name) {
-    int Next = static_cast<int>(Names.size());
-    return Names.try_emplace(Name, Next).first->second;
+  int intern(const std::string &Text) {
+    for (size_t I = 0; I < Names.size(); ++I)
+      if (Names[I].Text == Text)
+        return static_cast<int>(I);
+    Names.push_back({Text});
+    return static_cast<int>(Names.size() - 1);
   }
+
+  const size_t *chain(const Access &A) const {
+    return &Chains[Loops[A.Loop].Chain];
+  }
+  size_t depth(const Access &A) const { return Loops[A.Loop].Depth + 1; }
 
   /// Marks the analysis unavailable, capturing the first reason (with its
   /// source location) for diagnostics when the caller asked for one.
@@ -199,10 +227,10 @@ struct DependenceBuilder {
     forEachStmt(Root, [&](const Stmt &S) {
       if (auto *A = dyn_cast<AssignStmt>(&S)) {
         if (auto *V = dyn_cast<VarRef>(A->Lhs.get()))
-          WrittenScalars.insert(V->Name);
+          Names[static_cast<size_t>(intern(V->Name))].Written = true;
       } else if (auto *D = dyn_cast<DeclStmt>(&S)) {
         if (!D->isArray())
-          WrittenScalars.insert(D->Name);
+          Names[static_cast<size_t>(intern(D->Name))].Written = true;
       }
     });
     visitLoop(Root);
@@ -215,16 +243,25 @@ struct DependenceBuilder {
     // Non-affine loop bounds (min/max-clamped tile loops, indirection-driven
     // ranges) are fine: the subscript tests are conservative without trip
     // information. Only subscripts must be affine.
-    LoopStack.push_back(&For);
-    Ranges.emplace_back(&For, constLoop(For));
-    LoopVars.insert(For.Var);
+    Loop L;
+    L.For = &For;
+    L.Var = intern(For.Var);
+    L.Chain = Chains.size();
+    L.Depth = LoopStack.size();
+    L.Range = constLoop(For);
+    LoopStack.push_back(Loops.size());
+    Chains.insert(Chains.end(), LoopStack.begin(), LoopStack.end());
+    Loops.push_back(L);
+    Names[static_cast<size_t>(L.Var)].LoopVar = true;
     visitBlock(*For.Body);
-    LoopVars.erase(For.Var);
+    Names[static_cast<size_t>(L.Var)].LoopVar = false;
     LoopStack.pop_back();
   }
   void visitBlock(const Block &B) {
+    // The first construct that defeats the analysis ends the walk.
     for (const auto &S : B.Stmts)
-      visitStmt(*S);
+      if (Affine)
+        visitStmt(*S);
   }
 
   void visitStmt(const Stmt &S) {
@@ -235,16 +272,11 @@ struct DependenceBuilder {
     case StmtKind::For:
       visitLoop(*cast<ForStmt>(&S));
       return;
-    case StmtKind::If: {
-      const auto *I = cast<IfStmt>(&S);
+    case StmtKind::If:
       // Conditionals make exact dependence testing unavailable here.
       nonAffine(S.Loc, "conditional statement inside the nest: dependence "
                        "analysis unavailable");
-      visitBlock(*I->Then);
-      if (I->Else)
-        visitBlock(*I->Else);
       return;
-    }
     case StmtKind::Assign: {
       const auto *A = cast<AssignStmt>(&S);
       int Leaf = static_cast<int>(Info.LeafStmts.size());
@@ -262,8 +294,7 @@ struct DependenceBuilder {
       Info.LeafStmts.push_back(&S);
       if (D->Init) {
         // A declaration acts as a scalar write.
-        VarRef Tmp(D->Name);
-        addAccess(Tmp, /*IsWrite=*/true, Leaf);
+        addScalar(D->Name, /*IsWrite=*/true, Leaf);
         addReads(*D->Init, Leaf);
       }
       return;
@@ -273,54 +304,61 @@ struct DependenceBuilder {
       nonAffine(S.Loc, "call `" + printExpr(*cast<CallStmt>(&S)->Call) +
                            "` has unknown effects: dependence analysis "
                            "unavailable");
-      Info.LeafStmts.push_back(&S);
       return;
     }
   }
 
+  /// The depth of the outermost loop on the walk's stack driven by \p Var.
+  size_t loopDepth(int Var) const {
+    for (size_t L = 0; L < LoopStack.size(); ++L)
+      if (Loops[LoopStack[L]].Var == Var)
+        return L;
+    return NotALoop;
+  }
+
+  void addScalar(const std::string &Text, bool IsWrite, int Leaf) {
+    // Scalars participate only when written somewhere in the nest.
+    int Var = intern(Text);
+    const Name &N = Names[static_cast<size_t>(Var)];
+    if (N.Written && !N.LoopVar)
+      Accesses.push_back({Var, IsWrite, Leaf, LoopStack.back(), Subs.size()});
+  }
+
   void addAccess(const Expr &E, bool IsWrite, int Leaf) {
-    if (const auto *A = dyn_cast<ArrayRef>(&E)) {
-      Access Acc;
-      Acc.Array = A->Name;
-      Acc.IsWrite = IsWrite;
-      Acc.LeafStmt = Leaf;
-      Acc.Loops = LoopStack;
-      for (const auto &Sub : A->Indices) {
-        std::optional<AffineExpr> Aff = toAffine(*Sub);
-        if (!Aff) {
-          nonAffine(Sub->Loc.valid() ? Sub->Loc : E.Loc,
-                    "subscript `" + A->Name + "[" + printExpr(*Sub) +
-                        "]` is non-affine: dependence analysis unavailable");
-          return;
-        }
+    if (const auto *V = dyn_cast<VarRef>(&E)) {
+      addScalar(V->Name, IsWrite, Leaf);
+      return;
+    }
+    const auto *A = dyn_cast<ArrayRef>(&E);
+    if (!A)
+      return;
+    Access Acc{intern(A->Name), IsWrite, Leaf, LoopStack.back(), Subs.size(),
+               A->Indices.size()};
+    for (const auto &Sub : A->Indices) {
+      support::SrcLoc Loc = Sub->Loc.valid() ? Sub->Loc : E.Loc;
+      std::optional<AffineExpr> Aff = toAffine(*Sub);
+      if (!Aff) {
+        nonAffine(Loc, "subscript `" + A->Name + "[" + printExpr(*Sub) +
+                           "]` is non-affine: dependence analysis unavailable");
+        return;
+      }
+      Subscript S{Terms.size(), 0, Aff->constant()};
+      for (const auto &[Text, Coeff] : Aff->coeffs()) {
+        int Var = intern(Text);
         // Subscripts referencing scalars that are written in the nest are
         // not analyzable (their value varies unpredictably).
-        for (const auto &[Name, Coeff] : Aff->coeffs()) {
-          (void)Coeff;
-          if (WrittenScalars.count(Name) && !LoopVars.count(Name))
-            nonAffine(Sub->Loc.valid() ? Sub->Loc : E.Loc,
-                      "subscript `" + A->Name + "[" + printExpr(*Sub) +
-                          "]` reads scalar '" + Name +
-                          "' written inside the nest: dependence analysis "
-                          "unavailable");
-        }
-        Acc.Subs.push_back(std::move(*Aff));
+        const Name &N = Names[static_cast<size_t>(Var)];
+        if (N.Written && !N.LoopVar)
+          nonAffine(Loc, "subscript `" + A->Name + "[" + printExpr(*Sub) +
+                             "]` reads scalar '" + Text +
+                             "' written inside the nest: dependence analysis "
+                             "unavailable");
+        Terms.push_back({Var, Coeff, loopDepth(Var)});
       }
-      Info.Accesses.push_back(std::move(Acc));
-      return;
+      S.End = Terms.size();
+      Subs.push_back(S);
     }
-    if (const auto *V = dyn_cast<VarRef>(&E)) {
-      // Scalars participate only when written somewhere in the nest.
-      if (!WrittenScalars.count(V->Name) || LoopVars.count(V->Name))
-        return;
-      Access Acc;
-      Acc.Array = V->Name;
-      Acc.IsWrite = IsWrite;
-      Acc.LeafStmt = Leaf;
-      Acc.Loops = LoopStack;
-      Info.Accesses.push_back(std::move(Acc));
-      return;
-    }
+    Accesses.push_back(Acc);
   }
 
   void addReads(const Expr &E, int Leaf) {
@@ -359,65 +397,36 @@ struct DependenceBuilder {
     }
   }
 
-  /// Interns every name the pair tests compare and resolves each access's
-  /// subscript terms and loops (see the struct comment).
-  void resolve() {
-    Res.reserve(Info.Accesses.size());
-    for (const Access &Acc : Info.Accesses) {
-      Resolved R;
-      R.Array = intern(Acc.Array);
-      R.FirstSub = Subs.size();
-      R.LoopVar.reserve(Acc.Loops.size());
-      for (const ForStmt *L : Acc.Loops)
-        R.LoopVar.push_back(intern(L->Var));
-      for (const AffineExpr &E : Acc.Subs) {
-        Subscript Sub{Terms.size(), 0, E.constant()};
-        for (const auto &[Name, Coeff] : E.coeffs()) {
-          Term T{intern(Name), Coeff, NotALoop};
-          for (size_t L = 0; L < R.LoopVar.size() && T.Depth == NotALoop; ++L)
-            if (R.LoopVar[L] == T.Var)
-              T.Depth = L;
-          Terms.push_back(T);
-        }
-        Sub.End = Terms.size();
-        Subs.push_back(Sub);
-      }
-      Res.push_back(std::move(R));
-    }
-  }
-
   /// Tests every ordered pair of accesses to the same array where at least
-  /// one is a write.
+  /// one is a write (until one is carried, when only that is asked).
   void testAllPairs() {
-    resolve();
     // Accesses per array, in access order, so the pairs (and the Deps they
     // produce) come in the order of a scan over all (I, J).
     std::vector<std::vector<size_t>> ByArray(Names.size());
-    for (size_t I = 0; I < Res.size(); ++I)
-      ByArray[static_cast<size_t>(Res[I].Array)].push_back(I);
-    for (size_t I = 0; I < Info.Accesses.size(); ++I)
-      for (size_t J : ByArray[static_cast<size_t>(Res[I].Array)])
-        if (I != J &&
-            (Info.Accesses[I].IsWrite || Info.Accesses[J].IsWrite))
-          testPair(I, J);
+    for (size_t I = 0; I < Accesses.size(); ++I)
+      ByArray[static_cast<size_t>(Accesses[I].Array)].push_back(I);
+    for (size_t I = 0; I < Accesses.size(); ++I)
+      for (size_t J : ByArray[static_cast<size_t>(Accesses[I].Array)])
+        if (I != J && (Accesses[I].IsWrite || Accesses[J].IsWrite)) {
+          testPair(Accesses[I], Accesses[J]);
+          if (Carried)
+            return;
+        }
   }
 
-  void testPair(size_t I, size_t J) {
-    const Access &A = Info.Accesses[I];
-    const Access &B = Info.Accesses[J];
+  void testPair(const Access &A, const Access &B) {
+    if (A.NumSubs != B.NumSubs)
+      return; // different dimensionality: treat as distinct objects
     // Common loops: longest common prefix of the enclosing loop chains.
+    const size_t *CA = chain(A);
+    const size_t *CB = chain(B);
     size_t Common = 0;
-    while (Common < A.Loops.size() && Common < B.Loops.size() &&
-           A.Loops[Common] == B.Loops[Common])
+    while (Common < depth(A) && Common < depth(B) && CA[Common] == CB[Common])
       ++Common;
 
-    if (A.Subs.size() != B.Subs.size())
-      return; // different dimensionality: treat as distinct objects
-
     Dirs.assign(Common, '*');
-    for (size_t D = 0; D < A.Subs.size(); ++D)
-      if (!testDim(Subs[Res[I].FirstSub + D], Subs[Res[J].FirstSub + D], A,
-                   Res[I], Common))
+    for (size_t D = 0; D < A.NumSubs; ++D)
+      if (!testDim(Subs[A.FirstSub + D], Subs[B.FirstSub + D], A, Common))
         return; // proven independent
 
     // Keep only dependences with at least one plausible vector.
@@ -425,16 +434,37 @@ struct DependenceBuilder {
                              : DepKind::Anti;
     if (!plausible(Dirs.data(), Common, A.LeafStmt, B.LeafStmt, Kind))
       return;
+    if (VerdictOnly) {
+      // Dependence::mayBeCarriedBy(0), without building the Dependence.
+      Carried = Common > 0 && (Dirs[0] == '<' || Dirs[0] == '*');
+      return;
+    }
     Dependence Dep;
     Dep.SrcStmt = A.LeafStmt;
     Dep.DstStmt = B.LeafStmt;
-    Dep.Array = A.Array;
-    Dep.IsScalar = A.Subs.empty();
+    Dep.Array = Names[static_cast<size_t>(A.Array)].Text;
+    Dep.IsScalar = A.NumSubs == 0;
     Dep.Kind = Kind;
     Dep.Dirs = Dirs;
-    Dep.CommonLoops.assign(A.Loops.begin(),
-                           A.Loops.begin() + static_cast<long>(Common));
+    for (size_t L = 0; L < Common; ++L)
+      Dep.CommonLoops.push_back(Loops[CA[L]].For);
     Info.Deps.push_back(std::move(Dep));
+  }
+
+  /// True when every array subscript but the last has coefficient 0 in the
+  /// root loop's variable, and the last has 0 or 1.
+  bool unitStride() const {
+    for (const Access &A : Accesses)
+      for (size_t D = 0; D < A.NumSubs; ++D) {
+        const Subscript &S = Subs[A.FirstSub + D];
+        int64_t Coeff = 0;
+        for (size_t T = S.Begin; T < S.End; ++T)
+          if (Terms[T].Depth == 0)
+            Coeff = Terms[T].Coeff;
+        if (Coeff != 0 && (D + 1 < A.NumSubs || Coeff != 1))
+          return false;
+      }
+    return true;
   }
 
   /// GCD of the loop-variable coefficients (common and other loops) of both
@@ -475,17 +505,12 @@ struct DependenceBuilder {
   }
 
   /// The constant range of the first common loop driven by \p Var.
-  const std::optional<ConstLoop> &constRange(const Access &A,
-                                             const Resolved &RA, int Var,
+  const std::optional<ConstLoop> &constRange(const Access &A, int Var,
                                              size_t Common) const {
     static const std::optional<ConstLoop> None;
-    for (size_t L = 0; L < Common; ++L) {
-      if (RA.LoopVar[L] != Var)
-        continue;
-      for (const auto &[Loop, Range] : Ranges)
-        if (Loop == A.Loops[L])
-          return Range;
-    }
+    for (size_t L = 0; L < Common; ++L)
+      if (Loops[chain(A)[L]].Var == Var)
+        return Loops[chain(A)[L]].Range;
     return None;
   }
 
@@ -494,7 +519,7 @@ struct DependenceBuilder {
   /// division is overflow-checked: a dimension whose arithmetic overflows
   /// returns true and leaves Dirs alone, so it never proves independence.
   bool testDim(const Subscript &SA, const Subscript &SB, const Access &A,
-               const Resolved &RA, size_t Common) {
+               size_t Common) {
     // Split each side into common-loop-var, other-loop-var and parameter
     // terms: a term's depth below Common marks a common loop variable.
     const Term *CA = nullptr;
@@ -566,15 +591,16 @@ struct DependenceBuilder {
       // not a multiple of the step is unrealizable (unrolled loops write
       // interleaved, disjoint element sets).
       for (size_t L = 0; L < Common; ++L) {
-        if (RA.LoopVar[L] != CA->Var)
+        const Loop &Lp = Loops[chain(A)[L]];
+        if (Lp.Var != CA->Var)
           continue;
-        int64_t Step = A.Loops[L]->Step;
+        int64_t Step = Lp.For->Step;
         if (Step > 1 && Distance % Step != 0)
           return false;
       }
       char Dir = Distance > 0 ? '<' : (Distance < 0 ? '>' : '=');
       for (size_t L = 0; L < Common; ++L) {
-        if (RA.LoopVar[L] != CA->Var)
+        if (Loops[chain(A)[L]].Var != CA->Var)
           continue;
         if (!mergeDir(Dirs[L], Dir))
           return false; // conflicting constraints: independent
@@ -601,7 +627,7 @@ struct DependenceBuilder {
           return Q.Kind == Quotient::Unknown; // no integer solution
         int64_t I0 = Q.Value;
         if (const std::optional<ConstLoop> &R =
-                constRange(A, RA, VarSide.Var, Common)) {
+                constRange(A, VarSide.Var, Common)) {
           if (I0 < R->First || I0 >= R->Limit ||
               (static_cast<__int128>(I0) - R->First) % R->Step != 0)
             return false; // solution outside the iteration space
@@ -623,7 +649,7 @@ struct DependenceBuilder {
         return Q.Kind == Quotient::Unknown; // crossing off the integers
       int64_t Sum = Q.Value; // i1 + i2 at the crossing
       if (const std::optional<ConstLoop> &R =
-              constRange(A, RA, CA->Var, Common)) {
+              constRange(A, CA->Var, Common)) {
         // Twice an endpoint may leave int64_t; compare in 128 bits.
         __int128 Lo2 = 2 * static_cast<__int128>(R->First);
         __int128 Hi2 = 2 * (static_cast<__int128>(R->Limit) - 1);
@@ -654,6 +680,18 @@ DependenceInfo::compute(const ForStmt &Root, support::Diag *WhyNot) {
   for (ForStmt *L : perfectNest(const_cast<ForStmt &>(Root)))
     Builder.Info.NestLoops.push_back(L);
   return std::move(Builder.Info);
+}
+
+DependenceInfo::RootVerdict
+DependenceInfo::carriedByRoot(const ForStmt &Root) {
+  DependenceBuilder Builder;
+  Builder.VerdictOnly = true;
+  Builder.run(Root);
+  if (!Builder.Affine)
+    return {RootCarry::Unavailable};
+  if (Builder.Carried)
+    return {RootCarry::Carried};
+  return {RootCarry::Independent, Builder.unitStride()};
 }
 
 bool DependenceInfo::interchangeLegal(const std::vector<int> &Perm) const {

@@ -29,15 +29,6 @@ namespace analysis {
 /// Classic dependence kinds.
 enum class DepKind { Flow, Anti, Output };
 
-/// One array (or scalar) access inside the analyzed nest.
-struct Access {
-  std::string Array;            ///< array name; scalars use their own name
-  std::vector<AffineExpr> Subs; ///< affine subscripts (empty for scalars)
-  bool IsWrite = false;
-  int LeafStmt = 0; ///< index of the owning leaf statement (preorder)
-  std::vector<const cir::ForStmt *> Loops; ///< enclosing loops, outer first
-};
-
 /// A dependence between two leaf statements with a direction vector over
 /// their common loops: '<', '=', '>' or '*' (unknown).
 struct Dependence {
@@ -81,8 +72,24 @@ public:
   static std::optional<DependenceInfo>
   compute(const cir::ForStmt &Root, support::Diag *WhyNot = nullptr);
 
+  /// Whether the loop \p Root carries a dependence.
+  enum class RootCarry {
+    Unavailable, ///< compute(Root) would return nullopt
+    Carried,     ///< some dependence of compute(Root) has mayBeCarriedBy(0)
+    Independent, ///< none of them has
+  };
+  struct RootVerdict {
+    RootCarry Carry = RootCarry::Unavailable;
+    /// Independent only: in every array access, each subscript but the
+    /// last has coefficient 0 in Root's variable and the last has 0 or 1.
+    bool UnitStride = false;
+  };
+  /// compute()'s answer to one question, from the same walk and pair tests:
+  /// it stops at the first dependence Root carries and builds no
+  /// Dependence. The evaluator's SIMD gate asks it of every innermost loop.
+  static RootVerdict carriedByRoot(const cir::ForStmt &Root);
+
   const std::vector<Dependence> &deps() const { return Deps; }
-  const std::vector<Access> &accesses() const { return Accesses; }
 
   /// Legality of permuting the perfect nest of Root with permutation
   /// \p Perm (Perm[i] = original index of the loop placed at position i).
@@ -118,7 +125,6 @@ public:
   }
 
 private:
-  std::vector<Access> Accesses;
   std::vector<Dependence> Deps;
   std::vector<const cir::Stmt *> LeafStmts;
   std::vector<const cir::ForStmt *> NestLoops; ///< the perfect nest of Root

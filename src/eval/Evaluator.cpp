@@ -495,16 +495,28 @@ struct CompiledProgram {
     });
     if (HasInnerLoop)
       return;
-    std::optional<analysis::DependenceInfo> Deps =
-        analysis::DependenceInfo::compute(For);
-    if (Deps) {
-      for (const analysis::Dependence &D : Deps->deps())
-        if (D.mayBeCarriedBy(0))
-          return; // proven carried dependence: no SIMD
-      // Proven independent: auto-vectorize.
-    } else if (!Vector) {
+    using analysis::DependenceInfo;
+    DependenceInfo::RootVerdict Deps = DependenceInfo::carriedByRoot(For);
+    if (Deps.Carry == DependenceInfo::RootCarry::Carried)
+      return; // proven carried dependence: no SIMD
+    if (Deps.Carry == DependenceInfo::RootCarry::Unavailable && !Vector)
       return; // unprovable and no ivdep: the compiler stays scalar
-    }
+    // Proven independent: auto-vectorize, with the stride the analysis
+    // read off the subscripts; under ivdep, judge the subscripts here.
+    bool AllUnitStride = Deps.Carry == DependenceInfo::RootCarry::Independent
+                             ? Deps.UnitStride
+                             : unitStride(For);
+    double W = static_cast<double>(Opts.Machine.VectorWidthDoubles);
+    Out.VecScale = AllUnitStride ? 1.0 / W : 2.0 / W;
+    if (Out.VecScale > 1.0)
+      Out.VecScale = 1.0;
+  }
+
+  /// True when every array reference in \p For's body moves by 0 or 1
+  /// element of its last subscript per unit of the loop variable and by 0
+  /// in the others. A non-affine subscript counts as strided when it
+  /// mentions the variable, and as coefficient 1 when it does not.
+  static bool unitStride(const ForStmt &For) {
     bool AllUnitStride = true;
     forEachStmt(*For.Body, [&](const Stmt &S) {
       forEachExpr(S, [&](const ExprPtr &E) {
@@ -531,10 +543,7 @@ struct CompiledProgram {
         });
       });
     });
-    double W = static_cast<double>(Opts.Machine.VectorWidthDoubles);
-    Out.VecScale = AllUnitStride ? 1.0 / W : 2.0 / W;
-    if (Out.VecScale > 1.0)
-      Out.VecScale = 1.0;
+    return AllUnitStride;
   }
 
   /// Pass 1 over a statement: declares its arrays and slots and checks it,

@@ -8,13 +8,19 @@ namespace locus {
 namespace search {
 
 CacheKey makeCacheKey(std::string_view VariantText) {
+  // Two FNV-1a 64 streams in one pass over the bytes: Lo from the standard
+  // offset basis, Hi from a distinct one (the offset with flipped low bits),
+  // an independent second stream. Length-mixing Hi separates prefix-related
+  // texts even if both streams ever coincided.
+  uint64_t Lo = 0xcbf29ce484222325ULL;
+  uint64_t Hi = 0x84222325cbf29ce4ULL;
+  for (unsigned char C : VariantText) {
+    Lo = (Lo ^ C) * 0x100000001b3ULL;
+    Hi = (Hi ^ C) * 0x100000001b3ULL;
+  }
   CacheKey Key;
-  Key.Lo = fnv1a(VariantText);
-  // Distinct offset basis (FNV-1a 64 offset with flipped low bits) gives an
-  // independent second stream over the same bytes; length-mixing separates
-  // prefix-related texts even if both streams ever coincided.
-  Key.Hi = hashCombine(fnv1a(VariantText, 0x84222325cbf29ce4ULL),
-                       static_cast<uint64_t>(VariantText.size()));
+  Key.Lo = Lo;
+  Key.Hi = hashCombine(Hi, static_cast<uint64_t>(VariantText.size()));
   return Key;
 }
 

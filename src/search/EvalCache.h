@@ -52,9 +52,10 @@ struct CacheKey {
 };
 
 /// Derives the 128-bit key from the unparsed variant text: two FNV-1a
-/// passes with distinct offset bases, the high half mixed with the text
-/// length so even a (hypothetical) simultaneous collision of both streams
-/// still separates different-sized programs.
+/// streams with distinct offset bases, computed in one pass over the text,
+/// the high half mixed with the text length so even a (hypothetical)
+/// simultaneous collision of both streams still separates different-sized
+/// programs.
 CacheKey makeCacheKey(std::string_view VariantText);
 
 struct CacheKeyHash {

@@ -198,9 +198,10 @@ struct SearchResult {
   int PoolJobs = 1;  ///< concurrent evaluation workers used
   int Batches = 0;   ///< proposal batches dispatched to the pool
   int MaxBatch = 0;  ///< largest number of points assessed concurrently
-  int PooledEvaluations = 0; ///< objective assessments dispatched through
+  int ObjectiveCalls = 0;    ///< assessments that reached the objective
+  int PooledEvaluations = 0; ///< of ObjectiveCalls, those dispatched through
                              ///< batches of size > 1 (worker utilization =
-                             ///< PooledEvaluations / Evaluations)
+                             ///< PooledEvaluations / ObjectiveCalls)
 
   // Content-addressed evaluation-cache counters (filled by the driver when
   // the cache is enabled; see search::EvalCache).

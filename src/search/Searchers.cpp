@@ -405,6 +405,7 @@ private:
     if (Indices.empty())
       return;
     ++Result.Batches;
+    Result.ObjectiveCalls += static_cast<int>(Indices.size());
     Result.MaxBatch =
         std::max(Result.MaxBatch, static_cast<int>(Indices.size()));
     if (Indices.size() > 1 && Pool.jobs() > 1)

@@ -311,6 +311,30 @@ CodeReg matmul {
 }
 )";
 
+// The README's Fig. 5 run: the pool line's denominator is the objective
+// calls, not every assessed point; the projection hits never reach the pool.
+TEST(CliBinary, PoolLineCountsObjectiveCalls) {
+  support::TempDir Dir("locus-cli-");
+  ASSERT_TRUE(Dir.valid());
+  ASSERT_TRUE(writeText(Dir.path() + "/dgemm.c",
+                        workloads::dgemmSource(16, 16, 16)));
+  ASSERT_TRUE(
+      writeText(Dir.path() + "/fig5.locus", workloads::dgemmLocusFig5()));
+  support::SubprocessResult R =
+      runCli({"fig5.locus", "dgemm.c", "--search", "random", "--jobs", "4",
+              "--budget", "48"},
+             Dir.path());
+  ASSERT_TRUE(R.ok()) << R.describe() << "\n" << R.Stderr;
+  EXPECT_NE(R.Stdout.find("assessed 48 variants (0 invalid, 96 duplicates, "
+                          "22 projection hits)"),
+            std::string::npos)
+      << R.Stdout;
+  EXPECT_NE(R.Stdout.find("pool: 4 workers, 14 batches (widest 3), 20 of 26 "
+                          "assessments dispatched in parallel"),
+            std::string::npos)
+      << R.Stdout;
+}
+
 /// --point applies the pinned recipe directly: no search runs, so nothing
 /// reaches the journal, and an under-pinned point is a located error.
 TEST(CliBinary, PointFileAppliesWithoutSearching) {

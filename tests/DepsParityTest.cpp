@@ -14,6 +14,10 @@
 //     statement, array, kind, scalar flag, direction vector, common-loop
 //     count), and analyzeParallelLoop()'s verdict, witnesses and clauses.
 //
+// On every innermost loop of the same corpus, the SIMD gate's query,
+// DependenceInfo::carriedByRoot(), must answer as compute() and the AST
+// stride scan it replaced do.
+//
 // It also pins makeCacheKey(printProgram(V)) for a few seeded variants, so
 // a printer change that moves a byte invalidates no locus-evalcache store.
 //
@@ -23,10 +27,12 @@
 
 #include "Golden.h"
 #include "TestFiles.h"
+#include "TestPrograms.h"
 
 #include "src/analysis/Dependence.h"
 #include "src/analysis/ParallelSafety.h"
 #include "src/analysis/RegionDiscovery.h"
+#include "src/cir/AstUtils.h"
 #include "src/cir/Parser.h"
 #include "src/cir/PathIndex.h"
 #include "src/cir/Printer.h"
@@ -45,6 +51,7 @@
 #include <algorithm>
 #include <cinttypes>
 #include <cstdio>
+#include <functional>
 #include <map>
 #include <memory>
 #include <set>
@@ -168,46 +175,158 @@ discoveredKernel(const std::string &Kernel) {
           analysis::genericLocusProgram(*Report.annotatable(1).front())};
 }
 
-void recordVariants(const std::string &Key, const cir::Program &Base,
+/// Calls Fn(Key, Program, Point) on every program of the corpus, in a fixed
+/// order. Point is the serialized point of a materialized variant, and
+/// null for a source program.
+using CorpusFn = std::function<void(const std::string &, cir::Program &,
+                                    const std::string *)>;
+
+void forEachVariant(const std::string &Key, const cir::Program &Base,
                     const std::string &LocusSrc, int Count, uint64_t Seed,
-                    Lines &Out) {
+                    const CorpusFn &Fn) {
   int I = 0;
-  for (auto &[Point, V] : materialize(Key, Base, LocusSrc, Count, Seed)) {
-    std::string Variant = Key + "#" + std::to_string(I++);
-    Out.emplace_back(Variant + "/point", Point);
-    recordLoops(Variant, *V, Out);
+  for (auto &[Point, V] : materialize(Key, Base, LocusSrc, Count, Seed))
+    Fn(Key + "#" + std::to_string(I++), *V, &Point);
+}
+
+void forEachCorpusProgram(const CorpusFn &Fn) {
+  for (const std::string &Kernel : workloads::polybenchKernels())
+    if (auto P = parse(Kernel, test::slurp(LOCUS_TEST_DATA_DIR
+                                           "/../../examples/polybench/" +
+                                           Kernel + ".c")))
+      Fn("polybench/" + Kernel, *P, nullptr);
+  for (uint64_t Seed : {3, 13})
+    for (const workloads::CorpusEntry &E : workloads::loopCorpus(0.05, Seed))
+      if (auto P = parse(E.Name, E.Source))
+        Fn("corpus" + std::to_string(Seed) + "/" + E.Suite + "/" + E.Name, *P,
+           nullptr);
+
+  if (auto P = parse("fig7", workloads::dgemmSource(16, 16, 16)))
+    forEachVariant("fig7", *P, workloads::dgemmLocusFig7(16), 24, 7, Fn);
+  if (auto P = parse("fig5", workloads::dgemmSource(12, 12, 12)))
+    forEachVariant("fig5", *P, workloads::dgemmLocusFig5(), 8, 5, Fn);
+  std::vector<workloads::CorpusEntry> Nests = workloads::loopCorpus(0.05, 13);
+  for (size_t I = 0; I < Nests.size(); I += 5)
+    if (auto P = parse(Nests[I].Name, Nests[I].Source))
+      forEachVariant("fig13/" + Nests[I].Name, *P,
+                     workloads::fig13GenericProgram(), 4, 13, Fn);
+  for (const std::string &Kernel : workloads::polybenchKernels()) {
+    auto [P, Locus] = discoveredKernel(Kernel);
+    if (P)
+      forEachVariant("discover/" + Kernel, *P, Locus, 6, 17, Fn);
   }
 }
 
 Lines buildLines() {
   Lines Out;
-  for (const std::string &Kernel : workloads::polybenchKernels())
-    if (auto P = parse(Kernel, test::slurp(LOCUS_TEST_DATA_DIR
-                                           "/../../examples/polybench/" +
-                                           Kernel + ".c")))
-      recordLoops("polybench/" + Kernel, *P, Out);
-  for (uint64_t Seed : {3, 13})
-    for (const workloads::CorpusEntry &E : workloads::loopCorpus(0.05, Seed))
-      if (auto P = parse(E.Name, E.Source))
-        recordLoops("corpus" + std::to_string(Seed) + "/" + E.Suite + "/" +
-                        E.Name,
-                    *P, Out);
-
-  if (auto P = parse("fig7", workloads::dgemmSource(16, 16, 16)))
-    recordVariants("fig7", *P, workloads::dgemmLocusFig7(16), 24, 7, Out);
-  if (auto P = parse("fig5", workloads::dgemmSource(12, 12, 12)))
-    recordVariants("fig5", *P, workloads::dgemmLocusFig5(), 8, 5, Out);
-  std::vector<workloads::CorpusEntry> Nests = workloads::loopCorpus(0.05, 13);
-  for (size_t I = 0; I < Nests.size(); I += 5)
-    if (auto P = parse(Nests[I].Name, Nests[I].Source))
-      recordVariants("fig13/" + Nests[I].Name, *P,
-                     workloads::fig13GenericProgram(), 4, 13, Out);
-  for (const std::string &Kernel : workloads::polybenchKernels()) {
-    auto [P, Locus] = discoveredKernel(Kernel);
-    if (P)
-      recordVariants("discover/" + Kernel, *P, Locus, 6, 17, Out);
-  }
+  forEachCorpusProgram([&](const std::string &Key, cir::Program &P,
+                           const std::string *Point) {
+    if (Point)
+      Out.emplace_back(Key + "/point", *Point);
+    recordLoops(Key, P, Out);
+  });
   return Out;
+}
+
+/// The SIMD gate's stride verdict as the evaluator judged it before the
+/// dependence query answered it: every array reference of the body, its
+/// subscripts put in affine form one by one.
+bool astUnitStride(const cir::ForStmt &For) {
+  bool Unit = true;
+  cir::forEachStmt(*For.Body, [&](const cir::Stmt &S) {
+    cir::forEachExpr(S, [&](const cir::ExprPtr &E) {
+      cir::forEachSubExpr(*E, [&](const cir::Expr &Sub) {
+        const auto *A = cir::dyn_cast<cir::ArrayRef>(&Sub);
+        if (!A)
+          return true;
+        for (size_t I = 0; I < A->Indices.size(); ++I) {
+          std::optional<analysis::AffineExpr> Aff =
+              analysis::toAffine(*A->Indices[I]);
+          int64_t Coeff = Aff ? Aff->coeff(For.Var) : 1;
+          if (!Aff && cir::referencesVar(*A->Indices[I], For.Var))
+            Unit = false;
+          else if (I + 1 == A->Indices.size() ? Coeff != 0 && Coeff != 1
+                                              : Coeff != 0)
+            Unit = false;
+        }
+        return false;
+      });
+    });
+  });
+  return Unit;
+}
+
+/// Innermost loops whose only carried dependences go through a scalar: a
+/// reduction, a temporary and a compound-assigned accumulator.
+const char *const ScalarCarriedSource = R"(
+double A[16][16];
+double B[16][16];
+int main() {
+  int i, j;
+  double s, t;
+  s = 0.0;
+  for (i = 0; i < 16; i++)
+    for (j = 0; j < 16; j++)
+      s = s + A[i][j];
+  for (i = 0; i < 16; i++)
+    for (j = 0; j < 16; j++) {
+      t = A[i][j] * 2.0;
+      B[i][j] = t;
+    }
+  for (i = 0; i < 16; i++) {
+    double u = 0.0;
+    for (j = 0; j < 16; j++)
+      u += A[i][j];
+    B[i][0] = u;
+  }
+}
+)";
+
+/// carriedByRoot() on every innermost loop of \p P against compute() and
+/// the AST stride scan; counts each verdict in \p Seen.
+void checkGate(const std::string &Key, cir::Program &P,
+               std::map<std::string, int> &Seen) {
+  using analysis::DependenceInfo;
+  for (const cir::LoopEntry &L : cir::listInnerLoops(*P.Body)) {
+    std::optional<DependenceInfo> Info = DependenceInfo::compute(*L.Loop);
+    DependenceInfo::RootCarry Want = DependenceInfo::RootCarry::Unavailable;
+    if (Info) {
+      Want = DependenceInfo::RootCarry::Independent;
+      for (const analysis::Dependence &D : Info->deps())
+        if (D.mayBeCarriedBy(0))
+          Want = DependenceInfo::RootCarry::Carried;
+    }
+    DependenceInfo::RootVerdict Got = DependenceInfo::carriedByRoot(*L.Loop);
+    EXPECT_EQ(static_cast<int>(Got.Carry), static_cast<int>(Want))
+        << Key << "/" << L.Path;
+    if (Got.Carry != DependenceInfo::RootCarry::Independent) {
+      ++Seen[Got.Carry == DependenceInfo::RootCarry::Carried ? "carried"
+                                                              : "unavailable"];
+      continue;
+    }
+    bool Unit = astUnitStride(*L.Loop);
+    EXPECT_EQ(Got.UnitStride, Unit) << Key << "/" << L.Path;
+    ++Seen[Unit ? "independent unit" : "independent strided"];
+  }
+}
+
+// The evaluator's SIMD gate asks carriedByRoot() instead of computing every
+// dependence: on every innermost loop of the corpus, and of the SIMD-model
+// programs, it must give compute()'s availability and carried verdict, and
+// the stride verdict the AST scan gives.
+TEST(DepsParity, SimdGateQueryMatchesCompute) {
+  std::map<std::string, int> Seen;
+  forEachCorpusProgram([&](const std::string &Key, cir::Program &P,
+                           const std::string *) { checkGate(Key, P, Seen); });
+  for (const std::string Pragma : test::SimdPragmas)
+    for (const std::string Shape : test::SimdShapes)
+      if (auto P = parse(Shape, test::vectorSource(Pragma, Shape)))
+        checkGate("simd." + Shape + "." + Pragma, *P, Seen);
+  if (auto P = parse("scalars", ScalarCarriedSource))
+    checkGate("scalars", *P, Seen);
+  for (const char *Kind : {"carried", "unavailable", "independent unit",
+                           "independent strided"})
+    EXPECT_GT(Seen[Kind], 0) << Kind;
 }
 
 TEST(DepsParity, MatchesGolden) {

@@ -16,6 +16,7 @@
 //===----------------------------------------------------------------------===//
 
 #include "Golden.h"
+#include "TestPrograms.h"
 
 #include "src/analysis/RangeAnalysis.h"
 #include "src/cir/Parser.h"
@@ -553,32 +554,6 @@ std::string ompSource(const std::string &Pragma, const std::string &Shape) {
   return O.str();
 }
 
-/// SIMD-model programs: unit and non-unit stride, proven independent (with
-/// negations, charged before their operand loads), unanalyzable (indirect)
-/// and proven-dependent innermost loops.
-std::string vectorSource(const std::string &Pragma, const std::string &Shape) {
-  std::ostringstream O;
-  O << "double A[32][32];\ndouble B[32][32];\nint idx[32];\nint main() {\n"
-       "  int i, j;\n  for (i = 0; i < 32; i++) {\n";
-  if (!Pragma.empty())
-    O << "#pragma " << Pragma << "\n";
-  if (Shape == "unit")
-    O << "    for (j = 0; j < 32; j++)\n      A[i][j] = A[i][j] + B[i][j];\n";
-  else if (Shape == "strided")
-    O << "    for (j = 0; j < 32; j++)\n      A[j][i] = A[j][i] + B[i][j];\n";
-  else if (Shape == "negated")
-    O << "    for (j = 0; j < 32; j++)\n"
-         "      A[i][j] = -B[i][j] * 0.5 + -A[i][j];\n";
-  else if (Shape == "indirect")
-    O << "    for (j = 0; j < 32; j++)\n"
-         "      A[i][idx[j]] = A[i][idx[j]] + B[i][j];\n";
-  else // carried dependence
-    O << "    for (j = 1; j < 32; j++)\n"
-         "      A[i][j] = A[i][j - 1] + B[i][j];\n";
-  O << "  }\n}\n";
-  return O.str();
-}
-
 Corpus buildCorpus() {
   Corpus C;
   const std::vector<std::string> All = {"tiny", "xeon", "xeon8", "odd"};
@@ -684,15 +659,14 @@ Corpus buildCorpus() {
       C.add(Name + ".trust", P, All, Trust);
       C.add(Name + ".nocost", P, {"xeon"}, NoCost);
     }
-  for (const std::string Pragma : {"", "ivdep", "vector always"})
-    for (const std::string Shape :
-         {"unit", "strided", "negated", "indirect", "carried"}) {
+  for (const std::string Pragma : test::SimdPragmas)
+    for (const std::string Shape : test::SimdShapes) {
       std::string Name = "simd." + Shape + "." +
                          (Pragma.empty() ? std::string("none") : Pragma);
       for (char &Ch : Name)
         if (Ch == ' ')
           Ch = '_';
-      C.addSource(Name, vectorSource(Pragma, Shape), All);
+      C.addSource(Name, test::vectorSource(Pragma, Shape), All);
     }
   return C;
 }

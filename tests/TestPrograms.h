@@ -2,6 +2,7 @@
 #ifndef LOCUS_TESTS_TESTPROGRAMS_H
 #define LOCUS_TESTS_TESTPROGRAMS_H
 
+#include <sstream>
 #include <string>
 
 namespace locus {
@@ -56,6 +57,38 @@ CodeReg pair {
   Pragma.OMPFor(loop=which);
 }
 )";
+}
+
+inline const char *const SimdPragmas[] = {"", "ivdep", "vector always"};
+inline const char *const SimdShapes[] = {"unit", "strided", "negated",
+                                        "indirect", "carried"};
+
+/// SIMD-model programs: unit and non-unit stride, proven independent (with
+/// negations, charged before their operand loads), unanalyzable (indirect)
+/// and proven-dependent innermost loops, each under \p Pragma (empty,
+/// "ivdep" or "vector always"); \p Shape is one of SimdShapes.
+inline std::string vectorSource(const std::string &Pragma,
+                                const std::string &Shape) {
+  std::ostringstream O;
+  O << "double A[32][32];\ndouble B[32][32];\nint idx[32];\nint main() {\n"
+       "  int i, j;\n  for (i = 0; i < 32; i++) {\n";
+  if (!Pragma.empty())
+    O << "#pragma " << Pragma << "\n";
+  if (Shape == "unit")
+    O << "    for (j = 0; j < 32; j++)\n      A[i][j] = A[i][j] + B[i][j];\n";
+  else if (Shape == "strided")
+    O << "    for (j = 0; j < 32; j++)\n      A[j][i] = A[j][i] + B[i][j];\n";
+  else if (Shape == "negated")
+    O << "    for (j = 0; j < 32; j++)\n"
+         "      A[i][j] = -B[i][j] * 0.5 + -A[i][j];\n";
+  else if (Shape == "indirect")
+    O << "    for (j = 0; j < 32; j++)\n"
+         "      A[i][idx[j]] = A[i][idx[j]] + B[i][j];\n";
+  else // carried dependence
+    O << "    for (j = 1; j < 32; j++)\n"
+         "      A[i][j] = A[i][j - 1] + B[i][j];\n";
+  O << "  }\n}\n";
+  return O.str();
 }
 
 } // namespace test
