@@ -86,8 +86,8 @@ void BM_BanditStep(benchmark::State &State) {
   for (auto _ : State) {
     search::LambdaObjective Obj([](const search::Point &P) {
       double Sum = 0;
-      for (const auto &[Id, V] : P.Values)
-        Sum += static_cast<double>(std::get<int64_t>(V));
+      for (size_t I = 0; I < P.size(); ++I)
+        Sum += static_cast<double>(std::get<int64_t>(P[I]));
       return search::EvalOutcome::success(Sum);
     });
     search::SearchOptions Opts;

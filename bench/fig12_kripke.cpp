@@ -75,7 +75,7 @@ void runFig12() {
     std::vector<double> LocusCycles(Layouts.size(), 0);
     for (size_t I = 0; I < Layouts.size(); ++I) {
       search::Point P;
-      P.Values[Space.Params[0].Id] = static_cast<int64_t>(I);
+      P.set(Space.Params[0].Id, static_cast<int64_t>(I));
       auto R = Orch.runPoint(P);
       LocusCycles[I] = R.ok() ? R->Run.Cycles : 0;
       std::printf(" %11.0f", LocusCycles[I]);
@@ -123,7 +123,7 @@ void BM_KripkeScatteringVariant(benchmark::State &State) {
   int64_t Layout = 0;
   for (auto _ : State) {
     search::Point P;
-    P.Values[Space.Params[0].Id] = Layout;
+    P.set(Space.Params[0].Id, Layout);
     Layout = (Layout + 1) % 6;
     auto Variant = Baseline->clone();
     transform::TransformContext Ctx;

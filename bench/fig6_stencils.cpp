@@ -69,8 +69,8 @@ void runFig6Stencils() {
     auto R = Orch.runSearch();
     double LocusCycles = R.ok() ? R->BestCycles : Base;
     long long BestSkew = 0;
-    if (R.ok() && !R->BaselineChosen && !R->Search.Best.Values.empty())
-      BestSkew = std::get<int64_t>(R->Search.Best.Values.begin()->second);
+    if (R.ok() && !R->BaselineChosen && !R->Search.Best.empty())
+      BestSkew = std::get<int64_t>(R->Search.Best[0]);
 
     // Pluto: fixed heuristic with semantic validation (the modulo time
     // buffers put these outside our affine analyzer, as they do for pet).

@@ -57,7 +57,7 @@ int main() {
   double BestCycles = 0, WorstCycles = 0;
   for (size_t I = 0; I < Layouts.size(); ++I) {
     search::Point P;
-    P.Values[R->Space.Params[0].Id] = static_cast<int64_t>(I);
+    P.set(R->Space.Params[0].Id, static_cast<int64_t>(I));
     auto Variant = Orch.runPoint(P);
     if (!Variant.ok()) {
       std::printf("%-8s failed: %s\n", Layouts[I].c_str(),

@@ -60,7 +60,7 @@ int main(int argc, char **argv) {
   for (const auto &Rec : R->Search.History)
     if (Rec.Valid)
       std::printf("  skew=%-4lld -> %12.0f cycles\n",
-                  (long long)std::get<int64_t>(Rec.P.Values.begin()->second),
+                  (long long)std::get<int64_t>(Rec.P[0]),
                   Rec.Metric);
   std::printf("Locus best: %.0f cycles (speedup %.2fx over baseline)\n",
               R->BestCycles, R->Speedup);

@@ -37,6 +37,76 @@ LegalityOracle::LegalityOracle(const cir::Program &Baseline,
       }
     }
   }
+  resolveIds();
+}
+
+LegalityOracle::Arg LegalityOracle::resolveArg(const PlanArg &A) const {
+  Arg Out;
+  if (A.K == PlanArg::Kind::Int) {
+    Out.K = Arg::Kind::Int;
+    Out.Int = A.Int;
+  } else if (A.K == PlanArg::Kind::Param) {
+    std::optional<size_t> Slot = Ids->slot(A.Str);
+    if (Slot) {
+      Out.K = Arg::Kind::Param;
+      Out.Slot = *Slot;
+    }
+  }
+  return Out;
+}
+
+void LegalityOracle::resolveIds() {
+  Ids = Space.ids();
+  Options.resize(Space.Params.size());
+  for (const auto &[Id, Values] : Plan.EnumValues) {
+    std::optional<size_t> Slot = Ids->slot(Id);
+    if (!Slot || Space.Params[*Slot].Kind != search::ParamKind::Enum)
+      continue;
+    for (const PlanArg &V : Values)
+      Options[*Slot].push_back(resolveArg(V));
+  }
+  for (size_t I = 0; I < Plan.Entries.size(); ++I) {
+    const PlanEntry &E = Plan.Entries[I];
+    if (E.K != PlanEntry::Kind::RangeCheck)
+      continue;
+    std::optional<size_t> Slot = Ids->slot(E.ParamId);
+    if (!Slot)
+      continue; // no point of the space pins it: nothing to prove
+    Checks.push_back({I, *Slot, resolveArg(E.Lo), resolveArg(E.Hi)});
+  }
+}
+
+std::optional<int64_t> LegalityOracle::resolve(const search::Point &P,
+                                               bool Dense,
+                                               const Arg &A) const {
+  if (A.K == Arg::Kind::Int)
+    return A.Int;
+  if (A.K == Arg::Kind::Unknown)
+    return std::nullopt;
+  const int64_t *V = intAt(P, Dense, A.Slot);
+  if (!V)
+    return std::nullopt;
+  switch (Space.Params[A.Slot].Kind) {
+  case search::ParamKind::Enum: {
+    const std::vector<Arg> &Opts = Options[A.Slot];
+    if (Opts.empty() || *V < 0 || static_cast<size_t>(*V) >= Opts.size())
+      return std::nullopt;
+    return resolve(P, Dense, Opts[static_cast<size_t>(*V)]);
+  }
+  case search::ParamKind::Permutation:
+  case search::ParamKind::FloatRange:
+  case search::ParamKind::LogFloat:
+    return std::nullopt;
+  default:
+    return *V;
+  }
+}
+
+const int64_t *LegalityOracle::intAt(const search::Point &P, bool Dense,
+                                     size_t Slot) const {
+  const search::PointValue *V =
+      Dense ? &P[Slot] : P.find(Space.Params[Slot].Id);
+  return V ? std::get_if<int64_t>(V) : nullptr;
 }
 
 std::optional<search::EvalOutcome>
@@ -44,66 +114,28 @@ LegalityOracle::classify(const search::Point &P) {
   using search::EvalOutcome;
   using search::FailureKind;
 
-  auto PointInt = [&](const std::string &Id, int64_t &Out) {
-    auto It = P.Values.find(Id);
-    if (It == P.Values.end() || !std::holds_alternative<int64_t>(It->second))
-      return false;
-    Out = std::get<int64_t>(It->second);
-    return true;
-  };
-
-  // Resolves a range bound against the point; nullopt when it is not an
-  // integer constant or a parameter pinned to one (directly, or through the
-  // chosen option of an enum).
-  std::function<std::optional<int64_t>(const PlanArg &)> Resolve =
-      [&](const PlanArg &A) -> std::optional<int64_t> {
-    if (A.K == PlanArg::Kind::Int)
-      return A.Int;
-    if (A.K != PlanArg::Kind::Param)
-      return std::nullopt;
-    const search::ParamDef *Def = Space.find(A.Str);
-    auto It = P.Values.find(A.Str);
-    if (!Def || It == P.Values.end() ||
-        !std::holds_alternative<int64_t>(It->second))
-      return std::nullopt;
-    int64_t V = std::get<int64_t>(It->second);
-    switch (Def->Kind) {
-    case search::ParamKind::Enum: {
-      auto EIt = Plan.EnumValues.find(A.Str);
-      if (EIt == Plan.EnumValues.end() || V < 0 ||
-          static_cast<size_t>(V) >= EIt->second.size())
-        return std::nullopt;
-      return Resolve(EIt->second[static_cast<size_t>(V)]);
-    }
-    case search::ParamKind::Permutation:
-    case search::ParamKind::FloatRange:
-    case search::ParamKind::LogFloat:
-      return std::nullopt;
-    default:
-      return V;
-    }
-  };
-
-  for (const PlanEntry &E : Plan.Entries) {
-    if (E.K != PlanEntry::Kind::RangeCheck)
-      continue;
+  bool Dense = P.laidOutBy(Space);
+  for (const Check &C : Checks) {
+    const PlanEntry &E = Plan.Entries[C.Entry];
     // An entry the point may not execute (a guard it does not pin to the
     // entry's alternative, or an unknown conditional) cannot prove a
     // failure.
     bool Executes = !E.UnderUnknownCond;
     for (const PlanGuard &Guard : E.Guards) {
-      int64_t V;
-      if (!PointInt(Guard.ParamId, V) || V != Guard.Alt) {
+      const int64_t *Arm = intAt(P, Dense, Guard.Param);
+      if (!Arm || *Arm != Guard.Alt) {
         Executes = false;
         break;
       }
     }
     if (!Executes)
       continue;
-    int64_t V;
-    std::optional<int64_t> Lo = Resolve(E.Lo), Hi = Resolve(E.Hi);
-    if (!PointInt(E.ParamId, V) || !Lo || !Hi)
+    const int64_t *Pinned = intAt(P, Dense, C.Param);
+    std::optional<int64_t> Lo = resolve(P, Dense, C.Lo),
+                           Hi = resolve(P, Dense, C.Hi);
+    if (!Pinned || !Lo || !Hi)
       continue;
+    int64_t V = *Pinned;
     // Wording matches the interpreter's dynamic invalidation exactly.
     if (V < *Lo || V > *Hi) {
       ++Pruned;

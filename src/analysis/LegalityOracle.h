@@ -68,8 +68,36 @@ public:
   int rangePrunedCount() const { return Pruned; }
 
 private:
+  /// A range bound with its parameter id resolved to a slot of the space.
+  struct Arg {
+    enum class Kind { Unknown, Int, Param };
+    Kind K = Kind::Unknown;
+    int64_t Int = 0;
+    size_t Slot = 0;
+  };
+  /// A range-check entry whose parameter the space defines.
+  struct Check {
+    size_t Entry; ///< index into Plan.Entries
+    size_t Param;
+    Arg Lo, Hi;
+  };
+
+  /// Resolves every parameter id of the plan to a slot, once.
+  void resolveIds();
+  Arg resolveArg(const PlanArg &A) const;
+  /// The bound's value at \p P (\p Dense: laid out by the space): a
+  /// constant, or a parameter pinned to one (directly, or through the
+  /// chosen option of an enum); nullopt when it is neither.
+  std::optional<int64_t> resolve(const search::Point &P, bool Dense,
+                                 const Arg &A) const;
+  const int64_t *intAt(const search::Point &P, bool Dense, size_t Slot) const;
+
   const search::Space &Space;
   TransformPlan Plan;
+  std::shared_ptr<const search::ParamIds> Ids;
+  std::vector<Check> Checks;
+  /// Per slot, the resolved options of an enum parameter the plan types.
+  std::vector<std::vector<Arg>> Options;
   int Pruned = 0;
 };
 

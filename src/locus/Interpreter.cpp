@@ -161,20 +161,24 @@ private:
   /// Adds Def to the space, guarded by the selector arms being walked. A
   /// parameter reached again under other guards keeps only the guards the
   /// two paths share, so it stays active wherever either path runs.
-  search::ParamDef *registerParam(search::ParamDef Def) {
+  /// Returns the parameter's index in Params.
+  size_t registerParam(search::ParamDef Def) {
     assert(SpaceOut && "registerParam outside extract mode");
-    for (search::ParamDef &P : SpaceOut->Params)
-      if (P.Id == Def.Id) {
-        size_t Shared = 0;
-        while (Shared < P.Guards.size() && Shared < GuardStack.size() &&
-               P.Guards[Shared] == GuardStack[Shared])
-          ++Shared;
-        P.Guards.resize(Shared);
-        return &P;
-      }
+    std::vector<search::ParamDef> &Params = SpaceOut->Params;
+    for (size_t I = 0; I < Params.size(); ++I) {
+      search::ParamDef &P = Params[I];
+      if (P.Id != Def.Id)
+        continue;
+      size_t Shared = 0;
+      while (Shared < P.Guards.size() && Shared < GuardStack.size() &&
+             P.Guards[Shared] == GuardStack[Shared])
+        ++Shared;
+      P.Guards.resize(Shared);
+      return I;
+    }
     Def.Guards = GuardStack;
-    SpaceOut->Params.push_back(std::move(Def));
-    return &SpaceOut->Params.back();
+    Params.push_back(std::move(Def));
+    return Params.size() - 1;
   }
 
   const search::ParamDef *findParam(const std::string &Id) const {
@@ -213,11 +217,11 @@ private:
         Def.Kind = search::ParamKind::Enum;
         for (size_t I = 0; I < S.Blocks.size(); ++I)
           Def.Options.push_back("alt" + std::to_string(I));
-        registerParam(std::move(Def));
+        size_t Sel = registerParam(std::move(Def));
         // Walk every alternative to collect nested constructs.
         for (size_t I = 0; I < S.Blocks.size(); ++I) {
           PathStack.push_back("alt" + std::to_string(I));
-          GuardStack.push_back({Id, static_cast<int64_t>(I)});
+          GuardStack.push_back({Sel, static_cast<int64_t>(I)});
           Value Ignored;
           execBlock(S.Blocks[I], Env, Ignored);
           GuardStack.pop_back();
@@ -227,12 +231,12 @@ private:
         }
         return Flow::Normal;
       }
-      auto It = Point->Values.find(Id);
-      if (It == Point->Values.end()) {
+      const search::PointValue *It = Point->find(Id);
+      if (!It) {
         fail(S.Line, "point does not pin OR block " + Id);
         return Flow::Normal;
       }
-      size_t Choice = static_cast<size_t>(std::get<int64_t>(It->second));
+      size_t Choice = static_cast<size_t>(std::get<int64_t>(*It));
       if (Choice >= S.Blocks.size()) {
         fail(S.Line, "OR block selector out of range");
         return Flow::Normal;
@@ -251,18 +255,18 @@ private:
           Def.Id = Id;
           Def.Label = "opt:line" + std::to_string(S.Line);
           Def.Kind = search::ParamKind::Bool;
-          registerParam(std::move(Def));
-          GuardStack.push_back({Id, 1}); // executes only when pinned on
+          size_t Sel = registerParam(std::move(Def));
+          GuardStack.push_back({Sel, 1}); // executes only when pinned on
           evalExpr(*S.Expr, Env);        // walk for nested constructs
           GuardStack.pop_back();
           return Flow::Normal;
         }
-        auto It = Point->Values.find(Id);
-        if (It == Point->Values.end()) {
+        const search::PointValue *It = Point->find(Id);
+        if (!It) {
           fail(S.Line, "point does not pin optional statement " + Id);
           return Flow::Normal;
         }
-        if (std::get<int64_t>(It->second) == 0)
+        if (std::get<int64_t>(*It) == 0)
           return Flow::Normal; // the None alternative
       }
       evalExpr(*S.Expr, Env);
@@ -624,12 +628,12 @@ private:
       Def.Kind = search::ParamKind::Enum;
       for (size_t I = 0; I < E.Items.size(); ++I)
         Def.Options.push_back("alt" + std::to_string(I));
-      registerParam(std::move(Def));
+      size_t Sel = registerParam(std::move(Def));
       std::vector<analysis::PlanArg> AltValues;
       bool AltsResolved = Plan != nullptr;
       for (size_t I = 0; I < E.Items.size(); ++I) {
         PathStack.push_back("alt" + std::to_string(I));
-        GuardStack.push_back({Id, static_cast<int64_t>(I)});
+        GuardStack.push_back({Sel, static_cast<int64_t>(I)});
         std::pair<bool, bool> Saved;
         if (Plan)
           Saved = beginTaintScope();
@@ -652,12 +656,12 @@ private:
         Plan->EnumValues[Id] = std::move(AltValues);
       return Value::param(Id);
     }
-    auto It = Point->Values.find(Id);
-    if (It == Point->Values.end()) {
+    const search::PointValue *It = Point->find(Id);
+    if (!It) {
       fail(E.Line, "point does not pin OR statement " + Id);
       return Value::none();
     }
-    size_t Choice = static_cast<size_t>(std::get<int64_t>(It->second));
+    size_t Choice = static_cast<size_t>(std::get<int64_t>(*It));
     if (Choice >= E.Items.size()) {
       fail(E.Line, "OR selector out of range");
       return Value::none();
@@ -742,12 +746,12 @@ private:
         }
         return Value::param(Id);
       }
-      auto It = Point->Values.find(Id);
-      if (It == Point->Values.end()) {
+      const search::PointValue *It = Point->find(Id);
+      if (!It) {
         fail(E.Line, "point does not pin enum " + Id);
         return Value::none();
       }
-      size_t Choice = static_cast<size_t>(std::get<int64_t>(It->second));
+      size_t Choice = static_cast<size_t>(std::get<int64_t>(*It));
       if (Choice >= Options.size()) {
         fail(E.Line, "enum selector out of range");
         return Value::none();
@@ -777,12 +781,12 @@ private:
         registerParam(std::move(Def));
         return Value::param(Id);
       }
-      auto It = Point->Values.find(Id);
-      if (It == Point->Values.end()) {
+      const search::PointValue *It = Point->find(Id);
+      if (!It) {
         fail(E.Line, "point does not pin permutation " + Id);
         return Value::none();
       }
-      const auto &Perm = std::get<std::vector<int>>(It->second);
+      const auto &Perm = std::get<std::vector<int>>(*It);
       if (Perm.size() != Items.size()) {
         invalidate("permutation size mismatch for " + Id);
         return Value::none();
@@ -865,15 +869,15 @@ private:
         return Value::param(Id);
       }
 
-      auto It = Point->Values.find(Id);
-      if (It == Point->Values.end()) {
+      const search::PointValue *It = Point->find(Id);
+      if (!It) {
         fail(E.Line, "point does not pin " + E.Name + " " + Id);
         return Value::none();
       }
       if (IsFloat) {
-        double V = std::holds_alternative<double>(It->second)
-                       ? std::get<double>(It->second)
-                       : static_cast<double>(std::get<int64_t>(It->second));
+        double V = std::holds_alternative<double>(*It)
+                       ? std::get<double>(*It)
+                       : static_cast<double>(std::get<int64_t>(*It));
         if (Lo.isNumber() && Hi.isNumber() &&
             (V < Lo.asFloat() || V > Hi.asFloat())) {
           invalidate(Id + " outside its dynamic range");
@@ -881,7 +885,7 @@ private:
         }
         return Value(V);
       }
-      int64_t V = std::get<int64_t>(It->second);
+      int64_t V = std::get<int64_t>(*It);
       // Dependent-range validity check (Section IV-B): the dynamic bounds
       // are concrete now.
       if (!Lo.isInt() || !Hi.isInt()) {
@@ -1319,7 +1323,9 @@ ExecOutcome LocusInterpreter::extractSpace(cir::Program &Target,
                                            analysis::TransformPlan *PlanOut) {
   Engine E(LProg, Registry, Mode::Extract, &SpaceOut, nullptr, &Target, &TCtx,
            PlanOut);
-  return E.run();
+  ExecOutcome Out = E.run();
+  SpaceOut.ids(); // intern before searches and workers share the space
+  return Out;
 }
 
 ExecOutcome LocusInterpreter::applyPoint(cir::Program &Target,

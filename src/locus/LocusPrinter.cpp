@@ -314,8 +314,7 @@ private:
   }
 
   const search::PointValue *lookup(int NodeId) const {
-    auto It = Point.Values.find(paramId(NodeId));
-    return It == Point.Values.end() ? nullptr : &It->second;
+    return Point.find(paramId(NodeId));
   }
 
   LExprPtr literal(Value V, int Line) {

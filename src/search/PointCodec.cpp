@@ -12,7 +12,7 @@ namespace search {
 
 std::string serializePoint(const Point &P) {
   std::ostringstream Out;
-  for (const auto &[Id, V] : P.Values) {
+  P.forEach([&Out](const std::string &Id, const PointValue &V) {
     Out << Id << " = ";
     if (const auto *I = std::get_if<int64_t>(&V))
       Out << "i:" << *I;
@@ -26,12 +26,12 @@ std::string serializePoint(const Point &P) {
         Out << (I ? "," : "") << (*Perm)[I];
     }
     Out << "\n";
-  }
+  });
   return Out.str();
 }
 
 Expected<Point> deserializePoint(const std::string &Text, const Space &Space) {
-  Point P;
+  std::vector<std::pair<std::string, PointValue>> Pinned;
   for (const std::string &Line : splitString(Text, '\n')) {
     std::string_view Trimmed = trimString(Line);
     if (Trimmed.empty())
@@ -49,14 +49,14 @@ Expected<Point> deserializePoint(const std::string &Text, const Space &Space) {
       int64_t I = 0;
       if (!parseWhole(Body, I))
         return Expected<Point>::error("malformed integer value: " + Line);
-      P.Values[Id] = I;
+      Pinned.emplace_back(std::move(Id), I);
     } else if (Tag == 'f') {
       double D = 0;
       if (!parseWhole(Body, D))
         return Expected<Point>::error("malformed float value: " + Line);
-      P.Values[Id] = D;
+      Pinned.emplace_back(std::move(Id), D);
     } else if (Tag == 's') {
-      P.Values[Id] = std::string(Body);
+      Pinned.emplace_back(std::move(Id), std::string(Body));
     } else if (Tag == 'p') {
       std::vector<int> Perm;
       for (const std::string &Part : splitString(Body, ',')) {
@@ -68,14 +68,36 @@ Expected<Point> deserializePoint(const std::string &Text, const Space &Space) {
                                         Part + "': " + Line);
         Perm.push_back(static_cast<int>(Entry));
       }
-      P.Values[Id] = std::move(Perm);
+      Pinned.emplace_back(std::move(Id), std::move(Perm));
     } else {
       return Expected<Point>::error("unknown point value tag: " + Line);
     }
   }
+  // A point pinning exactly the space's ids is laid out by the space; any
+  // other (a repeated line, an extra id) keeps its ids, the last line
+  // winning.
+  std::shared_ptr<const ParamIds> Ids = Space.ids();
+  std::vector<size_t> Slots;
+  std::vector<bool> Hit(Space.Params.size());
+  for (const auto &[Id, V] : Pinned) {
+    std::optional<size_t> Slot = Ids->slot(Id);
+    if (!Slot || Hit[*Slot])
+      break;
+    Hit[*Slot] = true;
+    Slots.push_back(*Slot);
+  }
+  Point P;
+  if (Slots.size() == Space.Params.size() && Slots.size() == Pinned.size()) {
+    P = Point(Space);
+    for (size_t I = 0; I < Slots.size(); ++I)
+      P[Slots[I]] = std::move(Pinned[I].second);
+  } else {
+    for (auto &[Id, V] : Pinned)
+      P.set(Id, std::move(V));
+  }
   // Sanity: every space parameter should be pinned.
   for (const ParamDef &Def : Space.Params)
-    if (!P.Values.count(Def.Id))
+    if (!P.find(Def.Id))
       return Expected<Point>::error("point does not pin " + Def.Id);
   return P;
 }

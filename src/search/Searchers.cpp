@@ -3,11 +3,12 @@
 #include "src/search/Search.h"
 
 #include "src/search/EvalPool.h"
+#include "src/search/PointCodec.h"
 
 #include <algorithm>
 #include <cmath>
-#include <map>
-#include <set>
+#include <span>
+#include <string_view>
 #include <unordered_map>
 
 namespace locus {
@@ -46,82 +47,15 @@ FailureKind parseFailureKind(std::string_view Name, bool &Ok) {
   return FailureKind::None;
 }
 
-namespace {
-
-//===----------------------------------------------------------------------===//
-// Value enumeration / sampling
-//===----------------------------------------------------------------------===//
-
-std::vector<int64_t> pow2Values(int64_t Min, int64_t Max) {
-  std::vector<int64_t> Values;
-  int64_t V = 1;
-  while (V < Min)
-    V <<= 1;
-  for (; V <= Max; V <<= 1)
-    Values.push_back(V);
-  if (Values.empty())
-    Values.push_back(std::max<int64_t>(1, Min));
-  return Values;
-}
-
-std::vector<int64_t> logIntValues(int64_t Min, int64_t Max) {
-  // Geometric grid with ratio ~1.5, deduplicated.
-  std::vector<int64_t> Values;
-  double V = static_cast<double>(std::max<int64_t>(1, Min));
-  while (static_cast<int64_t>(V) <= Max) {
-    int64_t I = static_cast<int64_t>(V);
-    if (Values.empty() || Values.back() != I)
-      Values.push_back(I);
-    V *= 1.5;
-    if (V < static_cast<double>(Values.back()) + 1)
-      V = static_cast<double>(Values.back()) + 1;
-  }
-  if (Values.empty())
-    Values.push_back(Min);
-  return Values;
-}
-
-} // namespace
-
 std::vector<PointValue> enumerateValues(const ParamDef &P) {
   std::vector<PointValue> Out;
-  switch (P.Kind) {
-  case ParamKind::Enum:
-    for (size_t I = 0; I < std::max<size_t>(1, P.Options.size()); ++I)
-      Out.push_back(static_cast<int64_t>(I));
-    return Out;
-  case ParamKind::Bool:
-    Out.push_back(static_cast<int64_t>(0));
-    Out.push_back(static_cast<int64_t>(1));
-    return Out;
-  case ParamKind::IntRange:
-    for (int64_t V = P.Min; V <= P.Max; ++V)
-      Out.push_back(V);
-    if (Out.empty())
-      Out.push_back(P.Min);
-    return Out;
-  case ParamKind::Pow2:
-    for (int64_t V : pow2Values(P.Min, P.Max))
-      Out.push_back(V);
-    return Out;
-  case ParamKind::LogInt:
-    for (int64_t V : logIntValues(P.Min, P.Max))
-      Out.push_back(V);
-    return Out;
-  case ParamKind::FloatRange:
-  case ParamKind::LogFloat: {
-    const int Steps = 16;
-    for (int I = 0; I < Steps; ++I) {
-      double T = static_cast<double>(I) / (Steps - 1);
-      if (P.Kind == ParamKind::LogFloat && P.FMin > 0) {
-        Out.push_back(P.FMin * std::pow(P.FMax / P.FMin, T));
-      } else {
-        Out.push_back(P.FMin + T * (P.FMax - P.FMin));
-      }
-    }
+  if (P.indexed()) {
+    Out.resize(P.cardinality());
+    for (uint64_t I = 0; I < Out.size(); ++I)
+      Out[I] = P.valueAt(I);
     return Out;
   }
-  case ParamKind::Permutation: {
+  if (P.Kind == ParamKind::Permutation) {
     // Enumerate permutations lexicographically (callers cap the count).
     std::vector<int> Perm(static_cast<size_t>(P.PermSize));
     for (int I = 0; I < P.PermSize; ++I)
@@ -132,6 +66,14 @@ std::vector<PointValue> enumerateValues(const ParamDef &P) {
              Out.size() < 5041);
     return Out;
   }
+  const int Steps = 16;
+  Out.resize(Steps);
+  for (int I = 0; I < Steps; ++I) {
+    double T = static_cast<double>(I) / (Steps - 1);
+    if (P.Kind == ParamKind::LogFloat && P.FMin > 0)
+      Out[I] = P.FMin * std::pow(P.FMax / P.FMin, T);
+    else
+      Out[I] = P.FMin + T * (P.FMax - P.FMin);
   }
   return Out;
 }
@@ -148,14 +90,16 @@ PointValue sampleValue(const ParamDef &P, Rng &R) {
     return P.FMin + R.uniform() * (P.FMax - P.FMin);
   if (P.Kind == ParamKind::LogFloat && P.FMin > 0)
     return P.FMin * std::pow(P.FMax / P.FMin, R.uniform());
-  std::vector<PointValue> Values = enumerateValues(P);
+  if (P.indexed())
+    return P.valueAt(R.index(P.cardinality()));
+  std::vector<PointValue> Values = enumerateValues(P); // non-positive logfloat
   return Values[R.index(Values.size())];
 }
 
 Point samplePoint(const Space &S, Rng &R) {
-  Point P;
-  for (const ParamDef &Def : S.Params)
-    P.Values[Def.Id] = sampleValue(Def, R);
+  Point P(S);
+  for (size_t I = 0; I < S.Params.size(); ++I)
+    P[I] = sampleValue(S.Params[I], R);
   return P;
 }
 
@@ -175,6 +119,70 @@ namespace {
 /// workers.
 constexpr size_t SpeculativeBatch = 8;
 
+/// A point's identity over the driver's space, computed once per proposal:
+/// its values (or, for an active key, its active values) as bytes in
+/// Space::Params order, and their hash. Equal bytes mean equal key() (or
+/// activeKey()) text, so a hash match is confirmed by comparing the bytes.
+struct PointKey {
+  std::string Bytes;
+  size_t Hash = 0;
+  bool operator==(const PointKey &O) const {
+    return Hash == O.Hash && Bytes == O.Bytes;
+  }
+};
+
+struct PointKeyHash {
+  size_t operator()(const PointKey &K) const { return K.Hash; }
+};
+
+template <typename T> void appendRaw(std::string &Out, const T &V) {
+  Out.append(reinterpret_cast<const char *>(&V), sizeof(V));
+}
+
+void appendValue(std::string &Out, const PointValue &V) {
+  Out += static_cast<char>('0' + V.index());
+  if (const auto *I = std::get_if<int64_t>(&V)) {
+    appendRaw(Out, *I);
+  } else if (const auto *D = std::get_if<double>(&V)) {
+    appendRaw(Out, *D);
+  } else if (const auto *Str = std::get_if<std::string>(&V)) {
+    appendRaw(Out, Str->size());
+    Out += *Str;
+  } else if (const auto *Perm = std::get_if<std::vector<int>>(&V)) {
+    appendRaw(Out, Perm->size());
+    for (int X : *Perm)
+      appendRaw(Out, X);
+  }
+}
+
+/// The key of \p P over \p S; an inactive parameter (when \p Active) is
+/// an 'x' byte. A point of another layout is keyed as its re-parse over
+/// \p S or, if it pins other ids than \p S, by its text behind a 0 byte,
+/// which no point of \p S shares.
+PointKey keyOf(const Space &S, const Point &P, bool Active) {
+  PointKey K;
+  auto Pinned = [&P](const ParamGuard &G) {
+    const int64_t *Arm = std::get_if<int64_t>(&P[G.Param]);
+    return Arm && *Arm == G.Alt;
+  };
+  if (P.laidOutBy(S)) {
+    for (size_t I = 0; I < P.size(); ++I) {
+      const std::vector<ParamGuard> &Guards = S.Params[I].Guards;
+      if (Active && !std::all_of(Guards.begin(), Guards.end(), Pinned))
+        K.Bytes += 'x';
+      else
+        appendValue(K.Bytes, P[I]);
+    }
+  } else if (Expected<Point> Dense = deserializePoint(serializePoint(P), S);
+             Dense.ok() && Dense->laidOutBy(S)) {
+    return keyOf(S, *Dense, Active);
+  } else {
+    K.Bytes = '\0' + (Active ? P.activeKey(S) : P.key());
+  }
+  K.Hash = std::hash<std::string_view>()(K.Bytes);
+  return K;
+}
+
 /// Per-point result of a batch evaluation, in proposal order.
 struct BatchItem {
   double Metric = std::numeric_limits<double>::infinity();
@@ -193,9 +201,16 @@ public:
   EvalDriver(const Space &S, Objective &Obj, const SearchOptions &Opts,
              SearchResult &Result)
       : Sp(S), Obj(Obj), Opts(Opts), Result(Result),
-        Pool(Obj.concurrencySafe() ? Opts.Jobs : 1) {
+        Pool(Obj.concurrencySafe() ? Opts.Jobs : 1),
+        SpaceSize(std::none_of(S.Params.begin(), S.Params.end(),
+                               [](const ParamDef &P) {
+                                 return P.Kind == ParamKind::FloatRange ||
+                                        P.Kind == ParamKind::LogFloat;
+                               })
+                      ? S.fullSize()
+                      : std::numeric_limits<uint64_t>::max()) {
     for (const EvalRecord &R : Opts.Replay)
-      ReplayCache.emplace(R.P.key(), R);
+      ReplayCache.emplace(keyOf(Sp, R.P, false), R);
     Result.PoolJobs = Pool.jobs();
   }
 
@@ -207,6 +222,11 @@ public:
       Result.Stopped = true;
       return false;
     }
+    // An exhausted space: every later proposal would be an exact duplicate,
+    // which spends no budget and records nothing, so stopping here changes
+    // no History, journal or best point.
+    if (Seen.size() >= SpaceSize)
+      return false;
     return Result.Evaluations < Opts.MaxEvaluations;
   }
 
@@ -232,19 +252,27 @@ public:
   /// (3-6) commits the same way, in proposal order: History, journal,
   /// best point, budget. So the searcher (and the journal) observe exactly
   /// the serial trajectory, whatever the pool width or the objective.
-  std::vector<BatchItem> evaluateBatch(const std::vector<Point> &Batch) {
+  std::vector<BatchItem> evaluateBatch(std::span<const Point> Batch) {
     std::vector<Slot> Slots(Batch.size());
     std::vector<size_t> Pending;
-    std::set<std::string> BatchKeys;
-    std::map<std::string, size_t> BatchLeaders;
+    // Earlier budgeted proposals of this batch (at most a generation).
+    auto EarlierInBatch = [&Slots](size_t I, auto Same) {
+      for (size_t J = 0; J < I; ++J)
+        if (Slots[J].K != Kind::Dup && Slots[J].K != Kind::Dropped &&
+            Same(Slots[J]))
+          return J;
+      return I;
+    };
     int BudgetUsed = 0;
 
     // Classification pass (replay consumption and StaticFilter calls keep
     // their serial order).
     for (size_t I = 0; I < Batch.size(); ++I) {
       Slot &S = Slots[I];
-      S.Key = Batch[I].key();
-      if (Seen.count(S.Key) || BatchKeys.count(S.Key)) {
+      S.Key = keyOf(Sp, Batch[I], false);
+      if (Seen.count(S.Key) ||
+          EarlierInBatch(I, [&S](const Slot &E) { return E.Key == S.Key; }) !=
+              I) {
         S.K = Kind::Dup;
         continue;
       }
@@ -253,8 +281,7 @@ public:
         continue;
       }
       ++BudgetUsed;
-      BatchKeys.insert(S.Key);
-      S.Active = Batch[I].activeKey(Sp);
+      S.Active = keyOf(Sp, Batch[I], true);
       auto RIt = ReplayCache.find(S.Key);
       if (RIt != ReplayCache.end()) {
         S.K = Kind::Replay;
@@ -277,9 +304,14 @@ public:
         S.Out = It->second;
         continue;
       }
-      if (auto [It, First] = BatchLeaders.try_emplace(S.Active, I); !First) {
+      if (size_t L = EarlierInBatch(I,
+                                    [&S](const Slot &E) {
+                                      return E.K == Kind::Pending &&
+                                             E.Active == S.Active;
+                                    });
+          L != I) {
         S.K = Kind::Projected;
-        S.Leader = It->second;
+        S.Leader = L;
         continue;
       }
       S.K = Kind::Pending;
@@ -339,7 +371,8 @@ public:
                                  : std::numeric_limits<double>::infinity();
         Item.Fresh = true;
         Item.Assessed = true;
-        Seen[S.Key] = {Item.Metric, Item.Valid};
+        Seen.insert_or_assign(std::move(S.Key),
+                              std::make_pair(Item.Metric, Item.Valid));
         if (!Item.Valid) {
           ++Result.InvalidPoints;
           ++Result.FailureCounts[static_cast<size_t>(S.Out.Failure)];
@@ -369,7 +402,7 @@ public:
   /// Single-point convenience wrapper (the sequential searchers' path);
   /// returns true when an evaluation (not a duplicate) happened.
   bool evaluate(const Point &P, double &Metric, bool &Valid) {
-    std::vector<BatchItem> Items = evaluateBatch({P});
+    std::vector<BatchItem> Items = evaluateBatch(std::span<const Point>(&P, 1));
     Metric = Items[0].Metric;
     Valid = Items[0].Valid;
     return Items[0].Fresh;
@@ -392,7 +425,7 @@ private:
   };
   /// One proposal of a batch, as classified.
   struct Slot {
-    std::string Key, Active;
+    PointKey Key, Active;
     Kind K = Kind::Dropped;
     EvalOutcome Out;
     /// A Projected slot that repeats a pending slot of this batch.
@@ -400,7 +433,7 @@ private:
   };
 
   /// Assesses the proposals at \p Indices concurrently, into their slots.
-  void assess(const std::vector<Point> &Batch, std::vector<Slot> &Slots,
+  void assess(std::span<const Point> Batch, std::vector<Slot> &Slots,
               const std::vector<size_t> &Indices) {
     if (Indices.empty())
       return;
@@ -417,7 +450,7 @@ private:
 
   /// The first outcome of a projection serves its later repeats; an
   /// unstable reading serves none.
-  void recordProjection(const std::string &Active, const EvalOutcome &Out) {
+  void recordProjection(const PointKey &Active, const EvalOutcome &Out) {
     if (Out.Failure != FailureKind::MetricUnstable)
       Projections.try_emplace(Active, Out);
   }
@@ -427,9 +460,12 @@ private:
   const SearchOptions &Opts;
   SearchResult &Result;
   EvalPool Pool;
-  std::map<std::string, std::pair<double, bool>> Seen;
-  std::map<std::string, EvalRecord> ReplayCache;
-  std::unordered_map<std::string, EvalOutcome> Projections;
+  /// Points of the space when no parameter is a float range, else
+  /// UINT64_MAX: once Seen holds that many, the space is exhausted.
+  uint64_t SpaceSize;
+  std::unordered_map<PointKey, std::pair<double, bool>, PointKeyHash> Seen;
+  std::unordered_map<PointKey, EvalRecord, PointKeyHash> ReplayCache;
+  std::unordered_map<PointKey, EvalOutcome, PointKeyHash> Projections;
   bool Improved = false;
 };
 
@@ -441,43 +477,39 @@ Point mutate(const Space &S, const Point &Base, Rng &R) {
   Point P = Base;
   if (S.Params.empty())
     return P;
-  const ParamDef &Def = S.Params[R.index(S.Params.size())];
-  auto &Slot = P.Values[Def.Id];
+  assert(P.laidOutBy(S) && "mutating a point of another space");
+  size_t Slot = R.index(S.Params.size());
+  const ParamDef &Def = S.Params[Slot];
+  PointValue &V = P[Slot];
   if (Def.Kind == ParamKind::Permutation) {
-    auto Perm = std::get<std::vector<int>>(Slot);
+    auto &Perm = std::get<std::vector<int>>(V);
     if (Perm.size() >= 2) {
       size_t A = R.index(Perm.size());
       size_t B = R.index(Perm.size());
       std::swap(Perm[A], Perm[B]);
     }
-    Slot = Perm;
     return P;
   }
-  if (Def.Kind == ParamKind::FloatRange || Def.Kind == ParamKind::LogFloat) {
-    double Cur = std::get<double>(Slot);
+  if (!Def.indexed()) {
+    double Cur = std::get<double>(V);
     double Width = (Def.FMax - Def.FMin) * 0.15;
-    double Next = std::clamp(Cur + R.normal() * Width, Def.FMin, Def.FMax);
-    Slot = Next;
+    V = std::clamp(Cur + R.normal() * Width, Def.FMin, Def.FMax);
     return P;
   }
-  std::vector<PointValue> Values = enumerateValues(Def);
   // Step to a neighboring value most of the time; jump occasionally.
-  int64_t Cur = std::get<int64_t>(Slot);
-  size_t CurIdx = 0;
-  for (size_t I = 0; I < Values.size(); ++I)
-    if (std::get<int64_t>(Values[I]) == Cur)
-      CurIdx = I;
-  if (Values.size() > 1 && R.chance(0.7)) {
-    size_t Next = CurIdx;
-    if (CurIdx == 0)
+  uint64_t N = Def.cardinality();
+  uint64_t Cur = Def.indexOf(std::get<int64_t>(V));
+  if (N > 1 && R.chance(0.7)) {
+    uint64_t Next = Cur;
+    if (Cur == 0)
       Next = 1;
-    else if (CurIdx + 1 >= Values.size())
-      Next = CurIdx - 1;
+    else if (Cur + 1 >= N)
+      Next = Cur - 1;
     else
-      Next = R.chance(0.5) ? CurIdx - 1 : CurIdx + 1;
-    Slot = Values[Next];
+      Next = R.chance(0.5) ? Cur - 1 : Cur + 1;
+    V = Def.valueAt(Next);
   } else {
-    Slot = Values[R.index(Values.size())];
+    V = Def.valueAt(R.index(N));
   }
   return P;
 }
@@ -505,9 +537,9 @@ public:
     while (Driver.budgetLeft() && !Done) {
       std::vector<Point> Batch;
       while (Batch.size() < SpeculativeBatch && !Done) {
-        Point P;
+        Point P(S);
         for (size_t I = 0; I < S.Params.size(); ++I)
-          P.Values[S.Params[I].Id] = ValueLists[I][Odometer[I]];
+          P[I] = ValueLists[I][Odometer[I]];
         Batch.push_back(std::move(P));
         // Advance the odometer.
         size_t I = 0;
@@ -668,44 +700,39 @@ private:
                 const Point &B, const Point &C, Rng &R) {
     Point Trial = Target;
     const double F = 0.6, CR = 0.8;
-    for (const ParamDef &Def : S.Params) {
+    for (size_t I = 0; I < S.Params.size(); ++I) {
+      const ParamDef &Def = S.Params[I];
       if (!R.chance(CR))
         continue;
       if (Def.Kind == ParamKind::Permutation) {
-        Trial.Values[Def.Id] = sampleValue(Def, R);
+        Trial[I] = sampleValue(Def, R);
         continue;
       }
-      double XA = norm(Def, A), XB = norm(Def, B), XC = norm(Def, C);
+      double XA = norm(Def, A[I]), XB = norm(Def, B[I]), XC = norm(Def, C[I]);
       double X = std::clamp(XA + F * (XB - XC), 0.0, 1.0);
-      Trial.Values[Def.Id] = denorm(Def, X, R);
+      Trial[I] = denorm(Def, X);
     }
     return Trial;
   }
 
-  static double norm(const ParamDef &Def, const Point &P) {
-    const PointValue &V = P.Values.at(Def.Id);
-    if (Def.Kind == ParamKind::FloatRange || Def.Kind == ParamKind::LogFloat) {
+  static double norm(const ParamDef &Def, const PointValue &V) {
+    if (!Def.indexed()) {
       double X = std::get<double>(V);
       return Def.FMax > Def.FMin ? (X - Def.FMin) / (Def.FMax - Def.FMin) : 0;
     }
-    std::vector<PointValue> Values = enumerateValues(Def);
-    int64_t X = std::get<int64_t>(V);
-    for (size_t I = 0; I < Values.size(); ++I)
-      if (std::get<int64_t>(Values[I]) == X)
-        return Values.size() > 1
-                   ? static_cast<double>(I) / (Values.size() - 1)
-                   : 0.0;
-    return 0;
+    uint64_t N = Def.cardinality();
+    return N > 1 ? static_cast<double>(Def.indexOf(std::get<int64_t>(V))) /
+                       static_cast<double>(N - 1)
+                 : 0.0;
   }
 
-  static PointValue denorm(const ParamDef &Def, double X, Rng &R) {
-    (void)R;
-    if (Def.Kind == ParamKind::FloatRange || Def.Kind == ParamKind::LogFloat)
+  static PointValue denorm(const ParamDef &Def, double X) {
+    if (!Def.indexed())
       return Def.FMin + X * (Def.FMax - Def.FMin);
-    std::vector<PointValue> Values = enumerateValues(Def);
-    size_t Idx = static_cast<size_t>(
-        std::lround(X * static_cast<double>(Values.size() - 1)));
-    return Values[std::min(Idx, Values.size() - 1)];
+    uint64_t N = Def.cardinality();
+    auto Idx = static_cast<uint64_t>(
+        std::lround(X * static_cast<double>(N - 1)));
+    return Def.valueAt(std::min(Idx, N - 1));
   }
 };
 
@@ -725,10 +752,7 @@ public:
 
     // Move generators: random, greedy mutation of the best, and a
     // crossover-style recombination of two elites.
-    const int NumArms = 3;
-    std::vector<std::vector<int>> Window(static_cast<size_t>(NumArms));
-    std::vector<int> Uses(static_cast<size_t>(NumArms), 0);
-    const size_t WindowCap = 50;
+    std::array<ArmWindow, 3> Arms;
     int T = 0;
 
     std::vector<std::pair<double, Point>> Elites;
@@ -736,10 +760,15 @@ public:
     // Seed with the midpoint default configuration (as OpenTuner seeds
     // sensible defaults) followed by random points.
     {
-      Point Mid;
-      for (const ParamDef &Def : S.Params) {
-        std::vector<PointValue> Values = enumerateValues(Def);
-        Mid.Values[Def.Id] = Values[Values.size() / 2];
+      Point Mid(S);
+      for (size_t I = 0; I < S.Params.size(); ++I) {
+        const ParamDef &Def = S.Params[I];
+        if (Def.indexed()) {
+          Mid[I] = Def.valueAt(Def.cardinality() / 2);
+        } else {
+          std::vector<PointValue> Values = enumerateValues(Def);
+          Mid[I] = Values[Values.size() / 2];
+        }
       }
       double Metric;
       bool Valid;
@@ -759,7 +788,7 @@ public:
     int Stale = 0;
     while (Driver.budgetLeft() && Stale < Opts.MaxEvaluations * 4) {
       ++T;
-      int Arm = pickArm(Window, Uses, T);
+      size_t Arm = pickArm(Arms, T);
       Point P;
       if (Arm == 0 || Elites.empty()) {
         P = samplePoint(S, R);
@@ -778,11 +807,7 @@ public:
       // streaks; otherwise pickArm's inputs freeze and the same exhausted
       // arm is chosen until the stale limit aborts the search.
       bool NewBest = Fresh && Driver.takeImproved();
-      auto &Hist = Window[static_cast<size_t>(Arm)];
-      Hist.push_back(NewBest ? 1 : 0);
-      if (Hist.size() > WindowCap)
-        Hist.erase(Hist.begin());
-      ++Uses[static_cast<size_t>(Arm)];
+      Arms[Arm].push(NewBest);
       if (!Fresh) {
         ++Stale;
         continue; // the paper notes OpenTuner avoids re-assessing variants
@@ -804,28 +829,51 @@ private:
       Elites.resize(8);
   }
 
-  /// AUC credit: exponentially weighted recency of "produced a new best",
-  /// plus a UCB exploration bonus.
-  static int pickArm(const std::vector<std::vector<int>> &Window,
-                     const std::vector<int> &Uses, int T) {
-    int BestArm = 0;
-    double BestScore = -1;
-    for (size_t Arm = 0; Arm < Window.size(); ++Arm) {
-      double Auc = 0, Weight = 0;
-      const auto &Hist = Window[Arm];
-      for (size_t I = 0; I < Hist.size(); ++I) {
-        double W = static_cast<double>(I + 1);
-        Auc += W * Hist[I];
-        Weight += W;
+  /// An arm's last Cap outcomes (1: produced a new best) in a ring, oldest
+  /// at Head, with the sums pickArm scores kept as it slides: Ones is the
+  /// window's sum and Weighted its sum weighted 1 (oldest) .. Size (newest).
+  struct ArmWindow {
+    static constexpr size_t Cap = 50;
+    std::array<uint8_t, Cap> Ring{};
+    size_t Head = 0, Size = 0;
+    int64_t Ones = 0, Weighted = 0;
+    int Uses = 0;
+
+    void push(bool NewBest) {
+      int X = NewBest ? 1 : 0;
+      if (Size == Cap) {
+        // Dropping the oldest lowers every remaining weight by one.
+        Weighted -= Ones;
+        Ones -= Ring[Head];
+        Ring[Head] = static_cast<uint8_t>(X);
+        Head = (Head + 1) % Cap;
+      } else {
+        Ring[(Head + Size) % Cap] = static_cast<uint8_t>(X);
+        ++Size;
       }
-      double Exploit = Weight > 0 ? Auc / Weight : 0;
-      double Explore =
-          std::sqrt(2.0 * std::log(static_cast<double>(T + 1)) /
-                    (Uses[Arm] + 1));
+      Ones += X;
+      Weighted += static_cast<int64_t>(Size) * X;
+      ++Uses;
+    }
+  };
+
+  /// AUC credit: exponentially weighted recency of "produced a new best",
+  /// plus a UCB exploration bonus. The sums are small integers, exact in a
+  /// double.
+  static size_t pickArm(const std::array<ArmWindow, 3> &Arms, int T) {
+    size_t BestArm = 0;
+    double BestScore = -1;
+    for (size_t Arm = 0; Arm < Arms.size(); ++Arm) {
+      const ArmWindow &W = Arms[Arm];
+      double Weight = static_cast<double>(W.Size * (W.Size + 1) / 2);
+      double Exploit =
+          Weight > 0 ? static_cast<double>(W.Weighted) / Weight : 0;
+      double Explore = std::sqrt(2.0 * std::log(static_cast<double>(T + 1)) /
+                                 (W.Uses + 1));
       double Score = Exploit + 0.3 * Explore;
       if (Score > BestScore) {
         BestScore = Score;
-        BestArm = static_cast<int>(Arm);
+        BestArm = Arm;
       }
     }
     return BestArm;
@@ -834,9 +882,9 @@ private:
   static Point crossover(const Space &S, const Point &A, const Point &B,
                          Rng &R) {
     Point P = A;
-    for (const ParamDef &Def : S.Params)
+    for (size_t I = 0; I < S.Params.size(); ++I)
       if (R.chance(0.5))
-        P.Values[Def.Id] = B.Values.at(Def.Id);
+        P[I] = B[I];
     return P;
   }
 };
@@ -890,26 +938,31 @@ public:
 private:
   /// Splits history at the gamma quantile into good/bad sets and proposes
   /// the candidate maximizing the density ratio l(x)/g(x), per parameter.
-  Point propose(const Space &S, std::vector<std::pair<double, Point>> History,
-                Rng &R) {
-    std::sort(History.begin(), History.end(),
-              [](const auto &A, const auto &B) { return A.first < B.first; });
+  Point propose(const Space &S,
+                const std::vector<std::pair<double, Point>> &History, Rng &R) {
+    // Sorting pointers makes the same comparisons, and so the same order,
+    // as sorting the entries themselves.
+    std::vector<const std::pair<double, Point> *> Ranked;
+    for (const auto &H : History)
+      Ranked.push_back(&H);
+    std::sort(Ranked.begin(), Ranked.end(),
+              [](const auto *A, const auto *B) { return A->first < B->first; });
     size_t NGood = std::max<size_t>(1, History.size() / 4);
 
     Point Best;
     double BestScore = -std::numeric_limits<double>::infinity();
     const int Candidates = 16;
     for (int C = 0; C < Candidates; ++C) {
-      Point P;
+      Point P(S);
       double Score = 0;
-      for (const ParamDef &Def : S.Params) {
+      for (size_t I = 0; I < S.Params.size(); ++I) {
+        const ParamDef &Def = S.Params[I];
         // Sample around a random good observation.
-        const Point &Anchor = History[R.index(NGood)].second;
-        PointValue V = perturb(Def, Anchor.Values.at(Def.Id), R);
-        Score += std::log(density(Def, V, History, 0, NGood) + 1e-9) -
-                 std::log(density(Def, V, History, NGood, History.size()) +
+        P[I] = perturb(Def, Ranked[R.index(NGood)]->second[I], R);
+        Score += std::log(density(Def, I, P[I], Ranked, 0, NGood) + 1e-9) -
+                 std::log(density(Def, I, P[I], Ranked, NGood,
+                                  History.size()) +
                           1e-9);
-        P.Values[Def.Id] = std::move(V);
       }
       if (Score > BestScore) {
         BestScore = Score;
@@ -926,55 +979,47 @@ private:
         std::swap(Perm[R.index(Perm.size())], Perm[R.index(Perm.size())]);
       return Perm;
     }
-    if (Def.Kind == ParamKind::FloatRange || Def.Kind == ParamKind::LogFloat) {
+    if (!Def.indexed()) {
       double X = std::get<double>(Anchor);
       double W = (Def.FMax - Def.FMin) * 0.2;
       return std::clamp(X + R.normal() * W, Def.FMin, Def.FMax);
     }
-    std::vector<PointValue> Values = enumerateValues(Def);
+    auto N = static_cast<int64_t>(Def.cardinality());
     if (R.chance(0.35))
-      return Values[R.index(Values.size())];
-    int64_t X = std::get<int64_t>(Anchor);
-    size_t Idx = 0;
-    for (size_t I = 0; I < Values.size(); ++I)
-      if (std::get<int64_t>(Values[I]) == X)
-        Idx = I;
+      return Def.valueAt(R.index(static_cast<size_t>(N)));
+    auto Idx = static_cast<int64_t>(Def.indexOf(std::get<int64_t>(Anchor)));
     int64_t Offset = R.range(-1, 1);
-    int64_t NewIdx = std::clamp<int64_t>(static_cast<int64_t>(Idx) + Offset, 0,
-                                         static_cast<int64_t>(Values.size()) - 1);
-    return Values[static_cast<size_t>(NewIdx)];
+    return Def.valueAt(
+        static_cast<uint64_t>(std::clamp<int64_t>(Idx + Offset, 0, N - 1)));
   }
 
-  /// Kernel density of a value within History[Begin, End).
-  double density(const ParamDef &Def, const PointValue &V,
-                 const std::vector<std::pair<double, Point>> &History,
+  /// Kernel density of value \p V of slot \p Slot within ranks
+  /// [Begin, End) of the history.
+  double density(const ParamDef &Def, size_t Slot, const PointValue &V,
+                 const std::vector<const std::pair<double, Point> *> &Ranked,
                  size_t Begin, size_t End) {
     if (Begin >= End)
       return 0;
     double Sum = 0;
+    double W = 0, At = 0;
+    if (Def.indexed()) {
+      W = std::max(1.0, static_cast<double>(Def.cardinality()) * 0.15);
+      At = static_cast<double>(Def.indexOf(std::get<int64_t>(V)));
+    } else if (Def.Kind != ParamKind::Permutation) {
+      W = std::max(1e-9, (Def.FMax - Def.FMin) * 0.15);
+    }
     for (size_t I = Begin; I < End; ++I) {
-      const PointValue &O = History[I].second.Values.at(Def.Id);
-      if (Def.Kind == ParamKind::FloatRange ||
-          Def.Kind == ParamKind::LogFloat) {
-        double W = std::max(1e-9, (Def.FMax - Def.FMin) * 0.15);
-        double D = (std::get<double>(V) - std::get<double>(O)) / W;
-        Sum += std::exp(-0.5 * D * D);
-      } else if (Def.Kind == ParamKind::Permutation) {
+      const PointValue &O = Ranked[I]->second[Slot];
+      if (Def.Kind == ParamKind::Permutation) {
         Sum += std::get<std::vector<int>>(V) == std::get<std::vector<int>>(O)
                    ? 1.0
                    : 0.05;
+      } else if (!Def.indexed()) {
+        double D = (std::get<double>(V) - std::get<double>(O)) / W;
+        Sum += std::exp(-0.5 * D * D);
       } else {
-        std::vector<PointValue> Values = enumerateValues(Def);
-        double W = std::max(1.0, static_cast<double>(Values.size()) * 0.15);
-        auto IndexOf = [&](int64_t X) {
-          for (size_t J = 0; J < Values.size(); ++J)
-            if (std::get<int64_t>(Values[J]) == X)
-              return static_cast<double>(J);
-          return 0.0;
-        };
-        double D = (IndexOf(std::get<int64_t>(V)) -
-                    IndexOf(std::get<int64_t>(O))) /
-                   W;
+        double D =
+            (At - static_cast<double>(Def.indexOf(std::get<int64_t>(O)))) / W;
         Sum += std::exp(-0.5 * D * D);
       }
     }

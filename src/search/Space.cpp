@@ -31,13 +31,34 @@ uint64_t factorial(int N) {
   return F;
 }
 
-int log2FloorPositive(int64_t X) {
-  int L = 0;
-  while (X > 1) {
-    X >>= 1;
-    ++L;
+/// Walks loginteger(Min..Max)'s geometric grid (ratio ~1.5, deduplicated),
+/// calling Visit(Value) on each value in order until it returns false.
+template <typename Fn> void walkLogInt(int64_t Min, int64_t Max, Fn Visit) {
+  double V = static_cast<double>(std::max<int64_t>(1, Min));
+  int64_t Last = 0;
+  bool Any = false;
+  while (static_cast<int64_t>(V) <= Max) {
+    int64_t I = static_cast<int64_t>(V);
+    if (!Any || Last != I) {
+      if (!Visit(I))
+        return;
+      Last = I;
+      Any = true;
+    }
+    V *= 1.5;
+    if (V < static_cast<double>(Last) + 1)
+      V = static_cast<double>(Last) + 1;
   }
-  return L;
+  if (!Any)
+    Visit(Min);
+}
+
+/// The smallest power of two at least Min (and at least 1).
+int64_t firstPow2(int64_t Min) {
+  int64_t V = 1;
+  while (V < Min)
+    V <<= 1;
+  return V;
 }
 
 /// Appends "Id=value;" in the canonical form Point::key() uses.
@@ -68,20 +89,17 @@ uint64_t ParamDef::cardinality() const {
   case ParamKind::Bool:
     return 2;
   case ParamKind::IntRange:
-    return Max < Min ? 1 : static_cast<uint64_t>(Max - Min + 1);
+    return Max < Min ? 1 : static_cast<uint64_t>(Max - Min) + 1;
   case ParamKind::Pow2: {
-    if (Max < Min || Min < 1)
-      return 1;
-    return static_cast<uint64_t>(log2FloorPositive(Max) -
-                                 log2FloorPositive(Min) + 1);
+    uint64_t N = 0;
+    for (int64_t V = firstPow2(Min); V <= Max; V <<= 1)
+      ++N;
+    return std::max<uint64_t>(N, 1);
   }
   case ParamKind::LogInt: {
-    // Log-spaced candidates: powers-of-two density approximation.
-    if (Max < Min || Min < 1)
-      return 1;
-    return static_cast<uint64_t>(log2FloorPositive(Max) -
-                                 log2FloorPositive(Min) + 1) *
-           2;
+    uint64_t N = 0;
+    walkLogInt(Min, Max, [&N](int64_t) { return ++N, true; });
+    return N;
   }
   case ParamKind::FloatRange:
   case ParamKind::LogFloat:
@@ -92,53 +110,113 @@ uint64_t ParamDef::cardinality() const {
   return 1;
 }
 
-int64_t Point::getInt(const std::string &Id) const {
-  auto It = Values.find(Id);
-  assert(It != Values.end() && "parameter missing from point");
-  return std::get<int64_t>(It->second);
+bool ParamDef::indexed() const {
+  return Kind != ParamKind::FloatRange && Kind != ParamKind::LogFloat &&
+         Kind != ParamKind::Permutation;
 }
 
-double Point::getFloat(const std::string &Id) const {
-  auto It = Values.find(Id);
-  assert(It != Values.end() && "parameter missing from point");
-  if (const auto *I = std::get_if<int64_t>(&It->second))
-    return static_cast<double>(*I);
-  return std::get<double>(It->second);
+int64_t ParamDef::valueAt(uint64_t I) const {
+  assert(indexed() && I < cardinality() && "value index out of range");
+  switch (Kind) {
+  case ParamKind::IntRange:
+    return Min + static_cast<int64_t>(I);
+  case ParamKind::Pow2: {
+    int64_t First = firstPow2(Min);
+    return First > Max ? std::max<int64_t>(1, Min) : First << I;
+  }
+  case ParamKind::LogInt: {
+    int64_t Out = Min;
+    walkLogInt(Min, Max, [&](int64_t V) { return Out = V, I-- != 0; });
+    return Out;
+  }
+  default: // Enum, Bool: the option index
+    return static_cast<int64_t>(I);
+  }
 }
 
-const std::string &Point::getString(const std::string &Id) const {
-  auto It = Values.find(Id);
-  assert(It != Values.end() && "parameter missing from point");
-  return std::get<std::string>(It->second);
+uint64_t ParamDef::indexOf(int64_t X) const {
+  if (Kind == ParamKind::IntRange)
+    return X >= Min && X <= Max ? static_cast<uint64_t>(X - Min) : 0;
+  uint64_t I = 0, N = cardinality();
+  if (Kind == ParamKind::LogInt) // one walk: valueAt(I) walks too
+    walkLogInt(Min, Max, [&](int64_t V) { return V != X && ++I; });
+  else if (Kind == ParamKind::Pow2)
+    while (I < N && valueAt(I) != X)
+      ++I;
+  else // Enum, Bool: the option index
+    I = X >= 0 ? static_cast<uint64_t>(X) : N;
+  return I < N ? I : 0;
 }
 
-const std::vector<int> &Point::getPerm(const std::string &Id) const {
-  auto It = Values.find(Id);
-  assert(It != Values.end() && "parameter missing from point");
-  return std::get<std::vector<int>>(It->second);
+ParamIds::ParamIds(std::vector<std::string> IdList) : Ids(std::move(IdList)) {
+  KeyOrder.resize(Ids.size());
+  for (size_t I = 0; I < Ids.size(); ++I)
+    KeyOrder[I] = static_cast<uint32_t>(I);
+  std::sort(KeyOrder.begin(), KeyOrder.end(),
+            [this](uint32_t A, uint32_t B) { return Ids[A] < Ids[B]; });
+}
+
+std::optional<size_t> ParamIds::slot(std::string_view Id) const {
+  auto It = std::lower_bound(
+      KeyOrder.begin(), KeyOrder.end(), Id,
+      [this](uint32_t S, std::string_view K) { return Ids[S] < K; });
+  if (It == KeyOrder.end() || Ids[*It] != Id)
+    return std::nullopt;
+  return *It;
+}
+
+Point::Point(const Space &S) : Ids(S.ids()), Values(Ids->Ids.size()) {}
+
+bool Point::laidOutBy(const Space &S) const {
+  return Ids ? Ids == S.ids() : S.Params.empty();
+}
+
+const PointValue *Point::find(std::string_view Id) const {
+  std::optional<size_t> Slot = Ids ? Ids->slot(Id) : std::nullopt;
+  return Slot ? &Values[*Slot] : nullptr;
+}
+
+void Point::set(const std::string &Id, PointValue V) {
+  std::optional<size_t> Slot = Ids ? Ids->slot(Id) : std::nullopt;
+  if (!Slot) {
+    std::vector<std::string> Grown = Ids ? Ids->Ids : std::vector<std::string>();
+    Grown.push_back(Id);
+    Ids = std::make_shared<const ParamIds>(std::move(Grown));
+    Slot = Values.size();
+    Values.emplace_back();
+  }
+  Values[*Slot] = std::move(V);
+}
+
+const PointValue &Point::at(const std::string &Id) const {
+  const PointValue *V = find(Id);
+  assert(V && "parameter missing from point");
+  return *V;
 }
 
 std::string Point::key() const {
   std::string Out;
-  for (const auto &[Id, V] : Values)
+  forEach([&Out](const std::string &Id, const PointValue &V) {
     appendEntry(Out, Id, V);
+  });
   return Out;
 }
 
 std::string Point::activeKey(const Space &S) const {
-  auto Satisfied = [this](const ParamGuard &G) {
-    auto It = Values.find(G.ParamId);
-    const int64_t *Arm =
-        It == Values.end() ? nullptr : std::get_if<int64_t>(&It->second);
+  std::shared_ptr<const ParamIds> SpaceIds = S.ids();
+  auto Satisfied = [&](const ParamGuard &G) {
+    const PointValue *V = find(S.Params[G.Param].Id);
+    const int64_t *Arm = V ? std::get_if<int64_t>(V) : nullptr;
     return Arm && *Arm == G.Alt;
   };
   std::string Out;
-  for (const auto &[Id, V] : Values) {
-    const ParamDef *D = S.find(Id);
-    if (D && !std::all_of(D->Guards.begin(), D->Guards.end(), Satisfied))
-      continue;
-    appendEntry(Out, Id, V);
-  }
+  forEach([&](const std::string &Id, const PointValue &V) {
+    std::optional<size_t> Def = SpaceIds->slot(Id);
+    const std::vector<ParamGuard> *Guards =
+        Def ? &S.Params[*Def].Guards : nullptr;
+    if (!Guards || std::all_of(Guards->begin(), Guards->end(), Satisfied))
+      appendEntry(Out, Id, V);
+  });
   return Out;
 }
 
@@ -147,6 +225,17 @@ const ParamDef *Space::find(const std::string &Id) const {
     if (P.Id == Id)
       return &P;
   return nullptr;
+}
+
+std::shared_ptr<const ParamIds> Space::ids() const {
+  std::lock_guard<std::mutex> Held(Cache.Lock);
+  if (!Cache.Ids || Cache.Ids->Ids.size() != Params.size()) {
+    std::vector<std::string> IdList;
+    for (const ParamDef &P : Params)
+      IdList.push_back(P.Id);
+    Cache.Ids = std::make_shared<const ParamIds>(std::move(IdList));
+  }
+  return Cache.Ids;
 }
 
 uint64_t Space::fullSize() const {

@@ -21,8 +21,11 @@
 #define LOCUS_SEARCH_SPACE_H
 
 #include <cstdint>
-#include <map>
+#include <memory>
+#include <mutex>
+#include <optional>
 #include <string>
+#include <string_view>
 #include <variant>
 #include <vector>
 
@@ -40,11 +43,11 @@ enum class ParamKind {
   Permutation, ///< permutation of 0..N-1
 };
 
-/// An enabling condition of a parameter: the selector parameter ParamId (an
-/// OR block, an OR expression or an optional statement) pinned to arm Alt
-/// (1 for an optional statement that runs).
+/// An enabling condition of a parameter: the selector parameter at index
+/// Param of Space::Params (an OR block, an OR expression or an optional
+/// statement) pinned to arm Alt (1 for an optional statement that runs).
 struct ParamGuard {
-  std::string ParamId;
+  size_t Param = 0;
   int64_t Alt = 0;
   bool operator==(const ParamGuard &) const = default;
 };
@@ -72,24 +75,85 @@ struct ParamDef {
   /// like Id, so it is not part of Space::fingerprint().
   std::vector<ParamGuard> Guards;
 
-  /// Number of distinct values (1 for empty/degenerate, saturates at
-  /// INT64_MAX). Float ranges report a nominal discretization of 1000.
+  /// Number of distinct values: enumerateValues(*this).size() for every
+  /// discrete kind (a permutation counts all N! orders, which enumeration
+  /// caps). Float ranges report a nominal discretization of 1000.
+  /// Saturates at UINT64_MAX.
   uint64_t cardinality() const;
+
+  /// Whether the values form an integer sequence valueAt(0..cardinality())
+  /// (every kind but the float ranges and permutations).
+  bool indexed() const;
+  /// The I-th value of an indexed() kind, I < cardinality().
+  int64_t valueAt(uint64_t I) const;
+  /// The position of \p X among an indexed() kind's values; 0 when \p X is
+  /// not one of them.
+  uint64_t indexOf(int64_t X) const;
 };
 
 /// A concrete value assigned to one parameter.
 using PointValue = std::variant<int64_t, double, std::string, std::vector<int>>;
 
+/// Interned parameter ids: slot I of a point laid out by this table holds
+/// the value of Ids[I]. Immutable once built and shared by every point laid
+/// out by it, so a point costs a vector of values, not a map of names.
+struct ParamIds {
+  std::vector<std::string> Ids;
+  /// The slots in ascending id order: the order of Point::key() and of the
+  /// point text forms.
+  std::vector<uint32_t> KeyOrder;
+
+  explicit ParamIds(std::vector<std::string> Ids);
+  /// The slot of \p Id, or nullopt.
+  std::optional<size_t> slot(std::string_view Id) const;
+};
+
 struct Space;
 
-/// A point in the space: every parameter pinned to a value.
-struct Point {
-  std::map<std::string, PointValue> Values;
+/// A point in the space: every parameter pinned to a value. The values are
+/// held densely, one slot per id of the point's ParamIds; a point built
+/// over a Space is laid out by Space::ids(), so slot I is Params[I].
+class Point {
+public:
+  Point() = default;
+  /// A point laid out by \p S, every value int 0 until assigned.
+  explicit Point(const Space &S);
 
-  int64_t getInt(const std::string &Id) const;
-  double getFloat(const std::string &Id) const;
-  const std::string &getString(const std::string &Id) const;
-  const std::vector<int> &getPerm(const std::string &Id) const;
+  size_t size() const { return Values.size(); }
+  bool empty() const { return Values.empty(); }
+  /// The value in slot \p Slot.
+  PointValue &operator[](size_t Slot) { return Values[Slot]; }
+  const PointValue &operator[](size_t Slot) const { return Values[Slot]; }
+
+  /// True when slot I holds S.Params[I] for every parameter of \p S.
+  bool laidOutBy(const Space &S) const;
+  /// The value pinned for \p Id, or null.
+  const PointValue *find(std::string_view Id) const;
+  /// Pins \p Id to \p V, adding \p Id to the point's layout if missing.
+  void set(const std::string &Id, PointValue V);
+
+  /// The value pinned for \p Id, which the point must pin.
+  const PointValue &at(const std::string &Id) const;
+  int64_t getInt(const std::string &Id) const {
+    return std::get<int64_t>(at(Id));
+  }
+  double getFloat(const std::string &Id) const {
+    const PointValue &V = at(Id);
+    return V.index() == 0 ? static_cast<double>(std::get<int64_t>(V))
+                          : std::get<double>(V);
+  }
+  const std::string &getString(const std::string &Id) const {
+    return std::get<std::string>(at(Id));
+  }
+  const std::vector<int> &getPerm(const std::string &Id) const {
+    return std::get<std::vector<int>>(at(Id));
+  }
+
+  /// Calls \p F(Id, Value) for every pinned value, in ascending id order.
+  template <typename Fn> void forEach(Fn F) const {
+    for (size_t I = 0; I < Values.size(); ++I)
+      F(Ids->Ids[Ids->KeyOrder[I]], Values[Ids->KeyOrder[I]]);
+  }
 
   /// Canonical text form, used for deduplicating evaluated variants.
   std::string key() const;
@@ -99,6 +163,10 @@ struct Point {
   /// same active key read the same values, so they materialize the same
   /// variant; any other difference gives different keys.
   std::string activeKey(const Space &S) const;
+
+private:
+  std::shared_ptr<const ParamIds> Ids;
+  std::vector<PointValue> Values;
 };
 
 /// The whole space.
@@ -106,6 +174,11 @@ struct Space {
   std::vector<ParamDef> Params;
 
   const ParamDef *find(const std::string &Id) const;
+
+  /// The interned ids of Params, built (under a lock) on first use after
+  /// Params grows, and shared by copies of the space. An id must not change
+  /// once interned.
+  std::shared_ptr<const ParamIds> ids() const;
 
   /// Cross-product of all parameter cardinalities (saturating).
   uint64_t fullSize() const;
@@ -125,6 +198,27 @@ struct Space {
   /// parameter added, bound widened, option renamed — changes it. Stored in
   /// journal headers so --resume can refuse a journal from another space.
   uint64_t fingerprint() const;
+
+private:
+  /// The table behind ids() and the lock that guards it; a copy of the
+  /// space shares the table.
+  struct Interned {
+    mutable std::mutex Lock;
+    std::shared_ptr<const ParamIds> Ids;
+    Interned() = default;
+    Interned(const Interned &O) { *this = O; }
+    Interned &operator=(const Interned &O) {
+      std::shared_ptr<const ParamIds> Shared = O.load();
+      std::lock_guard<std::mutex> Held(Lock);
+      Ids = std::move(Shared);
+      return *this;
+    }
+    std::shared_ptr<const ParamIds> load() const {
+      std::lock_guard<std::mutex> Held(Lock);
+      return Ids;
+    }
+  };
+  mutable Interned Cache;
 };
 
 } // namespace search

@@ -21,7 +21,7 @@
 namespace locus {
 namespace search {
 void PrintTo(const ParamGuard &G, std::ostream *OS) {
-  *OS << G.ParamId << "=" << G.Alt;
+  *OS << "#" << G.Param << "=" << G.Alt;
 }
 } // namespace search
 
@@ -93,6 +93,11 @@ struct Extracted {
     return None;
   }
 
+  /// The index of \p P in the space (what a guard names).
+  size_t slot(const ParamDef &P) const {
+    return static_cast<size_t>(&P - S.Params.data());
+  }
+
   /// Materializes \p P: the printed variant, or the interpreter's verdict.
   std::string materialize(const Point &P) const {
     auto C = target();
@@ -111,11 +116,13 @@ struct Extracted {
 /// A point of \p S: every parameter at its first enumerable value, the
 /// permutation at the identity.
 Point firstPoint(const Space &S) {
-  Point P;
-  for (const ParamDef &D : S.Params)
-    P.Values[D.Id] = D.Kind == search::ParamKind::Permutation
-                         ? search::PointValue(std::vector<int>{0, 1, 2})
-                         : search::enumerateValues(D)[0];
+  Point P(S);
+  for (size_t I = 0; I < S.Params.size(); ++I) {
+    if (S.Params[I].Kind == search::ParamKind::Permutation)
+      P[I] = std::vector<int>{0, 1, 2};
+    else
+      P[I] = search::enumerateValues(S.Params[I])[0];
+  }
   return P;
 }
 
@@ -127,34 +134,34 @@ TEST(ActiveKey, GuardsRecordTheEnclosingArms) {
   EXPECT_TRUE(Outer.Guards.empty());
   EXPECT_TRUE(Opt.Guards.empty());
 
-  Guards Arm0 = {{Outer.Id, 0}};
+  Guards Arm0 = {{E.slot(Outer), 0}};
   EXPECT_EQ(E.param("tI").Guards, Arm0);
   EXPECT_EQ(E.param("tJ").Guards, Arm0);
   EXPECT_EQ(E.param("tJ").DependsOnMaxParam, E.param("tI").Id);
   EXPECT_EQ(Inner.Guards, Arm0);
-  EXPECT_EQ(E.param("u1").Guards, Guards({{Outer.Id, 0}, {Inner.Id, 0}}));
-  EXPECT_EQ(E.param("u2").Guards, Guards({{Outer.Id, 0}, {Inner.Id, 1}}));
-  EXPECT_EQ(E.param("order").Guards, Guards({{Outer.Id, 1}}));
-  EXPECT_EQ(E.param("poweroftwo:line").Guards, Guards({{Opt.Id, 1}}));
+  EXPECT_EQ(E.param("u1").Guards, Guards({{E.slot(Outer), 0}, {E.slot(Inner), 0}}));
+  EXPECT_EQ(E.param("u2").Guards, Guards({{E.slot(Outer), 0}, {E.slot(Inner), 1}}));
+  EXPECT_EQ(E.param("order").Guards, Guards({{E.slot(Outer), 1}}));
+  EXPECT_EQ(E.param("poweroftwo:line").Guards, Guards({{E.slot(Opt), 1}}));
 }
 
 TEST(ActiveKey, Fig5OrExpressionGuardsTiling2D) {
   Extracted E(workloads::dgemmLocusFig5());
   const ParamDef &Or = E.param("or:tiletype");
   EXPECT_TRUE(Or.Guards.empty());
-  EXPECT_EQ(E.param("tileI").Guards, Guards({{Or.Id, 0}}));
-  EXPECT_EQ(E.param("tileJ").Guards, Guards({{Or.Id, 0}}));
+  EXPECT_EQ(E.param("tileI").Guards, Guards({{E.slot(Or), 0}}));
+  EXPECT_EQ(E.param("tileJ").Guards, Guards({{E.slot(Or), 0}}));
 
   // Tiling3D reads no tile size; Tiling2D reads both.
   Point A = firstPoint(E.S);
-  A.Values[Or.Id] = int64_t(1);
+  A.set(Or.Id, int64_t(1));
   Point B = A;
-  B.Values[E.param("tileI").Id] = int64_t(16);
-  B.Values[E.param("tileJ").Id] = int64_t(32);
+  B.set(E.param("tileI").Id, int64_t(16));
+  B.set(E.param("tileJ").Id, int64_t(32));
   EXPECT_NE(A.key(), B.key());
   EXPECT_EQ(A.activeKey(E.S), B.activeKey(E.S));
-  A.Values[Or.Id] = int64_t(0);
-  B.Values[Or.Id] = int64_t(0);
+  A.set(Or.Id, int64_t(0));
+  B.set(Or.Id, int64_t(0));
   EXPECT_NE(A.activeKey(E.S), B.activeKey(E.S));
   EXPECT_EQ(A.activeKey(E.S), A.key()); // every parameter is active
 }
@@ -173,7 +180,7 @@ TEST(ActiveKey, OnlyInactiveDifferencesShareAKey) {
     return A.activeKey(E.S) == B.activeKey(E.S);
   };
   auto With = [](Point P, const std::string &Id, search::PointValue V) {
-    P.Values[Id] = std::move(V);
+    P.set(Id, std::move(V));
     return P;
   };
 

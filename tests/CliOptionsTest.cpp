@@ -356,7 +356,7 @@ TEST(CliBinary, PointFileAppliesWithoutSearching) {
   ASSERT_TRUE(Found.ok()) << Found.message();
   ASSERT_TRUE(Found->Search.Found);
   const search::Point &Best = Found->Search.Best;
-  ASSERT_EQ(Best.Values.size(), 2u);
+  ASSERT_EQ(Best.size(), 2u);
   ASSERT_TRUE(writeText(Dir.path() + "/best.pt", search::serializePoint(Best)));
 
   support::SubprocessResult R =
@@ -369,7 +369,10 @@ TEST(CliBinary, PointFileAppliesWithoutSearching) {
   EXPECT_TRUE(test::slurp(Dir.path() + "/j.rlog").empty());
 
   search::Point Partial;
-  Partial.Values.insert(*Best.Values.begin());
+  Best.forEach([&Partial](const std::string &Id, const search::PointValue &V) {
+    if (Partial.empty())
+      Partial.set(Id, V);
+  });
   ASSERT_TRUE(
       writeText(Dir.path() + "/partial.pt", search::serializePoint(Partial)));
   R = runCli({"prog.locus", "kernel.c", "--machine", "tiny", "--point",

@@ -190,8 +190,7 @@ TEST_P(KripkeLayouts, ScatteringMatchesHandOptimized) {
   search::Point P;
   const auto &Layouts = workloads::kripkeLayouts();
   auto It = std::find(Layouts.begin(), Layouts.end(), Layout);
-  P.Values[R->Space.Params[0].Id] =
-      static_cast<int64_t>(It - Layouts.begin());
+  P.set(R->Space.Params[0].Id, static_cast<int64_t>(It - Layouts.begin()));
   auto Direct = Orch.runPoint(P);
   ASSERT_TRUE(Direct.ok()) << Direct.message();
   EXPECT_GE(Direct->Exec.TransformsApplied, 3);

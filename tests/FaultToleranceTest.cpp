@@ -194,8 +194,8 @@ TEST(FaultInjection, BanditAndTpeConvergeOnCleanSubspace) {
   for (const PointValue &AV : enumerateValues(S.Params[0]))
     for (const PointValue &BV : enumerateValues(S.Params[1])) {
       Point P;
-      P.Values["a"] = AV;
-      P.Values["b"] = BV;
+      P.set("a", AV);
+      P.set("b", BV);
       if (Probe.classify(P) != FailureKind::None)
         continue;
       if (Metric(P) < CleanBest) {

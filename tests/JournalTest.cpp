@@ -58,11 +58,11 @@ EvalOutcome synthetic(const Point &P) {
 
 TEST(PointCodec, RoundTripAllValueKinds) {
   Point P;
-  P.Values["int"] = int64_t(-42);
-  P.Values["big"] = int64_t(1) << 40;
-  P.Values["float"] = 0.125;
-  P.Values["name"] = std::string("ZGD");
-  P.Values["perm"] = std::vector<int>{2, 0, 1};
+  P.set("int", int64_t(-42));
+  P.set("big", int64_t(1) << 40);
+  P.set("float", 0.125);
+  P.set("name", std::string("ZGD"));
+  P.set("perm", std::vector<int>{2, 0, 1});
   std::string Text = serializePoint(P);
   Space Empty;
   auto Back = deserializePoint(Text, Empty);
@@ -111,8 +111,8 @@ TEST(PointCodec, UnpinnedParameterIsAnError) {
 EvalRecord makeRecord(int64_t A, int64_t B, double Metric, FailureKind K,
                       const std::string &Detail = "") {
   EvalRecord R;
-  R.P.Values["a"] = A;
-  R.P.Values["b"] = B;
+  R.P.set("a", A);
+  R.P.set("b", B);
   R.Failure = K;
   R.Valid = K == FailureKind::None;
   R.Metric = R.Valid ? Metric : std::numeric_limits<double>::infinity();

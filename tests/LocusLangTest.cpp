@@ -234,11 +234,11 @@ search::Point pointFor(const search::Space &Space,
   for (const search::ParamDef &Def : Space.Params) {
     auto It = ByLabel.find(Def.Label);
     if (It != ByLabel.end()) {
-      P.Values[Def.Id] = It->second;
+      P.set(Def.Id, It->second);
       continue;
     }
     // Default: first enumerable value.
-    P.Values[Def.Id] = search::enumerateValues(Def)[0];
+    P.set(Def.Id, search::enumerateValues(Def)[0]);
   }
   return P;
 }

@@ -52,11 +52,11 @@ TEST(LocusPrinter, DirectExportPinsEverything) {
   search::Point P;
   for (const search::ParamDef &Def : Space.Params) {
     if (Def.Label == "tileI")
-      P.Values[Def.Id] = int64_t(8);
+      P.set(Def.Id, int64_t(8));
     else if (Def.Label == "tileJ")
-      P.Values[Def.Id] = int64_t(16);
+      P.set(Def.Id, int64_t(16));
     else
-      P.Values[Def.Id] = int64_t(0); // OR selector: first alternative
+      P.set(Def.Id, int64_t(0)); // OR selector: first alternative
   }
   auto Direct = exportDirectProgram(*LP, P);
   ASSERT_TRUE(Direct.ok()) << Direct.message();
@@ -101,7 +101,7 @@ TEST(LocusPrinter, DirectExportOfFig7) {
 
   search::Point P;
   for (const search::ParamDef &Def : Space.Params)
-    P.Values[Def.Id] = search::enumerateValues(Def)[1];
+    P.set(Def.Id, search::enumerateValues(Def)[1]);
   auto Direct = exportDirectProgram(*LP, P);
   ASSERT_TRUE(Direct.ok()) << Direct.message();
   std::string Text = printLocusProgram(**Direct);

@@ -244,8 +244,8 @@ TEST(RecordCodec, EvalCacheEntriesOfTheFirstWriterStillDecode) {
 
 TEST(RecordCodec, FloatPointsRoundTripExactly) {
   Point P;
-  P.Values["f"] = 0.12345671;
-  P.Values["g"] = 1.0 / 3;
+  P.set("f", 0.12345671);
+  P.set("g", 1.0 / 3);
   auto Back = deserializePoint(serializePoint(P), Space());
   ASSERT_TRUE(Back.ok()) << Back.message();
   EXPECT_EQ(Back->getFloat("f"), 0.12345671);
@@ -259,8 +259,8 @@ TEST(RecordCodec, FloatPointsRoundTripExactly) {
 
 TEST(RecordCodec, NearbyFloatPointsHaveDistinctKeys) {
   Point A, B;
-  A.Values["f"] = 0.12345671;
-  B.Values["f"] = 0.12345674;
+  A.set("f", 0.12345671);
+  B.set("f", 0.12345674);
   EXPECT_NE(A.key(), B.key());
   EXPECT_NE(serializePoint(A), serializePoint(B));
 }

@@ -374,8 +374,8 @@ search::Space twoParamSpace() {
 
 search::Point makePoint(int64_t A, int64_t B) {
   search::Point P;
-  P.Values["a"] = A;
-  P.Values["b"] = B;
+  P.set("a", A);
+  P.set("b", B);
   return P;
 }
 

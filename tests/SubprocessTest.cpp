@@ -485,8 +485,8 @@ private:
 /// so the faulty and fault-free runs must agree on the best point.
 uint64_t cleanOptimumSeed(const Space &S) {
   Point Best;
-  Best.Values["a"] = int64_t(16);
-  Best.Values["b"] = int64_t(7);
+  Best.set("a", int64_t(16));
+  Best.set("b", int64_t(7));
   (void)S;
   for (uint64_t Seed = 1;; ++Seed)
     if (modeFor(Best, Seed) == VictimMode::Clean)
