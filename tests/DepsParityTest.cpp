@@ -19,7 +19,8 @@
 // stride scan it replaced do.
 //
 // It also pins makeCacheKey(printProgram(V)) for a few seeded variants, so
-// a printer change that moves a byte invalidates no locus-evalcache store.
+// a printer or transform change that moves a byte invalidates no
+// locus-evalcache store.
 //
 // tests/Golden.h says how to regenerate the golden file.
 //
@@ -131,7 +132,8 @@ void recordLoops(const std::string &Key, cir::Program &P, Lines &Out) {
 /// materialized, keyed by their serialized point.
 std::vector<std::pair<std::string, std::unique_ptr<cir::Program>>>
 materialize(const std::string &Key, const cir::Program &Base,
-            const std::string &LocusSrc, int Count, uint64_t Seed) {
+            const std::string &LocusSrc, int Count, uint64_t Seed,
+            const std::map<std::string, std::string> &Snippets = {}) {
   std::vector<std::pair<std::string, std::unique_ptr<cir::Program>>> Out;
   auto LP = lang::parseLocusProgram(LocusSrc);
   EXPECT_TRUE(LP.ok()) << Key << ": " << LP.message();
@@ -143,6 +145,7 @@ materialize(const std::string &Key, const cir::Program &Base,
   std::unique_ptr<cir::Program> Target = Base.clone();
   transform::TransformContext TCtx;
   TCtx.Prog = Target.get();
+  TCtx.Snippets = Snippets;
   EXPECT_TRUE(Interp.extractSpace(*Target, Space, TCtx).Ok) << Key;
   Rng R(Seed);
   std::set<std::string> Seen;
@@ -345,14 +348,60 @@ std::string hexKey(const cir::Program &V) {
   return Buf;
 }
 
+/// Fusion and distribution inputs of tests/TransformTest.cpp.
+const char *const FusionSource = R"(
+#define N 16
+double A[N];
+double B[N];
+double C[N];
+int main() {
+  int i;
+#pragma @Locus block=body
+  for (i = 0; i < N; i++)
+    A[i] = B[i] * 2.0;
+  for (i = 0; i < N; i++)
+    C[i] = A[i] + 1.0;
+#pragma @Locus endblock
+}
+)";
+
+const char *const DistributionSource = R"(
+#define N 16
+double A[N];
+double B[N];
+double X[N];
+double Y[N];
+int main() {
+  int i;
+#pragma @Locus loop=r
+  for (i = 0; i < N; i++) {
+    A[i] = X[i] * 2.0;
+    B[i] = Y[i] + 3.0;
+  }
+}
+)";
+
+/// syrk with its update nest marked as region "scop" for Fig. 13.
+std::string syrkScop() {
+  std::string Src = workloads::polybenchSource("syrk", 16);
+  size_t Nest = Src.rfind("  for (i", Src.find("for (k"));
+  Src.insert(Nest, "#pragma @Locus loop=scop\n");
+  return Src;
+}
+
 // Keys recorded before the printer wrote into one string buffer; a
 // persistent eval cache written by either printer must hit with the other.
+// The Kripke, Fig. 13 syrk, fusion and distribution keys were recorded
+// before the transform modules shared one expression rewriter, loop lister
+// and loop-chain builder; they pin the variants those modules print.
 TEST(DepsParity, PinnedVariantCacheKeys) {
   std::map<std::string, std::string> Got;
   auto Record = [&](const std::string &Key, const cir::Program &Base,
-                    const std::string &LocusSrc, int Count, uint64_t Seed) {
+                    const std::string &LocusSrc, int Count, uint64_t Seed,
+                    const std::map<std::string, std::string> &Snippets = {}) {
     int I = 0;
-    for (auto &[Point, V] : materialize(Key, Base, LocusSrc, Count, Seed))
+    for (auto &[Point, V] :
+         materialize(Key, Base, LocusSrc, Count, Seed, Snippets))
       Got[Key + "#" + std::to_string(I++)] = hexKey(*V);
   };
   if (auto P = parse("fig7", workloads::dgemmSource(32, 32, 32)))
@@ -366,15 +415,45 @@ TEST(DepsParity, PinnedVariantCacheKeys) {
   if (auto P = parse("fig9", workloads::stencilSource(
                                  workloads::StencilKind::Jacobi2D, 4, 16)))
     Record("fig9", *P, workloads::stencilLocusFig9(0, 2), 2, 9);
+  // Fig. 11: Altdesc, Interchange, LICM, ScalarRepl and OMPFor.
+  workloads::KripkeConfig KC;
+  KC.NumZones = 16;
+  KC.NumGroups = 4;
+  KC.NumMoments = 3;
+  for (const std::string Kernel : {"Scattering", "LTimes"})
+    if (auto P = parse(Kernel, workloads::kripkeKernelSource(KC, Kernel)))
+      Record("kripke/" + Kernel, *P, workloads::kripkeLocusFig11(Kernel), 6,
+             11, workloads::kripkeSnippets(KC, Kernel));
+  // Fig. 13 on syrk: interchange and its single-loop tiling arm.
+  if (auto P = parse("syrk/fig13", syrkScop()))
+    Record("syrk/fig13", *P, workloads::fig13GenericProgram(), 6, 13);
+  if (auto P = parse("fusion", FusionSource))
+    Record("fusion", *P, "CodeReg body { Pips.Fusion(); }", 1, 1);
+  if (auto P = parse("distribution", DistributionSource))
+    Record("distribution", *P, "CodeReg r { RoseLocus.Distribute(); }", 1, 1);
   const std::map<std::string, std::string> Pinned = {
+      {"distribution#0", "14bb878f4afa9a66bb0e57697bc94a84"},
       {"fig7#0", "77d0b8a0cfd20c207c082d8d0f54d45d"},
       {"fig7#1", "35dfefa2c5214fc0717788e451c68f57"},
       {"fig7#2", "86b0b4d200826de7f4d48036e4b6af13"},
       {"fig9#0", "ff07f115a685b1e33ca5732dcc0a04fd"},
+      {"fusion#0", "9116880b47e1789e5171ba5593faad75"},
       {"gemver#0", "6ae85fa61b4e72d6998d16897cb6837a"},
       {"gemver#1", "6ea74847a9d5ed48f14e9d7c644f78f4"},
+      {"kripke/LTimes#0", "61a02fadd798447e27ad8888ca55b8ff"},
+      {"kripke/LTimes#1", "15ac9ed91e27aee4c615a2b4f4ed74a7"},
+      {"kripke/LTimes#2", "8a017bd1d673ea5ecf327081104cc708"},
+      {"kripke/Scattering#0", "da88879b379fcc580bcee26f1a571bc2"},
+      {"kripke/Scattering#1", "5b14f2fe89f1ea18ec0cde90fd025df6"},
+      {"kripke/Scattering#2", "6a9bb9f029d052589eada9ef6e84c4d2"},
       {"syrk#0", "9543d89d4bb334d7f2e91173d334b9cb"},
       {"syrk#1", "1c62d951a19b4abbe0b06b93fa3aaffc"},
+      {"syrk/fig13#0", "9d406cbe81a3f11a63c6d0f3d6057d1d"},
+      {"syrk/fig13#1", "b92c9a022c404f86753c699fe6d1f712"},
+      {"syrk/fig13#2", "3dd53c003edc75b5dead7d75e480ad5e"},
+      {"syrk/fig13#3", "5a131b1d2a74ce16cbfc5b083fa6f30e"},
+      {"syrk/fig13#4", "f72554e3b185dc588402c555326bc458"},
+      {"syrk/fig13#5", "5a131b1d2a74ce16cbfc5b083fa6f30e"},
   };
   EXPECT_EQ(Got, Pinned);
 }
