@@ -18,8 +18,8 @@
 #include "src/analysis/RegionDiscovery.h"
 #include "src/analysis/TransformPlan.h"
 #include "src/analysis/Verifier.h"
-#include "src/cir/AstUtils.h"
 #include "src/cir/Parser.h"
+#include "src/cir/PathIndex.h"
 #include "src/cir/Printer.h"
 #include "src/driver/CliOptions.h"
 #include "src/eval/NativeEvaluator.h"
@@ -173,9 +173,6 @@ int dumpRecordLog(std::string Path, bool Queue) {
   return Clean ? 0 : 1;
 }
 
-using cir::collectAllLoops;
-using cir::collectOuterLoops;
-
 /// Parallel-safety report (--race-check): for every outer loop of every
 /// region — plus any nested loop already carrying an `omp parallel for`
 /// pragma — print the verdict for parallelizing it, the data-sharing
@@ -184,14 +181,14 @@ using cir::collectOuterLoops;
 int runRaceCheck(const cir::Program &Baseline) {
   for (const std::string &Name : Baseline.regionNames()) {
     for (const cir::Block *Region : Baseline.findRegions(Name)) {
-      std::vector<const cir::ForStmt *> Outer, All;
-      collectOuterLoops(*Region, Outer);
-      collectAllLoops(*Region, All);
-      std::vector<const cir::ForStmt *> Targets = Outer;
-      for (const cir::ForStmt *For : All)
-        if (analysis::hasOmpParallelFor(*For) &&
-            std::find(Targets.begin(), Targets.end(), For) == Targets.end())
-          Targets.push_back(For);
+      std::vector<cir::ConstLoopEntry> Loops = cir::listLoops(*Region);
+      std::vector<const cir::ForStmt *> Targets;
+      for (const cir::ConstLoopEntry &E : Loops)
+        if (E.Outer)
+          Targets.push_back(E.Loop);
+      for (const cir::ConstLoopEntry &E : Loops)
+        if (!E.Outer && analysis::hasOmpParallelFor(*E.Loop))
+          Targets.push_back(E.Loop);
 
       for (const cir::ForStmt *For : Targets) {
         analysis::ParallelSafetyReport Rep =
@@ -249,11 +246,9 @@ int runLint(const lang::LocusProgram &Prog, const cir::Program &Baseline,
   for (const std::string &Name : Baseline.regionNames()) {
     bool Available = true;
     for (const cir::Block *Region : Baseline.findRegions(Name)) {
-      std::vector<const cir::ForStmt *> Loops;
-      collectOuterLoops(*Region, Loops);
-      for (const cir::ForStmt *For : Loops) {
+      for (const cir::ConstLoopEntry &E : cir::listOuterLoops(*Region)) {
         support::Diag Why;
-        if (!analysis::DependenceInfo::compute(*For, &Why)) {
+        if (!analysis::DependenceInfo::compute(*E.Loop, &Why)) {
           Available = false;
           if (!Why.Message.empty()) {
             Why.Region = Name;
@@ -271,9 +266,8 @@ int runLint(const lang::LocusProgram &Prog, const cir::Program &Baseline,
   // optimization program parallelizes, not pragmas baked into the source.
   for (const std::string &Name : Baseline.regionNames()) {
     for (const cir::Block *Region : Baseline.findRegions(Name)) {
-      std::vector<const cir::ForStmt *> Loops;
-      collectAllLoops(*Region, Loops);
-      for (const cir::ForStmt *For : Loops) {
+      for (const cir::ConstLoopEntry &E : cir::listLoops(*Region)) {
+        const cir::ForStmt *For = E.Loop;
         if (!analysis::hasOmpParallelFor(*For))
           continue;
         analysis::ParallelSafetyReport Rep =

@@ -65,49 +65,31 @@ void visitAllExprs(const Stmt &S, const std::function<void(const Expr &)> &Fn) {
 // Scan: outermost loops, in source order
 //===----------------------------------------------------------------------===//
 
-/// One outer loop found by the scan, plus how we got there.
-struct ScanHit {
-  const ForStmt *Root = nullptr;
-};
-
-/// Walks \p B in source order collecting outermost loops. Descends through
-/// plain blocks and both branches of if statements, never into loop bodies,
-/// and never into blocks that already carry a region name (those are
-/// reported through \p OnRegion).
-void scanBlock(const Block &B, std::vector<ScanHit> &Hits,
-               const std::function<void(const Block &)> &OnRegion) {
-  for (const StmtPtr &S : B.Stmts) {
-    if (const auto *For = cir::dyn_cast<ForStmt>(S.get())) {
-      Hits.push_back(ScanHit{For});
-    } else if (const auto *Blk = cir::dyn_cast<Block>(S.get())) {
+/// The one scan, shared by discovery and annotation so ScanIndex means the
+/// same loop in both: walks \p B in source order and calls \p OnLoop with the
+/// owning slot of every outermost loop. Descends through plain blocks and
+/// both branches of if statements, never into loop bodies, and never into
+/// blocks that already carry a region name (those go to \p OnRegion).
+/// \p BlockT is Block or const Block.
+template <typename BlockT, typename LoopFn, typename RegionFn>
+void scanBlock(BlockT &B, const LoopFn &OnLoop, const RegionFn &OnRegion) {
+  for (auto &S : B.Stmts) {
+    if (cir::isa<ForStmt>(S.get())) {
+      OnLoop(S);
+    } else if (auto *Blk = cir::dyn_cast<Block>(S.get())) {
       if (!Blk->RegionName.empty())
         OnRegion(*Blk);
       else
-        scanBlock(*Blk, Hits, OnRegion);
-    } else if (const auto *If = cir::dyn_cast<IfStmt>(S.get())) {
-      scanBlock(*If->Then, Hits, OnRegion);
+        scanBlock<BlockT>(*Blk, OnLoop, OnRegion);
+    } else if (auto *If = cir::dyn_cast<IfStmt>(S.get())) {
+      scanBlock<BlockT>(*If->Then, OnLoop, OnRegion);
       if (If->Else)
-        scanBlock(*If->Else, Hits, OnRegion);
+        scanBlock<BlockT>(*If->Else, OnLoop, OnRegion);
     }
   }
 }
 
-/// Mutable mirror of scanBlock: the owning slot of every outermost loop, in
-/// the identical order (so ScanIndex matches between scan and annotate).
-void scanSlots(Block &B, std::vector<StmtPtr *> &Slots) {
-  for (StmtPtr &S : B.Stmts) {
-    if (cir::isa<ForStmt>(S.get())) {
-      Slots.push_back(&S);
-    } else if (auto *Blk = cir::dyn_cast<Block>(S.get())) {
-      if (Blk->RegionName.empty())
-        scanSlots(*Blk, Slots);
-    } else if (auto *If = cir::dyn_cast<IfStmt>(S.get())) {
-      scanSlots(*If->Then, Slots);
-      if (If->Else)
-        scanSlots(*If->Else, Slots);
-    }
-  }
-}
+constexpr auto SkipRegion = [](const Block &) {};
 
 //===----------------------------------------------------------------------===//
 // Triage
@@ -221,17 +203,19 @@ TripInfo chainTrips(const ForStmt &For,
                     const std::map<const ForStmt *, LoopRange> &Ranges,
                     uint64_t SymbolicTrip) {
   TripInfo Self = loopTrip(For, Ranges, SymbolicTrip);
-  std::vector<ScanHit> Children;
-  scanBlock(*For.Body, Children, [](const Block &) {});
   TripInfo Best; // no children: multiply by 1, stay exact
   bool HasChild = false;
-  for (const ScanHit &C : Children) {
-    TripInfo CI = chainTrips(*C.Root, Ranges, SymbolicTrip);
-    if (!HasChild || CI.Product > Best.Product) {
-      Best = CI;
-      HasChild = true;
-    }
-  }
+  scanBlock(
+      *For.Body,
+      [&](const StmtPtr &Child) {
+        TripInfo CI =
+            chainTrips(*cir::cast<ForStmt>(Child.get()), Ranges, SymbolicTrip);
+        if (!HasChild || CI.Product > Best.Product) {
+          Best = CI;
+          HasChild = true;
+        }
+      },
+      SkipRegion);
   return TripInfo{Self.Product * Best.Product, Self.Exact && Best.Exact};
 }
 
@@ -357,11 +341,14 @@ DiscoveryReport discoverRegions(const Program &P,
                                 const DiscoveryOptions &Opts) {
   DiscoveryReport Report;
 
-  std::vector<ScanHit> Hits;
-  scanBlock(*P.Body, Hits, [&](const Block &Region) {
-    std::vector<ScanHit> Inner;
-    scanBlock(Region, Inner, [](const Block &) {});
-    Report.NumAlreadyAnnotated += static_cast<int>(Inner.size());
+  std::vector<const ForStmt *> Hits;
+  const auto OnLoop = [&](const StmtPtr &S) {
+    Hits.push_back(cir::cast<ForStmt>(S.get()));
+  };
+  const auto OnRegion = [&](const Block &Region) {
+    scanBlock(
+        Region, [&](const StmtPtr &) { ++Report.NumAlreadyAnnotated; },
+        SkipRegion);
     support::Diag D;
     D.Sev = support::DiagSeverity::Note;
     D.Loc = Region.Loc;
@@ -369,7 +356,8 @@ DiscoveryReport discoverRegions(const Program &P,
     D.Message = "region `" + Region.RegionName +
                 "` is already annotated; skipped by discovery";
     Report.Notes.push_back(D);
-  });
+  };
+  scanBlock(*P.Body, OnLoop, OnRegion);
   Report.NumScanned = static_cast<int>(Hits.size());
 
   if (Hits.empty()) {
@@ -389,7 +377,7 @@ DiscoveryReport discoverRegions(const Program &P,
   std::map<const ForStmt *, LoopRange> Ranges = loopBoundRanges(P);
 
   for (size_t I = 0; I < Hits.size(); ++I) {
-    const ForStmt &Root = *Hits[I].Root;
+    const ForStmt &Root = *Hits[I];
     NestCandidate C;
     C.ScanIndex = static_cast<int>(I);
     C.Loc = Root.Loc;
@@ -539,7 +527,7 @@ std::string DiscoveryReport::render() const {
 Expected<int> annotateRegions(Program &P, const DiscoveryReport &Report,
                               int TopN) {
   std::vector<StmtPtr *> Slots;
-  scanSlots(*P.Body, Slots);
+  scanBlock(*P.Body, [&](StmtPtr &S) { Slots.push_back(&S); }, SkipRegion);
   if (static_cast<int>(Slots.size()) != Report.NumScanned)
     return Expected<int>::error(
         "program shape does not match discovery report: expected " +

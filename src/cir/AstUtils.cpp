@@ -64,41 +64,46 @@ bool isPerfectNest(const ForStmt &Root) {
   }
 }
 
-ExprPtr substituteVar(ExprPtr E, const std::string &Name,
-                      const Expr &Replacement) {
+ExprPtr rewriteExpr(ExprPtr E,
+                    const std::function<ExprPtr(const Expr &)> &Fn) {
+  if (ExprPtr New = Fn(*E))
+    return New;
   switch (E->kind()) {
-  case ExprKind::VarRef:
-    if (cast<VarRef>(E.get())->Name == Name)
-      return Replacement.clone();
-    return E;
-  case ExprKind::IntLit:
-  case ExprKind::FloatLit:
-    return E;
-  case ExprKind::ArrayRef: {
-    auto *A = cast<ArrayRef>(E.get());
-    for (auto &I : A->Indices)
-      I = substituteVar(std::move(I), Name, Replacement);
-    return E;
-  }
+  case ExprKind::ArrayRef:
+    for (auto &I : cast<ArrayRef>(E.get())->Indices)
+      I = rewriteExpr(std::move(I), Fn);
+    break;
   case ExprKind::Binary: {
     auto *B = cast<BinaryExpr>(E.get());
-    B->Lhs = substituteVar(std::move(B->Lhs), Name, Replacement);
-    B->Rhs = substituteVar(std::move(B->Rhs), Name, Replacement);
-    return E;
+    B->Lhs = rewriteExpr(std::move(B->Lhs), Fn);
+    B->Rhs = rewriteExpr(std::move(B->Rhs), Fn);
+    break;
   }
   case ExprKind::Unary: {
     auto *U = cast<UnaryExpr>(E.get());
-    U->Operand = substituteVar(std::move(U->Operand), Name, Replacement);
-    return E;
+    U->Operand = rewriteExpr(std::move(U->Operand), Fn);
+    break;
   }
-  case ExprKind::Call: {
-    auto *C = cast<CallExpr>(E.get());
-    for (auto &A : C->Args)
-      A = substituteVar(std::move(A), Name, Replacement);
-    return E;
-  }
+  case ExprKind::Call:
+    for (auto &A : cast<CallExpr>(E.get())->Args)
+      A = rewriteExpr(std::move(A), Fn);
+    break;
+  default:
+    break;
   }
   return E;
+}
+
+void rewriteExprs(Stmt &S, const std::function<ExprPtr(const Expr &)> &Fn) {
+  forEachExpr(S, [&](ExprPtr &E) { E = rewriteExpr(std::move(E), Fn); });
+}
+
+ExprPtr substituteVar(ExprPtr E, const std::string &Name,
+                      const Expr &Replacement) {
+  return rewriteExpr(std::move(E), [&](const Expr &X) -> ExprPtr {
+    const auto *V = dyn_cast<VarRef>(&X);
+    return V && V->Name == Name ? Replacement.clone() : nullptr;
+  });
 }
 
 void substituteVarInStmt(Stmt &S, const std::string &Name,
@@ -265,60 +270,29 @@ bool programEquals(const Program &A, const Program &B) {
 }
 
 void collectVars(const Expr &E, std::set<std::string> &Out) {
-  switch (E.kind()) {
-  case ExprKind::VarRef:
-    Out.insert(cast<VarRef>(&E)->Name);
-    return;
-  case ExprKind::IntLit:
-  case ExprKind::FloatLit:
-    return;
-  case ExprKind::ArrayRef:
-    for (const auto &I : cast<ArrayRef>(&E)->Indices)
-      collectVars(*I, Out);
-    return;
-  case ExprKind::Binary:
-    collectVars(*cast<BinaryExpr>(&E)->Lhs, Out);
-    collectVars(*cast<BinaryExpr>(&E)->Rhs, Out);
-    return;
-  case ExprKind::Unary:
-    collectVars(*cast<UnaryExpr>(&E)->Operand, Out);
-    return;
-  case ExprKind::Call:
-    for (const auto &A : cast<CallExpr>(&E)->Args)
-      collectVars(*A, Out);
-    return;
-  }
+  forEachSubExpr(E, [&](const Expr &Sub) {
+    if (const auto *V = dyn_cast<VarRef>(&Sub))
+      Out.insert(V->Name);
+    return true;
+  });
 }
 
 void collectArrays(const Expr &E, std::set<std::string> &Out) {
-  switch (E.kind()) {
-  case ExprKind::ArrayRef: {
-    const auto *A = cast<ArrayRef>(&E);
-    Out.insert(A->Name);
-    for (const auto &I : A->Indices)
-      collectArrays(*I, Out);
-    return;
-  }
-  case ExprKind::Binary:
-    collectArrays(*cast<BinaryExpr>(&E)->Lhs, Out);
-    collectArrays(*cast<BinaryExpr>(&E)->Rhs, Out);
-    return;
-  case ExprKind::Unary:
-    collectArrays(*cast<UnaryExpr>(&E)->Operand, Out);
-    return;
-  case ExprKind::Call:
-    for (const auto &A : cast<CallExpr>(&E)->Args)
-      collectArrays(*A, Out);
-    return;
-  default:
-    return;
-  }
+  forEachSubExpr(E, [&](const Expr &Sub) {
+    if (const auto *A = dyn_cast<ArrayRef>(&Sub))
+      Out.insert(A->Name);
+    return true;
+  });
 }
 
 bool referencesVar(const Expr &E, const std::string &Name) {
-  std::set<std::string> Vars;
-  collectVars(E, Vars);
-  return Vars.count(Name) != 0;
+  bool Found = false;
+  forEachSubExpr(E, [&](const Expr &Sub) {
+    if (const auto *V = dyn_cast<VarRef>(&Sub))
+      Found = Found || V->Name == Name;
+    return !Found;
+  });
+  return Found;
 }
 
 bool stmtReferencesVar(const Stmt &S, const std::string &Name) {
@@ -502,30 +476,6 @@ ExprPtr foldExpr(ExprPtr E) {
   }
   default:
     return E;
-  }
-}
-
-void collectOuterLoops(const Block &B, std::vector<const ForStmt *> &Out) {
-  for (const StmtPtr &S : B.Stmts) {
-    if (const auto *For = dyn_cast<ForStmt>(S.get()))
-      Out.push_back(For);
-    else if (const auto *Blk = dyn_cast<Block>(S.get()))
-      collectOuterLoops(*Blk, Out);
-  }
-}
-
-void collectAllLoops(const Block &B, std::vector<const ForStmt *> &Out) {
-  for (const StmtPtr &S : B.Stmts) {
-    if (const auto *For = dyn_cast<ForStmt>(S.get())) {
-      Out.push_back(For);
-      collectAllLoops(*For->Body, Out);
-    } else if (const auto *Blk = dyn_cast<Block>(S.get())) {
-      collectAllLoops(*Blk, Out);
-    } else if (const auto *If = dyn_cast<IfStmt>(S.get())) {
-      collectAllLoops(*If->Then, Out);
-      if (If->Else)
-        collectAllLoops(*If->Else, Out);
-    }
   }
 }
 

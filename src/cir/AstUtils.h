@@ -35,6 +35,16 @@ int loopNestDepth(const ForStmt &Root);
 /// body down to the innermost loop contains exactly one statement, a loop.
 bool isPerfectNest(const ForStmt &Root);
 
+/// The one expression rewriter. Visits \p E in pre-order; \p Fn returns a
+/// replacement for the node it is shown, or null to keep the node and visit
+/// its subexpressions. A replacement is not visited again. Returns the
+/// (possibly new) root.
+ExprPtr rewriteExpr(ExprPtr E, const std::function<ExprPtr(const Expr &)> &Fn);
+
+/// rewriteExpr() over every expression of the statement subtree (the ones
+/// forEachExpr reaches).
+void rewriteExprs(Stmt &S, const std::function<ExprPtr(const Expr &)> &Fn);
+
 /// Replaces every VarRef to \p Name inside \p E with a clone of \p
 /// Replacement, returning the (possibly new) expression.
 ExprPtr substituteVar(ExprPtr E, const std::string &Name,
@@ -106,15 +116,6 @@ ExprPtr exclusiveBound(const ForStmt &Loop);
 /// min/max of constants). Transformation-generated bounds go through this so
 /// emitted code stays readable.
 ExprPtr foldExpr(ExprPtr E);
-
-/// Collects the outermost loops inside \p B in source order, descending
-/// through nested plain blocks but not into loop bodies. (Shared by the CLI
-/// workflows and region discovery; formerly private to locus_cli.)
-void collectOuterLoops(const Block &B, std::vector<const ForStmt *> &Out);
-
-/// Collects every loop inside \p B — nest roots and nested loops alike —
-/// descending through blocks, loop bodies and both if branches.
-void collectAllLoops(const Block &B, std::vector<const ForStmt *> &Out);
 
 /// Visits \p E and its subexpressions in pre-order: array subscripts,
 /// unary and binary operands, call arguments. When \p Fn returns false for

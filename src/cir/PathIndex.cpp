@@ -103,79 +103,69 @@ Expected<ForStmt *> resolveLoopPathLoopwise(Block &Region,
 
 namespace {
 
-void walkLoops(Block &B, const std::string &Prefix,
-               std::vector<LoopEntry> &Out) {
+/// Appends the loops under \p B to \p Out in preorder and returns whether
+/// there were any. \p Outer says no loop encloses \p B; a loop is marked
+/// inner when its own walk finds no loop. \p BlockT is Block or const Block.
+template <typename BlockT, typename EntryT>
+bool walkLoops(BlockT &B, const std::string &Prefix, bool Outer,
+               std::vector<EntryT> &Out) {
+  bool Found = false;
   for (size_t I = 0; I < B.Stmts.size(); ++I) {
+    Stmt *S = B.Stmts[I].get();
+    if (!isa<ForStmt>(S) && !isa<Block>(S) && !isa<IfStmt>(S))
+      continue;
     std::string Path = Prefix.empty() ? std::to_string(I)
                                       : Prefix + "." + std::to_string(I);
-    Stmt *S = B.Stmts[I].get();
     if (auto *For = dyn_cast<ForStmt>(S)) {
-      Out.push_back(LoopEntry{Path, For});
-      walkLoops(*For->Body, Path, Out);
+      size_t At = Out.size();
+      Out.push_back(EntryT{Path, For, Outer, false});
+      Out[At].Inner = !walkLoops<BlockT>(*For->Body, Path, false, Out);
+      Found = true;
     } else if (auto *Sub = dyn_cast<Block>(S)) {
-      walkLoops(*Sub, Path, Out);
-    } else if (auto *If = dyn_cast<IfStmt>(S)) {
+      Found |= walkLoops<BlockT>(*Sub, Path, Outer, Out);
+    } else {
       // If bodies are not addressable through numeric paths in this scheme,
       // but loops inside them still count for inner/outer queries. They get
       // the if statement's path as an approximation.
-      walkLoops(*If->Then, Path, Out);
+      auto *If = cast<IfStmt>(S);
+      Found |= walkLoops<BlockT>(*If->Then, Path, Outer, Out);
       if (If->Else)
-        walkLoops(*If->Else, Path, Out);
+        Found |= walkLoops<BlockT>(*If->Else, Path, Outer, Out);
     }
   }
-}
-
-bool containsLoop(const Block &B) {
-  for (const auto &S : B.Stmts) {
-    if (isa<ForStmt>(S.get()))
-      return true;
-    if (const auto *Sub = dyn_cast<Block>(S.get()))
-      if (containsLoop(*Sub))
-        return true;
-    if (const auto *If = dyn_cast<IfStmt>(S.get())) {
-      if (containsLoop(*If->Then))
-        return true;
-      if (If->Else && containsLoop(*If->Else))
-        return true;
-    }
-  }
-  return false;
+  return Found;
 }
 
 } // namespace
 
 std::vector<LoopEntry> listLoops(Block &Region) {
   std::vector<LoopEntry> Out;
-  walkLoops(Region, "", Out);
+  walkLoops(Region, "", true, Out);
+  return Out;
+}
+
+std::vector<ConstLoopEntry> listLoops(const Block &Region) {
+  std::vector<ConstLoopEntry> Out;
+  walkLoops(Region, "", true, Out);
   return Out;
 }
 
 std::vector<LoopEntry> listInnerLoops(Block &Region) {
-  std::vector<LoopEntry> All = listLoops(Region);
-  std::vector<LoopEntry> Inner;
-  for (const LoopEntry &E : All)
-    if (!containsLoop(*E.Loop->Body))
-      Inner.push_back(E);
-  return Inner;
+  std::vector<LoopEntry> Loops = listLoops(Region);
+  std::erase_if(Loops, [](const LoopEntry &E) { return !E.Inner; });
+  return Loops;
 }
 
 std::vector<LoopEntry> listOuterLoops(Block &Region) {
-  std::vector<LoopEntry> All = listLoops(Region);
-  std::vector<LoopEntry> Outer;
-  for (const LoopEntry &E : All) {
-    // An outer loop's path has no other loop's path as a proper prefix.
-    bool Nested = false;
-    for (const LoopEntry &Other : All) {
-      if (&Other == &E)
-        continue;
-      if (E.Path.size() > Other.Path.size() &&
-          startsWith(E.Path, Other.Path + "."))
-        Nested = true;
-    }
-    if (!Nested)
-      Outer.push_back(E);
-  }
-  return Outer;
+  std::vector<LoopEntry> Loops = listLoops(Region);
+  std::erase_if(Loops, [](const LoopEntry &E) { return !E.Outer; });
+  return Loops;
+}
+
+std::vector<ConstLoopEntry> listOuterLoops(const Block &Region) {
+  std::vector<ConstLoopEntry> Loops = listLoops(Region);
+  std::erase_if(Loops, [](const ConstLoopEntry &E) { return !E.Outer; });
+  return Loops;
 }
 
 std::optional<StmtLocation> locateStmt(Block &Root, const Stmt *Target) {

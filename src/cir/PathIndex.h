@@ -55,20 +55,29 @@ Expected<ForStmt *> resolveLoopPath(Block &Region, const std::string &Path);
 Expected<ForStmt *> resolveLoopPathLoopwise(Block &Region,
                                             const std::string &Path);
 
-/// A discovered loop with its hierarchical path string.
-struct LoopEntry {
+/// A discovered loop with its hierarchical path string. \p ForT is ForStmt
+/// or const ForStmt.
+template <typename ForT> struct BasicLoopEntry {
   std::string Path;
-  ForStmt *Loop = nullptr;
+  ForT *Loop = nullptr;
+  bool Outer = false; ///< no other loop of the region contains it
+  bool Inner = false; ///< it contains no other loop
 };
+using LoopEntry = BasicLoopEntry<ForStmt>;
+using ConstLoopEntry = BasicLoopEntry<const ForStmt>;
 
-/// Lists every loop in the region with its path, in preorder.
+/// The one loop lister. Lists every loop in the region with its path, in
+/// preorder, descending through blocks, loop bodies and both if branches;
+/// one walk marks each loop Outer and Inner.
 std::vector<LoopEntry> listLoops(Block &Region);
+std::vector<ConstLoopEntry> listLoops(const Block &Region);
 
-/// Lists the innermost loops of the region (loops containing no other loop).
+/// The listLoops() entries marked Inner (loops containing no other loop).
 std::vector<LoopEntry> listInnerLoops(Block &Region);
 
-/// Lists the outermost loops of the region (loops not contained in another).
+/// The listLoops() entries marked Outer (loops not contained in another).
 std::vector<LoopEntry> listOuterLoops(Block &Region);
+std::vector<ConstLoopEntry> listOuterLoops(const Block &Region);
 
 /// Finds the owning block and index of \p Target anywhere under \p Root
 /// (searching loop bodies and if branches). Returns nullopt when absent.

@@ -158,13 +158,8 @@ TransformResult applyGenericTiling(Block &Region,
     return foldExpr(std::move(Off));
   };
 
-  // Build the loop structure: K tile loops then K intra-tile loops.
-  struct Header {
-    std::string Var;
-    ExprPtr Init;
-    ExprPtr BoundExcl;
-    int64_t Step;
-  };
+  // Build the loop structure: K tile loops, K intra-tile loops, then the
+  // untiled rest of the nest; every bound is exclusive.
   std::vector<Header> Headers;
   std::vector<std::string> TileVars(K);
   for (size_t R = 0; R < K; ++R) {
@@ -173,8 +168,8 @@ TransformResult applyGenericTiling(Block &Region,
         makeBin(BinOp::Add, Lower[R]->clone(), SkewExtreme(R, /*Max=*/false)));
     ExprPtr Hi = foldExpr(
         makeBin(BinOp::Add, Upper[R]->clone(), SkewExtreme(R, /*Max=*/true)));
-    Headers.push_back(Header{TileVars[R], std::move(Lo), std::move(Hi),
-                             Tile[R]});
+    Headers.push_back(Header{TileVars[R], std::move(Lo), BoundOp::Lt,
+                             std::move(Hi), Tile[R]});
   }
   for (size_t R = 0; R < K; ++R) {
     ExprPtr Off = SkewOffset(R);
@@ -184,12 +179,12 @@ TransformResult applyGenericTiling(Block &Region,
     ExprPtr Hi = foldExpr(makeMin(
         foldExpr(makeBin(BinOp::Add, Upper[R]->clone(), Off->clone())),
         makeBin(BinOp::Add, makeVar(TileVars[R]), makeInt(Tile[R]))));
-    Headers.push_back(Header{IntraVar[R], std::move(Lo), std::move(Hi), 1});
+    Headers.push_back(
+        Header{IntraVar[R], std::move(Lo), BoundOp::Lt, std::move(Hi), 1});
   }
 
   // Remaining (untiled) nest levels keep their headers, with band variables
   // rewritten to their reconstructions.
-  std::vector<Header> Tail;
   for (size_t R = K; R < Nest.size(); ++R) {
     ExprPtr Init = Nest[R]->Init->clone();
     ExprPtr Bound = exclusiveBound(*Nest[R]);
@@ -199,8 +194,9 @@ TransformResult applyGenericTiling(Block &Region,
       Init = substituteVar(std::move(Init), Nest[C]->Var, *Reconstruct[C]);
       Bound = substituteVar(std::move(Bound), Nest[C]->Var, *Reconstruct[C]);
     }
-    Tail.push_back(Header{Nest[R]->Var, foldExpr(std::move(Init)),
-                          foldExpr(std::move(Bound)), Nest[R]->Step});
+    Headers.push_back(Header{Nest[R]->Var, foldExpr(std::move(Init)),
+                             BoundOp::Lt, foldExpr(std::move(Bound)),
+                             Nest[R]->Step});
   }
 
   // Innermost body with band variables reconstructed.
@@ -210,25 +206,9 @@ TransformResult applyGenericTiling(Block &Region,
       continue;
     substituteVarInStmt(*Body, Nest[C]->Var, *Reconstruct[C]);
   }
-  forEachStmt(*Body, [](Stmt &S) {
-    forEachExpr(S, [](ExprPtr &E) { E = foldExpr(std::move(E)); });
-  });
+  forEachExpr(*Body, [](ExprPtr &E) { E = foldExpr(std::move(E)); });
 
-  // Assemble inside out.
-  std::unique_ptr<Block> Current = std::move(Body);
-  auto Wrap = [&](Header &H) {
-    auto Loop = std::make_unique<ForStmt>(H.Var, std::move(H.Init),
-                                          BoundOp::Lt, std::move(H.BoundExcl),
-                                          H.Step, std::move(Current));
-    Current = std::make_unique<Block>();
-    Current->Stmts.push_back(std::move(Loop));
-  };
-  for (size_t I = Tail.size(); I-- > 0;)
-    Wrap(Tail[I]);
-  for (size_t I = Headers.size(); I-- > 0;)
-    Wrap(Headers[I]);
-
-  Loc->replace(std::move(Current->Stmts.front()));
+  Loc->replace(buildChain(std::move(Headers), std::move(Body)));
   return TransformResult::success();
 }
 

@@ -70,20 +70,10 @@ TransformResult applyInterchange(Block &Region, const InterchangeArgs &Args,
   }
 
   // Permute the headers, leaving bodies in place.
-  struct Header {
-    std::string Var;
-    ExprPtr Init;
-    BoundOp Op;
-    ExprPtr Bound;
-    int64_t Step;
-  };
   std::vector<Header> Headers;
   Headers.reserve(Order.size());
-  for (size_t P = 0; P < Order.size(); ++P) {
-    ForStmt *Src = Nest[static_cast<size_t>(Order[P])];
-    Headers.push_back(Header{Src->Var, Src->Init->clone(), Src->Op,
-                             Src->Bound->clone(), Src->Step});
-  }
+  for (size_t P = 0; P < Order.size(); ++P)
+    Headers.push_back(Header::of(*Nest[static_cast<size_t>(Order[P])]));
   for (size_t P = 0; P < Order.size(); ++P) {
     ForStmt *Dst = Nest[P];
     Dst->Var = Headers[P].Var;

@@ -39,45 +39,33 @@ struct LoopVariance {
     });
   }
 
+  /// Whether \p E reads no variant scalar, no written array and calls no
+  /// function but min and max (unknown calls are not movable).
   bool isInvariant(const Expr &E) const {
-    std::set<std::string> Vars, Arrays;
-    collectVars(E, Vars);
-    collectArrays(E, Arrays);
-    for (const std::string &V : Vars)
-      if (VariantScalars.count(V))
-        return false;
-    for (const std::string &A : Arrays)
-      if (WrittenArrays.count(A))
-        return false;
-    // Unknown calls are not movable.
-    bool HasUnknownCall = false;
+    bool Variant = false;
     forEachSubExpr(E, [&](const Expr &Sub) {
-      if (const auto *C = dyn_cast<CallExpr>(&Sub))
-        if (C->Callee != "min" && C->Callee != "max")
-          HasUnknownCall = true;
-      return true;
+      if (const auto *V = dyn_cast<VarRef>(&Sub))
+        Variant = Variant || VariantScalars.count(V->Name);
+      else if (const auto *A = dyn_cast<ArrayRef>(&Sub))
+        Variant = Variant || WrittenArrays.count(A->Name);
+      else if (const auto *C = dyn_cast<CallExpr>(&Sub))
+        Variant = Variant || (C->Callee != "min" && C->Callee != "max");
+      return !Variant;
     });
-    return !HasUnknownCall;
+    return !Variant;
   }
 };
 
-/// Counts arithmetic operations in an expression.
+/// Counts arithmetic operations in an expression; array subscripts are not
+/// counted.
 int opCount(const Expr &E) {
-  switch (E.kind()) {
-  case ExprKind::Binary:
-    return 1 + opCount(*cast<BinaryExpr>(&E)->Lhs) +
-           opCount(*cast<BinaryExpr>(&E)->Rhs);
-  case ExprKind::Unary:
-    return 1 + opCount(*cast<UnaryExpr>(&E)->Operand);
-  case ExprKind::Call: {
-    int N = 1;
-    for (const auto &A : cast<CallExpr>(&E)->Args)
-      N += opCount(*A);
-    return N;
-  }
-  default:
-    return 0;
-  }
+  int N = 0;
+  forEachSubExpr(E, [&](const Expr &Sub) {
+    if (isa<BinaryExpr>(&Sub) || isa<UnaryExpr>(&Sub) || isa<CallExpr>(&Sub))
+      ++N;
+    return !isa<ArrayRef>(&Sub);
+  });
+  return N;
 }
 
 /// Counts assignments to scalar \p Name in the loop body.
@@ -203,42 +191,8 @@ int hoistFromLoop(Block &Region, ForStmt &Loop, int MinOps,
     ++Loc->Index;
     // Replace every occurrence inside the loop body.
     VarRef Repl(Temp);
-    forEachStmt(*Loop.Body, [&](Stmt &S) {
-      forEachExpr(S, [&](ExprPtr &E) {
-        const std::function<ExprPtr(ExprPtr)> Rewrite =
-            [&](ExprPtr Sub) -> ExprPtr {
-          if (exprEquals(*Sub, *Candidate))
-            return Repl.clone();
-          switch (Sub->kind()) {
-          case ExprKind::Binary: {
-            auto *B = cast<BinaryExpr>(Sub.get());
-            B->Lhs = Rewrite(std::move(B->Lhs));
-            B->Rhs = Rewrite(std::move(B->Rhs));
-            return Sub;
-          }
-          case ExprKind::Unary: {
-            auto *U = cast<UnaryExpr>(Sub.get());
-            U->Operand = Rewrite(std::move(U->Operand));
-            return Sub;
-          }
-          case ExprKind::Call: {
-            auto *C = cast<CallExpr>(Sub.get());
-            for (auto &A : C->Args)
-              A = Rewrite(std::move(A));
-            return Sub;
-          }
-          case ExprKind::ArrayRef: {
-            auto *A = cast<ArrayRef>(Sub.get());
-            for (auto &I : A->Indices)
-              I = Rewrite(std::move(I));
-            return Sub;
-          }
-          default:
-            return Sub;
-          }
-        };
-        E = Rewrite(std::move(E));
-      });
+    rewriteExprs(*Loop.Body, [&](const Expr &E) {
+      return exprEquals(E, *Candidate) ? Repl.clone() : nullptr;
     });
     ++Hoists;
   }
@@ -300,37 +254,22 @@ TransformResult applyScalarRepl(Block &Region, const ScalarReplArgs &Args,
       };
       std::map<std::string, Group> Groups;
       LoopVariance Variance(Loop);
-      forEachStmt(*Loop.Body, [&](Stmt &S) {
-        forEachExpr(S, [&](ExprPtr &E) {
-          const std::function<void(const Expr &, bool)> Visit =
-              [&](const Expr &Sub, bool IsLhs) {
-                if (const auto *A = dyn_cast<ArrayRef>(&Sub)) {
-                  Group &G = Groups[A->Name];
-                  if (!G.Representative)
-                    G.Representative = A;
-                  else if (!exprEquals(*G.Representative, *A))
-                    G.Uniform = false;
-                  if (IsLhs)
-                    G.Written = true;
-                  for (const auto &I : A->Indices)
-                    Visit(*I, false);
-                  return;
-                }
-                if (const auto *B = dyn_cast<BinaryExpr>(&Sub)) {
-                  Visit(*B->Lhs, false);
-                  Visit(*B->Rhs, false);
-                } else if (const auto *U = dyn_cast<UnaryExpr>(&Sub)) {
-                  Visit(*U->Operand, false);
-                } else if (const auto *C = dyn_cast<CallExpr>(&Sub)) {
-                  for (const auto &Arg : C->Args)
-                    Visit(*Arg, false);
-                }
-              };
-          bool IsLhsExpr = false;
-          if (auto *A = dyn_cast<AssignStmt>(&S))
-            IsLhsExpr = (A->Lhs == E);
-          Visit(*E, IsLhsExpr);
+      forEachExpr(*Loop.Body, [&](const ExprPtr &E) {
+        forEachSubExpr(*E, [&](const Expr &Sub) {
+          if (const auto *A = dyn_cast<ArrayRef>(&Sub)) {
+            Group &G = Groups[A->Name];
+            if (!G.Representative)
+              G.Representative = A;
+            else if (!exprEquals(*G.Representative, *A))
+              G.Uniform = false;
+          }
+          return true;
         });
+      });
+      forEachStmt(*Loop.Body, [&](const Stmt &S) {
+        if (const auto *A = dyn_cast<AssignStmt>(&S))
+          if (const auto *Arr = dyn_cast<ArrayRef>(A->Lhs.get()))
+            Groups[Arr->Name].Written = true;
       });
 
       for (auto &[Name, G] : Groups) {
@@ -353,43 +292,8 @@ TransformResult applyScalarRepl(Block &Region, const ScalarReplArgs &Args,
 
         // Replace all matching references by the temporary.
         VarRef Repl(Temp);
-        const Expr &Pattern = *RefClone;
-        forEachStmt(*Loop.Body, [&](Stmt &S) {
-          forEachExpr(S, [&](ExprPtr &E) {
-            const std::function<ExprPtr(ExprPtr)> Rewrite =
-                [&](ExprPtr Sub) -> ExprPtr {
-              if (exprEquals(*Sub, Pattern))
-                return Repl.clone();
-              switch (Sub->kind()) {
-              case ExprKind::Binary: {
-                auto *B = cast<BinaryExpr>(Sub.get());
-                B->Lhs = Rewrite(std::move(B->Lhs));
-                B->Rhs = Rewrite(std::move(B->Rhs));
-                return Sub;
-              }
-              case ExprKind::Unary: {
-                auto *U = cast<UnaryExpr>(Sub.get());
-                U->Operand = Rewrite(std::move(U->Operand));
-                return Sub;
-              }
-              case ExprKind::Call: {
-                auto *C = cast<CallExpr>(Sub.get());
-                for (auto &A : C->Args)
-                  A = Rewrite(std::move(A));
-                return Sub;
-              }
-              case ExprKind::ArrayRef: {
-                auto *A = cast<ArrayRef>(Sub.get());
-                for (auto &I : A->Indices)
-                  I = Rewrite(std::move(I));
-                return Sub;
-              }
-              default:
-                return Sub;
-              }
-            };
-            E = Rewrite(std::move(E));
-          });
+        rewriteExprs(*Loop.Body, [&](const Expr &E) {
+          return exprEquals(E, *RefClone) ? Repl.clone() : nullptr;
         });
 
         Loc->Parent->Stmts.insert(Loc->Parent->Stmts.begin() +

@@ -15,33 +15,6 @@ using namespace cir;
 
 namespace {
 
-/// A detached loop header used while rebuilding nests.
-struct Header {
-  std::string Var;
-  ExprPtr Init;
-  BoundOp Op;
-  ExprPtr Bound;
-  int64_t Step;
-};
-
-/// Builds a chain of loops from \p Headers whose innermost body is \p Body
-/// and returns the outermost loop.
-StmtPtr buildChain(std::vector<Header> Headers, std::unique_ptr<Block> Body) {
-  assert(!Headers.empty() && "cannot build an empty chain");
-  // Build inside out.
-  std::unique_ptr<Block> Current = std::move(Body);
-  for (size_t I = Headers.size(); I-- > 0;) {
-    Header &H = Headers[I];
-    auto Loop =
-        std::make_unique<ForStmt>(H.Var, std::move(H.Init), H.Op,
-                                  std::move(H.Bound), H.Step, std::move(Current));
-    Current = std::make_unique<Block>();
-    Current->Stmts.push_back(std::move(Loop));
-  }
-  StmtPtr Result = std::move(Current->Stmts.front());
-  return Result;
-}
-
 /// Intra-tile upper bound: min(OrigBound, TileVar + Factor [- 1]).
 ExprPtr clampedBound(const ForStmt &Orig, const std::string &TileVar,
                      int64_t Factor) {
@@ -118,8 +91,7 @@ TransformResult applyBandTiling(Block &Region, StmtLocation Loc,
   for (size_t I = 0; I < K; ++I) {
     ForStmt *L = Nest[I];
     if (Args.Factors[I] == 1) {
-      Headers.push_back(
-          Header{L->Var, L->Init->clone(), L->Op, L->Bound->clone(), L->Step});
+      Headers.push_back(Header::of(*L));
       continue;
     }
     Headers.push_back(Header{L->Var, makeVar(TileVars[I]), L->Op,

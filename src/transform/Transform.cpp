@@ -4,6 +4,7 @@
 
 #include "src/cir/AstUtils.h"
 
+#include <cassert>
 #include <set>
 
 namespace locus {
@@ -32,6 +33,24 @@ std::string freshName(const cir::Block &Scope, const std::string &Base) {
   }
 }
 
+Header Header::of(const cir::ForStmt &L) {
+  return Header{L.Var, L.Init->clone(), L.Op, L.Bound->clone(), L.Step};
+}
+
+cir::StmtPtr buildChain(std::vector<Header> Headers,
+                        std::unique_ptr<cir::Block> Body) {
+  assert(!Headers.empty() && "cannot build an empty chain");
+  for (size_t I = Headers.size(); I-- > 0;) {
+    Header &H = Headers[I];
+    auto Loop = std::make_unique<cir::ForStmt>(H.Var, std::move(H.Init), H.Op,
+                                               std::move(H.Bound), H.Step,
+                                               std::move(Body));
+    Body = std::make_unique<cir::Block>();
+    Body->Stmts.push_back(std::move(Loop));
+  }
+  return std::move(Body->Stmts.front());
+}
+
 std::map<std::string, cir::ElemType> collectDeclTypes(const cir::Program &P) {
   std::map<std::string, cir::ElemType> Types;
   for (const auto &G : P.Globals)
@@ -46,37 +65,24 @@ std::map<std::string, cir::ElemType> collectDeclTypes(const cir::Program &P) {
 cir::ElemType inferElemType(const cir::Expr &E,
                             const std::map<std::string, cir::ElemType> &Types) {
   using namespace cir;
-  switch (E.kind()) {
-  case ExprKind::IntLit:
-    return ElemType::Int;
-  case ExprKind::FloatLit:
-    return ElemType::Double;
-  case ExprKind::VarRef: {
-    auto It = Types.find(cast<VarRef>(&E)->Name);
-    return It != Types.end() ? It->second : ElemType::Double;
-  }
-  case ExprKind::ArrayRef: {
-    auto It = Types.find(cast<ArrayRef>(&E)->Name);
-    return It != Types.end() ? It->second : ElemType::Double;
-  }
-  case ExprKind::Binary: {
-    const auto *B = cast<BinaryExpr>(&E);
-    if (inferElemType(*B->Lhs, Types) == ElemType::Double ||
-        inferElemType(*B->Rhs, Types) == ElemType::Double)
-      return ElemType::Double;
-    return ElemType::Int;
-  }
-  case ExprKind::Unary:
-    return inferElemType(*cast<UnaryExpr>(&E)->Operand, Types);
-  case ExprKind::Call: {
-    const auto *C = cast<CallExpr>(&E);
-    for (const auto &A : C->Args)
-      if (inferElemType(*A, Types) == ElemType::Double)
-        return ElemType::Double;
-    return ElemType::Int;
-  }
-  }
-  return ElemType::Double;
+  // Double as soon as a float literal or a double (or undeclared) name is
+  // read; an array's subscripts do not decide its element type.
+  bool Double = false;
+  forEachSubExpr(E, [&](const Expr &Sub) {
+    const std::string *Name = nullptr;
+    if (isa<FloatLit>(&Sub))
+      Double = true;
+    else if (const auto *V = dyn_cast<VarRef>(&Sub))
+      Name = &V->Name;
+    else if (const auto *A = dyn_cast<ArrayRef>(&Sub))
+      Name = &A->Name;
+    if (Name) {
+      auto It = Types.find(*Name);
+      Double = Double || It == Types.end() || It->second == ElemType::Double;
+    }
+    return !Double && !isa<ArrayRef>(&Sub);
+  });
+  return Double ? ElemType::Double : ElemType::Int;
 }
 
 } // namespace transform

@@ -15,8 +15,11 @@
 
 #include "src/cir/Ast.h"
 
+#include <cstdint>
 #include <map>
+#include <memory>
 #include <string>
+#include <vector>
 
 namespace locus {
 namespace transform {
@@ -111,6 +114,25 @@ cir::ElemType inferElemType(const cir::Expr &E,
 /// Returns a variable name starting with \p Base that is not yet used
 /// anywhere in \p Scope (appends _2, _3, ... on collision).
 std::string freshName(const cir::Block &Scope, const std::string &Base);
+
+/// A detached loop header: a ForStmt without its body. The transforms that
+/// rebuild or permute nests (tiling, interchange, generic tiling) assemble
+/// these and turn them into loops with buildChain().
+struct Header {
+  std::string Var;
+  cir::ExprPtr Init;
+  cir::BoundOp Op = cir::BoundOp::Lt;
+  cir::ExprPtr Bound;
+  int64_t Step = 1;
+
+  /// A copy of \p L's header.
+  static Header of(const cir::ForStmt &L);
+};
+
+/// Nests loops with \p Headers (outermost first) around \p Body, built
+/// inside out, and returns the outermost loop. \p Headers is not empty.
+cir::StmtPtr buildChain(std::vector<Header> Headers,
+                        std::unique_ptr<cir::Block> Body);
 
 } // namespace transform
 } // namespace locus

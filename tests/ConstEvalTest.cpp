@@ -10,6 +10,7 @@
 
 #include "src/cir/AstUtils.h"
 #include "src/cir/Parser.h"
+#include "src/cir/PathIndex.h"
 #include "src/cir/Printer.h"
 
 #include <gtest/gtest.h>
@@ -226,10 +227,9 @@ int main() {
   const DeclStmt *A = (*P)->findGlobal("A");
   ASSERT_NE(A, nullptr);
   EXPECT_EQ(A->Dims, (std::vector<int64_t>{12, 4}));
-  std::vector<const ForStmt *> Loops;
-  collectAllLoops(*(*P)->Body, Loops);
+  std::vector<LoopEntry> Loops = listLoops(*(*P)->Body);
   ASSERT_EQ(Loops.size(), 1u);
-  EXPECT_EQ(Loops[0]->Step, 4);
+  EXPECT_EQ(Loops[0].Loop->Step, 4);
 }
 
 TEST(ConstEval, OverflowingArrayDimensionIsALocatedParseError) {
