@@ -181,8 +181,12 @@ Token Lexer::lexToken() {
         S = advance();
       Str += S;
     }
-    if (!atEnd())
-      advance(); // closing quote
+    if (atEnd()) {
+      ErrorMessage =
+          "line " + std::to_string(T.Line) + ": unterminated string literal";
+      return T;
+    }
+    advance(); // closing quote
     T.Kind = TokKind::StrLit;
     T.Text = std::move(Str);
     return T;

@@ -3,6 +3,7 @@
 #include "src/locus/LocusLexer.h"
 
 #include <cctype>
+#include <cerrno>
 #include <cstdlib>
 
 namespace locus {
@@ -109,7 +110,11 @@ LTok LocusLexer::lexToken() {
       T.FloatValue = std::strtod(Num.c_str(), nullptr);
     } else {
       T.Kind = LTokKind::IntLit;
+      errno = 0;
       T.IntValue = std::strtoll(Num.c_str(), nullptr, 10);
+      if (errno == ERANGE) // reported; lexing stops at the next token
+        ErrorMessage = "line " + std::to_string(T.Line) +
+                       ": integer literal out of range: " + Num;
     }
     T.Text = std::move(Num);
     return T;

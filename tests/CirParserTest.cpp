@@ -136,6 +136,27 @@ int main() { return 0; }
                          << Edge.message();
 }
 
+/// A string literal that never closes is reported at its opening line, not
+/// as a parse error at the end of the file it swallowed.
+TEST(CirParser, UnterminatedStringIsReportedAtItsLine) {
+  auto P = parseProgram(R"(double A[4];
+int main() {
+  int i;
+  for (i = 0; i < 4; i++)
+    A[i] = 1.0;
+  for (i = 0; i < 4; i++)
+    A[i] = A[i] * 2.0;
+  printf("unterminated);
+  A[0] = 3.0;
+  return 0;
+}
+)");
+  ASSERT_FALSE(P.ok());
+  EXPECT_NE(P.message().find("line 8: unterminated string literal"),
+            std::string::npos)
+      << P.message();
+}
+
 TEST(CirParser, OrdinaryPragmasAttachToNextStmt) {
   const char *Src = R"(
 double A[8];

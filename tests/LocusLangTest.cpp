@@ -69,6 +69,23 @@ TEST(LocusParser, RangeLexing) {
   ASSERT_NE(P, nullptr);
 }
 
+/// strtoll saturates out-of-range text to INT64_MAX; the lexer must refuse
+/// it with the line instead of silently narrowing the search space.
+TEST(LocusParser, OutOfRangeIntegerLiteralIsALocatedError) {
+  auto P = parseLocusProgram("CodeReg r {\n"
+                             "  t = integer(2..99999999999999999999);\n"
+                             "}\n");
+  ASSERT_FALSE(P.ok());
+  EXPECT_NE(P.message().find("line 2: integer literal out of range: "
+                             "99999999999999999999"),
+            std::string::npos)
+      << P.message();
+  EXPECT_TRUE(
+      parseLocusProgram("CodeReg r { t = integer(2..9223372036854775807); }")
+          .ok())
+      << "INT64_MAX itself is in range";
+}
+
 TEST(LocusParser, ReportsSyntaxErrors) {
   EXPECT_FALSE(parseLocusProgram("CodeReg {").ok());
   EXPECT_FALSE(parseLocusProgram("OptSeq Foo() { x = ; }").ok());
